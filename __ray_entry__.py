@@ -2799,9 +2799,12 @@ FROM w WHERE role = 'assistant'
         #   pins never-underestimate + eps*N bound. (distinct_terms_hll
         #   itself is value-twinned as of round 5 — registers are corpus-
         #   deterministic.)
-        # - wand_daat_equivalence: engine-internal heap-tie membership is
-        #   not SQL-expressible; the entry RAISES on WAND/DAAT divergence
-        #   and the ranking math itself is oracled via bm25_topk_or.
+        # - wand_daat_equivalence: the served bm25_topk (OR, heap ties,
+        #   MaxScore pruning where it applies) vs the in-memory reference
+        #   DAAT loop (OracleIndex.ranked_daat) over the same documents;
+        #   heap-tie membership is not SQL-expressible. The entry RAISES on
+        #   any docid or bitwise score divergence, and the ranking math
+        #   itself is oracled via bm25_topk_or.
         # - media_features: byte-level codec decode (PNG inflate, WAV PCM)
         #   + FFT features are not SQL math; the exact per-row digests are
         #   pytest-pinned (test_multimodal_serve.py) over the deterministic

@@ -3,7 +3,6 @@ query rank-identity (the reference's own conformance strategy,
 ``HW2/engine/testrun.py:106-136`` + ``searcher.py:253-287``)."""
 
 import glob
-import math
 
 import numpy as np
 import pyarrow.parquet as pq
@@ -35,6 +34,10 @@ QUERIES = [
     "manhattan project bomb",
     "u.s policy",
     "3.14 math",
+    # 3-term sums with shared docs: float addition is commutative but not
+    # associative, so only these pin the ascending-df accumulation order
+    "the data the",
+    "data the w0001",
 ]
 
 
@@ -114,46 +117,59 @@ def _norm(res):
     return sorted(((d, round(s, 9)) for d, s in res), key=lambda x: (-x[1], x[0]))
 
 
+def _by_score(res):
+    return sorted(res, key=lambda x: (-x[1], x[0]))
+
+
 def test_daat_rank_identity(built, oracle):
     out, _ = built
     s = Searcher(out)
     for q in QUERIES:
         for mode in ("OR", "AND"):
-            got = s.search_topk_daat(q, topk=10, mode=mode)
+            got = s.bm25_topk(q, topk=10, mode=mode)
             want = oracle.ranked_daat(q, topk=10, mode=mode)
             assert [d for d, _ in _norm(got)] == [d for d, _ in _norm(want)], (q, mode)
             for (gd, gs), (wd, ws) in zip(_norm(got), _norm(want)):
                 assert gs == pytest.approx(ws, rel=1e-9), (q, mode, gd)
 
 
-def test_vectorized_equals_daat_loop(built):
+def test_vectorized_equals_daat_loop(built, oracle):
+    """The served top-k equals the reference DAAT loop (the in-memory
+    oracle's cursor transliteration) in docids and bitwise scores, per
+    topk — including the boundary ties a size-k heap keeps."""
     out, _ = built
     s = Searcher(out)
     for q in QUERIES:
         for mode in ("OR", "AND"):
-            fast = s.bm25_topk(q, topk=10, mode=mode)
-            slow = sorted(
-                s.search_topk_daat(q, topk=10, mode=mode), key=lambda x: (-x[1], x[0])
-            )
-            assert [d for d, _ in fast] == [d for d, _ in slow], (q, mode)
-            for (fd, fs), (sd, ss) in zip(fast, slow):
-                assert fs == ss or math.isclose(fs, ss, rel_tol=1e-12), (q, mode)
+            for topk in (1, 3, 10, 50):
+                fast = s.bm25_topk(q, topk=topk, mode=mode)
+                slow = _by_score(oracle.ranked_daat(q, topk=topk, mode=mode))
+                assert fast == slow, (q, mode, topk)
 
 
-def test_wand_equals_exhaustive_daat(built):
-    """Block-max WAND must return IDENTICAL top-k (docids and scores) to the
-    exhaustive DAAT loop — the score-safety contract (SURVEY.md §7.1.6)."""
+def test_maxscore_path_taken_and_exact(built, oracle, monkeypatch):
+    """The MaxScore branch is the one remaining pruning path: it must
+    answer (not bail to the exhaustive scan) on some conformance queries,
+    and every answer it gives is bit-identical to the oracle loop."""
     out, _ = built
     s = Searcher(out)
+    taken = []
+    orig = Searcher._bm25_topk_maxscore
+
+    def spy(self, terms, topk):
+        res = orig(self, terms, topk)
+        if res is not None:
+            taken.append((q, topk, res))
+        return res
+
+    monkeypatch.setattr(Searcher, "_bm25_topk_maxscore", spy)
     for q in QUERIES:
         for topk in (1, 3, 10, 50):
-            wand = s.search_topk_wand(q, topk=topk)
-            daat = sorted(
-                s.search_topk_daat(q, topk=topk, mode="OR"),
-                key=lambda x: (-x[1], x[0]),
-            )
-            assert [d for d, _ in wand] == [d for d, _ in daat], (q, topk)
-            assert [sc for _, sc in wand] == [sc for _, sc in daat], (q, topk)
+            s.bm25_topk(q, topk=topk, mode="OR")
+    assert taken, "MaxScore never answered a conformance query"
+    for q, topk, res in taken:
+        want = _by_score(oracle.ranked_daat(q, topk=topk, mode="OR"))
+        assert res == want, (q, topk)
 
 
 def test_taat_matches_oracle(built, oracle):
@@ -168,7 +184,7 @@ def test_taat_matches_oracle(built, oracle):
                 assert gs == pytest.approx(ws, rel=1e-9)
 
 
-def test_boolean_matches_oracle_and_daat(built, oracle):
+def test_boolean_matches_oracle(built, oracle):
     out, _ = built
     s = Searcher(out)
     for q in QUERIES:
@@ -176,7 +192,6 @@ def test_boolean_matches_oracle_and_daat(built, oracle):
             got = s.boolean(q, mode)
             want = oracle.boolean(q, mode)
             assert got == want, (q, mode)
-            assert s.search_boolean_daat(q, mode) == want, (q, mode)
 
 
 def test_unique_marker_terms(built, oracle):

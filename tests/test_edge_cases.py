@@ -74,9 +74,8 @@ def test_query_edges(ray_session, small_corpus_dir, tmp_path):
     s = Searcher(out)
     assert s.bm25_topk("", 10, "OR") == []
     assert s.search("", "AND") == []
-    assert s.search_topk_wand("", 10) == []
     assert s.boolean("", "OR") == set()
-    assert s.search_boolean_daat("zzz qqq", "AND") == set()
+    assert s.boolean("zzz qqq", "AND") == set()
     # topk larger than result count
     res = s.bm25_topk("uq0x0 uq1x0", topk=1000, mode="OR")
     assert 0 < len(res) < 1000 or res == []

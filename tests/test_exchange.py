@@ -298,3 +298,22 @@ def test_pool_size_caps_to_cluster(ray_session):
     assert pool_size(cpus + 2) == max(1, cpus - 1)
     assert pool_size(1) == 1
     assert pool_size(max(1, cpus - 1)) == max(1, cpus - 1)
+
+
+def test_pool_size_one_cpu_raises_naming_stage(ray_session, monkeypatch):
+    """At 1 CPU even a single fixed-pool actor takes the only slot and the
+    stream hangs silently; pool_size must fail loudly and name the stage
+    that asked. At 4 CPUs the cap is unchanged."""
+    import ray
+
+    from web_search_engine_ray.stages.exchange import pool_size
+
+    def some_stage(n):
+        return pool_size(n)
+
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    for n in (1, 4):
+        with pytest.raises(RuntimeError, match="some_stage: .*at least 2 CPUs"):
+            some_stage(n)
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 4.0})
+    assert [pool_size(n) for n in (1, 2, 3, 4, 8)] == [1, 2, 3, 3, 3]

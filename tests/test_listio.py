@@ -1,4 +1,4 @@
-"""Blocked postings shard writer/reader: round-trip, block directory, seek."""
+"""Blocked postings shard writer/reader: round-trip, block directory, block decode."""
 
 import numpy as np
 import pytest
@@ -43,21 +43,14 @@ def test_block_directory_shape(tmp_path):
     assert e["blk_last_docid"].tolist() == [3, 7, 9]
 
 
-def test_seek_block_ge(tmp_path):
+def test_blocks_decode_in_order(tmp_path):
     d = list(range(0, 100, 2))  # 50 postings, blocks of 8
     path = tmp_path / "s.postings"
     entries = _write_terms(path, {"t": (d, [1] * 50)}, block_size=8)
     with PostingsShardReader(str(path)) as r:
         e = entries["t"]
-        hit = r.seek_block_ge(e, -1)
-        assert hit is not None and hit[0] == 0 and hit[2][0] == 0
-        hit = r.seek_block_ge(e, 15)
-        bidx, last, docids, freqs = hit
-        assert docids[0] <= 15 <= last or docids[0] > 15
-        assert any(x >= 15 for x in docids)
-        assert r.seek_block_ge(e, 99) is None
-        # iter_blocks covers everything in order
-        all_d = [x for _, blk, _ in r.iter_blocks(e) for x in blk]
+        # every block decodes against its directory base, in order
+        all_d = [x for b in range(e["nblocks"]) for x in r._decode_block(e, b)[0]]
         assert all_d == d
 
 

@@ -151,6 +151,27 @@ def test_ivf_file_set_equals_cell_set(store):
     assert total == n_chunks  # no row lost or duplicated by the re-layout
 
 
+def test_ivf_fresh_build_drops_stale_cells(store):
+    """A build that crashed after moving cells in but before writing its
+    marker leaves cell files behind; the next (fresh) build must remove
+    them, or probe-side reads would pick them up."""
+    from web_search_engine_ray.pipelines.rag import build_rag_ivf
+
+    out, _ = store
+    rep = build_rag_ivf(out, n_cells=8)
+    ivf_dir = os.path.join(out, "ivf")
+    os.remove(os.path.join(ivf_dir, "ivf.json"))  # crash before the marker
+    stale = os.path.join(ivf_dir, "cell_00099.parquet")
+    some_cell = sorted(f for f in os.listdir(ivf_dir) if f.startswith("cell_"))[0]
+    pq.write_table(pq.read_table(os.path.join(ivf_dir, some_cell)), stale)
+    rep2 = build_rag_ivf(out, n_cells=8)
+    assert rep2["resumed"] is False
+    assert not os.path.exists(stale)
+    files = {f for f in os.listdir(ivf_dir) if f.endswith(".parquet")}
+    assert files == {f"cell_{c:05d}.parquet" for c in rep2["cell_counts"]}
+    assert rep2["cell_counts"] == rep["cell_counts"]
+
+
 def test_ivf_recall_floor_and_determinism(store):
     from web_search_engine_ray.pipelines.rag import (
         build_rag_ivf,

@@ -54,8 +54,8 @@ def test_groupby_rebuild_ignores_stale_runs(ray_session, tmp_path):
 
 def test_degenerate_blk_max_tf_falls_back(ray_session, tmp_path):
     """Zero the block-max directory (standing in for a pre-blk_max_tf
-    lexicon): WAND and the MaxScore fast path must fall back to exhaustive
-    scoring, not silently prune everything."""
+    lexicon): the MaxScore fast path must fall back to exhaustive scoring,
+    not silently prune everything."""
     import pickle
 
     from web_search_engine_ray.pipelines.build import build_index
@@ -71,7 +71,6 @@ def test_degenerate_blk_max_tf_falls_back(ray_session, tmp_path):
     s0 = Searcher(out)
     qs = ["the data", "spark join w0001", "the the data"]
     want = {q: s0.bm25_topk(q, 10, "OR") for q in qs}
-    want_wand = {q: s0.search_topk_wand(q, 10) for q in qs}
 
     for lp in glob.glob(os.path.join(out, "index", "*.lexicon")):
         with open(lp, "rb") as f:
@@ -83,7 +82,6 @@ def test_degenerate_blk_max_tf_falls_back(ray_session, tmp_path):
     s1 = Searcher(out)
     for q in qs:
         assert s1.bm25_topk(q, 10, "OR") == want[q], q
-        assert s1.search_topk_wand(q, 10) == want_wand[q], q
 
 
 def test_exchange_rejects_null_partition_values(ray_session):

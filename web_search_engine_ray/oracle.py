@@ -1,9 +1,11 @@
-"""Single-process reference-semantics oracle (test-only, intentionally simple).
+"""Single-process reference-semantics oracle (tests and gate only, intentionally simple).
 
 A fresh transliteration of the reference engine's *behavior* — NOT its code —
-used as the ground truth for conformance tests (the reference's own strategy:
-build two ways, compare postings, ``HW2/engine/testrun.py:106-136``; boolean vs
-DAAT set equality, ``HW2/engine/searcher.py:253-287``).
+used as the ground truth for conformance tests and the ``wand_daat_equivalence``
+gate entry (the reference's own strategy: build two ways, compare postings,
+``HW2/engine/testrun.py:106-136``; boolean vs DAAT set equality,
+``HW2/engine/searcher.py:253-287``). Its ``ranked_daat`` is the repo's only
+copy of the reference cursor loop; the engine serves ``Searcher.bm25_topk``.
 
 Semantics mirrored (with file:line contract citations):
 

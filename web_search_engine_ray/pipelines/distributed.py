@@ -399,7 +399,7 @@ class RangeSearcher:
         # (most tombstones can't even score for this query) and doubles on
         # shortfall up to topk + len(dels), the worst case (each deleted doc
         # displaces at most one live hit) — so a huge uncompacted delete set
-        # no longer defeats the WAND/MaxScore cutoffs on every query
+        # no longer defeats the MaxScore cutoff on every query
         dels = set(exclude)
         cap = topk + len(dels)
         fetch = min(cap, topk + min(len(dels), max(16, topk)))

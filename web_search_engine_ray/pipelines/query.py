@@ -1,15 +1,21 @@
-"""Query engine: shard-backed Searcher + DAAT/TAAT BM25 + boolean + actor pool.
+"""Query engine: shard-backed Searcher + BM25 top-k / TAAT / boolean + actor pool.
 
 API surface mirrors the reference's ``Searcher`` (``HW2/engine/searcher.py``):
 
+- ``bm25_topk(query, topk, mode)``   — the one ranked top-k path, used by
+  every serving surface: each distinct query term is resolved once
+  (``resolve_terms``), postings are scored vectorized in the reference DAAT
+  loop's per-doc accumulation order (terms ascending-df,
+  ``HW2/engine/daat_ranker.py:47-141``) with its exact boundary-tie heap,
+  plus a score-exact MaxScore branch for rare+stopword OR queries
 - ``search(query, mode, topk)``      — TAAT BM25 with AND/OR allowed-set filter
-- ``search_topk_daat(query, topk, mode)`` — DAAT BM25 top-k (cursor loop,
-  the reference algorithm transliterated: ``HW2/engine/daat_ranker.py:47-141``)
-- ``search_boolean_daat(query, mode)``   — DAAT set ops (``HW2/engine/daat.py``)
 - ``boolean(query, mode)``           — full-postings set intersection/union
-- ``bm25_topk(query, topk, mode)``   — vectorized scorer, float-identical to
-  the DAAT loop (same per-doc accumulation order: terms ascending-df), used by
-  the serving path / benches. Tested equal to ``search_topk_daat``.
+- ``ql_topk(query, topk)``           — Dirichlet query likelihood
+
+The reference's cursor loops (DAAT top-k, DAAT set ops) live only in the
+in-memory ``oracle.OracleIndex`` (``ranked_daat`` / ``boolean``); the tests
+and the ``wand_daat_equivalence`` gate entry build the index both ways and
+compare (docids, scores bit-for-bit).
 
 Semantics preserved exactly (SURVEY.md §7.6-7.7): query tokenization is
 ``query.lower().split()`` (NOT the corpus tokenizer); unknown terms silently
@@ -30,7 +36,6 @@ import heapq
 import json
 import math
 import os
-from collections import defaultdict
 
 import numpy as np
 
@@ -43,86 +48,6 @@ from web_search_engine_ray.stages.exchange import pool_size
 
 K1 = 1.2
 B = 0.75
-
-
-class PostingsCursor:
-    """Block-aware cursor over one term's postings: ``docid() / advance() /
-    next_ge()`` (the reference's cursor contract,
-    ``HW2/engine/postings_cursor.py``; block seeks via the lexicon directory)."""
-
-    __slots__ = ("reader", "entry", "term", "bidx", "block_last", "docids", "freqs", "j", "exhausted")
-
-    def __init__(self, reader: PostingsShardReader, term: str, entry: dict):
-        self.reader = reader
-        self.entry = entry
-        self.term = term
-        self.bidx = -1
-        self.block_last = -1
-        self.docids = np.empty(0, dtype=np.uint64)
-        self.freqs = np.empty(0, dtype=np.uint64)
-        self.j = 0
-        self.exhausted = entry["df"] == 0
-        if not self.exhausted:
-            hit = reader.seek_block_ge(entry, -1)
-            if hit is None:
-                self.exhausted = True
-            else:
-                self.bidx, self.block_last, self.docids, self.freqs = hit
-
-    def _load_block(self, bidx: int) -> bool:
-        if bidx < 0 or bidx >= self.entry["nblocks"]:
-            return False
-        d, f = self.reader._decode_block(self.entry, bidx)
-        self.bidx = bidx
-        self.block_last = int(self.entry["blk_last_docid"][bidx])
-        self.docids, self.freqs = d, f
-        self.j = 0
-        return True
-
-    def docid(self) -> int | None:
-        if self.exhausted or self.j >= self.docids.size:
-            return None
-        return int(self.docids[self.j])
-
-    def tf(self) -> int:
-        return int(self.freqs[self.j])
-
-    def advance(self) -> int | None:
-        if self.exhausted:
-            return None
-        self.j += 1
-        if self.j < self.docids.size:
-            return int(self.docids[self.j])
-        if not self._load_block(self.bidx + 1):
-            self.exhausted = True
-            return None
-        return int(self.docids[self.j])
-
-    def next_ge(self, target: int) -> int | None:
-        if self.exhausted:
-            return None
-        if target <= self.block_last:
-            j = int(np.searchsorted(self.docids[self.j :], np.uint64(target))) + self.j
-            if j < self.docids.size:
-                self.j = j
-                return int(self.docids[j])
-            if not self._load_block(self.bidx + 1):
-                self.exhausted = True
-                return None
-            return int(self.docids[self.j])
-        hit = self.reader.seek_block_ge(self.entry, target)
-        if hit is None:
-            self.exhausted = True
-            return None
-        self.bidx, self.block_last, self.docids, self.freqs = hit
-        j = int(np.searchsorted(self.docids, np.uint64(target)))
-        if j >= self.docids.size:
-            if not self._load_block(self.bidx + 1):
-                self.exhausted = True
-                return None
-            return int(self.docids[self.j])
-        self.j = j
-        return int(self.docids[j])
 
 
 def _heap_topk_select(docids: np.ndarray, scores: np.ndarray, k: int) -> list[int]:
@@ -303,54 +228,31 @@ class Searcher:
         den = tf + self.k1 * (1.0 - self.b + self.b * (dl.astype(np.float64) / self.avgdl))
         return idf * ((tf * (self.k1 + 1.0)) / den)
 
-    def _known_terms(self, query: str) -> list[str]:
-        return [t for t in query_terms(query) if self.lookup(t) is not None]
+    def resolve_terms(self, query: str) -> list[tuple[str, dict, PostingsShardReader, int]]:
+        """Known query terms as ``(term, entry, reader, df)``, one row per
+        query occurrence (a duplicated term contributes twice), stably sorted
+        by ascending df — the reference's cursor order and so the per-doc
+        accumulation order (SURVEY.md §7.7). Each distinct term is looked up
+        once; unknown terms are dropped. ``df`` is the ``set_global_stats``
+        override when one is set, the shard-local df otherwise."""
+        q = query_terms(query)
+        known = {}
+        for t in dict.fromkeys(q):
+            hit = self.lookup(t)
+            if hit is not None:
+                entry, reader = hit
+                known[t] = (t, entry, reader, self._df_override.get(t, entry["df"]))
+        return sorted((known[t] for t in q if t in known), key=lambda r: r[3])
 
-    # -- ranked: vectorized (serving path) ------------------------------
-    def bm25_topk(
-        self, query: str, topk: int = 10, mode: str = "AND", tie_semantics: str = "heap"
-    ):
-        """Vectorized DAAT-equivalent BM25 top-k; identical results (docids,
-        scores bit-for-bit) to ``search_topk_daat`` — per-doc accumulation
-        runs over terms in ascending-df order, matching the tied-cursor pop
-        order of the reference loop (SURVEY.md §7.7). OR-mode queries mixing
-        rare terms with stopwords route through a score-exact MaxScore path
-        (prune heavy-term-only candidates when their upper bound provably
-        cannot reach the top-k threshold; automatic fallback otherwise).
-
-        ``tie_semantics``: "heap" (default) reproduces the reference's size-k
-        min-heap boundary-tie membership exactly; "sorted" uses the
-        normalized (-score, docid) cut — SQL-expressible (``ORDER BY score
-        DESC, docid LIMIT k``), used by the driver oracle queries."""
-        terms = self._known_terms(query)
-        if not terms or self.N == 0:
-            return []
-        terms.sort(key=self.df)
-        if mode.upper() != "AND" and len(terms) > 1 and tie_semantics == "heap":
-            res = self._bm25_topk_maxscore(terms, topk)
-            if res is not None:
-                return res
-        plists = [self.postings(t) for t in terms]
-        cand = np.unique(np.concatenate([d for d, _ in plists]))
-        if mode.upper() == "AND" and len(plists) > 1:
-            cnt = np.zeros(cand.size, dtype=np.int32)
-            for d, _ in plists:
-                cnt[np.searchsorted(cand, d)] += 1
-            cand = cand[cnt == len(plists)]
-            if cand.size == 0:
-                return []
+    def _score_topk(self, cand, terms, matches, topk: int, tie_semantics: str = "heap"):
+        """Accumulate-and-select shared by both top-k branches: ``matches``
+        yields, per resolved term in ``terms`` order, the positions in
+        ``cand`` that term posts and their tfs. dl=0 docs score 0."""
         dl_all = self.doclens.get_many(cand)
         scores = np.zeros(cand.size, dtype=np.float64)
-        for t, (d, f) in zip(terms, plists):
-            if mode.upper() == "AND" and len(plists) > 1:
-                pos = np.searchsorted(cand, d)
-                sel = (pos < cand.size) & (cand[np.minimum(pos, cand.size - 1)] == d)
-                pos, fsel = pos[sel], f[sel]
-            else:
-                pos = np.searchsorted(cand, d)
-                fsel = f
+        for (_, _, _, df), (pos, f) in zip(terms, matches):
             dl = dl_all[pos]
-            contrib = self._contrib_daat(fsel, self.df(t), dl)
+            contrib = self._contrib_daat(f, df, dl)
             contrib[dl == 0] = 0.0
             scores[pos] += contrib
         if tie_semantics == "sorted":
@@ -359,8 +261,55 @@ class Searcher:
             keep = _heap_topk_select(cand, scores, topk)
         return [(int(cand[i]), float(scores[i])) for i in keep]
 
-    def _bm25_topk_maxscore(self, terms: list[str], topk: int):
-        """MaxScore candidate pruning, score-exact or bail.
+    # -- ranked: the one BM25 top-k path (serving) ----------------------
+    def bm25_topk(
+        self, query: str, topk: int = 10, mode: str = "AND", tie_semantics: str = "heap"
+    ):
+        """Vectorized BM25 top-k with the reference DAAT loop's exact results
+        (docids, scores bit-for-bit; ``daat_ranker.py:47-141``): per-doc
+        accumulation runs over terms in ascending-df order, matching the
+        tied-cursor pop order of the reference loop (SURVEY.md §7.7), and
+        boundary ties keep the reference heap's docids. Tested equal to the
+        in-memory ``OracleIndex.ranked_daat``. OR-mode queries mixing rare
+        terms with stopwords route through a score-exact MaxScore path
+        (prune heavy-term-only candidates when their upper bound provably
+        cannot reach the top-k threshold; automatic fallback otherwise).
+
+        ``tie_semantics``: "heap" (default) reproduces the reference's size-k
+        min-heap boundary-tie membership exactly; "sorted" uses the
+        normalized (-score, docid) cut — SQL-expressible (``ORDER BY score
+        DESC, docid LIMIT k``), used by the driver oracle queries."""
+        terms = self.resolve_terms(query)
+        if not terms or self.N == 0:
+            return []
+        want_and = mode.upper() == "AND" and len(terms) > 1
+        if not want_and and len(terms) > 1 and tie_semantics == "heap":
+            res = self._bm25_topk_maxscore(terms, topk)
+            if res is not None:
+                return res
+        plists = [reader.read_postings(entry) for _, entry, reader, _ in terms]
+        cand = np.unique(np.concatenate([d for d, _ in plists]))
+        if want_and:
+            cnt = np.zeros(cand.size, dtype=np.int32)
+            for d, _ in plists:
+                cnt[np.searchsorted(cand, d)] += 1
+            cand = cand[cnt == len(plists)]
+            if cand.size == 0:
+                return []
+
+        def matches():
+            for d, f in plists:
+                pos = np.searchsorted(cand, d)
+                if want_and:
+                    sel = (pos < cand.size) & (cand[np.minimum(pos, cand.size - 1)] == d)
+                    pos, f = pos[sel], f[sel]
+                yield pos, f
+
+        return self._score_topk(cand, terms, matches(), topk, tie_semantics)
+
+    def _bm25_topk_maxscore(self, terms: list[tuple], topk: int):
+        """MaxScore candidate pruning over ``resolve_terms`` rows,
+        score-exact or bail.
 
         Terms are split into *essential* (df below a cutoff) and
         *non-essential* (stopword-grade). Candidates = union of essential
@@ -374,8 +323,7 @@ class Searcher:
         so the candidate-only answer is exact. Returns ``None`` (caller falls
         back to exhaustive scoring) whenever the bound doesn't separate.
         """
-        hits = [self.lookup(t) for t in terms]
-        dfs = [self.df(t) for t in terms]
+        dfs = [df for _, _, _, df in terms]
         cutoff = max(50 * topk, self.N // 20)
         ess = [i for i in range(len(terms)) if dfs[i] <= cutoff]
         non = [i for i in range(len(terms)) if dfs[i] > cutoff]
@@ -392,7 +340,7 @@ class Searcher:
         dl1 = np.array([1], np.uint64)
         ub_non = 0.0
         for i in non:
-            entry = hits[i][0]
+            entry = terms[i][1]
             mtf = int(entry["blk_max_tf"].max()) if entry["nblocks"] else 0
             if mtf == 0 and dfs[i] > 0:
                 # degenerate directory (pre-blk_max_tf lexicon): a zero
@@ -401,32 +349,23 @@ class Searcher:
             ub_non += float(
                 self._contrib_daat(np.array([mtf], np.uint64), dfs[i], dl1)[0]
             )
-        ess_lists = {i: hits[i][1].read_postings(hits[i][0]) for i in ess}
+        ess_lists = {i: terms[i][2].read_postings(terms[i][1]) for i in ess}
         cand = np.unique(np.concatenate([ess_lists[i][0] for i in ess]))
         if cand.size < topk:
             return None  # non-essential-only docs could still place
-        dl_all = self.doclens.get_many(cand)
-        scores = np.zeros(cand.size, dtype=np.float64)
-        for i in range(len(terms)):  # ascending df = reference accumulation order
-            if i in ess_lists:
-                d, f = ess_lists[i]
-                pos = np.searchsorted(cand, d)
-            else:
-                entry, reader = hits[i]
-                tf = reader.read_tfs_for(entry, cand)
-                sel = tf > 0
-                pos = np.flatnonzero(sel)
-                d = cand[sel]
-                f = tf[sel]
-            dl = dl_all[pos]
-            contrib = self._contrib_daat(f, dfs[i], dl)
-            contrib[dl == 0] = 0.0
-            scores[pos] += contrib
-        keep = _heap_topk_select(cand, scores, topk)
-        theta = float(scores[keep[-1]])
-        if not (ub_non < theta):
-            return None
-        return [(int(cand[i]), float(scores[i])) for i in keep]
+
+        def matches():
+            for i, (_, entry, reader, _) in enumerate(terms):
+                if i in ess_lists:
+                    d, f = ess_lists[i]
+                    yield np.searchsorted(cand, d), f
+                else:
+                    tf = reader.read_tfs_for(entry, cand)
+                    pos = np.flatnonzero(tf)
+                    yield pos, tf[pos]
+
+        res = self._score_topk(cand, terms, matches(), topk)
+        return res if ub_non < res[-1][1] else None
 
     # -- ranked: TAAT (reference `search`) ------------------------------
     def search(self, query: str, mode: str = "AND", topk: int | None = None):
@@ -462,7 +401,7 @@ class Searcher:
             pos = np.searchsorted(cand, d)
             dl = dl_all[pos]
             contrib = self._contrib_taat(f, self.df(t), dl)
-            # dl=0 guard (same rule as bm25_topk / search_topk_daat): a
+            # dl=0 guard (same rule as bm25_topk and the oracle loop): a
             # posted doc always has dl>0 on a consistent index, so this only
             # fires on corrupt/mismatched doclens — score 0, don't rank
             contrib[dl == 0] = 0.0
@@ -520,180 +459,6 @@ class Searcher:
         out = [(int(cand[i]), float(scores[i])) for i in order]
         return out[:topk] if topk else out
 
-    # -- ranked: exact DAAT cursor loop ---------------------------------
-    def search_topk_daat(self, query: str, topk: int = 10, mode: str = "AND"):
-        """Transliteration of the reference DAAT+BM25 loop
-        (``daat_ranker.py:47-141``): k-way docid heap over per-term cursors,
-        tied-cursor accumulation in pop order, size-k min-heap, dl=0 guard."""
-        terms = self._known_terms(query)
-        if not terms or self.N == 0:
-            return []
-        terms.sort(key=self.df)
-        cursors = []
-        for t in terms:
-            entry, reader = self.lookup(t)
-            cursors.append(PostingsCursor(reader, t, entry))
-        heap = [(c.docid(), i) for i, c in enumerate(cursors) if c.docid() is not None]
-        heapq.heapify(heap)
-        if not heap:
-            return []
-        dfs = [self.df(t) for t in terms]
-        scores: defaultdict[int, float] = defaultdict(float)
-        top: list[tuple[float, int]] = []
-        want_and = mode.upper() == "AND"
-        while heap:
-            d, i = heapq.heappop(heap)
-            tied = [i]
-            while heap and heap[0][0] == d:
-                _, j = heapq.heappop(heap)
-                tied.append(j)
-            if want_and and len(tied) < len(cursors):
-                for idx in tied:
-                    nxt = cursors[idx].advance()
-                    if nxt is not None:
-                        heapq.heappush(heap, (nxt, idx))
-                continue
-            dl = self.doclens.get(d)
-            for idx in tied:
-                if dl > 0:
-                    c = cursors[idx]
-                    scores[d] += self._contrib_daat(
-                        np.array([c.tf()], np.uint64), dfs[idx], np.array([dl], np.uint64)
-                    )[0]
-            sc = scores[d]
-            if len(top) < topk:
-                heapq.heappush(top, (sc, d))
-            elif sc > top[0][0]:
-                heapq.heapreplace(top, (sc, d))
-            for idx in tied:
-                nxt = cursors[idx].advance()
-                if nxt is not None:
-                    heapq.heappush(heap, (nxt, idx))
-        top.sort(key=lambda x: (-x[0], x[1]))
-        return [(d, s) for (s, d) in top]
-
-    # -- ranked: block-max WAND (score-safe pruning) ---------------------
-    def search_topk_wand(self, query: str, topk: int = 10) -> list[tuple[int, float]]:
-        """Block-max WAND top-k (OR semantics), score-safe: returns results
-        identical to the exhaustive DAAT loop (tested), but skips blocks whose
-        max-possible contribution cannot beat the current threshold.
-
-        The reference has no pruning (``HW2/README.md:132-133``, "no
-        impact-ordered or pruning-aware query processing"), so correctness is
-        judged against our exhaustive DAAT (SURVEY.md §7.1.6). Upper bounds
-        use the per-block ``blk_max_tf`` directory with dl=1 (BM25 term score
-        is monotone up in tf and down in dl, so ``bm25(max_tf, dl=1)`` bounds
-        every posting in the block). Full evaluations accumulate per-doc
-        contributions in ascending-df cursor order — float-identical to DAAT.
-        """
-        terms = self._known_terms(query)
-        if not terms or self.N == 0:
-            return []
-        terms.sort(key=self.df)
-        cursors = []
-        for t in terms:
-            entry, reader = self.lookup(t)
-            if entry["df"] > 0 and (
-                entry["nblocks"] == 0 or int(entry["blk_max_tf"].max()) == 0
-            ):
-                # degenerate block-max directory (pre-blk_max_tf lexicon):
-                # zero bounds would skip real blocks — exhaustive instead
-                return self.search_topk_daat(query, topk, mode="OR")
-            cursors.append(PostingsCursor(reader, t, entry))
-        k1, b = self.k1, self.b
-        dl1 = np.array([1], np.uint64)
-
-        def _ub_term(c: PostingsCursor) -> float:
-            mtf = int(c.entry["blk_max_tf"].max()) if c.entry["nblocks"] else 0
-            return self._contrib_daat(np.array([mtf], np.uint64), self.df(c.term), dl1)[0]
-
-        def _ub_block(c: PostingsCursor) -> float:
-            mtf = int(c.entry["blk_max_tf"][c.bidx])
-            return self._contrib_daat(np.array([mtf], np.uint64), self.df(c.term), dl1)[0]
-
-        ubs = [_ub_term(c) for c in cursors]
-        n = len(cursors)
-        live = [i for i in range(n) if not cursors[i].exhausted]
-        top: list[tuple[float, int]] = []
-        theta = -1.0
-
-        while live:
-            # order live cursors by current docid (stable on cursor index)
-            live.sort(key=lambda i: (cursors[i].docid(), i))
-            # find pivot: first prefix whose term-UB sum can beat theta
-            acc = 0.0
-            pivot = -1
-            for pos, i in enumerate(live):
-                acc += ubs[i]
-                if acc > theta:
-                    pivot = pos
-                    break
-            if pivot < 0:
-                break
-            pivot_doc = cursors[live[pivot]].docid()
-            if cursors[live[0]].docid() == pivot_doc:
-                # block-max refinement: tighter bound from the current blocks.
-                # The bound must cover EVERY cursor positioned at pivot_doc —
-                # including ones past the pivot position that are tied on it
-                # (e.g. a duplicate query term's twin cursor) — or the skip
-                # would discard their contribution.
-                prefix = list(live[: pivot + 1]) + [
-                    i for i in live[pivot + 1 :] if cursors[i].docid() == pivot_doc
-                ]
-                block_acc = 0.0
-                for i in prefix:
-                    c = cursors[i]
-                    if c.docid() == pivot_doc or c.block_last >= pivot_doc:
-                        block_acc += _ub_block(c)
-                    else:
-                        block_acc += ubs[i]
-                if block_acc <= theta:
-                    # no doc in these blocks can win: skip past the pivot doc
-                    self._wand_advance(cursors, live, pivot_doc + 1)
-                    live = [i for i in live if not cursors[i].exhausted]
-                    continue
-                # full evaluation, ascending-df (original cursor) order
-                dl = self.doclens.get(pivot_doc)
-                score = 0.0
-                matched = [i for i in range(n) if not cursors[i].exhausted and cursors[i].docid() == pivot_doc]
-                if dl > 0:
-                    for i in matched:
-                        c = cursors[i]
-                        score += self._contrib_daat(
-                            np.array([c.tf()], np.uint64),
-                            self.df(c.term),
-                            np.array([dl], np.uint64),
-                        )[0]
-                if len(top) < topk:
-                    heapq.heappush(top, (score, pivot_doc))
-                    if len(top) == topk:
-                        theta = top[0][0]
-                elif score > theta:
-                    heapq.heapreplace(top, (score, pivot_doc))
-                    theta = top[0][0]
-                for i in matched:
-                    cursors[i].advance()
-                live = [i for i in live if not cursors[i].exhausted]
-            else:
-                # every doc below the pivot is reachable only through the
-                # pre-pivot cursors, whose UB sum is <= theta — advance them
-                # ALL to the pivot doc (also keeps duplicate-term twin
-                # cursors in lockstep, which per-cursor advancing would break)
-                for i in live:
-                    d = cursors[i].docid()
-                    if d is not None and d < pivot_doc:
-                        cursors[i].next_ge(pivot_doc)
-                live = [i for i in live if not cursors[i].exhausted]
-
-        top.sort(key=lambda x: (-x[0], x[1]))
-        return [(d, s) for (s, d) in top]
-
-    @staticmethod
-    def _wand_advance(cursors, live, target: int) -> None:
-        for i in live:
-            if cursors[i].docid() is not None and cursors[i].docid() < target:
-                cursors[i].next_ge(target)
-
     # -- boolean ---------------------------------------------------------
     def boolean(self, query: str, mode: str = "AND") -> set[int]:
         """Full-postings set ops; unknown terms silently dropped
@@ -712,58 +477,6 @@ class Searcher:
         else:
             out = np.unique(np.concatenate(arrays))
         return set(int(x) for x in out)
-
-    def search_boolean_daat(self, query: str, mode: str = "AND") -> set[int]:
-        """Cursor-based DAAT set ops (``HW2/engine/daat.py:21-91``)."""
-        terms = self._known_terms(query)
-        if not terms:
-            return set()
-        cursors = []
-        for t in terms:
-            entry, reader = self.lookup(t)
-            cursors.append(PostingsCursor(reader, t, entry))
-        if mode.upper() == "AND":
-            return set(_and_daat(cursors))
-        return set(_or_daat(cursors))
-
-
-def _and_daat(cursors):
-    heads = [c.docid() for c in cursors]
-    if any(h is None for h in heads):
-        return
-    while True:
-        target = max(heads)
-        aligned = True
-        for i, c in enumerate(cursors):
-            if heads[i] < target:
-                nxt = c.next_ge(target)
-                if nxt is None:
-                    return
-                heads[i] = nxt
-                aligned = False
-        if aligned:
-            yield target
-            for i, c in enumerate(cursors):
-                nxt = c.advance()
-                if nxt is None:
-                    return
-                heads[i] = nxt
-
-
-def _or_daat(cursors):
-    heap = [(c.docid(), i) for i, c in enumerate(cursors) if c.docid() is not None]
-    heapq.heapify(heap)
-    while heap:
-        d, i = heapq.heappop(heap)
-        yield d
-        nxt = cursors[i].advance()
-        if nxt is not None:
-            heapq.heappush(heap, (nxt, i))
-        while heap and heap[0][0] == d:
-            _, j = heapq.heappop(heap)
-            nxt = cursors[j].advance()
-            if nxt is not None:
-                heapq.heappush(heap, (nxt, j))
 
 
 class SearcherActor:

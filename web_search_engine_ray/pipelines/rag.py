@@ -403,6 +403,11 @@ def build_rag_ivf(store_dir: str, n_cells: int = IVF_CELLS) -> dict:
         assigned, route, n_cells, write_cell, auto_shrink=True
     ).to_pandas()
     np.save(os.path.join(ivf_dir, "centroids.npy"), C)
+    # a fresh build replaces the whole cell set: cells left by an earlier
+    # build that crashed before its marker would otherwise be probed
+    for f_ in os.listdir(ivf_dir):
+        if f_.startswith("cell_") and f_.endswith(".parquet"):
+            os.remove(os.path.join(ivf_dir, f_))
     for f_ in os.listdir(tmp):
         os.replace(os.path.join(tmp, f_), os.path.join(ivf_dir, f_))
     shutil.rmtree(tmp, ignore_errors=True)

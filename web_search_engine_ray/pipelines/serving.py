@@ -354,26 +354,34 @@ def bm25_taat_table(
 def wand_daat_equivalence_table(
     sf_dir: str, queries: list[str] | None = None, topk: int = 10
 ) -> pa.Table:
-    """(query_id, n_results, identical) — block-max WAND vs the exhaustive
-    DAAT cursor loop on every fixed query: same docids, bit-identical
-    scores. WAND's pruning is score-exact by construction (pytest pins it);
-    this surfaces the equivalence in the driver gate (rows-only — the heap
-    tie semantics both paths share are not SQL-expressible). A divergence
-    RAISES — the gate run itself must fail, not print ok over
-    identical=False rows."""
+    """(query_id, n_results, identical) — the served ranked path
+    (``bm25_topk`` OR, heap ties, MaxScore pruning where it applies) vs the
+    in-memory reference oracle ``OracleIndex.ranked_daat`` built over the
+    same ``documents.parquet``: same docids, bit-identical scores, both cut
+    by (-score, docid). Rows-only — the heap tie membership both sides share
+    is not SQL-expressible. A divergence RAISES — the gate run itself must
+    fail, not print ok over identical=False rows."""
+    import pyarrow.parquet as pq
+
+    from web_search_engine_ray.oracle import OracleIndex
+
     s = documents_searcher(sf_dir)
+    texts = pq.read_table(
+        os.path.join(sf_dir, "documents.parquet"), columns=["text"]
+    )["text"].to_pylist()
+    oracle = OracleIndex.build(list(enumerate(texts)))
     queries = queries if queries is not None else FIXED_QUERIES
     q_l, n_l, e_l = [], [], []
     for qid, q in enumerate(queries):
-        w = s.search_topk_wand(q, topk=topk)
-        d = s.search_topk_daat(q, topk=topk, mode="OR")
-        if w != d:
+        got = sorted(s.bm25_topk(q, topk, "OR"), key=lambda x: (-x[1], x[0]))
+        want = sorted(oracle.ranked_daat(q, topk, "OR"), key=lambda x: (-x[1], x[0]))
+        if got != want:
             raise AssertionError(
-                f"WAND/DAAT divergence on query {qid} ({q!r}): "
-                f"wand={w[:3]}... daat={d[:3]}..."
+                f"bm25_topk/oracle divergence on query {qid} ({q!r}): "
+                f"served={got[:3]}... oracle={want[:3]}..."
             )
         q_l.append(qid)
-        n_l.append(len(w))
+        n_l.append(len(got))
         e_l.append(True)
     return pa.table(
         {
@@ -669,10 +677,12 @@ def facet_counts_table(sf_dir: str, queries: list[str] | None = None) -> pa.Tabl
     queries = queries if queries is not None else FIXED_QUERIES
     matched: dict[int, np.ndarray] = {}
     for qid, q in enumerate(queries):
-        terms = s._known_terms(q)
+        terms = s.resolve_terms(q)
         if not terms:
             continue
-        docs = np.unique(np.concatenate([s.postings(t)[0] for t in terms]))
+        docs = np.unique(
+            np.concatenate([r.read_postings(e)[0] for _, e, r, _ in terms])
+        )
         matched[qid] = docs.astype(np.int64)
     empty = pa.table(
         {

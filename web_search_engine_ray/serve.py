@@ -3,7 +3,8 @@
 Mirrors ``HW2/app.py:56-116``: ``POST /search {query, mode}`` ->
 ``{results: [{docid, score}], searchTime, totalResults, query, mode}`` and
 ``GET /health`` (``app.py:157-163``). The handler scores with the vectorized
-DAAT-equivalent ranker (bit-identical to the cursor loop) through a
+DAAT-equivalent ranker ``bm25_topk`` (bit-identical to the reference
+cursor loop, which lives in ``oracle.py``) through a
 :class:`~web_search_engine_ray.pipelines.query.Searcher` loaded once at app
 creation — the same load-once-serve-many state model as the reference.
 

@@ -207,7 +207,9 @@ def pool_size(requested: int) -> int:
     hung forever inside ``bpe_encode_stats`` (concurrency=4). At real
     cluster sizes the cap is a no-op; at tiny/test sizes it keeps one CPU
     free for the feeding tasks. Callers pass their tuned N; the helper
-    never raises it."""
+    never raises it. A 1-CPU cluster has no CPU to spare: even one pool
+    actor would take the only slot and hang the stream, so there it fails
+    with a RuntimeError naming the calling stage instead."""
     try:
         import ray
 
@@ -220,4 +222,13 @@ def pool_size(requested: int) -> int:
         cpus = 0
     if cpus <= 0:
         return max(1, requested)
+    if cpus == 1:
+        import sys
+
+        stage = sys._getframe(1).f_code.co_name
+        raise RuntimeError(
+            f"{stage}: a fixed actor pool needs at least 2 CPUs, the cluster "
+            "has 1 — the pool would take the only CPU and the tasks feeding "
+            "it could never run"
+        )
     return max(1, min(requested, cpus - 1))

@@ -1,4 +1,4 @@
-"""Blocked postings shard files (write / read / block-seek).
+"""Blocked postings shard files (write / read / block-targeted tf lookup).
 
 Keeps the reference's *logical* per-term layout (``HW2/engine/listio.py:9-94``):
 postings of a term are split into blocks of ≤ ``block_size`` (default 128)
@@ -6,8 +6,8 @@ postings of a term are split into blocks of ≤ ``block_size`` (default 128)
 its encoded freq segment (``[doc_bytes][freq_bytes]`` back-to-back); docids are
 delta-gap encoded within a block against ``base = previous block's last
 docid`` (0 for the first block); a per-block directory
-``{offset, doc_bytes, freq_bytes, last_docid}`` enables O(log B) block seeks
-(``HW2/engine/lexicon.py:6-27``).
+``{offset, doc_bytes, freq_bytes, last_docid}`` lets ``read_tfs_for`` decode
+only the blocks that can hold its targets (``HW2/engine/lexicon.py:6-27``).
 
 Differences from the reference (documented, SURVEY.md §7.5):
 
@@ -30,8 +30,6 @@ lists (``HW2/engine/testrun.py:94-99``).
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
-
 import numpy as np
 
 from web_search_engine_ray.functions import codecs
@@ -124,8 +122,9 @@ class PostingsShardWriter:
             self._encode_write_blocks(d, f, 0)
         )
         nblocks = blk_offset.size
-        # blk_max_tf powers score-safe block-max WAND pruning at query
-        # time (an extension; the reference has none, HW2/README.md:132-133)
+        # blk_max_tf bounds each block's best term score for MaxScore
+        # pruning at query time (an extension; the reference has none,
+        # HW2/README.md:132-133)
         return {
             "offset": start_offset,
             "df": df,
@@ -237,7 +236,7 @@ class PostingsShardReader:
     open fd per Searcher, ``HW2/engine/searcher.py:28``). On top of the page
     cache sits a byte-bounded LRU of DECODED arrays (``cache_bytes``, 0
     disables) keyed per block and per whole term — repeated terms (stopword
-    queries, WAND re-seeks) skip the varbyte decode entirely. Pass an
+    queries, MaxScore block lookups) skip the varbyte decode entirely. Pass an
     existing :class:`_DecodedLRU` as ``cache`` to SHARE one budget across
     many readers (a Searcher over thousands of shards must have one global
     bound, not one per shard — keys carry the shard path).
@@ -359,23 +358,6 @@ class PostingsShardReader:
             ok[ok] &= d[pos[ok]] == t[sel][ok]
             out[sel[ok]] = f[pos[ok]]
         return out
-
-    def iter_blocks(self, entry: dict) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Yield ``(last_docid, docids, freqs)`` per block in order."""
-        for b in range(entry["nblocks"]):
-            docids, freqs = self._decode_block(entry, b)
-            yield int(entry["blk_last_docid"][b]), docids, freqs
-
-    def seek_block_ge(self, entry: dict, target_docid: int):
-        """First block whose ``last_docid >= target`` (binary search on the
-        block directory — ``HW2/engine/listio.py:179-226`` semantics).
-        Returns ``(block_index, last_docid, docids, freqs)`` or ``None``."""
-        last = entry["blk_last_docid"]
-        bidx = int(np.searchsorted(last, max(target_docid, 0), side="left"))
-        if bidx >= entry["nblocks"]:
-            return None
-        docids, freqs = self._decode_block(entry, bidx)
-        return bidx, int(last[bidx]), docids, freqs
 
 
 def shard_path(index_dir: str, shard: int, kind: str) -> str:
