@@ -144,7 +144,7 @@ def test_simhash_dups_banding_exhaustive(ray_session):
 
 
 @pytest.fixture(scope="module")
-def dup_heavy_dir(tmp_path_factory):
+def heavy_dup_corpus(tmp_path_factory):
     """Adversarial corpus: many byte-identical docs (one giant dup cluster),
     a few uniques, and empty docs — the skew case the bucket guard exists
     for."""
@@ -167,12 +167,12 @@ def dup_heavy_dir(tmp_path_factory):
     return str(d)
 
 
-def test_simhash_dups_under_heavy_duplication(ray_session, dup_heavy_dir):
+def test_simhash_dups_under_heavy_duplication(ray_session, heavy_dup_corpus):
     """40 identical docs -> all C(40,2) pairs at hamming 0; the two empty
     docs pair at hamming 0 too; identical-vs-empty must NOT pair."""
     from web_search_engine_ray.pipelines.dedup import simhash_dups
 
-    got = simhash_dups(dup_heavy_dir, max_hamming=3).to_pandas()
+    got = simhash_dups(heavy_dup_corpus, max_hamming=3).to_pandas()
     pairs = set(zip(got["docid_a"], got["docid_b"]))
     want = {(a, b) for a in range(40) for b in range(a + 1, 40)}
     want.add((50, 51))  # the two empty docs (simhash 0)
@@ -181,45 +181,45 @@ def test_simhash_dups_under_heavy_duplication(ray_session, dup_heavy_dir):
     assert not any((a < 40) != (b < 40) for a, b in pairs if a < 40 or b < 40 if (a, b) != (50, 51))
 
 
-def test_exact_dedup_under_heavy_duplication(ray_session, dup_heavy_dir):
+def test_exact_dedup_under_heavy_duplication(ray_session, heavy_dup_corpus):
     from web_search_engine_ray.pipelines.dedup import exact_dedup_ds
 
-    got = exact_dedup_ds(dup_heavy_dir).to_pandas()
+    got = exact_dedup_ds(heavy_dup_corpus).to_pandas()
     # 1 dup-cluster survivor + 10 uniques + 1 empty-text group = 12 groups
     assert len(got) == 12
     by_hash = got.set_index("text_hash")["docid"]
     assert 0 in set(by_hash)  # min docid of the 40-clone cluster survives
 
 
-def test_minhash_guard_caps_giant_bucket(ray_session, dup_heavy_dir):
+def test_minhash_guard_caps_giant_bucket(ray_session, heavy_dup_corpus):
     """With max_bucket set, the 40-clone bucket is truncated (logged) and
     the pair count drops accordingly; without it, all clone pairs emerge."""
     from web_search_engine_ray.pipelines.dedup import minhash_lsh_candidates_ds
 
-    full = minhash_lsh_candidates_ds(dup_heavy_dir).to_pandas()
+    full = minhash_lsh_candidates_ds(heavy_dup_corpus).to_pandas()
     clone_pairs = {(a, b) for a, b in zip(full["docid_a"], full["docid_b"]) if b < 40}
     assert len(clone_pairs) == 40 * 39 // 2
-    capped = minhash_lsh_candidates_ds(dup_heavy_dir, max_bucket=8).to_pandas()
+    capped = minhash_lsh_candidates_ds(heavy_dup_corpus, max_bucket=8).to_pandas()
     capped_clone = {
         (a, b) for a, b in zip(capped["docid_a"], capped["docid_b"]) if b < 40
     }
     assert len(capped_clone) == 8 * 7 // 2  # truncated to the 8 smallest docids
 
 
-def test_fast_hash_path_matches_md5(ray_session, dup_heavy_dir):
+def test_fast_hash_path_matches_md5(ray_session, heavy_dup_corpus):
     """hash_fn='fast' (vectorized 64-bit polars hash) must pick the same
     survivors as the oracle-checked md5 path — collisions are a 10^9-doc
     concern, not a fixture concern."""
     from web_search_engine_ray.pipelines.curate import curated_docs_ds
     from web_search_engine_ray.pipelines.dedup import exact_dedup_ds
 
-    md5 = exact_dedup_ds(dup_heavy_dir).to_pandas()
-    fast = exact_dedup_ds(dup_heavy_dir, hash_fn="fast").to_pandas()
+    md5 = exact_dedup_ds(heavy_dup_corpus).to_pandas()
+    fast = exact_dedup_ds(heavy_dup_corpus, hash_fn="fast").to_pandas()
     assert sorted(md5["docid"]) == sorted(fast["docid"])
     assert str(fast["text_hash"].dtype) == "uint64"
 
-    c_md5 = curated_docs_ds(dup_heavy_dir).to_pandas()
-    c_fast = curated_docs_ds(dup_heavy_dir, hash_fn="fast").to_pandas()
+    c_md5 = curated_docs_ds(heavy_dup_corpus).to_pandas()
+    c_fast = curated_docs_ds(heavy_dup_corpus, hash_fn="fast").to_pandas()
     assert sorted(c_md5["docid"]) == sorted(c_fast["docid"])
 
 

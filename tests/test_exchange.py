@@ -285,6 +285,47 @@ def test_exchange_auto_shrink_invariance(ray_session):
         )
 
 
+def test_arrow_refs_and_exchange_run_the_plan_once(ray_session, tmp_path):
+    """``Dataset.to_arrow_refs`` on a lazy plan runs it again under
+    ``limit(1)`` to read the schema and cancels that run's tasks; a
+    cancelled task can hold its CPU until Ray shuts down. Through
+    ``arrow_refs`` (and so ``exchange_map``) every input row passes the
+    upstream UDF exactly once."""
+    import uuid
+
+    import ray
+
+    from web_search_engine_ray.stages.exchange import arrow_refs, exchange_map
+
+    seen = tmp_path / "seen"
+    seen.mkdir()
+
+    def mark(t: pa.Table) -> pa.Table:
+        # one file per UDF call, named by its row count (workers share /tmp)
+        (seen / f"{t.num_rows}_{uuid.uuid4().hex}").touch()
+        return t
+
+    def rows_seen() -> int:
+        n = sum(int(p.name.split("_")[0]) for p in seen.iterdir())
+        for p in seen.iterdir():
+            p.unlink()
+        return n
+
+    refs = arrow_refs(_make_ds(700, 7).map_batches(mark, batch_format="pyarrow"))
+    assert sum(t.num_rows for t in ray.get(refs)) == 700
+    assert rows_seen() == 700
+
+    out = exchange_map(
+        _make_ds(700, 7).map_batches(mark, batch_format="pyarrow"),
+        "k",
+        10,
+        lambda t: t,
+        drop_part_col=False,
+    )
+    assert out.count() == 700
+    assert rows_seen() == 700
+
+
 def test_pool_size_caps_to_cluster(ray_session):
     """A fixed actor-pool concurrency >= cluster CPUs starves the upstream
     task operators and deadlocks the stream (observed live: the full gate at

@@ -153,17 +153,158 @@ def test_build_from_runs_with_heavy_salting(ray_session, legacy_run_dir, tmp_pat
         assert dd.tolist() == wd and ff.tolist() == wf, t
 
 
+def _shard_bytes(out: str) -> dict:
+    return {
+        os.path.basename(p): open(p, "rb").read()
+        for p in sorted(glob.glob(os.path.join(out, "index", "shard_*")))
+    }
+
+
 def test_build_from_runs_resume(ray_session, legacy_run_dir, tmp_path):
     """Conversion is resumable per source file: a second build skips all
-    conversions (manifest fingerprint) and rebuilds nothing."""
+    conversions (manifest fingerprint), rewrites the already laid-out runs
+    in place and leaves byte-identical shards. A conversion manifest
+    without ``min_docid`` (older layout) is stale and reconverted."""
+    import json
+
     from web_search_engine_ray.pipelines.legacy import build_index_from_runs
 
     d, n_docs = legacy_run_dir
     out = str(tmp_path / "legacy_resume")
     b1 = build_index_from_runs(d, out, n_docs=n_docs, num_shards=4)
+    first = _shard_bytes(out)
+    assert b1["heavy_terms"] and first
     b2 = build_index_from_runs(d, out, n_docs=n_docs, num_shards=4)
     assert b1["build_fp"] == b2["build_fp"]
     assert b1["n_postings"] == b2["n_postings"]
+    assert _shard_bytes(out) == first
+
+    mans = sorted(glob.glob(os.path.join(out, "manifests", "legacy_*.json")))
+    assert len(mans) == 4
+    for p in mans:
+        m = json.load(open(p))
+        del m["min_docid"]
+        json.dump(m, open(p, "w"))
+    b3 = build_index_from_runs(d, out, n_docs=n_docs, num_shards=4)
+    assert all("min_docid" in json.load(open(p)) for p in mans)
+    assert b3["build_fp"] == b1["build_fp"]
+    assert _shard_bytes(out) == first
+
+
+def _write_tsv(path: str, rows) -> None:
+    from web_search_engine_ray.sources.legacy_runs import write_tsv_run
+
+    rows = sorted(rows)
+    write_tsv_run(
+        pa.table(
+            {
+                "term": pa.array([r[0] for r in rows], pa.string()),
+                "docid": pa.array([r[1] for r in rows], pa.uint64()),
+                "tf": pa.array([r[2] for r in rows], pa.uint32()),
+            }
+        ),
+        path,
+    )
+
+
+def _assert_decodes(out: str, want: dict) -> None:
+    """Every term's decoded postings and df equal the tf-summed oracle."""
+    from web_search_engine_ray.pipelines.query import Searcher
+
+    s = Searcher(out)
+    for term, lst in want.items():
+        dd, ff = s.postings(term)
+        assert dd.tolist() == sorted(lst), term
+        assert ff.tolist() == [lst[k] for k in sorted(lst)], term
+        assert s.df(term) == len(lst), term
+
+
+def test_build_from_overlapping_runs_sums_shared_pairs(ray_session, tmp_path):
+    """Two runs overlapping on docids 5-9 share (term, docid) pairs on a
+    heavy-candidate term ("the") and a normal one ("rare"): the index must
+    hold each pair once with the tf summed (reference A2 merge rule)."""
+    from web_search_engine_ray.pipelines.legacy import build_index_from_runs
+
+    runs = tmp_path / "runs"
+    a = [("the", i, 1) for i in range(0, 10)] + [("rare", 7, 1)]
+    b = [("the", i, 1) for i in range(5, 20)] + [("rare", 7, 1), ("rare", 12, 3)]
+    _write_tsv(str(runs / "run_a.tsv"), a)
+    _write_tsv(str(runs / "run_b.tsv"), b)
+    want: dict[str, dict[int, int]] = {}
+    for term, docid, tf in a + b:
+        want.setdefault(term, {})
+        want[term][docid] = want[term].get(docid, 0) + tf
+    assert want["the"][7] == 2 and len(want["the"]) == 20
+
+    out = str(tmp_path / "idx")
+    b_ = build_index_from_runs(
+        str(runs), out, num_shards=2, n_salts=4, heavy_df_frac=0.3
+    )
+    _assert_decodes(out, want)
+    assert b_["n_postings"] == sum(len(v) for v in want.values())
+    # "the" crosses the threshold, but overlapping runs are never salted
+    assert b_["heavy_terms"] == []
+
+
+def test_build_from_runs_sums_repeated_pairs_within_a_run(ray_session, tmp_path):
+    """A run repeating a (term, docid) line is tf-summed at conversion, so a
+    salted heavy term still decodes each docid once."""
+    from web_search_engine_ray.pipelines.legacy import build_index_from_runs
+
+    runs = tmp_path / "runs"
+    a = [("the", i, 1) for i in range(0, 10)] + [("the", 3, 2)]
+    b = [("the", i, 1) for i in range(10, 20)] + [("rare", 12, 1)]
+    _write_tsv(str(runs / "run_a.tsv"), a)
+    _write_tsv(str(runs / "run_b.tsv"), b)
+    out = str(tmp_path / "idx")
+    b_ = build_index_from_runs(
+        str(runs), out, num_shards=2, n_salts=4, heavy_df_frac=0.3
+    )
+    assert b_["heavy_terms"] == ["the"]
+    want = {"the": {i: 1 for i in range(20)}, "rare": {12: 1}}
+    want["the"][3] = 3
+    _assert_decodes(out, want)
+
+
+def test_build_paths_use_no_ray_data_shuffle(
+    ray_session, small_corpus_dir, legacy_run_dir, tmp_path, monkeypatch
+):
+    """Neither index build may use a Ray Data sort/hash shuffle (that
+    family deadlocked at default settings): both succeed with
+    ``Dataset.groupby`` / ``.sort`` / ``.repartition`` raising."""
+    import ray.data
+
+    from web_search_engine_ray.pipelines.build import build_index
+    from web_search_engine_ray.pipelines.legacy import build_index_from_runs
+
+    def _refuse(name):
+        def _raise(self, *a, **k):
+            raise AssertionError(f"Ray Data shuffle Dataset.{name} in a build")
+
+        return _raise
+
+    for name in ("groupby", "sort", "repartition"):
+        monkeypatch.setattr(ray.data.Dataset, name, _refuse(name))
+
+    b = build_index(
+        small_corpus_dir,
+        str(tmp_path / "native"),
+        num_shards=4,
+        n_salts=3,
+        heavy_df_frac=0.05,
+        partition_rows=400,
+    )
+    assert b["heavy_terms"]
+    d, n_docs = legacy_run_dir
+    b = build_index_from_runs(
+        d,
+        str(tmp_path / "legacy"),
+        n_docs=n_docs,
+        num_shards=4,
+        n_salts=4,
+        heavy_df_frac=0.05,
+    )
+    assert b["heavy_terms"]
 
 
 def test_dl_from_runs_matches_token_counts(ray_session, legacy_run_dir, tmp_path):

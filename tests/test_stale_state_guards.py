@@ -1,5 +1,5 @@
 """Guards against stale on-disk state and degenerate directories: a
-repartitioned rebuild must not fold old runs/buckets in, zeroed block-max
+repartitioned rebuild must not fold old runs in, zeroed block-max
 directories must force exhaustive scoring, and null partition keys must
 raise instead of vanishing."""
 
@@ -20,7 +20,7 @@ def _searcher_results(idx, queries):
     return {q: s.bm25_topk(q, 10, "OR") for q in queries}
 
 
-def test_groupby_rebuild_ignores_stale_runs(ray_session, tmp_path):
+def test_rebuild_ignores_stale_runs(ray_session, tmp_path):
     """Rebuild the same out_dir with FEWER, larger partitions: the old
     extra run files must not be merged in (doubled tf/df) — results must
     equal a fresh build."""
@@ -34,19 +34,13 @@ def test_groupby_rebuild_ignores_stale_runs(ray_session, tmp_path):
     pq.write_table(src_t, src, row_group_size=50)
 
     out = str(tmp_path / "idx")
-    build_index(
-        src, out, partition_rows=50, num_shards=4, merge_strategy="groupby"
-    )
+    build_index(src, out, partition_rows=50, num_shards=4)
     n_runs_small = len(glob.glob(os.path.join(out, "runs", "run_*.parquet")))
     assert n_runs_small >= 5
     # rebuild in place with a coarser partitioning -> fewer run files
-    build2 = build_index(
-        src, out, partition_rows=400, num_shards=4, merge_strategy="groupby"
-    )
+    build2 = build_index(src, out, partition_rows=400, num_shards=4)
     fresh = str(tmp_path / "fresh")
-    build3 = build_index(
-        src, fresh, partition_rows=400, num_shards=4, merge_strategy="groupby"
-    )
+    build3 = build_index(src, fresh, partition_rows=400, num_shards=4)
     assert build2["n_postings"] == build3["n_postings"]
     qs = ["the data", "spark join", "w0001 w0002"]
     assert _searcher_results(out, qs) == _searcher_results(fresh, qs)

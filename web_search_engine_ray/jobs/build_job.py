@@ -30,7 +30,6 @@ def main() -> None:
     ap.add_argument("--n-salts", type=int, default=8)
     ap.add_argument("--block-size", type=int, default=128)
     ap.add_argument("--codec", default="varbyte", choices=["varbyte", "raw"])
-    ap.add_argument("--merge-strategy", default="mapside", choices=["mapside", "groupby"])
     ap.add_argument("--heavy-df-frac", type=float, default=0.05)
     ap.add_argument("--text-column", default="text")
     ap.add_argument("--no-resume", action="store_true")
@@ -51,7 +50,6 @@ def main() -> None:
         n_salts=args.n_salts,
         block_size=args.block_size,
         codec=args.codec,
-        merge_strategy=args.merge_strategy,
         heavy_df_frac=args.heavy_df_frac,
         text_column=args.text_column,
         resume=not args.no_resume,

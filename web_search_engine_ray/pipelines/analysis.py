@@ -19,7 +19,7 @@ import pyarrow as pa
 
 from web_search_engine_ray.functions.tokenize import token_lists
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
-from web_search_engine_ray.stages.exchange import pool_size
+from web_search_engine_ray.stages.exchange import arrow_refs, pool_size
 
 STOPWORDS = ("the", "a", "and", "of", "to", "in", "is")
 
@@ -232,7 +232,7 @@ def lm_score_ds(sf_dir: str):
     merged = exchange_map(partials, _part, np_, _merge, auto_shrink=True)
     # collect the finished model COLUMNAR (arrow concat — no Python loop over
     # millions of bigram rows) and derive prefix counts / V in polars
-    model = pl.from_arrow(pa.concat_tables(ray.get(merged.to_arrow_refs())))
+    model = pl.from_arrow(pa.concat_tables(ray.get(arrow_refs(merged))))
     V = float(model.filter(pl.col("kind") == 0).height)
     bi_df = (
         model.filter(pl.col("kind") == 1)
@@ -521,7 +521,7 @@ def collocations_ds(sf_dir: str, min_count: int = 5, k: int = 50):
 
     counts = _read_docs(sf_dir).map_batches(partial, batch_format="pyarrow")
     ex1 = exchange_map(counts, route1, np_, merge_attach_ca, auto_shrink=True)
-    parts = [p for p in ray.get(ex1.to_arrow_refs()) if p.num_rows]
+    parts = [p for p in ray.get(arrow_refs(ex1)) if p.num_rows]
     # two scalar sums off the vocab-scale exchange output (columnar, no rows
     # to the driver beyond what the exchange already materialized)
     nu = float(
@@ -605,7 +605,7 @@ def distinctive_terms_ds(sf_dir: str, k: int = 10):
 
     np_ = cluster_parts(32)
     # vocabulary-scale df relation: computed distributed, broadcast once
-    stats = pa.concat_tables(ray.get(term_stats_ds(sf_dir).to_arrow_refs()))
+    stats = pa.concat_tables(ray.get(arrow_refs(term_stats_ds(sf_dir))))
     df_ref = ray.put(stats.select(["term", "df"]))
     # per-source doc counts + N: dimension-sized, one tiny scan
     import pyarrow.parquet as pq_
@@ -848,7 +848,7 @@ def zipf_slope_table(sf_dir: str, top_n: int = 200) -> pa.Table:
     from web_search_engine_ray.pipelines.corpus import term_stats_ds
 
     stats = pa.concat_tables(
-        [t for t in ray.get(term_stats_ds(sf_dir).to_arrow_refs()) if t.num_rows]
+        [t for t in ray.get(arrow_refs(term_stats_ds(sf_dir))) if t.num_rows]
     )
     d = (
         pl.from_arrow(stats)

@@ -38,7 +38,7 @@ from web_search_engine_ray.functions.tokenize import token_lists
 from web_search_engine_ray.pipelines.corpus import term_stats_ds
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
 
-from web_search_engine_ray.stages.exchange import pool_size
+from web_search_engine_ray.stages.exchange import arrow_refs, pool_size
 
 END = "</w>"  # end-of-word sentinel (distinct from any corpus token char)
 
@@ -75,7 +75,7 @@ def word_frequencies(sf_dir: str, max_words: int = 100_000) -> list[tuple[str, i
         )
 
     ds = ds.map_batches(prune, batch_format="pyarrow")
-    parts = [p for p in ray.get(ds.to_arrow_refs()) if p.num_rows]
+    parts = [p for p in ray.get(arrow_refs(ds)) if p.num_rows]
     if not parts:
         return []
     df = (

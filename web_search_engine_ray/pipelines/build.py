@@ -1,4 +1,4 @@
-"""Distributed inverted-index build: tokenize -> runs -> shuffle-merge -> shards.
+"""Distributed inverted-index build: tokenize -> runs -> map-side merge -> shards.
 
 Ray-Data-native replacement for the reference's three-stage external sort
 (``build_runs_mp`` -> ``parallel_merge`` -> ``merger``):
@@ -23,25 +23,21 @@ Ray-Data-native replacement for the reference's three-stage external sort
       (salted partitioning: a stopword's postings spread over ``n_salts``
       docid-range buckets so no single group ever materializes the full list)
 
-  Two interchangeable exchange strategies (byte-identical output, tested):
-
-    * ``merge_strategy="mapside"`` (default): phase 1 sorts each partition's
-      postings by ``(gkey, term, docid)`` and writes ONE PARQUET ROW GROUP
-      PER GKEY, recording the gkey -> row-group map in the run manifest. The
-      merge is then embarrassingly parallel: one task per normal gkey reads
-      exactly its row groups from each run (a map-side-partitioned shuffle,
-      MapReduce-style — no sort all-to-all; no task reads a row it doesn't
-      own) and encodes the blocked/varbyte shard + lexicon shard. One task
-      per HEAVY term streams its salt gkeys in docid-range order through the
-      incremental block encoder — O(block) memory, a 10^12-posting stopword
-      list is never materialized (unlike the reference's per-term dict,
-      ``merger.py:101``).
-    * ``merge_strategy="groupby"``: the Ray-native all-to-all —
-      ``groupby("gkey").map_groups`` over the runs Dataset; heavy groups
-      write docid-sorted bucket partials reconciled by a per-term streaming
-      pass. Prefer this when the partition count is so large (~10^6+ per
-      job) that mapside's per-gkey row-group fan-in reads would dominate;
-      below that, mapside wins outright by deleting the sort shuffle.
+  Phase 1 sorts each partition's postings by ``(gkey, term, docid)`` and
+  writes ONE PARQUET ROW GROUP PER GKEY, recording the gkeys present in the
+  run manifest (:func:`_write_run_layout`). The merge
+  (:func:`merge_runs_mapside`) is then embarrassingly parallel: one task per
+  normal gkey reads exactly its row groups from each run (a map-side
+  partitioned shuffle, MapReduce-style — no sort all-to-all, no Ray Data
+  shuffle; no task reads a row it doesn't own) and encodes the
+  blocked/varbyte shard + lexicon shard. One task per HEAVY term streams its
+  salt gkeys in docid-range order through the incremental block encoder —
+  O(block) memory, a 10^12-posting stopword list is never materialized
+  (unlike the reference's per-term dict, ``merger.py:101``). That stream
+  needs docid-disjoint runs visited in ascending docid order. Corpus
+  partitions come that way from the offset plan; converted reference runs
+  are ordered by docid range, and go unsalted when ranges overlap
+  (``pipelines/legacy.py``).
 
 Heavy terms are detected BEFORE phase 1 by a deterministic sample pre-pass
 over a fixed, partitioning-independent subset of input files (so the run
@@ -80,6 +76,12 @@ from web_search_engine_ray.state.docstats import write_stats
 from web_search_engine_ray.state.lexicon import LexiconShard, term_shard_array
 from web_search_engine_ray.state.listio import PostingsShardWriter
 
+# heavy-detection sample: fixed, partitioning-independent file subset
+HEAVY_SAMPLE_FILES = 8
+HEAVY_SAMPLE_ROWS = 200_000
+# per-partition term counts kept in each run manifest
+MANIFEST_TOP_TERMS = 64
+
 
 @dataclass
 class BuildConfig:
@@ -94,9 +96,6 @@ class BuildConfig:
     # docid shift for doc-range-partitioned builds (this corpus slice is one
     # range of a larger corpus; see pipelines/distributed.py)
     docid_offset: int = 0
-    # "mapside" (default: map-side-partitioned runs, no sort all-to-all) or
-    # "groupby" (Ray-native sort shuffle) — identical output bytes
-    merge_strategy: str = "mapside"
     # docids to EXCLUDE from postings and global stats while PRESERVING the
     # positional docid assignment (compaction rebuilds, pipelines/distributed
     # `compact_deletes`): deleted rows keep a dense dl slot with dl=0 — never
@@ -106,12 +105,6 @@ class BuildConfig:
     delete_docids: tuple = ()
     # a term is "heavy" (salted) when its sampled df fraction exceeds this
     heavy_df_frac: float = 0.05
-    # heavy-detection sample: fixed, partitioning-independent file subset
-    heavy_sample_files: int = 8
-    heavy_sample_rows: int = 200_000
-    manifest_top_terms: int = 64
-    # map_batches knobs for the run phase
-    run_concurrency: int | None = None
 
     @property
     def runs_dir(self):
@@ -128,10 +121,6 @@ class BuildConfig:
     @property
     def index_dir(self):
         return os.path.join(self.out_dir, "index")
-
-    @property
-    def heavy_dir(self):
-        return os.path.join(self.out_dir, "heavy_parts")
 
 
 def _np(col: pa.ChunkedArray | pa.Array, dtype) -> np.ndarray:
@@ -154,7 +143,7 @@ def _sha256_file(path: str) -> str:
 def detect_heavy_sample(files: list[str], cfg: BuildConfig) -> list[str]:
     """Pre-phase-1 heavy-hitter detection over a deterministic sample.
 
-    Reads up to ``heavy_sample_rows`` rows from up to ``heavy_sample_files``
+    Reads up to ``HEAVY_SAMPLE_ROWS`` rows from up to ``HEAVY_SAMPLE_FILES``
     evenly-spaced input FILES (files are stable across partition sizes, so
     the resulting heavy set — and hence the whole run/shard layout — is
     partitioning-invariant). A term is heavy when its sampled df fraction is
@@ -166,10 +155,10 @@ def detect_heavy_sample(files: list[str], cfg: BuildConfig) -> list[str]:
 
     from web_search_engine_ray.functions.tokenize import token_lists
 
-    k = min(cfg.heavy_sample_files, len(files))
+    k = min(HEAVY_SAMPLE_FILES, len(files))
     stride = max(1, len(files) // k)
     sample_files = files[::stride][:k]
-    per_file_rows = max(1, cfg.heavy_sample_rows // len(sample_files))
+    per_file_rows = max(1, HEAVY_SAMPLE_ROWS // len(sample_files))
 
     def _sample_one(path: str) -> tuple[int, dict[str, int]]:
         t = pq.ParquetFile(path).read_row_group(0, columns=[cfg.text_column])
@@ -211,7 +200,7 @@ def detect_heavy_sample(files: list[str], cfg: BuildConfig) -> list[str]:
 
 
 def make_layout(heavy_terms: list[str], n_docs: int, cfg: BuildConfig) -> dict:
-    """The gkey routing contract shared by phase 1 and both merge paths."""
+    """The gkey routing contract shared by the run layout and the merge."""
     layout = {
         "S": cfg.num_shards,
         "n_salts": cfg.n_salts,
@@ -245,6 +234,32 @@ def assign_gkeys(
         salt = (docids[mask] // np.uint64(layout["bucket_width"])).astype(np.int64)
         gkey[mask] = S + hrow[mask] * nsalts + salt
     return gkey
+
+
+def _write_run_layout(postings: pa.Table, layout: dict, run_path: str):
+    """Write ``(term, docid)``-sorted postings as a map-side partitioned run
+    (atomic): one parquet row group per gkey, gkeys ascending. Returns the
+    gkey-sorted postings and the gkeys present, in row-group order."""
+    # group-key routing + stable sort by gkey: rows within a gkey keep their
+    # (term, docid) order (heavy salts are docid-monotonic), giving the
+    # (gkey, term, docid) order the map-side shuffle layout needs
+    pdoc = _np(postings["docid"], np.uint64)
+    gkey = assign_gkeys(postings["term"], pdoc, layout)
+    order = np.argsort(gkey, kind="stable")
+    postings = postings.take(pa.array(order, pa.int64()))
+    gsorted = gkey[order]
+    bounds = np.flatnonzero(np.diff(gsorted, prepend=gsorted[0] - 1)) if gsorted.size else np.array([], dtype=np.int64)
+    bounds = np.append(bounds, gsorted.size)
+    gkeys_present = [int(gsorted[int(b)]) for b in bounds[:-1]]
+
+    tmp = run_path + ".tmp"
+    writer = pq.ParquetWriter(tmp, postings.schema)
+    for i in range(len(gkeys_present)):
+        lo, hi = int(bounds[i]), int(bounds[i + 1])
+        writer.write_table(postings.slice(lo, hi - lo))
+    writer.close()
+    os.replace(tmp, run_path)
+    return postings, gkeys_present
 
 
 # ---------------------------------------------------------------- phase 1
@@ -304,26 +319,7 @@ def _build_one_partition(desc: dict, cfg: BuildConfig, layout: dict) -> dict:
         postings = pa.concat_tables(parts)
         dl = np.concatenate(dls)
 
-    # group-key routing + stable sort by gkey: rows within a gkey keep their
-    # (term, docid) order (heavy salts are docid-monotonic), giving the
-    # (gkey, term, docid) order the map-side shuffle layout needs
-    pdoc = _np(postings["docid"], np.uint64)
-    gkey = assign_gkeys(postings["term"], pdoc, layout)
-    order = np.argsort(gkey, kind="stable")
-    postings = postings.take(pa.array(order, pa.int64()))
-    gsorted = gkey[order]
-    bounds = np.flatnonzero(np.diff(gsorted, prepend=gsorted[0] - 1)) if gsorted.size else np.array([], dtype=np.int64)
-    bounds = np.append(bounds, gsorted.size)
-    gkeys_present = [int(gsorted[int(b)]) for b in bounds[:-1]]
-
-    # one parquet row group per gkey — the map-side partitioned run layout
-    tmp = run_path + ".tmp"
-    writer = pq.ParquetWriter(tmp, postings.schema)
-    for i in range(len(gkeys_present)):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        writer.write_table(postings.slice(lo, hi - lo))
-    writer.close()
-    os.replace(tmp, run_path)
+    postings, gkeys_present = _write_run_layout(postings, layout, run_path)
 
     if alive_mask is not None:
         # keep the dl shard DENSE over the full docid span (the reader
@@ -347,7 +343,7 @@ def _build_one_partition(desc: dict, cfg: BuildConfig, layout: dict) -> dict:
     counts = tcol.value_counts()
     vals = counts.field("values").to_pylist()
     cnts = np.asarray(counts.field("counts"))
-    top = np.argsort(cnts)[::-1][: cfg.manifest_top_terms]
+    top = np.argsort(cnts)[::-1][:MANIFEST_TOP_TERMS]
     top_terms = {vals[i]: int(cnts[i]) for i in top}
 
     m = {
@@ -385,10 +381,7 @@ def build_runs(descs: list[dict], cfg: BuildConfig, layout: dict) -> list[dict]:
         return pa.table({"manifest": pa.array([json.dumps(m) for m in out], pa.string())})
 
     ds = ray.data.from_items(descs, override_num_blocks=max(1, len(descs)))
-    kw = {}
-    if cfg.run_concurrency:
-        kw["concurrency"] = cfg.run_concurrency
-    res = ds.map_batches(_build_partitions, batch_format="pyarrow", batch_size=None, **kw)
+    res = ds.map_batches(_build_partitions, batch_format="pyarrow", batch_size=None)
     return [json.loads(s) for s in res.to_pandas()["manifest"]]
 
 
@@ -451,78 +444,11 @@ def _encode_normal_shard(batch: pa.Table, sid: int, cfg: BuildConfig, build_fp: 
     return m
 
 
-def _write_heavy_bucket(batch: pa.Table, term_idx: int, salt: int, cfg: BuildConfig) -> dict:
-    t0 = time.perf_counter()
-    batch = batch.sort_by([("docid", "ascending")])
-    out = pa.table({"docid": batch["docid"], "tf": batch["tf"]})
-    path = os.path.join(cfg.heavy_dir, f"heavy_{term_idx:05d}_{salt:03d}.parquet")
-    pq.write_table(out, path + ".tmp")
-    os.replace(path + ".tmp", path)
-    return {
-        "kind": "heavy_bucket",
-        "term_idx": term_idx,
-        "salt": salt,
-        "n_postings": batch.num_rows,
-        "wall_s": round(time.perf_counter() - t0, 4),
-    }
-
-
-def merge_runs_groupby(
-    cfg: BuildConfig,
-    layout: dict,
-    heavy_terms: list[str],
-    build_fp: str,
-    run_files: list[str],
-) -> list[dict]:
-    """Phase 2, Ray-native strategy: groupby(gkey) sort shuffle + per-group
-    encode; heavy groups write bucket partials (reconciled in phase 3).
-    ``run_files`` is the EXPLICIT file list from the current build's run
-    manifests — never a directory glob, which would silently fold in stale
-    runs left by a previous build with a different partitioning."""
-    import ray.data
-
-    os.makedirs(cfg.index_dir, exist_ok=True)
-    os.makedirs(cfg.heavy_dir, exist_ok=True)
-    # heavy bucket files are pure intra-merge intermediates (reconciled a
-    # few lines below); stale buckets from a previous merge with different
-    # salts / heavy sets must not survive into this one's reconcile glob
-    for f in os.listdir(cfg.heavy_dir):
-        if f.startswith("heavy_") and f.endswith(".parquet"):
-            os.remove(os.path.join(cfg.heavy_dir, f))
-    S, nsalts = layout["S"], layout["n_salts"]
-
-    def _assign_gkey(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("gkey", pa.array([], pa.int64()))
-        gkey = assign_gkeys(batch["term"], _np(batch["docid"], np.uint64), layout)
-        return batch.append_column("gkey", pa.array(gkey, pa.int64()))
-
-    def _encode_group(batch: pa.Table) -> pa.Table:
-        g = int(batch["gkey"][0].as_py())
-        batch = batch.drop_columns(["gkey"])
-        if g < S:
-            m = _encode_normal_shard(batch, g, cfg, build_fp)
-        else:
-            h = g - S
-            m = _write_heavy_bucket(batch, h // nsalts, h % nsalts, cfg)
-        return pa.table({"manifest": pa.array([json.dumps(m)], pa.string())})
-
-    ds = ray.data.read_parquet(run_files)
-    ds = ds.map_batches(_assign_gkey, batch_format="pyarrow")
-    res = ds.groupby("gkey").map_groups(_encode_group, batch_format="pyarrow")
-    df = res.to_pandas()
-    ms = [json.loads(s) for s in df["manifest"]] if "manifest" in df.columns else []
-    ms = [m for m in ms if m["kind"] == "normal"]
-    ms += reconcile_heavy(cfg, heavy_terms, build_fp)
-    return ms
-
-
 def _encode_heavy_shard(
     term_idx: int, term: str, chunks, cfg: BuildConfig, build_fp: str
 ) -> dict:
     """Stream one heavy term's docid-ascending (docids, tfs) chunks through
-    the incremental block encoder into its dedicated shard (atomic), shared
-    by both merge strategies."""
+    the incremental block encoder into its dedicated shard (atomic)."""
     t0 = time.perf_counter()
     sid = cfg.num_shards + term_idx
     post_path = os.path.join(cfg.index_dir, f"shard_{sid:05d}.postings")
@@ -551,20 +477,21 @@ def _encode_heavy_shard(
 def merge_runs_mapside(
     cfg: BuildConfig, run_manifests: list[dict], layout: dict, build_fp: str
 ) -> list[dict]:
-    """Phase 2, map-side strategy: the runs are already partitioned by gkey
-    (one parquet row group per gkey); one task per normal gkey gathers and
-    encodes its shard, one task per heavy term streams its salt gkeys in
-    docid-range order (runs visited in pid order => globally docid-ascending,
-    so no sort and O(block) memory)."""
+    """Phase 2: the runs are already partitioned by gkey (one parquet row
+    group per gkey, ``{pid, gkeys}`` manifests); one task per normal gkey
+    gathers and encodes its shard, one task per heavy term streams its salt
+    gkeys in docid-range order. Runs are visited in the order given, which
+    the caller makes docid-ascending over docid-disjoint runs, so each heavy
+    stream is globally docid-ascending: no sort and O(block) memory."""
     import ray.data
 
     os.makedirs(cfg.index_dir, exist_ok=True)
     S, nsalts = layout["S"], layout["n_salts"]
     heavy_terms = layout["heavy"]
 
-    # gkey -> [(run_path, row_group_ordinal)], runs in pid order
+    # gkey -> [(run_path, row_group_ordinal)], runs in the order given
     sources: dict[int, list[tuple[str, int]]] = {}
-    for m in sorted(run_manifests, key=lambda x: x["pid"]):
+    for m in run_manifests:
         path = os.path.join(cfg.runs_dir, f"run_{m['pid']:06d}.parquet")
         for ordinal, g in enumerate(m["gkeys"]):
             sources.setdefault(int(g), []).append((path, ordinal))
@@ -611,45 +538,6 @@ def merge_runs_mapside(
         return pa.table({"manifest": pa.array([json.dumps(m) for m in out], pa.string())})
 
     ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
-    res = ds.map_batches(_run, batch_format="pyarrow", batch_size=None)
-    return [json.loads(s) for s in res.to_pandas()["manifest"]]
-
-
-# ---------------------------------------------------------------- phase 3
-
-
-def reconcile_heavy(cfg: BuildConfig, heavy_terms: list[str], build_fp: str) -> list[dict]:
-    """One task per heavy term: stream salt buckets (docid-range-ordered)
-    through the incremental block encoder into a dedicated heavy shard."""
-    import ray.data
-
-    if not heavy_terms:
-        return []
-
-    def _one(term_idx: int, term: str) -> dict:
-        import glob as _g
-
-        parts = sorted(
-            _g.glob(os.path.join(cfg.heavy_dir, f"heavy_{term_idx:05d}_*.parquet"))
-        )
-
-        def chunks():
-            for p in parts:
-                pf = pq.ParquetFile(p)
-                for b in pf.iter_batches(columns=["docid", "tf"]):
-                    d = b.column(0).to_numpy(zero_copy_only=False).astype(np.uint64)
-                    f = b.column(1).to_numpy(zero_copy_only=False).astype(np.uint64)
-                    yield d, f
-
-        return _encode_heavy_shard(term_idx, term, chunks(), cfg, build_fp)
-
-    items = [{"idx": i, "term": t} for i, t in enumerate(heavy_terms)]
-    ds = ray.data.from_items(items, override_num_blocks=len(items))
-
-    def _run(batch: pa.Table) -> pa.Table:
-        out = [_one(int(r["idx"]), r["term"]) for r in batch.to_pylist()]
-        return pa.table({"manifest": pa.array([json.dumps(m) for m in out], pa.string())})
-
     res = ds.map_batches(_run, batch_format="pyarrow", batch_size=None)
     return [json.loads(s) for s in res.to_pandas()["manifest"]]
 
@@ -705,7 +593,7 @@ def build_index(input_path_or_dir, out_dir: str, **kw) -> dict:
         ).encode()
     ).hexdigest()[:16]
 
-    # merge resume: skip the shuffle when every shard manifest matches build_fp
+    # merge resume: skip the merge when every shard manifest matches build_fp
     prev = mf.read_manifest(os.path.join(out_dir, "build.json"))
     shard_ms: list[dict] | None = None
     if cfg.resume and prev and prev.get("build_fp") == build_fp:
@@ -719,16 +607,7 @@ def build_index(input_path_or_dir, out_dir: str, **kw) -> dict:
         if ok:
             shard_ms = prev["shards"]
     if shard_ms is None:
-        if cfg.merge_strategy == "mapside":
-            shard_ms = merge_runs_mapside(cfg, run_ms, layout, build_fp)
-        elif cfg.merge_strategy == "groupby":
-            run_files = [
-                os.path.join(cfg.runs_dir, f"run_{m['pid']:06d}.parquet")
-                for m in run_ms
-            ]
-            shard_ms = merge_runs_groupby(cfg, layout, heavy, build_fp, run_files)
-        else:
-            raise ValueError(f"unknown merge_strategy: {cfg.merge_strategy}")
+        shard_ms = merge_runs_mapside(cfg, run_ms, layout, build_fp)
     t_merge = time.perf_counter()
 
     cfg_dict = asdict(cfg)

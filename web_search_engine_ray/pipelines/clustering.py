@@ -31,6 +31,7 @@ import numpy as np
 import pyarrow as pa
 
 from web_search_engine_ray.functions.arrays import list_matrix
+from web_search_engine_ray.stages.exchange import arrow_refs
 
 KMEANS_K = 8
 KMEANS_ITERS = 2
@@ -120,7 +121,7 @@ def kmeans_centroids(
             )
 
         parts = ray.get(
-            read_embs().map_batches(partial, batch_format="pyarrow").to_arrow_refs()
+            arrow_refs(read_embs().map_batches(partial, batch_format="pyarrow"))
         )
         sums = np.zeros_like(C)
         counts = np.zeros(C.shape[0], dtype=np.int64)
@@ -291,9 +292,10 @@ def pca_model(sf_dir: str, n_components: int = 8):
         )
 
     parts = ray.get(
-        ray.data.read_parquet(_emb_path(sf_dir), columns=["embedding"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_arrow_refs()
+        arrow_refs(
+            ray.data.read_parquet(_emb_path(sf_dir), columns=["embedding"])
+            .map_batches(partial, batch_format="pyarrow")
+        )
     )
     sx = np.zeros(d)
     sxx = np.zeros((d, d))
@@ -393,7 +395,7 @@ def centroid_classify_table(sf_dir: str, round_to: int = 6) -> pa.Table:
         )
 
     parts = ray.get(
-        ds.map_batches(sum_partial, batch_format="pyarrow").to_arrow_refs()
+        arrow_refs(ds.map_batches(sum_partial, batch_format="pyarrow"))
     )
     labels = sorted(
         {int(v) for p in parts if p.num_rows for v in p["label"].to_pylist()}
@@ -446,7 +448,7 @@ def centroid_classify_table(sf_dir: str, round_to: int = 6) -> pa.Table:
     n_tot = np.zeros(lab_arr.size, np.int64)
     ok_tot = np.zeros(lab_arr.size, np.int64)
     for p in ray.get(
-        ds.map_batches(assign_partial, batch_format="pyarrow").to_arrow_refs()
+        arrow_refs(ds.map_batches(assign_partial, batch_format="pyarrow"))
     ):
         if p.num_rows:
             n_tot[p["li"].to_numpy()] += p["n"].to_numpy()

@@ -20,6 +20,7 @@ import pyarrow as pa
 
 from web_search_engine_ray.functions.tokenize import batch_postings, token_lists
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
+from web_search_engine_ray.stages.exchange import arrow_refs
 
 
 def _docs_path(sf_dir: str) -> str:
@@ -260,7 +261,7 @@ def tfidf_topk_ds(sf_dir: str, k: int = 5):
     import pyarrow.parquet as pq
     import ray
 
-    stats = pa.concat_tables(ray.get(term_stats_ds(sf_dir).to_arrow_refs()))
+    stats = pa.concat_tables(ray.get(arrow_refs(term_stats_ds(sf_dir))))
     n_docs = float(pq.ParquetFile(_docs_path(sf_dir)).metadata.num_rows)
     # ln(N/df) as ln(N) - ln(df) would diverge from DuckDB's ln(N/df) in the
     # last ulp — compute the quotient first, exactly as the SQL twin does

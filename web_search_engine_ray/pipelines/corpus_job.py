@@ -30,6 +30,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from web_search_engine_ray.sources.documents import read_docs
+from web_search_engine_ray.stages.exchange import arrow_refs
 
 
 def _marker(stage_dir: str) -> str:
@@ -159,7 +160,7 @@ def _neardup_drop_set(stage_dir: str, tau: float) -> np.ndarray:
     from web_search_engine_ray.pipelines.graph import dedup_clusters_ds
 
     # collect the (docid, cluster_id) relation — dup-scale
-    tables = ray.get(dedup_clusters_ds(stage_dir, tau=tau).to_arrow_refs())
+    tables = ray.get(arrow_refs(dedup_clusters_ds(stage_dir, tau=tau)))
     tables = [t for t in tables if t.num_rows]
     if not tables:
         return np.empty(0, dtype=np.int64)

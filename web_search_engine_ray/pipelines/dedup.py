@@ -42,6 +42,7 @@ import pyarrow as pa
 from web_search_engine_ray.functions.arrays import list_matrix
 from web_search_engine_ray.functions.tokenize import token_lists
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
+from web_search_engine_ray.stages.exchange import arrow_refs
 
 logger = logging.getLogger(__name__)
 
@@ -960,7 +961,7 @@ def embedding_dups(sf_dir: str, tau: float = 0.45):
         )
 
     ds = ray.data.read_parquet(emb_path, columns=["vec_id", "embedding"])
-    refs = ds.map_batches(normalize, batch_format="pyarrow").to_arrow_refs()
+    refs = arrow_refs(ds.map_batches(normalize, batch_format="pyarrow"))
 
     @ray.remote
     def tile(ta: pa.Table, tb: pa.Table, same: bool) -> pa.Table:
@@ -1245,7 +1246,7 @@ def holdout_contamination_ds(
         flat = np.unique(np.concatenate(hs)) if hs else np.empty(0, np.uint64)
         return pa.table({"g": pa.array(flat, pa.uint64())})
 
-    parts = ray.get(hold.map_batches(gram_rows, batch_format="pyarrow").to_arrow_refs())
+    parts = ray.get(arrow_refs(hold.map_batches(gram_rows, batch_format="pyarrow")))
     hold_grams = np.unique(
         np.concatenate(
             [p["g"].to_numpy(zero_copy_only=False) for p in parts if p.num_rows]
@@ -1682,7 +1683,7 @@ def build_dedup_filter(
     rows = sorted(
         (
             (int(t["part"][i].as_py()), t["bytes"][i].as_py())
-            for t in ray.get(out.to_arrow_refs())
+            for t in ray.get(arrow_refs(out))
             for i in range(t.num_rows)
         ),
     )

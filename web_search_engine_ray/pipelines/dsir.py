@@ -39,6 +39,7 @@ import pyarrow as pa
 
 from web_search_engine_ray.functions.tokenize import token_lists
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
+from web_search_engine_ray.stages.exchange import arrow_refs
 
 DSIR_BUCKETS = 4096
 TARGET_MAX_DOCID = 100  # target slice: doc_id < this (driver-gate default)
@@ -123,9 +124,11 @@ def dsir_weights_ds(
         pa.concat_tables(
             [
                 p
-                for p in ray.get(exchange_map(
-                    partials, route, np_, merge, auto_shrink=True
-                ).to_arrow_refs())
+                for p in ray.get(
+                    arrow_refs(
+                        exchange_map(partials, route, np_, merge, auto_shrink=True)
+                    )
+                )
                 if p.num_rows
             ]
         )

@@ -20,6 +20,8 @@ import numpy as np
 import polars as pl
 import pyarrow as pa
 
+from web_search_engine_ray.stages.exchange import arrow_refs
+
 WINDOW_S = 3600
 SESSION_GAP_S = 1800
 
@@ -578,7 +580,7 @@ def value_histogram_ds(sf_dir: str, lo: float = 0.0, hi: float = 100.0, bins: in
     total = np.zeros(bins, np.int64)
     import ray as _ray
 
-    for t in _ray.get(ds.to_arrow_refs()):
+    for t in _ray.get(arrow_refs(ds)):
         if t.num_rows:
             total[t["bucket"].to_numpy(zero_copy_only=False)] += t[
                 "n_p"

@@ -36,7 +36,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
+from web_search_engine_ray.stages.exchange import (
+    arrow_refs,
+    cluster_parts,
+    exchange_map,
+)
 
 # Row kinds for the union relation flowing through the exchanges.
 _K_EDGE = 0  # (node, val=neighbor)
@@ -194,7 +198,7 @@ def _collect_small_edges(edges):
 
     if edges.count() > SMALL_EDGE_ROWS:
         return None
-    parts = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows]
+    parts = [t for t in ray.get(arrow_refs(edges)) if t.num_rows]
     if not parts:
         return (
             np.empty(0, np.int64),
@@ -278,7 +282,7 @@ def pagerank_ds(edges, n_nodes: int, n_iter: int = 20, d: float = 0.85) -> np.nd
         return pa.table({"node": pa.array(u, pa.int64()), "v": pa.array(s)})
 
     outw = np.zeros(n_nodes, np.float64)
-    for t in ray.get(edges.map_batches(outw_partial, batch_format="pyarrow").to_arrow_refs()):
+    for t in ray.get(arrow_refs(edges.map_batches(outw_partial, batch_format="pyarrow"))):
         if t.num_rows:
             np.add.at(
                 outw,
@@ -319,7 +323,7 @@ def pagerank_ds(edges, n_nodes: int, n_iter: int = 20, d: float = 0.85) -> np.nd
 
         contrib = np.zeros(n_nodes, np.float64)
         for t in ray.get(
-            pedges.map_batches(contrib_partial, batch_format="pyarrow").to_arrow_refs()
+            arrow_refs(pedges.map_batches(contrib_partial, batch_format="pyarrow"))
         ):
             if t.num_rows:
                 np.add.at(
@@ -354,7 +358,7 @@ def _event_type_edges(sf_dir: str):
 
     types: set[str] = set()
     for t in ray.get(
-        ds.map_batches(types_partial, batch_format="pyarrow").to_arrow_refs()
+        arrow_refs(ds.map_batches(types_partial, batch_format="pyarrow"))
     ):
         types.update(t["t"].to_pylist())
     nodes = sorted(types)
@@ -481,7 +485,7 @@ def hits_ds(
 
         out = np.zeros(n_nodes, np.float64)
         for t in ray.get(
-            edges.map_batches(partial, batch_format="pyarrow").to_arrow_refs()
+            arrow_refs(edges.map_batches(partial, batch_format="pyarrow"))
         ):
             if t.num_rows:
                 np.add.at(
@@ -570,7 +574,7 @@ def shortest_path_costs_ds(edges, n_nodes: int, source: int, n_iter: int = SP_IT
     edges = edges.materialize()
     outw = np.zeros(n_nodes, np.float64)
     for t in ray.get(
-        edges.map_batches(outw_partial, batch_format="pyarrow").to_arrow_refs()
+        arrow_refs(edges.map_batches(outw_partial, batch_format="pyarrow"))
     ):
         if t.num_rows:
             np.add.at(
@@ -601,7 +605,7 @@ def shortest_path_costs_ds(edges, n_nodes: int, source: int, n_iter: int = SP_IT
 
         nd = dist.copy()
         for t in ray.get(
-            edges.map_batches(relax_partial, batch_format="pyarrow").to_arrow_refs()
+            arrow_refs(edges.map_batches(relax_partial, batch_format="pyarrow"))
         ):
             if t.num_rows:
                 np.minimum.at(
@@ -658,7 +662,7 @@ def transition_matrix_table(sf_dir: str, round_to: int = 6) -> pa.Table:
                 "p": pa.array([], pa.float64()),
             }
         )
-    parts = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows]
+    parts = [t for t in ray.get(arrow_refs(edges)) if t.num_rows]
     t = pa.concat_tables(parts)
     src = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
     dst = t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)

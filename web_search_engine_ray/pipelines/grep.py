@@ -38,6 +38,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from web_search_engine_ray.stages.exchange import arrow_refs
+
 N_SHARDS = 8
 STOP_DF_FRAC = 0.5  # trigram matching > half the corpus prunes ~nothing
 MAX_QUERY_TRIGRAMS = 4  # intersect the K rarest; verify handles the rest
@@ -306,7 +308,7 @@ def _verify_scan(sf_dir: str, cand: np.ndarray | None, matcher) -> pa.Table:
         columns=["doc_id", "text"],
         filter=flt,
     ).map_batches(verify, batch_format="pyarrow")
-    parts = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    parts = [t for t in ray.get(arrow_refs(ds)) if t.num_rows]
     if not parts:
         return pa.table({"docid": pa.array([], pa.int64())})
     out = pa.concat_tables(parts)

@@ -12,25 +12,32 @@ Ray-Data shape:
 
 1. **Convert** (one Ray task per run file, resumable per file): parse the
    legacy file (vectorized — ``sources/legacy_runs.py``), sort by
-   (term, docid) if needed, write a native parquet run into the build's
-   ``runs/`` dir. Each conversion manifest records lineage (source path,
-   format, sha256) plus partials: posting count, tf sum, max docid, and
-   per-file top term counts.
+   (term, docid) if needed, tf-sum repeated (term, docid) rows, write a
+   native parquet run into the build's ``runs/`` dir. Each conversion
+   manifest records lineage (source path, format, sha256) plus partials:
+   posting count, tf sum, min and max docid, and per-file top term counts.
 2. **Plan**: heavy terms from the merged per-file term-count partials
    (df-fraction threshold, same knob as the corpus build; misses cost
    group balance, never correctness); ``N`` = max docid + 1 unless the
    caller passes ``n_docs`` (runs cannot see trailing empty docs — the
    reference merge has the same blind spot, ``HW2/engine/merger.py``).
-3. **Doc lengths**: ``dl(doc) = sum of tf over the doc's postings`` (the
+3. **Layout** (one Ray task per run): rewrite each converted run in place
+   into the map-side layout of the corpus build — one parquet row group
+   per gkey (:func:`~web_search_engine_ray.pipelines.build._write_run_layout`).
+4. **Doc lengths**: ``dl(doc) = sum of tf over the doc's postings`` (the
    reference's dl-from-runs rule, A5) via one docid-range hash exchange;
    each range writes a DENSE doclen shard (absent docids get dl=0, still
    counted in N — reference empty-doc rule), so the native
    ``DocLengths`` range store reads it directly.
-4. **Merge**: the existing groupby merge phase
-   (:func:`~web_search_engine_ray.pipelines.build.merge_runs_groupby`)
-   over the converted runs — duplicate (term, docid) across runs collapse
-   by tf-sum exactly like the reference k-way merge
-   (``HW2/engine/merger.py:114-132``).
+5. **Merge**: the corpus build's merge
+   (:func:`~web_search_engine_ray.pipelines.build.merge_runs_mapside`)
+   over the runs in ``min_docid`` order. A heavy term's salts stream run by
+   run without a sort, which is exact only for docid-disjoint runs. So when
+   any two runs' ``[min_docid, max_docid]`` ranges overlap, the heavy set
+   is empty: every term lands in a normal shard, whose encoder sorts and
+   tf-sums duplicate (term, docid) across runs exactly like the reference
+   k-way merge (``HW2/engine/merger.py:114-132``). Reference runs are
+   batch-disjoint and keep their salting.
 """
 
 from __future__ import annotations
@@ -43,13 +50,16 @@ from dataclasses import asdict
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from web_search_engine_ray.pipelines.build import (
     BuildConfig,
+    _np,
     _sha256_file,
+    _write_run_layout,
     make_layout,
-    merge_runs_groupby,
+    merge_runs_mapside,
 )
 from web_search_engine_ray.sources.legacy_runs import (
     detect_run_format,
@@ -59,23 +69,51 @@ from web_search_engine_ray.state import manifest as mf
 from web_search_engine_ray.state.docstats import write_stats
 
 
+def _run_path(cfg: BuildConfig, ordinal: int) -> str:
+    return os.path.join(cfg.runs_dir, f"run_{ordinal:06d}.parquet")
+
+
+def _sort_and_sum(t: pa.Table) -> pa.Table:
+    """(term, docid)-sort a run and tf-sum repeated (term, docid) rows (the
+    reference merge's rule, ``HW2/engine/merger.py:114-132``), so every
+    converted run holds each pair once."""
+    if t.num_rows < 2:
+        return t
+    t = t.sort_by([("term", "ascending"), ("docid", "ascending")])
+    terms = t["term"].combine_chunks()
+    docid = _np(t["docid"], np.uint64)
+    n = t.num_rows
+    same_term = pc.equal(terms.slice(1), terms.slice(0, n - 1))
+    dup = same_term.to_numpy(zero_copy_only=False) & (docid[1:] == docid[:-1])
+    if not dup.any():
+        return t
+    keep = np.flatnonzero(np.concatenate([[True], ~dup]))
+    tf = np.add.reduceat(_np(t["tf"], np.uint64), keep)
+    return pa.table(
+        {
+            "term": terms.take(pa.array(keep)),
+            "docid": pa.array(docid[keep], pa.uint64()),
+            "tf": pa.array(tf, pa.uint32()),
+        }
+    )
+
+
 def _convert_one(path: str, ordinal: int, cfg: BuildConfig) -> dict:
     t0 = time.perf_counter()
-    out_path = os.path.join(cfg.runs_dir, f"run_{ordinal:06d}.parquet")
+    out_path = _run_path(cfg, ordinal)
     man_path = os.path.join(cfg.manifests_dir, f"legacy_{ordinal:06d}.json")
     src_sha = _sha256_file(path)
     if cfg.resume and os.path.exists(out_path):
         prev = mf.read_manifest(man_path)
-        if prev and prev.get("src_sha256") == src_sha:
+        # a manifest without min_docid predates the docid-range merge order
+        if prev and prev.get("src_sha256") == src_sha and "min_docid" in prev:
             prev["skipped"] = True
             return prev
 
     fmt = detect_run_format(path)
-    t = read_legacy_run(path)
     # the legacy contract says sorted by (term, docid); enforce rather than
     # trust — a violated contract must not corrupt the index
-    if t.num_rows:
-        t = t.sort_by([("term", "ascending"), ("docid", "ascending")])
+    t = _sort_and_sum(read_legacy_run(path))
     tmp = out_path + ".tmp"
     pq.write_table(t, tmp)
     os.replace(tmp, out_path)
@@ -91,9 +129,9 @@ def _convert_one(path: str, ordinal: int, cfg: BuildConfig) -> dict:
         "ordinal": ordinal,
         "lineage": {"src": path, "format": fmt, "src_sha256": src_sha},
         "src_sha256": src_sha,
-        "run_sha256": _sha256_file(out_path),
         "n_postings": int(t.num_rows),
         "sum_tf": int(tf.sum()) if tf.size else 0,
+        "min_docid": int(docid.min()) if docid.size else -1,
         "max_docid": int(docid.max()) if docid.size else -1,
         "top_terms": {vals[i]: int(cnts[i]) for i in top},
         "wall_s": round(time.perf_counter() - t0, 4),
@@ -101,6 +139,32 @@ def _convert_one(path: str, ordinal: int, cfg: BuildConfig) -> dict:
     }
     mf.write_manifest(man_path, m)
     return m
+
+
+def _layout_one_run(ordinal: int, cfg: BuildConfig, layout: dict) -> dict:
+    """Rewrite one converted run in place (atomic) into the map-side layout;
+    returns its ``{pid, gkeys}`` run manifest for the merge."""
+    path = _run_path(cfg, ordinal)
+    # back to (term, docid) order first: a resumed build finds the run in
+    # the previous build's layout, and the rewrite must not depend on it
+    t = pq.read_table(path).sort_by([("term", "ascending"), ("docid", "ascending")])
+    _, gkeys = _write_run_layout(t, layout, path)
+    return {"pid": ordinal, "gkeys": gkeys, "run_sha256": _sha256_file(path)}
+
+
+def _per_run(fn, items: list[dict]) -> list[dict]:
+    """One Ray Data task per run item; returns ``fn``'s manifests."""
+    import ray.data
+
+    def _apply(batch: pa.Table) -> pa.Table:
+        out = [fn(r) for r in batch.to_pylist()]
+        return pa.table(
+            {"manifest": pa.array([json.dumps(m) for m in out], pa.string())}
+        )
+
+    ds = ray.data.from_items(items, override_num_blocks=len(items))
+    res = ds.map_batches(_apply, batch_format="pyarrow", batch_size=None)
+    return [json.loads(s) for s in res.to_pandas()["manifest"]]
 
 
 def _write_doclens_from_runs(
@@ -184,8 +248,6 @@ def build_index_from_runs(
     explicit path list; each file's format is auto-detected (S5). Returns
     the build manifest (also ``<out_dir>/build.json``); ``Searcher`` and
     ``serve`` consume the result exactly like a corpus-built index."""
-    import ray.data
-
     cfg = BuildConfig(out_dir=out_dir, **kw)
     if isinstance(runs, str):
         paths = sorted(
@@ -200,16 +262,6 @@ def build_index_from_runs(
     for d in (cfg.runs_dir, cfg.doclens_dir, cfg.manifests_dir):
         os.makedirs(d, exist_ok=True)
     t0 = time.perf_counter()
-
-    # phase 0: convert (one task per legacy file, resumable)
-    def _convert(batch: pa.Table) -> pa.Table:
-        out = [
-            _convert_one(r["path"], int(r["ordinal"]), cfg)
-            for r in batch.to_pylist()
-        ]
-        return pa.table(
-            {"manifest": pa.array([json.dumps(m) for m in out], pa.string())}
-        )
 
     # refuse an out_dir holding conversions beyond this source set: stale
     # run_NNNN.parquet from a previous, larger invocation would otherwise
@@ -228,13 +280,11 @@ def build_index_from_runs(
             "the index"
         )
 
-    items = [{"path": p, "ordinal": i} for i, p in enumerate(paths)]
-    ds = ray.data.from_items(items, override_num_blocks=len(items))
-    conv = [
-        json.loads(s)
-        for s in ds.map_batches(_convert, batch_format="pyarrow", batch_size=None)
-        .to_pandas()["manifest"]
-    ]
+    # phase 0: convert (one task per legacy file, resumable)
+    conv = _per_run(
+        lambda r: _convert_one(r["path"], int(r["ordinal"]), cfg),
+        [{"path": p, "ordinal": i} for i, p in enumerate(paths)],
+    )
     conv.sort(key=lambda m: m["ordinal"])
     max_docid = max((m["max_docid"] for m in conv), default=-1)
     if n_docs is None:
@@ -246,26 +296,37 @@ def build_index_from_runs(
     total_tokens = sum(m["sum_tf"] for m in conv)
     t_conv = time.perf_counter()
 
-    # heavy terms from the merged per-file term-count partials (an upper
-    # bound on df — duplicates across runs over-count, which only errs
-    # toward salting more, never toward a skewed shard)
+    # heavy terms from the merged per-file term-count partials (exact dfs
+    # of those terms when the runs are docid-disjoint; overlapping runs
+    # get no heavy terms below)
     acc: dict[str, int] = {}
     for m in conv:
         for term, c in m["top_terms"].items():
             acc[term] = acc.get(term, 0) + int(c)
     thresh = (cfg.heavy_df_frac or 0) * n_docs
     heavy = sorted(t for t, c in acc.items() if thresh and c >= thresh)
+    # the merge streams heavy salts run by run in min_docid order, exact
+    # only for docid-disjoint runs; overlapping runs go unsalted, so shared
+    # (term, docid) pairs meet in a normal shard and are tf-summed there
+    by_docid = sorted(conv, key=lambda m: (m["min_docid"], m["ordinal"]))
+    spans = [(m["min_docid"], m["max_docid"]) for m in by_docid if m["n_postings"]]
+    if any(lo <= prev_hi for (_, prev_hi), (lo, _) in zip(spans, spans[1:])):
+        heavy = []
     layout = make_layout(heavy, n_docs, cfg)
+
+    # phase: map-side run layout (one task per run, rewritten in place)
+    laid_out = {
+        m["pid"]: m
+        for m in _per_run(
+            lambda r: _layout_one_run(int(r["ordinal"]), cfg, layout),
+            [{"ordinal": m["ordinal"]} for m in conv],
+        )
+    }
+    t_layout = time.perf_counter()
 
     # phase: doc lengths from the runs (A5 rule)
     _write_doclens_from_runs(
-        cfg,
-        n_docs,
-        doclen_range_rows,
-        [
-            os.path.join(cfg.runs_dir, f"run_{m['ordinal']:06d}.parquet")
-            for m in conv
-        ],
+        cfg, n_docs, doclen_range_rows, [_run_path(cfg, m["ordinal"]) for m in conv]
     )
     stats = write_stats(cfg.doclens_dir, n_docs, total_tokens)
     t_dl = time.perf_counter()
@@ -273,7 +334,7 @@ def build_index_from_runs(
     build_fp = hashlib.sha256(
         json.dumps(
             {
-                "runs": [m["run_sha256"] for m in conv],
+                "runs": [laid_out[m["ordinal"]]["run_sha256"] for m in conv],
                 "codec": cfg.codec,
                 "block_size": cfg.block_size,
                 "layout": layout["fp"],
@@ -281,11 +342,9 @@ def build_index_from_runs(
             sort_keys=True,
         ).encode()
     ).hexdigest()[:16]
-    conv_files = [
-        os.path.join(cfg.runs_dir, f"run_{m['ordinal']:06d}.parquet")
-        for m in conv
-    ]
-    shard_ms = merge_runs_groupby(cfg, layout, heavy, build_fp, conv_files)
+    shard_ms = merge_runs_mapside(
+        cfg, [laid_out[m["ordinal"]] for m in by_docid], layout, build_fp
+    )
     t_merge = time.perf_counter()
 
     build = {
@@ -304,7 +363,8 @@ def build_index_from_runs(
         "shards": sorted(shard_ms, key=lambda m: m["shard"]),
         "timings": {
             "convert_s": round(t_conv - t0, 3),
-            "doclens_s": round(t_dl - t_conv, 3),
+            "layout_s": round(t_layout - t_conv, 3),
+            "doclens_s": round(t_dl - t_layout, 3),
             "merge_s": round(t_merge - t_dl, 3),
             "total_s": round(t_merge - t0, 3),
         },
@@ -396,8 +456,6 @@ def decode_all_postings(index_dir: str):
             finally:
                 reader.close()
         idx = np.repeat(np.arange(len(terms), dtype=np.int64), lens)
-        import pyarrow.compute as pc
-
         return pa.table(
             {
                 "term": pc.take(pa.array(terms, pa.string()), pa.array(idx)),

@@ -28,7 +28,7 @@ import struct
 import numpy as np
 import pyarrow as pa
 
-from web_search_engine_ray.stages.exchange import pool_size
+from web_search_engine_ray.stages.exchange import arrow_refs, pool_size
 
 try:  # pragma: no cover - not installed here
     from PIL import Image  # noqa: F401
@@ -472,7 +472,7 @@ def _collect(ds) -> pa.Table:
     """Small-result collect (the media gate corpora are <100 rows)."""
     import pyarrow as pa_
 
-    tbls = ds.to_arrow_refs()
+    tbls = arrow_refs(ds)
     import ray as _ray
 
     parts = [t for t in _ray.get(tbls) if t.num_rows]

@@ -27,6 +27,8 @@ import polars as pl
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from web_search_engine_ray.stages.exchange import arrow_refs
+
 Q1_CUTOFF = "1999-09-01"
 Q3_DATE = "1998-03-15"
 Q3_SEGMENT = "BUILDING"
@@ -187,7 +189,7 @@ def shipping_priority_ds(
         np.concatenate(
             [
                 t["c_custkey"].to_numpy(zero_copy_only=False)
-                for t in ray.get(cust.to_arrow_refs())
+                for t in ray.get(arrow_refs(cust))
                 if t.num_rows
             ]
             or [np.empty(0, np.int64)]
@@ -356,7 +358,7 @@ def local_supplier_volume_ds(
         columns=["s_suppkey", "s_nationkey"],
         filter=pc.field("s_nationkey").isin(pa.array(region_nats, pa.int32())),
     )
-    sup_parts = [t for t in ray.get(sup.to_arrow_refs()) if t.num_rows]
+    sup_parts = [t for t in ray.get(arrow_refs(sup)) if t.num_rows]
     if sup_parts:
         sup_t = pa.concat_tables(sup_parts)
         sk = sup_t["s_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -554,7 +556,7 @@ def revenue_change_ds(
         & (pc.field("l_discount") <= disc_hi)
         & (pc.field("l_quantity") < qty_max),
     ).map_batches(partial, batch_format="pyarrow")
-    parts = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    parts = [t for t in ray.get(arrow_refs(ds)) if t.num_rows]
     rev = sum(int(t["rev_c"][i].as_py()) for t in parts for i in range(t.num_rows))
     n = sum(int(t["n"][i].as_py()) for t in parts for i in range(t.num_rows))
     return pa.table(

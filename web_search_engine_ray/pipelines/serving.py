@@ -13,6 +13,7 @@ import pyarrow as pa
 
 from web_search_engine_ray.pipelines.build import build_index
 from web_search_engine_ray.pipelines.query import Searcher
+from web_search_engine_ray.stages.exchange import arrow_refs
 
 # Fixed query set over the documents vocabulary (bench_search.py-style fixed
 # list; includes AND-empty, unknown-term, and duplicate-term cases).
@@ -766,7 +767,7 @@ def _tfidf_norms(sf_dir: str) -> np.ndarray:
         term_stats_ds,
     )
 
-    stats = pa.concat_tables(ray.get(term_stats_ds(sf_dir).to_arrow_refs()))
+    stats = pa.concat_tables(ray.get(arrow_refs(term_stats_ds(sf_dir))))
     n_docs = pq.ParquetFile(_docs_path(sf_dir)).metadata.num_rows
     import polars as pl
 
@@ -797,7 +798,7 @@ def _tfidf_norms(sf_dir: str) -> np.ndarray:
         _docs_path(sf_dir), columns=["doc_id", "text"]
     ).map_batches(partial, batch_format="pyarrow")
     norms = np.zeros(n_docs, np.float64)
-    for t in ray.get(ds.to_arrow_refs()):
+    for t in ray.get(arrow_refs(ds)):
         if t.num_rows:
             norms[t["docid"].to_numpy(zero_copy_only=False)] = np.sqrt(
                 t["ss"].to_numpy(zero_copy_only=False)

@@ -32,6 +32,7 @@ import pyarrow as pa
 from web_search_engine_ray.functions.tokenize import token_lists
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
 from web_search_engine_ray.pipelines.dedup import _token_hashes
+from web_search_engine_ray.stages.exchange import arrow_refs
 
 HLL_P = 12  # 4096 registers, ~1.6% standard error
 
@@ -343,7 +344,7 @@ def dl_quantiles_ds(sf_dir: str, qs: tuple[float, ...] = (0.5, 0.9, 0.99)) -> pa
     hist = (
         pl.from_arrow(
             pa.concat_tables(
-                [p for p in ray.get(merged.to_arrow_refs()) if p.num_rows]
+                [p for p in ray.get(arrow_refs(merged)) if p.num_rows]
             )
         )
         .sort("dl")

@@ -36,6 +36,8 @@ import numpy as np
 import polars as pl
 import pyarrow as pa
 
+from web_search_engine_ray.stages.exchange import arrow_refs
+
 # misspellings of the fixed-query vocabulary: substitution, insertion,
 # deletion, an exact vocab word (self-suggests), and an unmatchable junk
 # probe (emits nothing) — mirrored into the SQL twin via PROBES
@@ -449,7 +451,7 @@ def fuzzy_search_table(
     # UDF on them): keep only real rows
     parts = [
         t
-        for t in ray.get(fuzzy_candidate_terms_ds(sf_dir, queries).to_arrow_refs())
+        for t in ray.get(arrow_refs(fuzzy_candidate_terms_ds(sf_dir, queries)))
         if t.num_rows
     ]
     cand = (

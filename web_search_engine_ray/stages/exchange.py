@@ -49,6 +49,16 @@ def _is_untrusted(t: pa.Table) -> bool:
     return bool((t.schema.metadata or {}).get(_PRE_UDF.encode()))
 
 
+def arrow_refs(ds) -> list:
+    """``ds.to_arrow_refs()`` that runs ``ds``'s plan once. On a lazy
+    Dataset, ``to_arrow_refs`` executes the plan, then executes it again
+    under ``limit(1)`` to read the schema and cancels that second run's
+    tasks once one row is out. A cancelled map task can keep its CPU until
+    Ray shuts down, and a later fixed actor pool then waits forever for
+    the slot. Materializing first keeps the schema with the blocks."""
+    return ds.materialize().to_arrow_refs()
+
+
 def exchange_map(
     ds,
     part: str | Callable[[pa.Table], np.ndarray],
@@ -93,7 +103,7 @@ def exchange_map(
     if auto_shrink and with_index:
         raise ValueError("auto_shrink would change with_index partition ids")
 
-    blocks = ds.to_arrow_refs()
+    blocks = arrow_refs(ds)
     if not blocks:
         raise ValueError("exchange_map needs at least one input block")
     orig_parts = n_parts
