@@ -38,6 +38,14 @@ QUERIES = [
     # associative, so only these pin the ascending-df accumulation order
     "the data the",
     "data the w0001",
+    # stopword-heavy repeats: one contribution per distinct term, added at
+    # each occurrence's place in the ascending-df order
+    "the the data",
+    "data the the the",
+    # rare pairs, sparse in the docid span (sorted-union candidates); the
+    # second shares exactly one doc, so its AND answer is nonempty
+    "w0200 w0250",
+    "w0250 uq22x1",
 ]
 
 
@@ -170,6 +178,65 @@ def test_maxscore_path_taken_and_exact(built, oracle, monkeypatch):
     for q, topk, res in taken:
         want = _by_score(oracle.ranked_daat(q, topk=topk, mode="OR"))
         assert res == want, (q, topk)
+
+
+@pytest.fixture
+def dense_taken(monkeypatch):
+    """Per ``bm25_topk`` call that reaches exhaustive scoring: ``True`` when
+    the dense docid-indexed path built the candidates, ``False`` when it
+    declined and the sorted union did."""
+    took = []
+    orig = Searcher._dense_candidates
+
+    def spy(self, lists, want_and):
+        res = orig(self, lists, want_and)
+        took.append(res is not None)
+        return res
+
+    monkeypatch.setattr(Searcher, "_dense_candidates", spy)
+    return took
+
+
+def test_candidate_paths_taken_and_exact(built, oracle, dense_taken):
+    """Exhaustive scoring builds its candidates one of two ways, chosen from
+    the input: a docid-indexed hit array for lists dense in the doclens span,
+    the sorted union otherwise. Both must answer some conformance cases, and
+    every dense answer is bit-identical to the oracle loop."""
+    out, _ = built
+    s = Searcher(out)
+    dense, sparse = set(), set()
+    for q in QUERIES:
+        for mode in ("OR", "AND"):
+            for topk in (1, 3, 10, 50):
+                dense_taken.clear()
+                got = s.bm25_topk(q, topk=topk, mode=mode)
+                if dense_taken == [True]:
+                    dense.add((q, mode))
+                    want = _by_score(oracle.ranked_daat(q, topk=topk, mode=mode))
+                    assert got == want, (q, mode, topk)
+                elif dense_taken == [False]:
+                    sparse.add((q, mode))
+    assert dense and sparse, (dense, sparse)
+    assert {"AND", "OR"} <= {m for _, m in dense}
+
+
+def test_truncated_doclens_span_takes_sorted_path(built, oracle, dense_taken):
+    """A posting docid past the doclens span (the span cut short on this
+    instance) sends the query down the sorted-union path, with the same
+    answer as the full span."""
+    out, _ = built
+    s = Searcher(out)
+    last = max(d for d, n in oracle.doc_lengths.items() if n)
+    q = max((t for t, p in oracle.index.items() if last in p), key=oracle.df)
+    want = _by_score(oracle.ranked_daat(q, topk=10, mode="OR"))
+    assert s.bm25_topk(q, topk=10, mode="OR") == want
+    assert dense_taken == [True], q
+    assert last >= int(s.doclens._lo[-1])
+    s.doclens._n = s.doclens._n.copy()
+    s.doclens._n[-1] = last - int(s.doclens._lo[-1])  # span ends before `last`
+    dense_taken.clear()
+    assert s.bm25_topk(q, topk=10, mode="OR") == want
+    assert dense_taken == [False], q
 
 
 def test_taat_matches_oracle(built, oracle):

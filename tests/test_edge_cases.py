@@ -83,7 +83,10 @@ def test_query_edges(ray_session, small_corpus_dir, tmp_path):
 
 def test_doclengths_below_first_span(tmp_path):
     """Docids below the first span's start clamp to dl=0 (public lookup API
-    must not wrap-index the last shard) — range-offset index scenario."""
+    must not wrap-index the last shard) — range-offset index scenario. Over
+    several shards, docids in a gap between spans and past the last span
+    read 0 too, and sorted and unsorted inputs get the same per-docid
+    answers."""
     import json
 
     import numpy as np
@@ -92,14 +95,25 @@ def test_doclengths_below_first_span(tmp_path):
 
     d = tmp_path / "dl"
     d.mkdir()
-    t = pa.table({"docid": pa.array([100, 101, 102], pa.uint64()),
-                  "dl": pa.array([7, 8, 9], pa.uint32())})
-    pq.write_table(t.replace_schema_metadata({"docid_lo": "100"}),
-                   str(d / "doclen_000.parquet"))
-    (d / "stats.json").write_text(json.dumps({"N": 3, "total_tokens": 24, "avgdl": 8.0}))
+    spans = {100: [7, 8, 9], 103: [4, 0, 6], 110: [2, 3]}  # 106-109 a gap
+    for i, (lo, dls) in enumerate(spans.items()):
+        t = pa.table({"docid": pa.array(range(lo, lo + len(dls)), pa.uint64()),
+                      "dl": pa.array(dls, pa.uint32())})
+        pq.write_table(t.replace_schema_metadata({"docid_lo": str(lo)}),
+                       str(d / f"doclen_{i:03d}.parquet"))
+    (d / "stats.json").write_text(json.dumps({"N": 8, "total_tokens": 39, "avgdl": 4.875}))
     dls = DocLengths(str(d))
-    got = dls.get_many(np.array([5, 100, 102, 99, 103], dtype=np.uint64))
-    assert got.tolist() == [0, 7, 9, 0, 0]
+    want = {lo + j: v for lo, vals in spans.items() for j, v in enumerate(vals)}
+    ids = [5, 99, 100, 101, 102, 103, 104, 105, 106, 109, 110, 111, 112, 10**6]
+    got = dls.get_many(np.array(ids, dtype=np.uint64))
+    assert got.tolist() == [want.get(x, 0) for x in ids]
+    assert dls.get_many(np.array([5, 100, 102, 99, 103], dtype=np.uint64)).tolist() == [0, 7, 9, 0, 4]
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        shuf = rng.permutation(ids + ids[:4])  # with repeats
+        got = dls.get_many(np.array(shuf, dtype=np.uint64))
+        assert got.tolist() == [want.get(int(x), 0) for x in shuf]
+    assert dls.get_many(np.array([], dtype=np.uint64)).tolist() == []
 
 
 def test_round4_ops_on_tiny_degenerate_corpora(ray_session, tmp_path_factory):

@@ -27,6 +27,20 @@ def test_hash_embed_deterministic_and_normalized():
         assert np.linalg.norm(M[i]) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_hash_embed_no_polars_deprecation():
+    """The token explode keeps empty rows as nulls under its explicit
+    ``empty_as_null`` (Polars 2.0 flips the default)."""
+    import warnings
+
+    from web_search_engine_ray.pipelines.rag import hash_embed_matrix
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        M = hash_embed_matrix(pa.chunked_array([pa.array(["", "a b"])]))
+    assert np.linalg.norm(M[0]) == 0.0
+    assert np.linalg.norm(M[1]) == pytest.approx(1.0, abs=1e-6)
+
+
 @pytest.fixture(scope="module")
 def store(ray_session, tmp_path_factory):
     from web_search_engine_ray.pipelines.rag import build_rag_store

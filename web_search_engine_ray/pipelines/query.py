@@ -3,14 +3,24 @@
 API surface mirrors the reference's ``Searcher`` (``HW2/engine/searcher.py``):
 
 - ``bm25_topk(query, topk, mode)``   — the one ranked top-k path, used by
-  every serving surface: each distinct query term is resolved once
-  (``resolve_terms``), postings are scored vectorized in the reference DAAT
-  loop's per-doc accumulation order (terms ascending-df,
+  every serving surface: each distinct query term is resolved and decoded
+  once (``resolve_terms``), postings are scored vectorized in the reference
+  DAAT loop's per-doc accumulation order (terms ascending-df,
   ``HW2/engine/daat_ranker.py:47-141``) with its exact boundary-tie heap,
   plus a score-exact MaxScore branch for rare+stopword OR queries
 - ``search(query, mode, topk)``      — TAAT BM25 with AND/OR allowed-set filter
 - ``boolean(query, mode)``           — full-postings set intersection/union
 - ``ql_topk(query, topk)``           — Dirichlet query likelihood
+
+Candidate set of the exhaustive (non-MaxScore) scan, chosen from the input:
+when the distinct terms' decoded lists hold at least 1/``DENSE_SPAN_RATIO``
+of the doclens docid span (docids are dense within it), their docids are
+marked in a span-sized hit array (a per-doc count for AND), and candidates
+and per-list positions come from ``flatnonzero`` and ``cumsum`` — no sort,
+no ``searchsorted``. Sparser lists, a docid outside the span, or an empty
+doclens store take the sorted union (``np.unique``) with ``searchsorted``
+positions. Both feed the same accumulate-and-select (``_score_topk``), which
+computes each distinct term's contribution once, so results are identical.
 
 The reference's cursor loops (DAAT top-k, DAAT set ops) live only in the
 in-memory ``oracle.OracleIndex`` (``ranked_daat`` / ``boolean``); the tests
@@ -48,6 +58,12 @@ from web_search_engine_ray.stages.exchange import pool_size
 
 K1 = 1.2
 B = 0.75
+# ``bm25_topk`` builds its candidates in a docid-indexed array when the
+# decoded lists hold at least 1/8 of the doclens docid span: the span-sized
+# hit and rank arrays then cost a small multiple of the postings already
+# decoded (HERO's density rule: bitmaps for dense sets, sorted lists for
+# sparse ones). Ratios 4, 8, 16 and 32 measured the same latency.
+DENSE_SPAN_RATIO = 8
 
 
 def _heap_topk_select(docids: np.ndarray, scores: np.ndarray, k: int) -> list[int]:
@@ -246,20 +262,81 @@ class Searcher:
 
     def _score_topk(self, cand, terms, matches, topk: int, tie_semantics: str = "heap"):
         """Accumulate-and-select shared by both top-k branches: ``matches``
-        yields, per resolved term in ``terms`` order, the positions in
-        ``cand`` that term posts and their tfs. dl=0 docs score 0."""
+        yields, per DISTINCT resolved term in ``terms`` order, the positions
+        in ``cand`` that term posts and their tfs. Each distinct term's
+        contribution is computed once and added once per query occurrence,
+        at that occurrence's place in ``terms``. dl=0 docs score 0."""
         dl_all = self.doclens.get_many(cand)
         scores = np.zeros(cand.size, dtype=np.float64)
-        for (_, _, _, df), (pos, f) in zip(terms, matches):
-            dl = dl_all[pos]
-            contrib = self._contrib_daat(f, df, dl)
-            contrib[dl == 0] = 0.0
+        contribs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for t, _, _, df in terms:
+            if t not in contribs:
+                pos, f = next(matches)
+                dl = dl_all[pos]
+                contrib = self._contrib_daat(f, df, dl)
+                contrib[dl == 0] = 0.0
+                contribs[t] = pos, contrib
+            pos, contrib = contribs[t]
             scores[pos] += contrib
         if tie_semantics == "sorted":
             keep = np.lexsort((cand, -scores))[:topk]
         else:
             keep = _heap_topk_select(cand, scores, topk)
         return [(int(cand[i]), float(scores[i])) for i in keep]
+
+    def _dense_candidates(self, lists: list, want_and: bool):
+        """Candidates and per-list positions from a docid-indexed hit array
+        over the doclens span: no sort and no ``searchsorted``. ``None`` when
+        the store is empty, the lists (their decoded, shard-local lengths)
+        are sparse for the span (see ``DENSE_SPAN_RATIO``), or a list posts a
+        docid outside the span."""
+        base, span = self.doclens.span()
+        if not span or DENSE_SPAN_RATIO * sum(d.size for d, _ in lists) < span:
+            return None
+        if any(d.size and (int(d[0]) < base or int(d[-1]) >= base + span) for d, _ in lists):
+            return None
+        offs = [(d - np.uint64(base)).astype(np.intp) for d, _ in lists]
+        if want_and:
+            cnt = np.zeros(span, dtype=np.min_scalar_type(len(lists)))
+            for o in offs:
+                cnt[o] += 1
+            hit = cnt == len(lists)
+        else:
+            hit = np.zeros(span, dtype=bool)
+            for o in offs:
+                hit[o] = True
+        cand = np.flatnonzero(hit).astype(np.uint64) + np.uint64(base)
+        rank = np.cumsum(hit, dtype=np.intp) - 1
+
+        def matches():
+            for o, (_, f) in zip(offs, lists):
+                if want_and:
+                    sel = hit[o]
+                    o, f = o[sel], f[sel]
+                yield rank[o], f
+
+        return cand, matches()
+
+    @staticmethod
+    def _sorted_candidates(lists: list, want_and: bool):
+        """Candidates as the sorted union of the lists (cut to docs in every
+        list for AND), positions by ``searchsorted``."""
+        cand = np.unique(np.concatenate([d for d, _ in lists]))
+        if want_and:
+            cnt = np.zeros(cand.size, dtype=np.int32)
+            for d, _ in lists:
+                cnt[np.searchsorted(cand, d)] += 1
+            cand = cand[cnt == len(lists)]
+
+        def matches():
+            for d, f in lists:
+                pos = np.searchsorted(cand, d)
+                if want_and:
+                    sel = (pos < cand.size) & (cand[np.minimum(pos, cand.size - 1)] == d)
+                    pos, f = pos[sel], f[sel]
+                yield pos, f
+
+        return cand, matches()
 
     # -- ranked: the one BM25 top-k path (serving) ----------------------
     def bm25_topk(
@@ -287,25 +364,14 @@ class Searcher:
             res = self._bm25_topk_maxscore(terms, topk)
             if res is not None:
                 return res
-        plists = [reader.read_postings(entry) for _, entry, reader, _ in terms]
-        cand = np.unique(np.concatenate([d for d, _ in plists]))
-        if want_and:
-            cnt = np.zeros(cand.size, dtype=np.int32)
-            for d, _ in plists:
-                cnt[np.searchsorted(cand, d)] += 1
-            cand = cand[cnt == len(plists)]
-            if cand.size == 0:
-                return []
-
-        def matches():
-            for d, f in plists:
-                pos = np.searchsorted(cand, d)
-                if want_and:
-                    sel = (pos < cand.size) & (cand[np.minimum(pos, cand.size - 1)] == d)
-                    pos, f = pos[sel], f[sel]
-                yield pos, f
-
-        return self._score_topk(cand, terms, matches(), topk, tie_semantics)
+        distinct = {r[0]: r for r in terms}.values()  # ascending df
+        lists = [reader.read_postings(entry) for _, entry, reader, _ in distinct]
+        cand, matches = self._dense_candidates(lists, want_and) or self._sorted_candidates(
+            lists, want_and
+        )
+        if cand.size == 0:
+            return []
+        return self._score_topk(cand, terms, matches, topk, tie_semantics)
 
     def _bm25_topk_maxscore(self, terms: list[tuple], topk: int):
         """MaxScore candidate pruning over ``resolve_terms`` rows,
@@ -349,15 +415,15 @@ class Searcher:
             ub_non += float(
                 self._contrib_daat(np.array([mtf], np.uint64), dfs[i], dl1)[0]
             )
-        ess_lists = {i: terms[i][2].read_postings(terms[i][1]) for i in ess}
-        cand = np.unique(np.concatenate([ess_lists[i][0] for i in ess]))
+        ess_lists = {terms[i][0]: terms[i][2].read_postings(terms[i][1]) for i in ess}
+        cand = np.unique(np.concatenate([d for d, _ in ess_lists.values()]))
         if cand.size < topk:
             return None  # non-essential-only docs could still place
 
         def matches():
-            for i, (_, entry, reader, _) in enumerate(terms):
-                if i in ess_lists:
-                    d, f = ess_lists[i]
+            for t, entry, reader, _ in {r[0]: r for r in terms}.values():
+                if t in ess_lists:
+                    d, f = ess_lists[t]
                     yield np.searchsorted(cand, d), f
                 else:
                     tf = reader.read_tfs_for(entry, cand)

@@ -58,7 +58,7 @@ def hash_embed_matrix(texts, dim: int = EMBED_DIM) -> np.ndarray:
     n = len(tl)
     d = (
         pl.DataFrame({"rid": pl.Series(np.arange(n, dtype=np.int64)), "t": tl})
-        .explode("t")
+        .explode("t", empty_as_null=True)
         .drop_nulls("t")
     )
     rid = d["rid"].to_numpy()

@@ -343,7 +343,7 @@ def local_supplier_volume_ds(
     nation = pl.read_parquet(_path(sf_dir, "nation"))
     reg = pl.read_parquet(_path(sf_dir, "region"))
     rkeys = reg.filter(pl.col("r_name") == region)["r_regionkey"]
-    nat_in_region = nation.filter(pl.col("n_regionkey").is_in(rkeys))
+    nat_in_region = nation.filter(pl.col("n_regionkey").is_in(rkeys.implode()))
     region_nats = np.sort(nat_in_region["n_nationkey"].to_numpy().astype(np.int64))
     nat_names = {
         int(k): v

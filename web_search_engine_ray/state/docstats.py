@@ -69,34 +69,41 @@ class DocLengths:
         return arr
 
     def get_many(self, docids: np.ndarray) -> np.ndarray:
-        """Vectorized dl lookup for a sorted-or-not docid array."""
+        """Vectorized dl lookup for a sorted-or-not docid array, in one pass
+        grouped by shard: a stable argsort (linear on sorted input) orders
+        the docids, and the span starts cut that order into shard groups."""
         d = np.ascontiguousarray(docids, dtype=np.uint64)
         out = np.zeros(d.size, dtype=np.uint32)
-        si = np.searchsorted(self._lo, d, side="right") - 1
-        for s in np.unique(si):
-            if s < 0:  # docid below the first span: dl = 0 (mirrors the
-                continue  # out-of-range-high handling below)
-            mask = si == s
+        order = np.argsort(d, kind="stable")
+        ds = d[order]
+        # shard s holds ds[cut[s]:cut[s + 1]]; ds[:cut[0]] lies below the
+        # first span and reads dl = 0, like docids past a span's rows
+        cut = np.append(np.searchsorted(ds, self._lo), d.size)
+        for s in np.flatnonzero(np.diff(cut)):
+            a, b = cut[s], cut[s + 1]
             dl = self._shard_dl(int(s))
-            idx = (d[mask] - self._lo[s]).astype(np.int64)
+            idx = (ds[a:b] - self._lo[s]).astype(np.int64)
             ok = idx < dl.size
-            vals = np.zeros(int(mask.sum()), dtype=np.uint32)
-            vals[ok] = dl[idx[ok]]
-            out[mask] = vals
+            out[order[a:b][ok]] = dl[idx[ok]]
         return out
 
     def get(self, docid: int) -> int:
         return int(self.get_many(np.array([docid], dtype=np.uint64))[0])
+
+    def span(self) -> tuple[int, int]:
+        """``(first docid, number of docids)`` from the first span's start
+        to the last span's end; ``(0, 0)`` for an empty store."""
+        if not self._lo.size:
+            return 0, 0
+        base = int(self._lo[0])
+        return base, int(self._lo[-1]) + int(self._n[-1]) - base
 
     def dense(self) -> np.ndarray:
         """Full dense dl array indexed from this store's first docid
         (test/small-scale convenience only). Sized by the shards' docid SPAN,
         not ``N`` — on a deletion-compacted index N counts only alive docs
         while the shards keep dl=0 placeholder rows for deleted slots."""
-        if not self._lo.size:
-            return np.zeros(0, dtype=np.uint32)
-        base = int(self._lo[0])
-        span = int(self._lo[-1]) + int(self._n[-1]) - base
+        base, span = self.span()
         out = np.zeros(span, dtype=np.uint32)
         for si in range(len(self._paths)):
             dl = self._shard_dl(si)
