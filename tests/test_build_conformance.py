@@ -82,6 +82,44 @@ def test_build_manifest_counts(built, oracle):
     assert "the" in build["heavy_terms"]
 
 
+def test_build_json_skew_names_stragglers(built):
+    """build.json alone says where the build's time went: the skew block's
+    keys exist, each straggler is the argmax of its manifests' walls, and
+    tools/index_stats.py turns it into a per-stage table."""
+    import json
+    import os
+    import statistics
+
+    out, _ = built
+    with open(os.path.join(out, "build.json")) as f:
+        build = json.load(f)
+    skew = build["skew"]
+    runs = []
+    for p in sorted(glob.glob(os.path.join(out, "manifests", "run_*.json"))):
+        with open(p) as f:
+            runs.append(json.load(f))
+    shards = build["shards"]
+    assert len(runs) == build["n_partitions"] > 1 and len(shards) > 1
+    assert skew["straggler_pid"] == max(runs, key=lambda m: m["wall_s"])["pid"]
+    assert skew["partition_wall_max_s"] == max(m["wall_s"] for m in runs)
+    assert skew["partition_wall_p50_s"] == pytest.approx(
+        statistics.median(m["wall_s"] for m in runs), abs=1e-4
+    )
+    assert skew["straggler_shard"] == max(shards, key=lambda m: m["wall_s"])["shard"]
+    assert skew["shard_wall_max_s"] == max(m["wall_s"] for m in shards)
+    sizes = [m["postings_bytes"] for m in shards]
+    assert skew["shard_bytes_max_over_median"] == pytest.approx(
+        max(sizes) / statistics.median(sizes), abs=1e-3
+    )
+
+    from tools.index_stats import stage_table
+
+    table = stage_table(build).splitlines()
+    assert [r.split()[0] for r in table[1:4]] == ["plan", "runs", "merge"]
+    assert any(r.endswith(f"pid {skew['straggler_pid']}") for r in table)
+    assert any(r.endswith(f"shard {skew['straggler_shard']}") for r in table)
+
+
 def test_corpus_stats(built, oracle):
     out, _ = built
     s = Searcher(out)

@@ -96,3 +96,60 @@ def test_append_range(ray_session, small_corpus_dir, tmp_path_factory):
         assert any(d >= n_before for d in hits)
     finally:
         ps.shutdown()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8, 32])
+@pytest.mark.parametrize("n_ranges", [1, 2, 3, 4, 7, 16])
+def test_range_actor_cpus_leave_one_cpu(cpus, n_ranges):
+    """Serving actors together take at most cpus - 1 (in Ray's 1e-4 fixed
+    point), so a 1-CPU build task always fits beside them; 0 at 1 CPU."""
+    from web_search_engine_ray.pipelines.distributed import range_actor_cpus
+
+    per = range_actor_cpus(cpus, n_ranges)
+    assert 0.0 <= per <= 1.0
+    assert round(per * 1e4) * n_ranges <= (cpus - 1) * 10_000
+    assert (per == 0.0) == (cpus == 1)
+    if cpus - 1 >= n_ranges:
+        assert per == 1.0
+
+
+def test_append_range_beside_live_searcher(ray_session, tmp_path_factory):
+    """A 4-range searcher held open at 4 CPUs must leave a CPU for the
+    append's build tasks (it once took 3.2 of 4 and the append never
+    finished). Runs the append on a thread so a regression fails on the
+    timeout instead of hanging the suite."""
+    import glob
+    import threading
+
+    from web_search_engine_ray.fixtures.transcripts import write_corpus
+    from web_search_engine_ray.pipelines.distributed import append_range_index
+
+    corpus = str(tmp_path_factory.mktemp("live_append_corpus"))
+    write_corpus(corpus, n_convs=60, max_turns=6, rows_per_file=40)
+    files = sorted(glob.glob(corpus + "/*.parquet"))
+    assert len(files) >= 5
+    cfg = dict(partition_rows=400, num_shards=2, n_salts=2, block_size=16)
+    part = str(tmp_path_factory.mktemp("live_append_idx"))
+    assert len(build_partitioned_index(files[:4], part, n_ranges=4, **cfg)["ranges"]) == 4
+    ps = PartitionedSearcher(part)
+    out = {}
+
+    def append():
+        try:
+            out["manifest"] = append_range_index(part, files[4:], **cfg)
+        except Exception as e:  # re-raised on the test thread below
+            out["error"] = e
+
+    t = threading.Thread(target=append, daemon=True)
+    try:
+        assert ps.bm25_topk("the data", topk=3)
+        t.start()
+        t.join(timeout=120)
+        finished = not t.is_alive()
+    finally:
+        ps.shutdown()  # frees the actors' CPUs, so a stuck append completes
+        t.join(timeout=300)
+    assert finished, "append_range_index did not finish beside a live 4-range searcher"
+    if "error" in out:
+        raise out["error"]
+    assert len(out["manifest"]["ranges"]) == 5

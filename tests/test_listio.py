@@ -1,5 +1,7 @@
 """Blocked postings shard writer/reader: round-trip, block directory, block decode."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,9 +92,15 @@ def test_lexicon_shard_roundtrip(tmp_path):
         "bb": (list(range(20)), [2] * 20),
         "cc": ([7], [1]),
     }
-    entries = _write_terms(tmp_path / "s.postings", tp, block_size=4)
     terms = sorted(tp)
-    lex = LexiconShard.from_entries(terms, [entries[t] for t in terms])
+    w = PostingsShardWriter(str(tmp_path / "s.postings"), block_size=4)
+    arrays = w.add_terms(
+        np.cumsum([0] + [len(tp[t][0]) for t in terms[:-1]]),
+        np.concatenate([np.array(tp[t][0], np.uint64) for t in terms]),
+        np.concatenate([np.array(tp[t][1], np.uint64) for t in terms]),
+    )
+    w.close()
+    lex = LexiconShard.from_arrays(terms, arrays)
     lex.save(str(tmp_path / "s.lexicon"))
     lex2 = LexiconShard.load(str(tmp_path / "s.lexicon"))
     assert len(lex2) == 3
@@ -153,3 +161,165 @@ def test_decoded_lru_cache(tmp_path):
     assert r3.cache is None
     r2.close()
     r3.close()
+
+
+# ---------------------------------------------------------------- shard kernel
+
+BLOCK_ARRAYS = ("blk_offset", "blk_doc_bytes", "blk_freq_bytes", "blk_last_docid", "blk_max_tf")
+
+
+def _scalar_vb(values):
+    """Scalar varbyte, MSB on each integer's last byte (the contract
+    ``tests/test_codecs.py::ref_vb_encode`` pins)."""
+    out = bytearray()
+    for x in values:
+        while x >= 0x80:
+            out.append(x & 0x7F)
+            x >>= 7
+        out.append(x | 0x80)
+    return bytes(out)
+
+
+def _oracle_shard(terms, bs, codec):
+    """The expected shard, block by block in plain Python: each block's gap
+    base is the previous block's last docid within the term, 0 at each
+    term start; ``[doc bytes][freq bytes]`` back to back."""
+    data = bytearray()
+    want = {k: [] for k in ("offset", "df", "blk_start") + BLOCK_ARRAYS}
+    want["blk_start"].append(0)
+    for d, f in terms:
+        want["offset"].append(len(data))
+        want["df"].append(len(d))
+        base = 0
+        for lo in range(0, len(d), bs):
+            bd, bf = d[lo : lo + bs], f[lo : lo + bs]
+            if codec == "varbyte":
+                db = _scalar_vb([bd[0] - base] + [b - a for a, b in zip(bd, bd[1:])])
+                fb = _scalar_vb(bf)
+            else:
+                db = b"".join(x.to_bytes(8, "little") for x in bd)
+                fb = b"".join(x.to_bytes(4, "little") for x in bf)
+            for k, v in zip(BLOCK_ARRAYS, (len(data), len(db), len(fb), bd[-1], max(bf))):
+                want[k].append(v)
+            data += db + fb
+            base = bd[-1]
+        want["blk_start"].append(len(want["blk_offset"]))
+    return bytes(data), want
+
+
+@st.composite
+def _shards(draw):
+    """Many terms per shard: df 1, an exact block multiple, one past a block
+    multiple, or anything; docids restart at random per term (so they
+    often drop across a term boundary), gaps and tfs of 1-4 varbytes."""
+    bs = draw(st.sampled_from([1, 3, 4, 128]))
+    codec = draw(st.sampled_from(["varbyte", "raw"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = []
+    for _ in range(draw(st.integers(1, 10))):
+        k = draw(st.integers(1, 3))
+        df = draw(st.sampled_from([1, k * bs, k * bs + 1, draw(st.integers(1, 300))]))
+        first = int(rng.integers(0, 1 << 40))
+        gaps = rng.integers(1, 1 << int(rng.integers(1, 28)), size=df - 1)
+        d = [first] + (first + np.cumsum(gaps)).tolist()
+        f = rng.integers(1, 1 << int(rng.integers(1, 21)), size=df).tolist()
+        terms.append((d, f))
+    return bs, codec, terms
+
+
+@given(_shards())
+@settings(max_examples=60, deadline=None)
+def test_shard_kernel_matches_scalar_oracle(tmp_path_factory, shard):
+    """``add_terms`` over a whole shard writes the oracle's bytes and
+    returns the oracle's lexicon arrays; one-term ``add_term`` calls and a
+    chunked ``add_term_stream`` of each term write the same bytes."""
+    bs, codec, terms = shard
+    tmp = tmp_path_factory.mktemp("kernel")
+    data, want = _oracle_shard(terms, bs, codec)
+
+    starts = np.cumsum([0] + [len(d) for d, _ in terms[:-1]])
+    docids = np.concatenate([np.array(d, np.uint64) for d, _ in terms])
+    tfs = np.concatenate([np.array(f, np.uint64) for _, f in terms])
+    w = PostingsShardWriter(str(tmp / "shard"), block_size=bs, codec=codec)
+    got = w.add_terms(starts, docids, tfs)
+    assert w.close() == len(data)
+    assert (tmp / "shard").read_bytes() == data
+    assert got["codec"] == codec
+    for k, v in want.items():
+        dtype = np.uint64 if k in ("blk_last_docid", "blk_max_tf") else np.int64
+        assert got[k].dtype == dtype, k
+        assert got[k].tolist() == v, k
+
+    lex = LexiconShard.from_arrays([f"t{i:03d}" for i in range(len(terms))], got)
+    with PostingsShardReader(str(tmp / "shard")) as r:
+        for i, (d, f) in enumerate(terms):
+            d2, f2 = r.read_postings(lex.get(f"t{i:03d}"))
+            assert d2.tolist() == d and f2.tolist() == f
+
+    w = PostingsShardWriter(str(tmp / "one"), block_size=bs, codec=codec)
+    for i, (d, f) in enumerate(terms):
+        w.add_term(f"t{i}", np.array(d, np.uint64), np.array(f, np.uint64))
+    w.close()
+    assert (tmp / "one").read_bytes() == data
+
+    w = PostingsShardWriter(str(tmp / "stream"), block_size=bs, codec=codec)
+    for i, (d, f) in enumerate(terms):
+        cut = sorted({0, len(d), *np.random.default_rng(i).integers(0, len(d), 3).tolist()})
+        chunks = [(np.array(d[a:b], np.uint64), np.array(f[a:b], np.uint64)) for a, b in zip(cut, cut[1:])]
+        e = w.add_term_stream(f"t{i}", iter(chunks))
+        s, t = want["blk_start"][i], want["blk_start"][i + 1]
+        assert e["offset"].tolist() == [want["offset"][i]] and e["df"].tolist() == [len(d)]
+        assert e["blk_start"].tolist() == [0, t - s]
+        for k in BLOCK_ARRAYS:
+            assert e[k].tolist() == want[k][s:t], k
+    w.close()
+    assert (tmp / "stream").read_bytes() == data
+
+
+@pytest.mark.parametrize("codec", ["varbyte", "raw"])
+def test_shard_kernel_docid_drops(tmp_path, codec):
+    """A docid drop inside a term is an error; across a term boundary it is
+    just the next term starting over."""
+    w = PostingsShardWriter(str(tmp_path / "ok"), block_size=2, codec=codec)
+    got = w.add_terms(
+        np.array([0, 3]), np.array([5, 9, 12, 1, 2], np.uint64), np.ones(5, np.uint64)
+    )
+    w.close()
+    assert got["df"].tolist() == [3, 2]
+    assert got["blk_last_docid"].tolist() == [9, 12, 2]
+    w = PostingsShardWriter(str(tmp_path / "bad"), block_size=2, codec=codec)
+    with pytest.raises(ValueError, match="non-monotonic"):
+        w.add_terms(np.array([0, 3]), np.array([5, 9, 7, 1, 2], np.uint64), np.ones(5, np.uint64))
+    with pytest.raises(ValueError, match="non-monotonic"):
+        # the second term drops at its block boundary, not at its start
+        w.add_terms(np.array([0, 1]), np.array([5, 1, 8, 3], np.uint64), np.ones(4, np.uint64))
+    with pytest.raises(ValueError, match="non-monotonic"):
+        # a stream flush must not go below the previous flush's last docid
+        w.add_terms(np.array([0]), np.array([3, 4], np.uint64), np.ones(2, np.uint64), base=5)
+    w.close()
+
+
+def test_normal_shard_sums_repeated_pairs(tmp_path):
+    """A batch repeating a (term, docid) row decodes that docid once with
+    the tfs summed; the same docid under two terms stays in both."""
+    import pyarrow as pa
+
+    from web_search_engine_ray.pipelines.build import BuildConfig, _encode_normal_shard
+
+    cfg = BuildConfig(out_dir=str(tmp_path), block_size=2)
+    for d in (cfg.index_dir, cfg.manifests_dir):
+        (tmp_path / os.path.basename(d)).mkdir()
+    batch = pa.table(
+        {
+            "term": ["b", "a", "b", "a", "a", "c", "a"],
+            "docid": pa.array([9, 3, 9, 9, 3, 3, 4], pa.uint64()),
+            "tf": pa.array([1, 2, 5, 1, 4, 6, 1], pa.uint32()),
+        }
+    )
+    m = _encode_normal_shard(batch, 0, cfg, "fp")
+    assert (m["n_terms"], m["n_postings"]) == (3, 5)
+    lex = LexiconShard.load(str(tmp_path / "index" / "shard_00000.lexicon"))
+    with PostingsShardReader(str(tmp_path / "index" / "shard_00000.postings")) as r:
+        got = {t: [x.tolist() for x in r.read_postings(lex.get(t))] for t in "abc"}
+    # "a" ends and "b" starts on docid 9: adjacent, equal, not a repeat
+    assert got == {"a": [[3, 4, 9], [6, 1, 1]], "b": [[9], [6]], "c": [[3], [6]]}

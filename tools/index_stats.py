@@ -5,6 +5,10 @@ compression in README/benchmark.txt (``HW2/README.md:121-126``,
 ``benchmark.txt:422-442``); this is our equivalent, computed from the build
 manifest + shard files.
 
+It also prints where the build's time went, from ``build.json`` alone: one
+row per stage timing, then the skew report (partition wall p50/max and the
+straggler pid, the slowest shard, the shard-bytes max/median ratio).
+
 Usage: python tools/index_stats.py <index_dir>
 """
 
@@ -54,9 +58,43 @@ def stats(index_dir: str) -> dict:
         else None,
         "largest_shard_postings": max((s["n_postings"] for s in shards), default=0),
         "build_timings": build["timings"],
+        "build_skew": build.get("skew", {}),
     }
     return out
 
 
+# corpus builds: plan, runs, merge; legacy-run builds: convert .. merge
+STAGE_ORDER = ["plan_s", "runs_s", "convert_s", "layout_s", "doclens_s", "merge_s"]
+
+
+def stage_table(build: dict) -> str:
+    """Per-stage table of a build manifest: each stage's seconds and share
+    of the total, then the skew rows (legacy-run builds have no skew)."""
+    t = build["timings"]
+    total = t.get("total_s") or 0.0
+    rows = [("stage", "seconds", "share")]
+    # build.json keys are sorted; show the stages in pipeline order
+    for k in sorted(t, key=lambda k: STAGE_ORDER.index(k) if k in STAGE_ORDER else len(STAGE_ORDER)):
+        if k != "total_s":
+            rows.append((k[:-2], f"{t[k]:.3f}", f"{t[k] / total:.0%}" if total else "-"))
+    rows.append(("total", f"{total:.3f}", ""))
+    skew = build.get("skew", {})
+    if "partition_wall_max_s" in skew:
+        rows.append(("partition wall p50", f"{skew['partition_wall_p50_s']:.3f}", ""))
+        rows.append(
+            ("partition wall max", f"{skew['partition_wall_max_s']:.3f}", f"pid {skew['straggler_pid']}")
+        )
+    if "shard_wall_max_s" in skew:
+        rows.append(
+            ("shard wall max", f"{skew['shard_wall_max_s']:.3f}", f"shard {skew['straggler_shard']}")
+        )
+        rows.append(("shard bytes max/median", str(skew["shard_bytes_max_over_median"]), ""))
+    w0 = max(len(r[0]) for r in rows)
+    w1 = max(len(r[1]) for r in rows)
+    return "\n".join(f"{a:<{w0}}  {b:>{w1}}  {c}".rstrip() for a, b, c in rows)
+
+
 if __name__ == "__main__":
+    with open(os.path.join(sys.argv[1], "build.json")) as f:
+        print(stage_table(json.load(f)))
     print(json.dumps(stats(sys.argv[1]), indent=2))

@@ -13,7 +13,11 @@ Wire format parity with the reference (``HW2/engine/listio.py:229-321``):
   codec (the default) is decoded-list-compatible with the reference.
 
 Unlike the reference's per-integer Python loops, both directions here are
-numpy-vectorized (a handful of array ops per block regardless of n).
+numpy-vectorized: a handful of array ops over a whole array, whatever its
+length. The postings encoder (``state/listio.py``) calls them once per
+whole shard: ``vb_sizes`` for the block directory, then ``vb_encode_into``
+to scatter every gap and every tf straight to its place in the shard's
+block layout.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 # Max 10 7-bit groups covers u64.
 _MAX_GROUPS = 10
-# thresholds[k] = 2**(7*(k+1)); value v needs (searchsorted(thresholds, v, 'right')+1) bytes
+# thresholds[k] = 2**(7*(k+1)); value v needs 1 + (number of thresholds <= v) bytes
 _THRESHOLDS = np.array([1 << (7 * (k + 1)) for k in range(_MAX_GROUPS - 1)], dtype=np.uint64)
 
 
@@ -31,19 +35,31 @@ def vb_encode(values: np.ndarray) -> bytes:
     v = np.ascontiguousarray(values, dtype=np.uint64)
     if v.size == 0:
         return b""
-    nbytes = np.searchsorted(_THRESHOLDS, v, side="right").astype(np.int64) + 1
+    nbytes = vb_sizes(v)
     offsets = np.zeros(v.size, dtype=np.int64)
     np.cumsum(nbytes[:-1], out=offsets[1:])
-    total = int(offsets[-1] + nbytes[-1])
-    out = np.zeros(total, dtype=np.uint8)
-    for k in range(int(nbytes.max())):
-        mask = nbytes > k
-        vals = (v[mask] >> np.uint64(7 * k)) & np.uint64(0x7F)
-        byte = vals.astype(np.uint8)
-        is_last = nbytes[mask] == k + 1
-        byte[is_last] |= 0x80
-        out[offsets[mask] + k] = byte
+    out = np.empty(int(offsets[-1] + nbytes[-1]), dtype=np.uint8)
+    vb_encode_into(out, v, offsets, nbytes)
     return out.tobytes()
+
+
+def vb_encode_into(
+    out: np.ndarray, values: np.ndarray, offsets: np.ndarray, nbytes: np.ndarray
+) -> None:
+    """Varbyte-encode ``values`` into the ``uint8`` buffer ``out``, value i
+    at byte ``offsets[i]``, taking ``nbytes[i] = vb_sizes(values)[i]`` bytes.
+    The offsets need not be contiguous: this is the scatter the postings
+    shard encoder uses to lay out ``[doc bytes][freq bytes]`` per block.
+    One pass per byte position (at most 10), each over the values still
+    that long."""
+    v = np.ascontiguousarray(values, dtype=np.uint64)
+    for k in range(int(nbytes.max(initial=0))):
+        if k:
+            keep = np.flatnonzero(nbytes > k)
+            v, offsets, nbytes = v[keep], offsets[keep], nbytes[keep]
+        byte = ((v >> np.uint64(7 * k)) & np.uint64(0x7F)).astype(np.uint8)
+        byte[nbytes == k + 1] |= 0x80
+        out[offsets + k] = byte
 
 
 def vb_decode(data: bytes | memoryview | np.ndarray) -> np.ndarray:
@@ -105,6 +121,14 @@ def decode_freqs(data: bytes | memoryview) -> np.ndarray:
 
 
 def vb_sizes(values: np.ndarray) -> np.ndarray:
-    """Encoded byte length of each value (for block-directory bookkeeping)."""
+    """Encoded byte length of each value (for block-directory bookkeeping):
+    one comparison pass per byte length present, so a stream of small gaps
+    costs two or three passes."""
     v = np.ascontiguousarray(values, dtype=np.uint64)
-    return np.searchsorted(_THRESHOLDS, v, side="right").astype(np.int64) + 1
+    out = np.ones(v.size, dtype=np.int64)
+    for t in _THRESHOLDS:
+        longer = v >= t
+        if not longer.any():
+            break
+        out += longer
+    return out

@@ -30,8 +30,10 @@ Ray-Data-native replacement for the reference's three-stage external sort
   normal gkey reads exactly its row groups from each run (a map-side
   partitioned shuffle, MapReduce-style — no sort all-to-all, no Ray Data
   shuffle; no task reads a row it doesn't own) and encodes the
-  blocked/varbyte shard + lexicon shard. One task per HEAVY term streams its
-  salt gkeys in docid-range order through the incremental block encoder —
+  blocked/varbyte shard + lexicon shard with one call of the whole-shard
+  encode kernel (``PostingsShardWriter.add_terms``). One task per HEAVY
+  term streams its salt gkeys in docid-range order through the same kernel,
+  one flush of whole blocks at a time —
   O(block) memory, a 10^12-posting stopword list is never materialized
   (unlike the reference's per-term dict, ``merger.py:101``). That stream
   needs docid-disjoint runs visited in ascending docid order. Corpus
@@ -56,6 +58,7 @@ import hashlib
 import json
 import math
 import os
+import statistics
 import time
 from dataclasses import asdict, dataclass
 
@@ -389,7 +392,8 @@ def build_runs(descs: list[dict], cfg: BuildConfig, layout: dict) -> list[dict]:
 
 
 def _encode_normal_shard(batch: pa.Table, sid: int, cfg: BuildConfig, build_fp: str) -> dict:
-    """Sort one shard's postings and write shard files (atomic)."""
+    """Sort one shard's postings and write shard files (atomic): one
+    encode-kernel call (``PostingsShardWriter.add_terms``) over the shard."""
     t0 = time.perf_counter()
     batch = batch.sort_by([("term", "ascending"), ("docid", "ascending")])
     terms = batch["term"].combine_chunks()
@@ -405,29 +409,24 @@ def _encode_normal_shard(batch: pa.Table, sid: int, cfg: BuildConfig, build_fp: 
         )
     else:
         starts = np.array([0], dtype=np.int64)
-    bounds = np.append(starts, n)
     uniq = terms.take(pa.array(starts, pa.int64())).to_pylist()
+
+    # safety collapse of duplicate (term, docid) — partitions are
+    # doc-disjoint so this is a no-op invariant, like the reference's
+    # tf-sum at merge (HW2/engine/merger.py:114-132); one pass over the shard
+    dup = docids[1:] == docids[:-1]
+    dup[starts[1:] - 1] = False  # equal docids of two terms are not a dup
+    if dup.any():
+        keep = np.flatnonzero(np.concatenate([[True], ~dup]))
+        tfs = np.add.reduceat(tfs, keep)
+        docids = docids[keep]
+        starts = np.searchsorted(keep, starts)
 
     post_path = os.path.join(cfg.index_dir, f"shard_{sid:05d}.postings")
     lex_path = os.path.join(cfg.index_dir, f"shard_{sid:05d}.lexicon")
     w = PostingsShardWriter(post_path + ".tmp", cfg.block_size, cfg.codec)
-    entries, names = [], []
-    n_postings = 0
-    for i in range(len(uniq)):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        d, f = docids[lo:hi], tfs[lo:hi]
-        # safety collapse of duplicate (term, docid) — partitions are
-        # doc-disjoint so this is a no-op invariant, like the reference's
-        # tf-sum at merge (HW2/engine/merger.py:114-132)
-        if d.size > 1 and np.any(d[1:] == d[:-1]):
-            keep = np.flatnonzero(np.diff(d, prepend=np.uint64(d[0]) - np.uint64(1)))
-            f = np.add.reduceat(f, keep)
-            d = d[keep]
-        entries.append(w.add_term(uniq[i], d, f))
-        names.append(uniq[i])
-        n_postings += int(d.size)
+    lex = LexiconShard.from_arrays(uniq, w.add_terms(starts, docids, tfs))
     size = w.close()
-    lex = LexiconShard.from_entries(names, entries)
     lex.save(lex_path + ".tmp")
     os.replace(post_path + ".tmp", post_path)
     os.replace(lex_path + ".tmp", lex_path)
@@ -435,8 +434,8 @@ def _encode_normal_shard(batch: pa.Table, sid: int, cfg: BuildConfig, build_fp: 
         "shard": sid,
         "kind": "normal",
         "build_fp": build_fp,
-        "n_terms": len(names),
-        "n_postings": n_postings,
+        "n_terms": len(uniq),
+        "n_postings": int(docids.size),
         "postings_bytes": size,
         "wall_s": round(time.perf_counter() - t0, 4),
     }
@@ -448,15 +447,16 @@ def _encode_heavy_shard(
     term_idx: int, term: str, chunks, cfg: BuildConfig, build_fp: str
 ) -> dict:
     """Stream one heavy term's docid-ascending (docids, tfs) chunks through
-    the incremental block encoder into its dedicated shard (atomic)."""
+    the block encoder (``add_term_stream``) into its dedicated shard
+    (atomic)."""
     t0 = time.perf_counter()
     sid = cfg.num_shards + term_idx
     post_path = os.path.join(cfg.index_dir, f"shard_{sid:05d}.postings")
     lex_path = os.path.join(cfg.index_dir, f"shard_{sid:05d}.lexicon")
     w = PostingsShardWriter(post_path + ".tmp", cfg.block_size, cfg.codec)
-    entry = w.add_term_stream(term, chunks)
+    arrays = w.add_term_stream(term, chunks)
     size = w.close()
-    lex = LexiconShard.from_entries([term], [entry])
+    lex = LexiconShard.from_arrays([term], arrays)
     lex.save(lex_path + ".tmp")
     os.replace(post_path + ".tmp", post_path)
     os.replace(lex_path + ".tmp", lex_path)
@@ -466,7 +466,7 @@ def _encode_heavy_shard(
         "term": term,
         "build_fp": build_fp,
         "n_terms": 1,
-        "n_postings": entry["df"],
+        "n_postings": int(arrays["df"][0]),
         "postings_bytes": size,
         "wall_s": round(time.perf_counter() - t0, 4),
     }
@@ -543,6 +543,27 @@ def merge_runs_mapside(
 
 
 # ---------------------------------------------------------------- driver
+
+
+def build_skew(run_ms: list[dict], shard_ms: list[dict]) -> dict:
+    """Where the build's time went, from its run and shard manifests: the
+    partition wall p50 and max with the straggler pid, the slowest shard
+    and its id, and the largest shard's postings bytes over the median."""
+    out = {}
+    if run_ms:
+        slow = max(run_ms, key=lambda m: m["wall_s"])
+        out["partition_wall_p50_s"] = round(statistics.median(m["wall_s"] for m in run_ms), 4)
+        out["partition_wall_max_s"] = slow["wall_s"]
+        out["straggler_pid"] = slow["pid"]
+    if shard_ms:
+        slow = max(shard_ms, key=lambda m: m["wall_s"])
+        med = statistics.median(m["postings_bytes"] for m in shard_ms)
+        out["shard_wall_max_s"] = slow["wall_s"]
+        out["straggler_shard"] = slow["shard"]
+        out["shard_bytes_max_over_median"] = round(
+            max(m["postings_bytes"] for m in shard_ms) / med, 3
+        )
+    return out
 
 
 def build_index(input_path_or_dir, out_dir: str, **kw) -> dict:
@@ -637,6 +658,7 @@ def build_index(input_path_or_dir, out_dir: str, **kw) -> dict:
             "merge_s": round(t_merge - t_runs, 3),
             "total_s": round(t_merge - t0, 3),
         },
+        "skew": build_skew(run_ms, shard_ms),
     }
     mf.write_manifest(os.path.join(out_dir, "build.json"), build)
     return build

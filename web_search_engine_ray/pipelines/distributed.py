@@ -27,6 +27,7 @@ Query protocol (exactness argument):
 from __future__ import annotations
 
 import json
+import math
 import os
 
 from web_search_engine_ray.functions.tokenize import query_terms
@@ -413,6 +414,21 @@ class RangeSearcher:
             fetch = min(cap, fetch * 2)
 
 
+def range_actor_cpus(cpus: float, n_ranges: int, per_actor: float = 1.0) -> float:
+    """CPUs for each of ``n_ranges`` serving actors on a ``cpus``-CPU cluster.
+
+    Together they take at most ``cpus - 1``, so a 1-CPU build task always
+    fits beside a live searcher: ``append_range_index`` or a compaction
+    while serving never waits forever (at 4 CPUs, 4 actors at 0.8 CPU each
+    once left 0.8 free and hung the append). Serving actors are call-driven
+    and mostly idle, so fractional CPUs are the idiomatic Ray packing; on a
+    1-CPU cluster they get 0 (Ray runs zero-CPU actors), and at real cluster
+    sizes the cap is a no-op. Rounded down to Ray's 1e-4 resource
+    granularity, so the rounded sum keeps the bound."""
+    spare = max(0.0, float(cpus) - 1.0)
+    return min(per_actor, math.floor(spare / max(1, n_ranges) * 1e4) / 1e4)
+
+
 class PartitionedSearcher:
     """Coordinator over one RangeSearcher actor per docid range."""
 
@@ -423,18 +439,12 @@ class PartitionedSearcher:
             self.manifest = json.load(f)
         self.N = int(self.manifest["n_docs"])
         self.avgdl = float(self.manifest["avgdl"])
-        # pack the per-range serving actors onto whatever the cluster has:
-        # at 1.0 CPU each, n_ranges > cluster CPUs leaves actors pending
-        # forever and the coordinator's ray.get over ALL handles deadlocks
-        # (observed live: the 2-CPU gate hung here). Serving actors are
-        # call-driven and mostly idle, so fractional CPUs are the idiomatic
-        # Ray packing; at real cluster sizes the cap is a no-op.
         n_ranges = max(1, len(self.manifest["ranges"]))
         try:
-            cpus = float(ray.cluster_resources().get("CPU", n_ranges))
+            cpus = float(ray.cluster_resources().get("CPU", n_ranges + 1))
         except Exception:  # pragma: no cover - resource probe best-effort
-            cpus = float(n_ranges)
-        per = min(num_cpus_per_actor, max(0.05, cpus / (n_ranges + 1)))
+            cpus = float(n_ranges + 1)
+        per = range_actor_cpus(cpus, n_ranges, num_cpus_per_actor)
         actor = ray.remote(num_cpus=per)(RangeSearcher)
         self.actors = [actor.remote(r["dir"]) for r in self.manifest["ranges"]]
         # pending tombstones, routed to their owning range

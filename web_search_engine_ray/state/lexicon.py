@@ -61,28 +61,15 @@ class LexiconShard:
         self.codec = "varbyte"
 
     @classmethod
-    def from_entries(cls, terms: list[str], entries: list[dict]) -> "LexiconShard":
-        """Build from parallel (terms, entries); terms must be sorted."""
+    def from_arrays(cls, terms: list[str], arrays: dict) -> "LexiconShard":
+        """Build from sorted ``terms`` and the struct of arrays that
+        ``PostingsShardWriter.add_terms`` (or ``add_term_stream``, for one
+        term) returned for them."""
         shard = cls()
         shard.terms = list(terms)
-        n = len(terms)
-        shard.offset = np.fromiter((e["offset"] for e in entries), np.int64, n)
-        shard.df = np.fromiter((e["df"] for e in entries), np.int64, n)
-        nblocks = np.fromiter((e["nblocks"] for e in entries), np.int64, n)
-        shard.blk_start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(nblocks, out=shard.blk_start[1:])
-        if n:
-            shard.codec = entries[0]["codec"]
-            shard.blk_offset = np.concatenate([e["blk_offset"] for e in entries])
-            shard.blk_doc_bytes = np.concatenate([e["blk_doc_bytes"] for e in entries])
-            shard.blk_freq_bytes = np.concatenate([e["blk_freq_bytes"] for e in entries])
-            shard.blk_last_docid = np.concatenate([e["blk_last_docid"] for e in entries])
-            shard.blk_max_tf = np.concatenate(
-                [
-                    e.get("blk_max_tf", np.zeros(e["nblocks"], dtype=np.uint64))
-                    for e in entries
-                ]
-            )
+        for k in ("offset", "df", "blk_start", "blk_offset", "blk_doc_bytes",
+                  "blk_freq_bytes", "blk_last_docid", "blk_max_tf", "codec"):
+            setattr(shard, k, arrays[k])
         return shard
 
     def __len__(self) -> int:

@@ -16,11 +16,17 @@ Differences from the reference (documented, SURVEY.md §7.5):
   parallel instead of the reference's single-writer bottleneck
   (``HW2/README.md:131``);
 - "raw" codec stores docids u64 LE (u32 caps at 4.3e9 docs; we target 10^12);
-- encode/decode are numpy-vectorized (whole-term at once) rather than
-  per-integer Python loops. Gap chaining across blocks means a term's gap
-  stream is just ``diff(docids)`` with ``gap[0] = docid[0]``, so whole-term
-  encode/decode is a single vectorized pass; the block directory only decides
-  where the byte stream is split.
+- encode/decode are numpy-vectorized rather than per-integer Python loops.
+  The writer's one encode kernel, :meth:`PostingsShardWriter.add_terms`,
+  takes a whole shard at once: ``(term, docid)``-sorted ``docids``/``tfs``
+  plus each term's start index. Gap chaining across blocks makes a term's
+  gap stream just ``diff(docids)`` with its first gap = its first docid, so
+  the kernel runs a fixed number of array passes over the shard (gaps,
+  per-block byte counts from the term-restarting block starts, one varbyte
+  scatter for all gaps and one for all tfs into the ``[doc][freq]`` block
+  layout) and makes one ``write``. Per-term and streamed heavy-term encodes
+  are the same kernel with one term. Decode is whole-term: the block
+  directory only decides where the byte stream is split.
 
 Rank/score parity requires identical *decoded* ``(docids, tfs, df)`` per term,
 not identical bytes — the reference's own conformance check compares decoded
@@ -33,22 +39,20 @@ import os
 import numpy as np
 
 from web_search_engine_ray.functions import codecs
+from web_search_engine_ray.state.lexicon import LexiconShard
 
 BLOCK_SIZE = 128  # reference default, HW2/engine/listio.py:7
-
-
-def _chunk_sums(sizes: np.ndarray, block_size: int) -> np.ndarray:
-    """Sum ``sizes`` in consecutive chunks of ``block_size``."""
-    starts = np.arange(0, sizes.size, block_size)
-    return np.add.reduceat(sizes, starts)
+_BLOCK_KEYS = ("blk_offset", "blk_doc_bytes", "blk_freq_bytes", "blk_last_docid", "blk_max_tf")
 
 
 class PostingsShardWriter:
     """Append-only writer for one postings shard file.
 
-    ``add_term`` must be called in the caller's canonical term order with
-    docids strictly ascending (the ordering contract of the reference run
-    format, ``HW2/engine/runio.py:102-104``). Returns a lexicon entry.
+    Terms must arrive in the caller's canonical term order, each with
+    docids ascending (the ordering contract of the reference run format,
+    ``HW2/engine/runio.py:102-104``). :meth:`add_terms` is the one encode
+    kernel; :meth:`add_term` and :meth:`add_term_stream` call it with one
+    term at a time.
     """
 
     def __init__(self, path: str, block_size: int = BLOCK_SIZE, codec: str = "varbyte"):
@@ -60,105 +64,118 @@ class PostingsShardWriter:
         self.file = open(path, "wb")
         self._offset = 0
 
-    def _encode_write_blocks(
-        self, d: np.ndarray, f: np.ndarray, base: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Encode ``(d, f)`` (a whole number of blocks, except possibly the
-        final partial one) starting from gap base ``base`` and append to the
-        file. Returns per-block (offset, doc_bytes, freq_bytes, last, max_tf)."""
-        bs = self.block_size
-        df = int(d.size)
-        nblocks = (df + bs - 1) // bs
-        if self.codec == "varbyte":
-            gaps = codecs.delta_encode(d, base)
-            doc_bytes_all = codecs.vb_encode(gaps)
-            doc_sizes = codecs.vb_sizes(gaps)
-            freq_bytes_all = codecs.vb_encode(f)
-            freq_sizes = codecs.vb_sizes(f)
-            blk_doc_bytes = _chunk_sums(doc_sizes, bs)
-            blk_freq_bytes = _chunk_sums(freq_sizes, bs)
-        else:
-            doc_bytes_all = d.astype("<u8").tobytes()
-            freq_bytes_all = f.astype("<u4").tobytes()
-            counts = np.full(nblocks, bs, dtype=np.int64)
-            counts[-1] = df - bs * (nblocks - 1)
-            blk_doc_bytes = counts * 8
-            blk_freq_bytes = counts * 4
+    def add_terms(
+        self, starts: np.ndarray, docids: np.ndarray, freqs: np.ndarray, base: int = 0
+    ) -> dict:
+        """Encode many terms' postings in one fixed set of array passes and
+        append them with one write.
 
-        doc_ends = np.cumsum(blk_doc_bytes)
-        freq_ends = np.cumsum(blk_freq_bytes)
-        blk_offset = np.empty(nblocks, dtype=np.int64)
-        pos = self._offset
-        dmv, fmv = memoryview(doc_bytes_all), memoryview(freq_bytes_all)
-        d0 = f0 = 0
-        write = self.file.write
-        for i in range(nblocks):
-            blk_offset[i] = pos
-            d1, f1 = int(doc_ends[i]), int(freq_ends[i])
-            write(dmv[d0:d1])
-            write(fmv[f0:f1])
-            pos += (d1 - d0) + (f1 - f0)
-            d0, f0 = d1, f1
-        self._offset = pos
-        starts = np.arange(0, df, bs)
-        blk_last = d[np.minimum(starts + bs, df) - 1]
-        blk_max_tf = np.maximum.reduceat(f, starts)
-        return (
-            blk_offset,
-            blk_doc_bytes.astype(np.int64),
-            blk_freq_bytes.astype(np.int64),
-            blk_last.astype(np.uint64),
-            blk_max_tf.astype(np.uint64),
-        )
+        ``docids``/``freqs`` hold the terms' postings back to back; term t
+        starts at index ``starts[t]`` (``starts[0] == 0``, strictly
+        ascending) and its docids must not descend (``ValueError``
+        otherwise; a drop across a term boundary is legal). Each term's
+        gaps chain across its blocks; its first gap is its first docid,
+        except that term 0's is taken against ``base`` (the last docid
+        already written when a stream continues a term). Blocks restart at
+        every term start.
 
-    def add_term(self, term: str, docids: np.ndarray, freqs: np.ndarray) -> dict:
+        Returns the lexicon's struct of arrays: per term ``offset``, ``df``
+        and ``blk_start`` (n_terms + 1 bounds into the block arrays), per
+        block ``blk_offset``, ``blk_doc_bytes``, ``blk_freq_bytes``,
+        ``blk_last_docid``, ``blk_max_tf`` (bounds each block's best term
+        score for MaxScore pruning at query time, an extension; the
+        reference has none, HW2/README.md:132-133), and ``codec``.
+        Temporaries are a small constant times ``docids.size``."""
         d = np.ascontiguousarray(docids, dtype=np.uint64)
         f = np.ascontiguousarray(freqs, dtype=np.uint64)
-        df = int(d.size)
-        if df == 0:
-            raise ValueError(f"empty postings for term {term!r}")
-        start_offset = self._offset
-        blk_offset, blk_doc_bytes, blk_freq_bytes, blk_last, blk_max_tf = (
-            self._encode_write_blocks(d, f, 0)
-        )
-        nblocks = blk_offset.size
-        # blk_max_tf bounds each block's best term score for MaxScore
-        # pruning at query time (an extension; the reference has none,
-        # HW2/README.md:132-133)
+        starts = np.ascontiguousarray(starts, dtype=np.int64)
+        n, bs = int(d.size), self.block_size
+        ends = np.append(starts[1:], n)
+        df = ends - starts
+        if n == 0 or f.size != n or not starts.size or starts[0] != 0 or np.any(df <= 0):
+            raise ValueError("add_terms needs non-empty terms starting at 0")
+        drop = d[1:] < d[:-1]
+        drop[starts[1:] - 1] = False
+        if int(d[0]) < base or drop.any():
+            raise ValueError("non-monotonic docid sequence")
+
+        # block b of term t covers [bstart, bend); blocks restart per term
+        nblk = (df + bs - 1) // bs
+        blk_start = np.zeros(starts.size + 1, dtype=np.int64)
+        np.cumsum(nblk, out=blk_start[1:])
+        term_of = np.repeat(np.arange(starts.size), nblk)
+        bstart = starts[term_of] + (np.arange(blk_start[-1]) - blk_start[term_of]) * bs
+        bend = np.minimum(bstart + bs, ends[term_of])
+
+        # cd[i] / cf[i]: doc / freq bytes of postings before i. Block b's
+        # doc bytes start after every earlier block's doc AND freq bytes,
+        # i.e. at cd[i] + cf[bstart]; its freq bytes follow at cf[i] + cd[bend]
+        if self.codec == "varbyte":
+            gaps = np.empty_like(d)
+            np.subtract(d[1:], d[:-1], out=gaps[1:])
+            gaps[starts] = d[starts]
+            gaps[0] -= np.uint64(base)
+            dsz, fsz = codecs.vb_sizes(gaps), codecs.vb_sizes(f)
+        else:
+            dsz, fsz = np.full(n, 8, np.int64), np.full(n, 4, np.int64)
+        cd = np.zeros(n + 1, dtype=np.int64)
+        cf = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(dsz, out=cd[1:])
+        np.cumsum(fsz, out=cf[1:])
+        counts = bend - bstart
+        doc_at = cd[:-1] + np.repeat(cf[bstart], counts)
+        freq_at = cf[:-1] + np.repeat(cd[bend], counts)
+
+        out = np.empty(int(cd[-1] + cf[-1]), dtype=np.uint8)
+        if self.codec == "varbyte":
+            codecs.vb_encode_into(out, gaps, doc_at, dsz)
+            codecs.vb_encode_into(out, f, freq_at, fsz)
+        else:
+            out[doc_at[:, None] + np.arange(8)] = d.astype("<u8").view(np.uint8).reshape(n, 8)
+            out[freq_at[:, None] + np.arange(4)] = f.astype("<u4").view(np.uint8).reshape(n, 4)
+        self.file.write(out)
+
+        blk_offset = self._offset + cd[bstart] + cf[bstart]
+        self._offset += out.size
         return {
-            "offset": start_offset,
+            "offset": blk_offset[blk_start[:-1]],
             "df": df,
-            "nblocks": nblocks,
-            "codec": self.codec,
+            "blk_start": blk_start,
             "blk_offset": blk_offset,
-            "blk_doc_bytes": blk_doc_bytes.astype(np.int64),
-            "blk_freq_bytes": blk_freq_bytes.astype(np.int64),
-            "blk_last_docid": blk_last.astype(np.uint64),
-            "blk_max_tf": blk_max_tf.astype(np.uint64),
+            "blk_doc_bytes": cd[bend] - cd[bstart],
+            "blk_freq_bytes": cf[bend] - cf[bstart],
+            "blk_last_docid": d[bend - 1],
+            "blk_max_tf": np.maximum.reduceat(f, bstart),
+            "codec": self.codec,
         }
+
+    def add_term(self, term: str, docids: np.ndarray, freqs: np.ndarray) -> dict:
+        """Encode one whole term; returns its lexicon entry."""
+        if np.size(docids) == 0:
+            raise ValueError(f"empty postings for term {term!r}")
+        arrays = self.add_terms(np.zeros(1, np.int64), docids, freqs)
+        return LexiconShard.from_arrays([term], arrays).get(term)
 
     def add_term_stream(self, term: str, chunks) -> dict:
         """Encode one term's postings from an iterator of ``(docids, freqs)``
         chunks WITHOUT ever materializing the full list — O(block_size +
         chunk) memory. This is how a 10^12-doc stopword list is encoded
         (SURVEY.md §7.6.3); chunks must be docid-ascending across the whole
-        stream (salt buckets arrive in docid-range order)."""
+        stream (salt buckets arrive in docid-range order). Each flush of
+        whole blocks is one :meth:`add_terms` call that continues the gap
+        chain from the previous flush's last docid. Returns the same struct
+        of arrays as :meth:`add_terms`, for the one term."""
         bs = self.block_size
         start_offset = self._offset
-        parts = {k: [] for k in ("off", "db", "fb", "last", "mtf")}
+        parts = []
         buf_d = np.empty(0, dtype=np.uint64)
         buf_f = np.empty(0, dtype=np.uint64)
         prev_last = 0
         df = 0
 
         def _flush(d, f, base):
-            off, db, fb, last, mtf = self._encode_write_blocks(d, f, base)
-            parts["off"].append(off)
-            parts["db"].append(db)
-            parts["fb"].append(fb)
-            parts["last"].append(last)
-            parts["mtf"].append(mtf)
-            return int(last[-1])
+            parts.append(self.add_terms(np.zeros(1, np.int64), d, f, base))
+            return int(d[-1])
 
         for d, f in chunks:
             d = np.ascontiguousarray(d, dtype=np.uint64)
@@ -174,16 +191,13 @@ class PostingsShardWriter:
             prev_last = _flush(buf_d, buf_f, prev_last)
         if df == 0:
             raise ValueError(f"empty postings for term {term!r}")
+        blocks = {k: np.concatenate([p[k] for p in parts]) for k in _BLOCK_KEYS}
         return {
-            "offset": start_offset,
-            "df": df,
-            "nblocks": int(sum(a.size for a in parts["off"])),
+            "offset": np.array([start_offset], dtype=np.int64),
+            "df": np.array([df], dtype=np.int64),
+            "blk_start": np.array([0, blocks["blk_offset"].size], dtype=np.int64),
             "codec": self.codec,
-            "blk_offset": np.concatenate(parts["off"]),
-            "blk_doc_bytes": np.concatenate(parts["db"]),
-            "blk_freq_bytes": np.concatenate(parts["fb"]),
-            "blk_last_docid": np.concatenate(parts["last"]),
-            "blk_max_tf": np.concatenate(parts["mtf"]),
+            **blocks,
         }
 
     def close(self) -> int:
