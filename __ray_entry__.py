@@ -17,6 +17,8 @@ contract instead — see the note at the bottom of ``oracle_sql``.
 
 from __future__ import annotations
 
+import html
+import re
 from collections.abc import Callable
 from typing import Any
 
@@ -36,6 +38,33 @@ UNESC = (
     "'&nbsp;', chr(160)), '&amp;', '&')"
 )
 TOK = f"regexp_extract_all(lower({UNESC}), '{PAT}')"
+# the entities UNESC mirrors (keep in step with it), and a candidate entity
+# as html.unescape reads one ('&' + a name or number, ';' optional)
+UNESC_ENTITIES = frozenset(("&lt;", "&gt;", "&quot;", "&#39;", "&nbsp;", "&amp;"))
+_ENTITY = re.compile(r"&#?[0-9A-Za-z]+;?")
+
+
+def unesc_out_of_scope(texts) -> tuple[int, list[str]]:
+    """Rows whose text holds an HTML entity that ``html.unescape`` decodes
+    but UNESC does not mirror, and up to three such entities. The twins'
+    tokenization is exact only when this is 0; otherwise a twin mismatch
+    says nothing about the engine."""
+    n, seen = 0, []
+    for text in texts:
+        if not text or "&" not in text:
+            continue
+        bad = [
+            e
+            for e in _ENTITY.findall(text)
+            if e not in UNESC_ENTITIES and html.unescape(e) != e
+        ]
+        if bad:
+            n += 1
+            for e in bad:
+                if e not in seen and len(seen) < 3:
+                    seen.append(e)
+    return n, seen
+
 
 STOP_SQL = "('the','a','and','of','to','in','is')"
 

@@ -114,6 +114,29 @@ def test_tokenizer_twin_parity():
         assert tokenize(texts[doc_id]) == toks, (doc_id, texts[doc_id][:80])
 
 
+def test_unesc_scope_guard(ray_session, tmp_path, capsys):
+    """A corpus holding an HTML entity the twins' UNESC chain does not
+    mirror (here ``&eacute;``) is reported as out of twin scope, with its
+    row count, before any tokenizer-twin comparison runs."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from __ray_entry__ import UNESC, UNESC_ENTITIES, unesc_out_of_scope
+    from tools.check_driver import main
+
+    assert all(f"'{e}'" in UNESC for e in UNESC_ENTITIES)
+    texts = ["caf&eacute; au lait", "fish &amp; chips &lt;b&gt;", "AT&T plain text"]
+    assert unesc_out_of_scope(texts) == (1, ["&eacute;"])
+    pq.write_table(
+        pa.table({"doc_id": pa.array([0, 1, 2], pa.int64()), "text": texts}),
+        tmp_path / "documents.parquet",
+    )
+    assert main(str(tmp_path), ["doc_lengths"], shutdown=False) == 1
+    out = capsys.readouterr().out
+    assert "doc_lengths: out of twin scope: 1 documents rows" in out
+    assert "&eacute;" in out
+
+
 def test_adversarial_fast_entries(adversarial_dir):
     from tools.check_driver import main
 

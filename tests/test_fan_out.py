@@ -1,0 +1,53 @@
+"""The build's one task launcher, ``pipelines.build.fan_out``: results in
+input order, task errors re-raised with their type, and a heartbeat that
+names a stalled stage."""
+
+import logging
+
+import pytest
+
+from web_search_engine_ray.pipelines import build
+
+
+def test_fan_out_empty_needs_no_tasks():
+    assert build.fan_out("test.empty", len, []) == []
+
+
+def test_fan_out_keeps_input_order(ray_session):
+    def slow_square(i, delay):
+        import time
+
+        time.sleep(delay * (4 - i))  # the last item finishes first
+        return i * i
+
+    assert build.fan_out("test.order", slow_square, [0, 1, 2, 3], 0.15) == [0, 1, 4, 9]
+
+
+def test_fan_out_reraises_task_value_error(ray_session):
+    def check(i):
+        if i == 2:
+            raise ValueError(f"item {i} is malformed")
+        return i
+
+    with pytest.raises(ValueError, match="item 2 is malformed"):
+        build.fan_out("test.error", check, [0, 1, 2, 3])
+
+
+def test_fan_out_stall_heartbeat_names_stage(ray_session, monkeypatch, caplog):
+    def nap(s):
+        import time
+
+        time.sleep(s)
+        return s
+
+    def logged():
+        return [r.getMessage() for r in caplog.records if r.name == build.__name__]
+
+    caplog.set_level(logging.WARNING, logger=build.__name__)
+    assert build.fan_out("test.quick", nap, [0.0, 0.0]) == [0.0, 0.0]
+    assert not logged()
+
+    monkeypatch.setattr(build, "STALL_LOG_S", 0.2)
+    assert build.fan_out("test.stalled", nap, [1.0]) == [1.0]
+    msgs = logged()
+    assert msgs and all(m.startswith("test.stalled: 0/1 tasks done") for m in msgs)

@@ -271,29 +271,35 @@ def test_build_paths_use_no_ray_data_shuffle(
 ):
     """Neither index build may use a Ray Data sort/hash shuffle (that
     family deadlocked at default settings): both succeed with
-    ``Dataset.groupby`` / ``.sort`` / ``.repartition`` raising."""
+    ``Dataset.groupby`` / ``.sort`` / ``.repartition`` raising. Their
+    fan-outs are plain Ray tasks: ``ray.data.from_items`` raises for both,
+    and ``Dataset.map_batches`` for the corpus build (the legacy build
+    still reads doc lengths through ``ray.data.read_parquet``)."""
     import ray.data
 
     from web_search_engine_ray.pipelines.build import build_index
     from web_search_engine_ray.pipelines.legacy import build_index_from_runs
 
     def _refuse(name):
-        def _raise(self, *a, **k):
-            raise AssertionError(f"Ray Data shuffle Dataset.{name} in a build")
+        def _raise(*a, **k):
+            raise AssertionError(f"Ray Data {name} in a build")
 
         return _raise
 
     for name in ("groupby", "sort", "repartition"):
         monkeypatch.setattr(ray.data.Dataset, name, _refuse(name))
+    monkeypatch.setattr(ray.data, "from_items", _refuse("from_items"))
 
-    b = build_index(
-        small_corpus_dir,
-        str(tmp_path / "native"),
-        num_shards=4,
-        n_salts=3,
-        heavy_df_frac=0.05,
-        partition_rows=400,
-    )
+    with monkeypatch.context() as m:
+        m.setattr(ray.data.Dataset, "map_batches", _refuse("map_batches"))
+        b = build_index(
+            small_corpus_dir,
+            str(tmp_path / "native"),
+            num_shards=4,
+            n_salts=3,
+            heavy_df_frac=0.05,
+            partition_rows=400,
+        )
     assert b["heavy_terms"]
     d, n_docs = legacy_run_dir
     b = build_index_from_runs(

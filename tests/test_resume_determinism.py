@@ -80,3 +80,89 @@ def test_crash_resume_rebuilds_only_missing(ray_session, small_corpus_dir, base_
     s = Searcher(out)
     assert s.N == build2["n_docs"]
     assert s.df("the") > 0
+
+
+def test_code_fingerprint_covers_every_listed_file(tmp_path, monkeypatch):
+    """The build's code fingerprint changes when any one of its source
+    files changes by a byte, and matches the package when none does."""
+    import shutil
+
+    from web_search_engine_ray.pipelines import build
+
+    pkg = os.path.dirname(os.path.dirname(os.path.abspath(build.__file__)))
+    for rel in build.CODE_FILES:
+        os.makedirs(tmp_path / os.path.dirname(rel), exist_ok=True)
+        shutil.copyfile(os.path.join(pkg, rel), tmp_path / rel)
+    monkeypatch.setattr(build, "__file__", str(tmp_path / "pipelines" / "build.py"))
+    fingerprint = build.code_fingerprint.__wrapped__  # uncached
+    base = fingerprint()
+    assert base == build.code_fingerprint()
+    seen = {base}
+    for rel in build.CODE_FILES:
+        orig = (tmp_path / rel).read_bytes()
+        (tmp_path / rel).write_bytes(orig + b"\n")
+        seen.add(fingerprint())
+        (tmp_path / rel).write_bytes(orig)
+    assert len(seen) == 1 + len(build.CODE_FILES)
+    assert fingerprint() == base
+
+
+# appended to a copy of functions/tokenize.py: every posting gets tf = 1
+_TF1_PATCH = '''
+
+_batch_postings_exact = batch_postings
+
+
+def batch_postings(docids, texts):
+    postings, dl = _batch_postings_exact(docids, texts)
+    ones = pa.array(np.ones(postings.num_rows, dtype=np.uint32))
+    return postings.set_column(postings.schema.get_field_index("tf"), "tf", ones), dl
+'''
+
+# resume-build the stale index, fresh-build another, print both top-5s
+_RESUME_SCRIPT = '''
+import json, sys
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False)
+from web_search_engine_ray.pipelines.build import build_index
+from web_search_engine_ray.pipelines.query import Searcher
+corpus, stale, fresh, cfg = sys.argv[1], sys.argv[2], sys.argv[3], json.loads(sys.argv[4])
+build_index(corpus, stale, resume=True, **cfg)
+build_index(corpus, fresh, **cfg)
+tops = [Searcher(d).bm25_topk("the", topk=5, mode="OR") for d in (stale, fresh)]
+print(json.dumps([[[int(d), float(s)] for d, s in t] for t in tops]))
+ray.shutdown()
+'''
+
+
+def test_resume_rebuilds_after_code_change(ray_session, small_corpus_dir, tmp_path):
+    """An index resumed by different engine code is rebuilt, not served
+    stale: build X, change ``batch_postings`` to emit tf = 1 in a copy of
+    the package, resume X under that copy. X must then answer like a fresh
+    build with the changed code."""
+    import shutil
+    import subprocess
+    import sys
+
+    from web_search_engine_ray.pipelines import build
+
+    x = str(tmp_path / "x")
+    build_index(small_corpus_dir, x, partition_rows=700, **CFG)
+    before = [[int(d), float(s)] for d, s in Searcher(x).bm25_topk("the", topk=5, mode="OR")]
+
+    pkg = os.path.dirname(os.path.dirname(os.path.abspath(build.__file__)))
+    root = tmp_path / "patched"
+    shutil.copytree(pkg, root / "web_search_engine_ray", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(root / "web_search_engine_ray" / "functions" / "tokenize.py", "a") as f:
+        f.write(_TF1_PATCH)
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    env["PYTHONPATH"] = str(root)
+    cfg = dict(partition_rows=700, **CFG)
+    out = subprocess.run(
+        [sys.executable, "-c", _RESUME_SCRIPT, small_corpus_dir, x, str(tmp_path / "fresh"), json.dumps(cfg)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    resumed, fresh = json.loads(out.stdout.strip().splitlines()[-1])
+    assert resumed == fresh
+    assert resumed != before

@@ -3,8 +3,8 @@
 Ray-Data-native replacement for the reference's three-stage external sort
 (``build_runs_mp`` -> ``parallel_merge`` -> ``merger``):
 
-- **Phase 1 (runs)**: Dataset-of-partition-descriptors ->
-  ``map_batches(_build_partitions)``. Each partition (a run of whole parquet
+- **Phase 1 (runs)**: one plain Ray task per partition descriptor
+  (:func:`fan_out`). Each partition (a run of whole parquet
   row groups, ~``partition_rows`` rows) is tokenized vectorized (polars regex
   over zero-copy Arrow), partially tf-aggregated, sorted by ``(term, docid)``,
   and written as a Parquet run + a doc-length range file + a checkpoint
@@ -46,16 +46,22 @@ over a fixed, partitioning-independent subset of input files (so the run
 layout — and every output byte — is invariant to partition size and task
 order; missing a true heavy term only costs balance, never correctness).
 
-All shard/run/manifest writes are atomic (tmp + rename) with deterministic
-names, so a rerun after a crash reuses finished partitions and rewrites only
-the rest, and output bytes are invariant to parallelism (everything is sorted
-before encoding; nothing depends on task order).
+Every fan-out (heavy sample, runs, merge) is :func:`fan_out`: one
+``ray.remote(num_cpus=1)`` task per item, results in input order, no Ray
+Data executor. All shard/run/manifest writes are atomic (tmp + rename) with
+deterministic names, so Ray's retry of a crashed task is safe, a rerun after
+a crash reuses finished partitions and rewrites only the rest, and output
+bytes are invariant to parallelism (everything is sorted before encoding;
+nothing depends on task order). Resume keys fold in :func:`code_fingerprint`,
+so a build never resumes over artifacts written by different engine code.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import logging
 import math
 import os
 import statistics
@@ -84,6 +90,19 @@ HEAVY_SAMPLE_FILES = 8
 HEAVY_SAMPLE_ROWS = 200_000
 # per-partition term counts kept in each run manifest
 MANIFEST_TOP_TERMS = 64
+# a fan-out with no task finished for this long logs its stage and progress
+STALL_LOG_S = 30.0
+# the sources that decide run and shard bytes (package-relative)
+CODE_FILES = (
+    "functions/tokenize.py",
+    "functions/codecs.py",
+    "state/listio.py",
+    "state/lexicon.py",
+    "state/docstats.py",
+    "pipelines/build.py",
+)
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -140,7 +159,70 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()[:16]
 
 
+@functools.cache
+def code_fingerprint() -> str:
+    """Hash of the bytes of :data:`CODE_FILES`: the engine code that writes
+    the build's artifacts, folded into every resume key."""
+    pkg = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    h = hashlib.sha256()
+    for rel in CODE_FILES:
+        with open(os.path.join(pkg, rel), "rb") as f:
+            h.update(rel.encode() + b"\0" + f.read() + b"\0")
+    return h.hexdigest()[:16]
+
+
+def fan_out(stage: str, fn, items: list, *args) -> list:
+    """Run ``fn(item, *args)`` as one ``ray.remote(num_cpus=1)`` task per
+    item; returns the results in input order.
+
+    A module-level ``fn`` is pickled by reference, so each worker calls its
+    own copy of the module attribute. ``args`` go to the object store once,
+    shared by every task. A task's exception re-raises here as its own type
+    as soon as that task ends. While no task finishes for ``STALL_LOG_S``
+    seconds, the driver logs the stage name and how many tasks are done."""
+    if not items:
+        return []
+    import ray
+
+    task = ray.remote(num_cpus=1)(fn)
+    shared = [ray.put(a) for a in args]
+    refs = [task.remote(item, *shared) for item in items]
+    out: dict = {}
+    pending = refs
+    while pending:
+        ready, pending = ray.wait(pending, num_returns=len(pending), timeout=STALL_LOG_S)
+        if not ready:
+            log.warning(
+                "%s: %d/%d tasks done, none finished in %gs",
+                stage, len(out), len(refs), STALL_LOG_S,
+            )
+            continue
+        out.update(zip(ready, ray.get(ready)))
+    return [out[r] for r in refs]
+
+
 # ---------------------------------------------------- heavy-term detection
+
+
+def _sample_dfs(path: str, text_column: str, n_rows: int) -> tuple[int, dict[str, int]]:
+    """Row count and per-term df over the first ``n_rows`` rows of ``path``."""
+    import polars as pl
+
+    from web_search_engine_ray.functions.tokenize import token_lists
+
+    t = pq.ParquetFile(path).read_row_group(0, columns=[text_column])
+    t = t.slice(0, n_rows)
+    toks = token_lists(t[text_column])
+    dfp = (
+        pl.DataFrame({"term": toks})
+        .with_row_index("rid")
+        .explode("term", empty_as_null=True)
+        .drop_nulls("term")
+        .unique(subset=["rid", "term"])
+        .group_by("term")
+        .len(name="df")
+    )
+    return t.num_rows, dict(zip(dfp["term"].to_list(), (int(x) for x in dfp["df"].to_list())))
 
 
 def detect_heavy_sample(files: list[str], cfg: BuildConfig) -> list[str]:
@@ -154,41 +236,11 @@ def detect_heavy_sample(files: list[str], cfg: BuildConfig) -> list[str]:
     """
     if cfg.heavy_df_frac is None or cfg.heavy_df_frac <= 0:
         return []
-    import polars as pl
-
-    from web_search_engine_ray.functions.tokenize import token_lists
-
     k = min(HEAVY_SAMPLE_FILES, len(files))
     stride = max(1, len(files) // k)
     sample_files = files[::stride][:k]
     per_file_rows = max(1, HEAVY_SAMPLE_ROWS // len(sample_files))
-
-    def _sample_one(path: str) -> tuple[int, dict[str, int]]:
-        t = pq.ParquetFile(path).read_row_group(0, columns=[cfg.text_column])
-        t = t.slice(0, per_file_rows)
-        toks = token_lists(t[cfg.text_column])
-        dfp = (
-            pl.DataFrame({"term": toks})
-            .with_row_index("rid")
-            .explode("term", empty_as_null=True)
-            .drop_nulls("term")
-            .unique(subset=["rid", "term"])
-            .group_by("term")
-            .len(name="df")
-        )
-        return t.num_rows, dict(zip(dfp["term"].to_list(), (int(x) for x in dfp["df"].to_list())))
-
-    results: list[tuple[int, dict[str, int]]]
-    try:
-        import ray
-
-        if ray.is_initialized() and len(sample_files) > 1:
-            f = ray.remote(num_cpus=1)(_sample_one)
-            results = ray.get([f.remote(p) for p in sample_files])
-        else:
-            results = [_sample_one(p) for p in sample_files]
-    except ImportError:  # pragma: no cover
-        results = [_sample_one(p) for p in sample_files]
+    results = fan_out("build.detect_heavy", _sample_dfs, sample_files, cfg.text_column, per_file_rows)
 
     acc: dict[str, int] = {}
     n_sampled = 0
@@ -203,12 +255,15 @@ def detect_heavy_sample(files: list[str], cfg: BuildConfig) -> list[str]:
 
 
 def make_layout(heavy_terms: list[str], n_docs: int, cfg: BuildConfig) -> dict:
-    """The gkey routing contract shared by the run layout and the merge."""
+    """The gkey routing contract shared by the run layout and the merge.
+    Its ``fp`` also covers :func:`code_fingerprint`, and so does every run
+    fingerprint and ``build_fp`` built on it."""
     layout = {
         "S": cfg.num_shards,
         "n_salts": cfg.n_salts,
         "bucket_width": max(1, math.ceil(n_docs / cfg.n_salts)),
         "heavy": list(heavy_terms),
+        "code": code_fingerprint(),
     }
     layout["fp"] = hashlib.sha256(
         json.dumps(layout, sort_keys=True).encode()
@@ -373,19 +428,10 @@ def _build_one_partition(desc: dict, cfg: BuildConfig, layout: dict) -> dict:
 
 
 def build_runs(descs: list[dict], cfg: BuildConfig, layout: dict) -> list[dict]:
-    """Phase 1 over Ray Data; returns the per-partition manifests."""
-    import ray.data
-
+    """Phase 1, one task per partition; returns the per-partition manifests."""
     for d in (cfg.runs_dir, cfg.doclens_dir, cfg.manifests_dir):
         os.makedirs(d, exist_ok=True)
-
-    def _build_partitions(batch: pa.Table) -> pa.Table:
-        out = [_build_one_partition(row, cfg, layout) for row in batch.to_pylist()]
-        return pa.table({"manifest": pa.array([json.dumps(m) for m in out], pa.string())})
-
-    ds = ray.data.from_items(descs, override_num_blocks=max(1, len(descs)))
-    res = ds.map_batches(_build_partitions, batch_format="pyarrow", batch_size=None)
-    return [json.loads(s) for s in res.to_pandas()["manifest"]]
+    return fan_out("build.runs", _build_one_partition, descs, cfg, layout)
 
 
 # ---------------------------------------------------------------- phase 2
@@ -483,11 +529,8 @@ def merge_runs_mapside(
     gkeys in docid-range order. Runs are visited in the order given, which
     the caller makes docid-ascending over docid-disjoint runs, so each heavy
     stream is globally docid-ascending: no sort and O(block) memory."""
-    import ray.data
-
     os.makedirs(cfg.index_dir, exist_ok=True)
     S, nsalts = layout["S"], layout["n_salts"]
-    heavy_terms = layout["heavy"]
 
     # gkey -> [(run_path, row_group_ordinal)], runs in the order given
     sources: dict[int, list[tuple[str, int]]] = {}
@@ -496,50 +539,35 @@ def merge_runs_mapside(
         for ordinal, g in enumerate(m["gkeys"]):
             sources.setdefault(int(g), []).append((path, ordinal))
 
-    items = []
-    for g in sorted(k for k in sources if k < S):
-        items.append({"kind": "normal", "gkey": g, "srcs": json.dumps(sources[g])})
-    for i, term in enumerate(heavy_terms):
+    # (kind, shard-or-term index, heavy term, sources); a heavy item's
+    # sources are one list per salt, in salt order
+    items = [("normal", g, None, sources[g]) for g in sorted(k for k in sources if k < S)]
+    for i, term in enumerate(layout["heavy"]):
         salt_srcs = [sources.get(S + i * nsalts + s, []) for s in range(nsalts)]
         if any(salt_srcs):
-            items.append(
-                {"kind": "heavy", "idx": i, "term": term, "srcs": json.dumps(salt_srcs)}
-            )
+            items.append(("heavy", i, term, salt_srcs))
+    return fan_out("build.merge", _merge_one, items, cfg, build_fp)
 
-    if not items:  # corpus produced no postings at all (all docs token-less)
-        return []
 
-    def _read_rg(path: str, ordinal: int, columns) -> pa.Table:
-        return pq.ParquetFile(path).read_row_group(ordinal, columns=columns)
+def _read_rg(path: str, ordinal: int, columns) -> pa.Table:
+    return pq.ParquetFile(path).read_row_group(ordinal, columns=columns)
 
-    def _one(item: dict) -> dict:
-        if item["kind"] == "normal":
-            srcs = json.loads(item["srcs"])
-            parts = [_read_rg(p, o, ["term", "docid", "tf"]) for p, o in srcs]
-            batch = pa.concat_tables(parts)
-            return _encode_normal_shard(batch, int(item["gkey"]), cfg, build_fp)
-        # heavy: stream salts in order; each salt's runs arrive docid-ascending
-        idx, term = int(item["idx"]), item["term"]
-        salt_srcs = json.loads(item["srcs"])
 
-        def chunks():
-            for srcs in salt_srcs:
-                for p, o in srcs:
-                    t = _read_rg(p, o, ["docid", "tf"])
-                    yield (
-                        _np(t["docid"], np.uint64),
-                        _np(t["tf"], np.uint64),
-                    )
+def _merge_one(item: tuple, cfg: BuildConfig, build_fp: str) -> dict:
+    """One merge task: gather and encode a normal shard, or stream a heavy
+    term's salts in order (each salt's runs arrive docid-ascending)."""
+    kind, idx, term, srcs = item
+    if kind == "normal":
+        parts = [_read_rg(p, o, ["term", "docid", "tf"]) for p, o in srcs]
+        return _encode_normal_shard(pa.concat_tables(parts), idx, cfg, build_fp)
 
-        return _encode_heavy_shard(idx, term, chunks(), cfg, build_fp)
+    def chunks():
+        for salt in srcs:
+            for p, o in salt:
+                t = _read_rg(p, o, ["docid", "tf"])
+                yield _np(t["docid"], np.uint64), _np(t["tf"], np.uint64)
 
-    def _run(batch: pa.Table) -> pa.Table:
-        out = [_one(r) for r in batch.to_pylist()]
-        return pa.table({"manifest": pa.array([json.dumps(m) for m in out], pa.string())})
-
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
-    res = ds.map_batches(_run, batch_format="pyarrow", batch_size=None)
-    return [json.loads(s) for s in res.to_pandas()["manifest"]]
+    return _encode_heavy_shard(idx, term, chunks(), cfg, build_fp)
 
 
 # ---------------------------------------------------------------- driver

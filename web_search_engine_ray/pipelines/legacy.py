@@ -8,7 +8,8 @@ such a user switch engines mid-dataflow: point
 layout :func:`~web_search_engine_ray.pipelines.build.build_index` emits
 (``Searcher`` works unchanged; queries are rank-identical).
 
-Ray-Data shape:
+Shape (every fan-out is one plain Ray task per item,
+:func:`~web_search_engine_ray.pipelines.build.fan_out`):
 
 1. **Convert** (one Ray task per run file, resumable per file): parse the
    legacy file (vectorized — ``sources/legacy_runs.py``), sort by
@@ -53,17 +54,26 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from web_search_engine_ray.functions.tokenize import batch_postings
 from web_search_engine_ray.pipelines.build import (
     BuildConfig,
     _np,
     _sha256_file,
     _write_run_layout,
+    fan_out,
     make_layout,
     merge_runs_mapside,
 )
 from web_search_engine_ray.sources.legacy_runs import (
     detect_run_format,
     read_legacy_run,
+    write_run1,
+    write_tsv_run,
+)
+from web_search_engine_ray.sources.transcripts import (
+    partition_docids,
+    plan_partitions,
+    read_partition,
 )
 from web_search_engine_ray.state import manifest as mf
 from web_search_engine_ray.state.docstats import write_stats
@@ -98,8 +108,10 @@ def _sort_and_sum(t: pa.Table) -> pa.Table:
     )
 
 
-def _convert_one(path: str, ordinal: int, cfg: BuildConfig) -> dict:
+def _convert_one(src: tuple[int, str], cfg: BuildConfig) -> dict:
+    """Convert the ``(ordinal, path)`` legacy run into a native parquet run."""
     t0 = time.perf_counter()
+    ordinal, path = src
     out_path = _run_path(cfg, ordinal)
     man_path = os.path.join(cfg.manifests_dir, f"legacy_{ordinal:06d}.json")
     src_sha = _sha256_file(path)
@@ -150,21 +162,6 @@ def _layout_one_run(ordinal: int, cfg: BuildConfig, layout: dict) -> dict:
     t = pq.read_table(path).sort_by([("term", "ascending"), ("docid", "ascending")])
     _, gkeys = _write_run_layout(t, layout, path)
     return {"pid": ordinal, "gkeys": gkeys, "run_sha256": _sha256_file(path)}
-
-
-def _per_run(fn, items: list[dict]) -> list[dict]:
-    """One Ray Data task per run item; returns ``fn``'s manifests."""
-    import ray.data
-
-    def _apply(batch: pa.Table) -> pa.Table:
-        out = [fn(r) for r in batch.to_pylist()]
-        return pa.table(
-            {"manifest": pa.array([json.dumps(m) for m in out], pa.string())}
-        )
-
-    ds = ray.data.from_items(items, override_num_blocks=len(items))
-    res = ds.map_batches(_apply, batch_format="pyarrow", batch_size=None)
-    return [json.loads(s) for s in res.to_pandas()["manifest"]]
 
 
 def _write_doclens_from_runs(
@@ -281,11 +278,7 @@ def build_index_from_runs(
         )
 
     # phase 0: convert (one task per legacy file, resumable)
-    conv = _per_run(
-        lambda r: _convert_one(r["path"], int(r["ordinal"]), cfg),
-        [{"path": p, "ordinal": i} for i, p in enumerate(paths)],
-    )
-    conv.sort(key=lambda m: m["ordinal"])
+    conv = fan_out("legacy.convert", _convert_one, list(enumerate(paths)), cfg)
     max_docid = max((m["max_docid"] for m in conv), default=-1)
     if n_docs is None:
         n_docs = max_docid + 1
@@ -317,9 +310,8 @@ def build_index_from_runs(
     # phase: map-side run layout (one task per run, rewritten in place)
     laid_out = {
         m["pid"]: m
-        for m in _per_run(
-            lambda r: _layout_one_run(int(r["ordinal"]), cfg, layout),
-            [{"ordinal": m["ordinal"]} for m in conv],
+        for m in fan_out(
+            "legacy.layout", _layout_one_run, [m["ordinal"] for m in conv], cfg, layout
         )
     }
     t_layout = time.perf_counter()
@@ -373,6 +365,21 @@ def build_index_from_runs(
     return build
 
 
+def _export_one(desc: dict, run_dir: str) -> str:
+    """Tokenize one corpus partition into a reference-format run file: TSV
+    for even pids, binary RUN1 for odd ones. Returns its path."""
+    t = read_partition(desc, columns=["text"])
+    postings, _ = batch_postings(partition_docids(desc), t["text"])
+    pid = int(desc["pid"])
+    if pid % 2 == 0:
+        p = os.path.join(run_dir, f"run_{pid:04d}.tsv")
+        write_tsv_run(postings, p)
+    else:
+        p = os.path.join(run_dir, f"run_{pid:04d}.run")
+        write_run1(postings, p)
+    return p
+
+
 def export_legacy_runs(
     sf_dir: str, run_dir: str, n_partitions: int = 4
 ) -> int:
@@ -380,44 +387,13 @@ def export_legacy_runs(
     reference-format run files a reference merge can consume — alternating
     legacy TSV / binary RUN1 per partition, each (term, docid)-sorted. One
     Ray task per partition (row-group-pruned reads). Returns n_docs."""
-    import ray
-    import ray.data
-
-    from web_search_engine_ray.functions.tokenize import batch_postings
-    from web_search_engine_ray.sources.transcripts import (
-        partition_docids,
-        plan_partitions,
-        read_partition,
-    )
-    from web_search_engine_ray.sources.legacy_runs import (
-        write_run1,
-        write_tsv_run,
-    )
-
     path = os.path.join(sf_dir, "documents.parquet")
     n_rows = pq.read_metadata(path).num_rows
     descs, n_docs = plan_partitions(
         [path], partition_rows=max(1, -(-n_rows // n_partitions))
     )
     os.makedirs(run_dir, exist_ok=True)
-
-    def _one(batch: pa.Table) -> pa.Table:
-        outs = []
-        for desc in batch.to_pylist():
-            t = read_partition(desc, columns=["text"])
-            postings, _ = batch_postings(partition_docids(desc), t["text"])
-            pid = int(desc["pid"])
-            if pid % 2 == 0:
-                p = os.path.join(run_dir, f"run_{pid:04d}.tsv")
-                write_tsv_run(postings, p)
-            else:
-                p = os.path.join(run_dir, f"run_{pid:04d}.run")
-                write_run1(postings, p)
-            outs.append(p)
-        return pa.table({"path": pa.array(outs, pa.string())})
-
-    ds = ray.data.from_items(descs, override_num_blocks=max(1, len(descs)))
-    ds.map_batches(_one, batch_format="pyarrow", batch_size=None).materialize()
+    fan_out("legacy.export", _export_one, descs, run_dir)
     return n_docs
 
 

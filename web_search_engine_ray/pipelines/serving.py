@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from web_search_engine_ray.pipelines.build import build_index
+from web_search_engine_ray.pipelines.build import build_index, code_fingerprint
 from web_search_engine_ray.pipelines.query import Searcher
 from web_search_engine_ray.stages.exchange import arrow_refs
 
@@ -35,11 +35,11 @@ _searchers: dict[str, Searcher] = {}
 
 def _cache_key(path: str, tag: str) -> str:
     """Cache key for a derived artifact of one source file: path + size +
-    mtime + a variant tag. ONE recipe — a second inline copy could drift
-    and serve a stale cache."""
+    mtime + a variant tag + the build's code fingerprint. ONE recipe — a
+    second inline copy could drift and serve a stale cache."""
     st = os.stat(path)
     return hashlib.sha256(
-        f"{path}:{st.st_size}:{st.st_mtime_ns}:{tag}".encode()
+        f"{path}:{st.st_size}:{st.st_mtime_ns}:{tag}:{code_fingerprint()}".encode()
     ).hexdigest()[:16]
 
 
