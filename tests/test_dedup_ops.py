@@ -570,3 +570,119 @@ def test_containment_matches_oracle(ray_session, oracle_eq):
 
 
     oracle_eq(got, want)
+
+
+# -- shared near-dup kernel: one code path for int and string ids -------------
+
+
+def _kernel_texts():
+    """30 seeded texts plus planted clones: 10..14 copy 0..4 with one word
+    changed (jaccard near 1), 15..16 copy 5..6 exactly, 17 is 7 with a
+    long tail appended (contained in 17, low jaccard)."""
+    rng = np.random.default_rng(11)
+    vocab = [f"w{i:03d}" for i in range(200)]
+    texts = [" ".join(rng.choice(vocab, 24)) for _ in range(30)]
+    for i in range(5):
+        texts[10 + i] = texts[i].replace(texts[i].split()[3], "changed", 1)
+    texts[15], texts[16] = texts[5], texts[6]
+    texts[17] = texts[7] + " " + " ".join(rng.choice(vocab, 60))
+    return texts
+
+
+def test_kernel_same_pairs_and_scores_for_int_and_string_ids(ray_session):
+    """``_minhash_pairs`` + ``_verified_pairs`` give the same pairs and the
+    same jaccard/containment scores whether ids are int64 docids or
+    zero-padded string ids (string order == numeric order), and the
+    verified pairs equal a brute-force all-pairs answer."""
+    import pyarrow as pa
+    import ray.data
+
+    from web_search_engine_ray.functions.tokenize import token_lists
+    from web_search_engine_ray.pipelines.dedup import (
+        _minhash_pairs,
+        _shingle_hashes,
+        _verified_pairs,
+    )
+
+    texts = _kernel_texts()
+    n = len(texts)
+    id_cols = {
+        "int": pa.array(range(n), pa.int64()),
+        "str": pa.array([f"c{i:05d}" for i in range(n)], pa.string()),
+    }
+    got = {}
+    for kind, ids in id_cols.items():
+        t = pa.table({"key": ids, "body": pa.array(texts, pa.string())})
+        ds = ray.data.from_arrow([t.slice(0, 12), t.slice(12)])
+        cand = _minhash_pairs(ds, "key", "body", ("a", "b"), 8)
+        rows = {"cand": {(r["a"], r["b"]) for r in cand.take_all()}}
+        for metric, tau in (("jaccard", 0.5), ("containment", 0.8)):
+            out = _verified_pairs(cand, ds, "key", "body", ("a", "b"), metric, tau, 8)
+            tab = pa.concat_tables(ray.get(out.to_arrow_refs()))
+            assert tab.schema.field("a").type == ids.type
+            rows[metric] = set(
+                zip(tab["a"].to_pylist(), tab["b"].to_pylist(), tab[metric].to_pylist())
+            )
+        got[kind] = rows
+
+    def num(v):
+        return v if isinstance(v, int) else int(v[1:])
+
+    for part in ("cand", "jaccard", "containment"):
+        as_int = {(num(r[0]), num(r[1])) + tuple(r[2:]) for r in got["str"][part]}
+        assert as_int == got["int"][part], part
+        assert all(a < b for a, b, *_ in got["int"][part])
+
+    sh = [_shingle_hashes(tl) for tl in token_lists(pa.array(texts)).to_list()]
+    want = {"jaccard": set(), "containment": set()}
+    for i in range(n):
+        for k in range(i + 1, n):
+            inter = np.intersect1d(sh[i], sh[k]).size
+            jac = inter / (sh[i].size + sh[k].size - inter)
+            con = inter / min(sh[i].size, sh[k].size)
+            if jac >= 0.5:
+                want["jaccard"].add((i, k, round(jac, 6)))
+            if con >= 0.8:
+                want["containment"].add((i, k, round(con, 6)))
+    assert got["int"]["jaccard"] == want["jaccard"]
+    # containment is verified over the minhash candidates here, so it is
+    # the brute-force answer restricted to them; the contained pair (7, 17)
+    # is a candidate of these seeded texts but its jaccard is below 0.5
+    assert got["int"]["containment"] == {
+        r for r in want["containment"] if r[:2] in got["int"]["cand"]
+    }
+    assert (7, 17, 1.0) in got["int"]["containment"]
+    assert (7, 17) not in {r[:2] for r in got["int"]["jaccard"]}
+    planted = {(i, 10 + i) for i in range(5)} | {(5, 15), (6, 16)}
+    assert planted <= {r[:2] for r in got["int"]["jaccard"]}
+
+
+def test_distinct_pairs_one_row_per_pair_across_blocks(ray_session):
+    """Duplicate (a, b) rows spread over several input blocks, one of them
+    empty, come out once each with their payload, for int and string ids."""
+    import pyarrow as pa
+    import ray.data
+
+    from web_search_engine_ray.pipelines.dedup import _distinct_pairs
+
+    def str_ids(xs):
+        return pa.array([f"d{x}" for x in xs], pa.string())
+
+    for ids in (lambda xs: pa.array(xs, pa.int64()), str_ids):
+
+        def block(a, b, h):
+            return pa.table({"a": ids(a), "b": ids(b), "h": pa.array(h, pa.int64())})
+
+        blocks = [
+            block([1, 2, 1], [5, 6, 5], [0, 3, 0]),
+            block([], [], []),
+            block([2, 1, 7], [6, 5, 8], [3, 0, 1]),
+            block([7], [8], [1]),
+        ]
+        out = _distinct_pairs(ray.data.from_arrow(blocks), "a", "b", 4)
+        tab = pa.concat_tables(ray.get(out.to_arrow_refs()))
+        assert tab.schema == blocks[0].schema
+        def rows(t):
+            return sorted(zip(*(t[c].to_pylist() for c in ("a", "b", "h"))))
+
+        assert rows(tab) == rows(block([1, 2, 7], [5, 6, 8], [0, 3, 1]))

@@ -313,6 +313,37 @@ def test_build_paths_use_no_ray_data_shuffle(
     assert b["heavy_terms"]
 
 
+def test_near_dup_paths_use_no_ray_data_shuffle(ray_session, monkeypatch):
+    """The near-dup family runs on ``exchange_map`` alone: every pipeline
+    succeeds with ``Dataset.groupby`` / ``.sort`` / ``.repartition`` /
+    ``.random_shuffle`` raising."""
+    import ray.data
+
+    from web_search_engine_ray.pipelines import dedup, transcripts_ops
+
+    def _refuse(name):
+        def _raise(*a, **k):
+            raise AssertionError(f"Ray Data {name} in a near-dup pipeline")
+
+        return _raise
+
+    for name in ("groupby", "sort", "repartition", "random_shuffle"):
+        monkeypatch.setattr(ray.data.Dataset, name, _refuse(name))
+    runs = {
+        "ngram_jaccard_dups": lambda: dedup.ngram_jaccard_dups(SF),
+        "containment_dups": lambda: dedup.containment_dups(SF),
+        "simhash_dups": lambda: dedup.simhash_dups(SF),
+        "embedding_dups_lsh": lambda: dedup.embedding_dups_lsh(SF),
+        "conversation_jaccard_dups_ds": lambda: (
+            transcripts_ops.conversation_jaccard_dups_ds(
+                transcripts_ops.neardup_fixture_corpus()
+            )
+        ),
+    }
+    for name, run in runs.items():
+        assert run().count() > 0, name
+
+
 def test_dl_from_runs_matches_token_counts(ray_session, legacy_run_dir, tmp_path):
     """dl(doc) from runs == the doc's token count (A5 rule), empty docs
     dl=0 but counted in N."""

@@ -560,13 +560,17 @@ def test_role_filtered_probe_cap(ray_session, conv_corpus):
 
 
 def test_minhash_unique_text_gather_bit_identical():
-    """The dictionary-encode fast path (sign unique conversation texts,
-    gather) is bit-identical to signing every row directly."""
+    """The dictionary-encode fast path of the shared band stage
+    (``dedup._text_signatures``: sign unique texts, gather) is
+    bit-identical to signing every row directly."""
     import numpy as np
     import pyarrow as pa
 
     from web_search_engine_ray.functions.tokenize import token_lists
-    from web_search_engine_ray.pipelines.dedup import _batch_signatures
+    from web_search_engine_ray.pipelines.dedup import (
+        _batch_signatures,
+        _text_signatures,
+    )
 
     texts = [
         "user: hello world alpha beta gamma delta",
@@ -577,10 +581,4 @@ def test_minhash_unique_text_gather_bit_identical():
     ]
     col = pa.chunked_array([pa.array(texts, pa.string())])
     direct = _batch_signatures(token_lists(col).to_list())
-    txt = np.asarray(texts, dtype=object)
-    uniq, inv = np.unique(txt, return_inverse=True)
-    utoks = token_lists(
-        pa.chunked_array([pa.array(uniq.tolist(), pa.string())])
-    ).to_list()
-    gathered = _batch_signatures(utoks)[inv]
-    assert np.array_equal(direct, gathered)
+    assert np.array_equal(direct, _text_signatures(col))

@@ -7,14 +7,19 @@ operator set — it has only exact ``(term, docid)`` collapse,
 - :func:`exact_dedup_ds` — content-hash groupby, keep min docid. Scale path:
   hash is computed per batch; the shuffle moves one (hash, docid) row per
   doc, never the text.
-- :func:`minhash_lsh_candidates_ds` — shingle -> minhash signature -> banded
-  LSH buckets -> candidate pairs. All hashing is deterministic
+- The near-dup kernel, one copy for int docids and string conv_ids
+  (``transcripts_ops`` runs its conversation near-dups on it):
+  ``_minhash_pairs`` (shingle -> minhash signature -> banded LSH buckets ->
+  candidate pairs), ``_distinct_pairs`` (the one pair-distinct exchange,
+  shared by every pair generator here) and ``_verified_pairs`` (exact
+  3-gram Jaccard or containment verify). All hashing is deterministic
   (md5-derived token hashes + splitmix64 mixing).
-- :func:`ngram_jaccard_dups` — LSH candidates verified by exact 3-gram
-  Jaccard >= tau, with shingle construction and pair verification running
-  as Ray stages (no driver-side corpus read). Band config (r=2, b=32) puts
-  the miss probability for a true tau=0.8 pair below 1e-14, so the result
-  equals the exact all-pairs answer (the DuckDB oracle computes all-pairs).
+- :func:`minhash_lsh_candidates_ds` / :func:`ngram_jaccard_dups` — the
+  kernel over the documents: LSH candidates, then verified by exact 3-gram
+  Jaccard >= tau, all as Ray stages (no driver-side corpus read). Band
+  config (r=2, b=32) puts the miss probability for a true tau=0.8 pair
+  below 1e-14, so the result equals the exact all-pairs answer (the DuckDB
+  oracle computes all-pairs).
 - :func:`simhash_ds` / :func:`simhash_dups` — 64-bit simhash; pairs within
   Hamming distance k via 4-way 16-bit band blocking (exhaustive for k <= 3
   by pigeonhole) + exact popcount verify, all as partition-exchange stages
@@ -38,6 +43,7 @@ import os
 import numpy as np
 import polars as pl
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from web_search_engine_ray.functions.arrays import list_matrix
 from web_search_engine_ray.functions.tokenize import token_lists
@@ -227,16 +233,6 @@ def _positional_shingle_hashes(tokens: list[str], k: int) -> np.ndarray:
     return _splitmix(acc)
 
 
-def _minhash_sig(sh: np.ndarray, nperm: int = MINHASH_PERMS) -> np.ndarray:
-    """nperm minhashes: min over splitmix(sh ^ seed_p) per permutation."""
-    if sh.size == 0:
-        return np.full(nperm, np.iinfo(np.uint64).max, dtype=np.uint64)
-    seeds = _splitmix(np.arange(1, nperm + 1, dtype=np.uint64))
-    # (nperm, nshingles) — vectorized over both axes
-    m = _splitmix(sh[None, :] ^ seeds[:, None])
-    return m.min(axis=1)
-
-
 _MINHASH_CHUNK_SHINGLES = 131_072  # bounds the (64, chunk) gather at ~64 MB
 
 
@@ -352,285 +348,240 @@ def _intra_bucket_pairs(
     )
 
 
-# ---------------------------------------------------------------- minhash
+# -------------------------------------------------------- near-dup kernel
+#
+# One copy of "key -> bucket -> pairs -> distinct -> verify" for every id
+# type: int64 docids and string conv_ids run the same code. Ids stay Arrow
+# columns end to end; a partition fn that needs them as numbers factorizes
+# them with ``np.unique(..., return_inverse=True)``, whose codes sort like
+# the ids, so ``a < b`` means the same for int and string ids.
 
 
-def minhash_lsh_candidates_ds(sf_dir: str, max_bucket: int | None = None):
-    """Candidate near-dup pairs (docid_a, docid_b) from banded minhash LSH.
+def _id_column(t: pa.Table, col: str) -> pa.ChunkedArray:
+    """Id column in its exchange type: integer ids widen to int64, string
+    ids become ``string`` — so request, corpus and pair rows of one
+    exchange always concatenate."""
+    c = t[col]
+    return c.cast(pa.int64() if pa.types.is_integer(c.type) else pa.string())
 
-    shingle -> minhash -> band -> partition hash exchange -> pairs within
-    bucket -> distinct. The shuffle moves (band, hash, docid) rows only; the
-    signature computation is one vectorized pass per batch and intra-bucket
-    pairing is vectorized (lexsort + triu), with an optional logged skew
-    guard (``max_bucket``)."""
 
-    from web_search_engine_ray.stages.exchange import cluster_parts
+def _text_signatures(col: pa.ChunkedArray) -> np.ndarray:
+    """(n, MINHASH_PERMS) signatures of a text column, each distinct text
+    signed once and gathered (min over a multiset == min over its set, so
+    the gathered signatures are bit-identical). Wins on templated corpora
+    with repeated whole texts; ~free otherwise (one string sort per batch).
+    Turn-level dictionary encoding was investigated and rejected — see
+    BASELINE.md round-5 notes (the per-chunk unique-shingle pass in
+    _batch_signatures already captures cross-text shingle repetition)."""
+    col = col.combine_chunks()
+    if col.null_count == 0 and len(col):
+        uniq, inv = np.unique(col.to_numpy(zero_copy_only=False), return_inverse=True)
+        if uniq.size < len(col):
+            utoks = token_lists(pa.array(uniq, pa.string())).to_list()
+            return _batch_signatures(utoks)[inv]
+    return _batch_signatures(token_lists(col).to_list())
 
-    np_ = cluster_parts(N_PARTS)
 
-    def to_bands(batch: pa.Table) -> pa.Table:
-        toks = token_lists(batch["text"]).to_list()
-        ids = _col(batch, "doc_id", np.int64)
-        sigs = _batch_signatures(toks)
-        bh = _band_hashes(sigs)
-        n = ids.size
+def _minhash_pairs(ds, id_col, text_col, pair_cols, n_parts, max_bucket=None):
+    """Candidate near-dup pairs ``(a, b)``, a < b, from banded minhash LSH
+    over ``ds``'s (``id_col``, ``text_col``) rows; ``pair_cols`` names the
+    output columns.
+
+    shingle -> minhash -> band -> hash exchange on the band hash -> pairs
+    within each bucket (vectorized lexsort + triu, ``max_bucket`` the logged
+    skew guard) -> :func:`_distinct_pairs`, since one pair can share several
+    bands. The exchange moves (band, hash, id) rows only, never the text."""
+    from web_search_engine_ray.stages.exchange import exchange_map
+
+    a_col, b_col = pair_cols
+
+    def to_bands(t: pa.Table) -> pa.Table:
+        bh = _band_hashes(_text_signatures(t[text_col]))
+        n = t.num_rows
         return pa.table(
             {
                 "band": pa.array(np.tile(np.arange(LSH_BANDS, dtype=np.int32), n)),
                 "bhash": pa.array((bh.reshape(-1) >> np.uint64(1)).astype(np.int64)),
-                "docid": pa.array(np.repeat(ids, LSH_BANDS), pa.int64()),
+                "id": _id_column(t, id_col).take(
+                    pa.array(np.repeat(np.arange(n), LSH_BANDS))
+                ),
             }
         )
 
-    def partition_pairs(batch: pa.Table) -> pa.Table:
-        """One coarse hash partition: vectorized intra-bucket pair emission.
-        Grouping by a coarse partition instead of per-bucket keeps the group
-        count at N_PARTS (per-group dispatch overhead), while the
-        within-task work stays vectorized."""
-        band = _col(batch, "band", np.int64)
-        bhash = _col(batch, "bhash", np.int64)
-        doc = _col(batch, "docid", np.int64)
-        a, b = _intra_bucket_pairs((band, bhash), doc, max_bucket=max_bucket)
+    def pair_buckets(t: pa.Table) -> pa.Table:
+        """One coarse hash partition: every bucket in it paired at once."""
+        ids = t["id"]
+        _, first, codes = np.unique(
+            ids.to_numpy(), return_index=True, return_inverse=True
+        )
+        a, b = _intra_bucket_pairs(
+            (_col(t, "band"), _col(t, "bhash")), codes, max_bucket=max_bucket
+        )
         return pa.table(
-            {"docid_a": pa.array(a, pa.int64()), "docid_b": pa.array(b, pa.int64())}
+            {a_col: ids.take(pa.array(first[a])), b_col: ids.take(pa.array(first[b]))}
         )
 
-    def dedup_pairs(batch: pa.Table) -> pa.Table:
-        a = _col(batch, "docid_a", np.int64)
-        b = _col(batch, "docid_b", np.int64)
-        u = np.unique(np.stack([a, b], axis=1), axis=0) if a.size else np.empty((0, 2), np.int64)
-        return pa.table(
-            {"docid_a": pa.array(u[:, 0], pa.int64()), "docid_b": pa.array(u[:, 1], pa.int64())}
-        )
+    bands = ds.map_batches(to_bands, batch_format="pyarrow")
+    pairs = exchange_map(
+        bands, _hash_route("bhash", n_parts), n_parts, pair_buckets, auto_shrink=True
+    )
+    return _distinct_pairs(pairs, a_col, b_col, n_parts)
 
+
+def _distinct_pairs(ds, a_col, b_col, n_parts):
+    """One row per distinct (``a_col``, ``b_col``) pair, through one hash
+    exchange on ``a_col``. Other columns ride along, and any one row of a
+    pair is kept — valid because every payload the callers carry (hamming,
+    cos) is a function of the pair."""
     from web_search_engine_ray.stages.exchange import exchange_map
 
-    ds = _read_docs(sf_dir).map_batches(to_bands, batch_format="pyarrow")
-    # hash exchange (stages/exchange.py), not groupby: the partition key is
-    # a coarse int and the pair fn is vectorized over a whole partition —
-    # a sort shuffle would pay its multi-second floor for nothing
-    pairs = exchange_map(
-        ds,
-        lambda t: _col(t, "bhash") % np_,
-        np_,
-        partition_pairs,
-        auto_shrink=True,
-    )
-    # the same pair can surface from several bands (different bhash -> maybe
-    # a different partition): dedupe in a second coarse exchange keyed on
-    # docid_a ranges, vectorized within each group
+    def dedup_pairs(t: pa.Table) -> pa.Table:
+        return (
+            pl.from_arrow(t)
+            .unique(subset=[a_col, b_col], keep="first", maintain_order=True)
+            .to_arrow()
+            .cast(t.schema)
+        )
+
     return exchange_map(
-        pairs,
-        lambda t: _col(t, "docid_a") % np_,
-        np_,
-        dedup_pairs,
-        auto_shrink=True,
+        ds, _hash_route(a_col, n_parts), n_parts, dedup_pairs, auto_shrink=True
     )
 
 
-# ---------------------------------------------------------- ngram jaccard
-
-
-# Row kinds for the union relations flowing through the jaccard exchanges.
-_JK_REQUEST = 0  # (jkey=docid, p): "partition p needs docid's shingles"
-_JK_CORPUS = 1  # (jkey=doc_id, text): a corpus row
-_JK_SHINGLES = 1  # (p, docid, shingles): a doc's shingle set, en route to p
-_JK_PAIR = 2  # (p, docid_a, docid_b): a candidate pair, en route to p
-
-
-def _shingle_rows_schema() -> pa.Schema:
-    return pa.schema(
-        [
-            ("p", pa.int64()),
-            ("kind", pa.int8()),
-            ("docid", pa.int64()),
-            ("shingles", pa.list_(pa.uint64())),
-            ("docid_a", pa.int64()),
-            ("docid_b", pa.int64()),
-        ]
-    )
-
-
-def ngram_jaccard_dups(
-    sf_dir: str,
-    tau: float = 0.8,
-    max_bucket: int | None = None,
-    metric: str = "jaccard",
-    candidates=None,
-):
-    """Pairs with exact 3-gram Jaccard >= tau: LSH candidates + exact
-    verification. Fully distributed — NOTHING is collected to the driver
-    (no pair materialization, no broadcast dicts); the pipeline is two hash
+def _verified_pairs(cand, corpus, id_col, text_col, pair_cols, metric, tau, n_parts):
+    """Candidate pairs whose exact 3-gram set similarity clears ``tau``:
+    ``(a, b, <metric>)`` rows, ``metric`` either ``"jaccard"``
+    (inter / union) or ``"containment"`` (inter / min size). Fully
+    distributed — nothing is collected to the driver — as two hash
     exchanges over union relations:
 
-    1. **Semi-join exchange on docid % N_PARTS.** Input is the union of
-       (a) *request* rows — two per candidate pair, tagging each endpoint
-       with the pair's verify partition ``p = docid_a % N_PARTS`` — and
-       (b) the pruned corpus (doc_id, text). The partition fn inner-joins
-       distinct requests against its corpus slice, shingles each requested
-       doc ONCE (vectorized u64 shingle hashes, ``_shingle_hashes``), and
-       emits one (p, docid, shingles) row per distinct (docid, p) — a doc
-       in m pairs of one partition ships its set once, at most N_PARTS
-       times total. Non-candidate docs are never tokenized.
+    1. **Semi-join exchange on the id.** Input is the union of *request*
+       rows — two per candidate pair, tagging each endpoint with the pair's
+       verify partition ``p = hash(a) % n_parts`` — and the corpus rows
+       (``p = -1``). The partition fn inner-joins distinct requests against
+       its corpus slice on the id (exact, no hash-collision exposure),
+       shingles each requested doc ONCE (``_shingle_hashes``) and fans its
+       set out per partition with a vectorized offset gather: a doc in m
+       pairs of one partition ships its set once. Non-candidate docs are
+       never tokenized.
     2. **Verify exchange on p.** Input is the union of the shingle rows and
-       the pair rows (same schema, ``kind`` disambiguates). The partition
-       fn decodes the shingle ListArray into one contiguous u64 buffer +
-       offsets (zero-copy) and computes exact Jaccard per pair with sorted
-       u64 set intersection (``np.intersect1d(assume_unique=True)``) — no
-       Python string sets.
+       the pair rows (same schema; a null ``id`` marks a pair row). The
+       partition fn factorizes its ids, decodes the shingle ListArray into
+       one u64 buffer + offsets (zero-copy), and counts the intersection of
+       each pair's sorted-unique sets by membership."""
+    from web_search_engine_ray.stages.exchange import exchange_map
 
-    ``max_bucket`` forwards the logged LSH skew guard (None = exact). Band
-    config (r=2, b=32) keeps the miss probability for a true tau=0.8 pair
-    below 1e-14, so the result equals the all-pairs answer the DuckDB
-    oracle computes."""
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
+    a_col, b_col = pair_cols
+    pair_p = _hash_route(a_col, n_parts)
 
-    np_ = cluster_parts(N_PARTS)
-    cand = (
-        candidates
-        if candidates is not None
-        else minhash_lsh_candidates_ds(sf_dir, max_bucket=max_bucket)
-    )
-    out_col = "containment" if metric == "containment" else "jaccard"
-
-    def pairs_to_requests(t: pa.Table) -> pa.Table:
-        a = _col(t, "docid_a")
-        b = _col(t, "docid_b")
-        p = a % np_
-        # per-batch (jkey, p) dedup: clone-heavy corpora repeat endpoints
-        # across thousands of pairs — ship each request once per batch
-        jk = np.concatenate([a, b])
-        pp = np.concatenate([p, p])
-        u = np.unique(np.stack([jk, pp], axis=1), axis=0)
-        n = u.shape[0]
+    def requests(t: pa.Table) -> pa.Table:
+        p = pl.Series("p", pair_p(t))
+        req = pl.concat(
+            [
+                pl.DataFrame({"id": pl.from_arrow(t[a_col]), "p": p}),
+                pl.DataFrame({"id": pl.from_arrow(t[b_col]), "p": p}),
+            ]
+        ).unique()  # clone-heavy corpora repeat endpoints across pairs
         return pa.table(
             {
-                "jkey": pa.array(u[:, 0], pa.int64()),
-                "kind": pa.array(np.full(n, _JK_REQUEST, np.int8), pa.int8()),
-                "p": pa.array(u[:, 1], pa.int64()),
-                "text": pa.nulls(n, pa.string()),
+                "id": req["id"].to_arrow().cast(t.schema.field(a_col).type),
+                "p": pa.array(req["p"].to_numpy(), pa.int64()),
+                "text": pa.nulls(req.height, pa.string()),
             }
         )
 
-    def corpus_to_rows(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].cast(pa.int64())
+    def corpus_rows(t: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "jkey": ids,
-                "kind": pa.array(
-                    np.full(t.num_rows, _JK_CORPUS, np.int8), pa.int8()
-                ),
-                "p": pa.array(np.zeros(t.num_rows, np.int64), pa.int64()),
-                "text": t["text"],
+                "id": _id_column(t, id_col),
+                "p": pa.array(np.full(t.num_rows, -1, np.int64)),
+                "text": t[text_col].cast(pa.string()),
             }
         )
 
     def join_shingles(t: pa.Table) -> pa.Table:
-        """Semi-join one docid partition: requests ⋉ corpus -> shingle rows."""
-        kind = _col(t, "kind", np.int8)
-        req = t.filter(pa.array(kind == _JK_REQUEST))
-        corp = t.filter(pa.array(kind == _JK_CORPUS))
-        # distinct (docid, p) requests, inner-joined against the corpus slice
+        """Semi-join one id partition: requests ⋉ corpus -> shingle rows."""
+        id_type = t.schema.field("id").type
+        is_req = pa.array(_col(t, "p") >= 0)
         need = (
-            pl.DataFrame(
-                {"jkey": _col(req, "jkey"), "p": _col(req, "p")}
-            )
+            pl.from_arrow(t.filter(is_req).select(["id", "p"]))
             .unique()
             .join(
-                pl.from_arrow(corp.select(["jkey", "text"])),
-                on="jkey",
+                pl.from_arrow(t.filter(pc.invert(is_req)).select(["id", "text"])),
+                on="id",
                 how="inner",
             )
-            .sort(["jkey", "p"])
+            .sort(["id", "p"])
         )
-        # shingle each distinct doc once, then fan its set out per partition
-        # with a vectorized offset gather (no per-(doc, partition) Python)
-        docs = need.unique(subset="jkey", maintain_order=True)
-        sh_per_doc = (
-            [
-                _shingle_hashes(tl or [])
-                for tl in token_lists(docs["text"].to_arrow()).to_list()
-            ]
-            if docs.height
-            else []
-        )
+        docs = need.unique(subset="id", maintain_order=True)
+        sh_per_doc = [
+            _shingle_hashes(tl or [])
+            for tl in token_lists(docs["text"].to_arrow()).to_list()
+        ]
         doc_lens = np.array([r.size for r in sh_per_doc], dtype=np.int64)
         doc_offs = np.zeros(doc_lens.size + 1, dtype=np.int64)
         np.cumsum(doc_lens, out=doc_offs[1:])
         doc_values = (
-            np.concatenate(sh_per_doc)
-            if sh_per_doc
-            else np.empty(0, dtype=np.uint64)
+            np.concatenate(sh_per_doc) if sh_per_doc else np.empty(0, dtype=np.uint64)
         )
-        dkeys = docs["jkey"].to_numpy()  # ascending (need sorted by jkey)
-        idx = np.searchsorted(dkeys, need["jkey"].to_numpy())
+        # need row -> its docs row: docs holds need's ids in the same
+        # (sorted) order, once each
+        idx = np.searchsorted(docs["id"].to_numpy(), need["id"].to_numpy())
         lens = doc_lens[idx]
         offsets = np.zeros(lens.size + 1, dtype=np.int64)
         np.cumsum(lens, out=offsets[1:])
-        total = int(offsets[-1])
         pos = (
             np.repeat(doc_offs[idx], lens)
-            + np.arange(total, dtype=np.int64)
+            + np.arange(int(offsets[-1]), dtype=np.int64)
             - np.repeat(offsets[:-1], lens)
         )
-        values = doc_values[pos]
-        shingles = pa.LargeListArray.from_arrays(
-            pa.array(offsets, pa.int64()), pa.array(values, pa.uint64())
-        ).cast(pa.list_(pa.uint64()))
         n = need.height
         return pa.table(
             {
                 "p": pa.array(need["p"].to_numpy(), pa.int64()),
-                "kind": pa.array(
-                    np.full(n, _JK_SHINGLES, np.int8), pa.int8()
-                ),
-                "docid": pa.array(need["jkey"].to_numpy(), pa.int64()),
-                "shingles": shingles,
-                "docid_a": pa.array(np.zeros(n, np.int64), pa.int64()),
-                "docid_b": pa.array(np.zeros(n, np.int64), pa.int64()),
-            },
-            schema=_shingle_rows_schema(),
+                "id": need["id"].to_arrow().cast(id_type),
+                "shingles": pa.LargeListArray.from_arrays(
+                    pa.array(offsets, pa.int64()),
+                    pa.array(doc_values[pos], pa.uint64()),
+                ).cast(pa.list_(pa.uint64())),
+                a_col: pa.nulls(n, id_type),
+                b_col: pa.nulls(n, id_type),
+            }
         )
 
-    def pairs_to_rows(t: pa.Table) -> pa.Table:
-        a = _col(t, "docid_a")
-        b = _col(t, "docid_b")
-        n = a.size
-        empty = pa.ListArray.from_arrays(
-            pa.array(np.zeros(n + 1, np.int32), pa.int32()),
-            pa.array(np.empty(0, np.uint64), pa.uint64()),
-        )
+    def pair_rows(t: pa.Table) -> pa.Table:
+        id_type = t.schema.field(a_col).type
         return pa.table(
             {
-                "p": pa.array(a % np_, pa.int64()),
-                "kind": pa.array(np.full(n, _JK_PAIR, np.int8), pa.int8()),
-                "docid": pa.array(np.zeros(n, np.int64), pa.int64()),
-                "shingles": empty,
-                "docid_a": pa.array(a, pa.int64()),
-                "docid_b": pa.array(b, pa.int64()),
-            },
-            schema=_shingle_rows_schema(),
+                "p": pa.array(pair_p(t), pa.int64()),
+                "id": pa.nulls(t.num_rows, id_type),
+                "shingles": pa.nulls(t.num_rows, pa.list_(pa.uint64())),
+                a_col: t[a_col],
+                b_col: t[b_col],
+            }
         )
 
     def verify(group: pa.Table) -> pa.Table:
-        kind = _col(group, "kind", np.int8)
-        pairs_t = group.filter(pa.array(kind == _JK_PAIR))
-        docs_t = group.filter(pa.array(kind == _JK_SHINGLES))
-        a = _col(pairs_t, "docid_a")
-        b = _col(pairs_t, "docid_b")
+        id_type = group.schema.field(a_col).type
+        docs_t = group.filter(pc.is_valid(group["id"]))
+        pairs_t = group.filter(pc.is_null(group["id"]))
+        a_s = pairs_t[a_col].to_numpy()
+        b_s = pairs_t[b_col].to_numpy()
+        # factorize the partition's ids once; codes sort like the ids
+        uniq, codes = np.unique(
+            np.concatenate([a_s, b_s, docs_t["id"].to_numpy()]), return_inverse=True
+        )
+        a = codes[: a_s.size].astype(np.int64)
+        b = codes[a_s.size : a_s.size + b_s.size].astype(np.int64)
+        did = codes[a_s.size + b_s.size :].astype(np.int64)
         order = np.lexsort((b, a))
         a, b = a[order], b[order]
-        did = _col(docs_t, "docid")
         sh = docs_t["shingles"].combine_chunks()
         if isinstance(sh, pa.ChunkedArray):  # num_chunks 0/1 after combine
-            sh = (
-                sh.chunk(0)
-                if sh.num_chunks
-                else pa.array([], pa.list_(pa.uint64()))
-            )
+            sh = sh.chunk(0) if sh.num_chunks else pa.array([], pa.list_(pa.uint64()))
         offs = sh.offsets.to_numpy()
         vals = sh.values.to_numpy(zero_copy_only=False)
-        # docid -> shingle row, vectorized (a doc can appear twice after an
+        # id -> shingle row, vectorized (an id can appear twice after an
         # auto-shrunk exchange merges two p-values — copies are identical,
         # any row works)
         sorder = np.argsort(did, kind="stable")
@@ -668,31 +619,57 @@ def ngram_jaccard_dups(
                 continue
             j = inter / denom
             if j >= tau:
-                a_l.append(int(a[i]))
-                b_l.append(int(b[i]))
+                a_l.append(a[i])
+                b_l.append(b[i])
                 j_l.append(round(j, 6))
         return pa.table(
             {
-                "docid_a": pa.array(a_l, pa.int64()),
-                "docid_b": pa.array(b_l, pa.int64()),
-                out_col: pa.array(j_l, pa.float64()),
+                a_col: pa.array(uniq[np.asarray(a_l, np.int64)], id_type),
+                b_col: pa.array(uniq[np.asarray(b_l, np.int64)], id_type),
+                metric: pa.array(j_l, pa.float64()),
             }
         )
 
-    requests = cand.map_batches(pairs_to_requests, batch_format="pyarrow")
-    corpus = _read_docs(sf_dir).map_batches(
-        corpus_to_rows, batch_format="pyarrow"
-    )
+    req = cand.map_batches(requests, batch_format="pyarrow")
+    docs = corpus.map_batches(corpus_rows, batch_format="pyarrow")
     shingle_rows = exchange_map(
-        requests.union(corpus),
-        lambda t: _col(t, "jkey") % np_,
-        np_,
-        join_shingles,
+        req.union(docs), _hash_route("id", n_parts), n_parts, join_shingles,
         auto_shrink=True,
     )
-    pair_rows = cand.map_batches(pairs_to_rows, batch_format="pyarrow")
+    pairs = cand.map_batches(pair_rows, batch_format="pyarrow")
     return exchange_map(
-        shingle_rows.union(pair_rows), "p", np_, verify, auto_shrink=True
+        shingle_rows.union(pairs), "p", n_parts, verify, auto_shrink=True
+    )
+
+
+def minhash_lsh_candidates_ds(sf_dir: str, max_bucket: int | None = None):
+    """Candidate near-dup pairs (docid_a, docid_b) from banded minhash LSH
+    (:func:`_minhash_pairs` over the documents), with an optional logged
+    skew guard (``max_bucket``)."""
+    from web_search_engine_ray.stages.exchange import cluster_parts
+
+    return _minhash_pairs(
+        _read_docs(sf_dir), "doc_id", "text", ("docid_a", "docid_b"),
+        cluster_parts(N_PARTS), max_bucket,
+    )
+
+
+def ngram_jaccard_dups(sf_dir: str, tau: float = 0.8, max_bucket: int | None = None):
+    """(docid_a, docid_b, jaccard): pairs with exact 3-gram Jaccard >= tau —
+    minhash LSH candidates (:func:`_minhash_pairs`) verified exactly by
+    :func:`_verified_pairs`, fully distributed. ``max_bucket`` forwards the
+    logged LSH skew guard (None = exact). Band config (r=2, b=32) keeps the
+    miss probability for a true tau=0.8 pair below 1e-14, so the result
+    equals the all-pairs answer the DuckDB oracle computes."""
+    from web_search_engine_ray.stages.exchange import cluster_parts
+
+    np_ = cluster_parts(N_PARTS)
+    pair_cols = ("docid_a", "docid_b")
+    cand = _minhash_pairs(
+        _read_docs(sf_dir), "doc_id", "text", pair_cols, np_, max_bucket
+    )
+    return _verified_pairs(
+        cand, _read_docs(sf_dir), "doc_id", "text", pair_cols, "jaccard", tau, np_
     )
 
 
@@ -878,27 +855,6 @@ def simhash_dups(sf_dir: str, max_hamming: int = 3, max_bucket: int | None = Non
             }
         )
 
-    def dedup_pairs(batch: pa.Table) -> pa.Table:
-        a = _col(batch, "docid_a", np.int64)
-        b = _col(batch, "docid_b", np.int64)
-        h = _col(batch, "hamming", np.int64)
-        if a.size == 0:
-            return pa.table(
-                {
-                    "docid_a": pa.array([], pa.int64()),
-                    "docid_b": pa.array([], pa.int64()),
-                    "hamming": pa.array([], pa.int64()),
-                }
-            )
-        u, first = np.unique(np.stack([a, b], axis=1), axis=0, return_index=True)
-        return pa.table(
-            {
-                "docid_a": pa.array(u[:, 0], pa.int64()),
-                "docid_b": pa.array(u[:, 1], pa.int64()),
-                "hamming": pa.array(h[first], pa.int64()),
-            }
-        )
-
     from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
 
     np_ = cluster_parts(N_PARTS)
@@ -910,13 +866,7 @@ def simhash_dups(sf_dir: str, max_hamming: int = 3, max_bucket: int | None = Non
         band_pairs,
         auto_shrink=True,
     )
-    return exchange_map(
-        pairs,
-        lambda t: _col(t, "docid_a") % np_,
-        np_,
-        dedup_pairs,
-        auto_shrink=True,
-    )
+    return _distinct_pairs(pairs, "docid_a", "docid_b", np_)
 
 
 # ---------------------------------------------------------------- embedding
@@ -1166,21 +1116,6 @@ def embedding_dups_lsh(
             }
         )
 
-    def dedup_pairs(batch: pa.Table) -> pa.Table:
-        a = _col(batch, "vec_id_a", np.int64)
-        b = _col(batch, "vec_id_b", np.int64)
-        c = _col(batch, "cos", np.float64)
-        if a.size == 0:
-            return _EMPTY_EMB_PAIRS
-        u, first = np.unique(np.stack([a, b], axis=1), axis=0, return_index=True)
-        return pa.table(
-            {
-                "vec_id_a": pa.array(u[:, 0], pa.int64()),
-                "vec_id_b": pa.array(u[:, 1], pa.int64()),
-                "cos": pa.array(c[first], pa.float64()),
-            }
-        )
-
     from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
 
     np_ = cluster_parts(N_PARTS)
@@ -1192,13 +1127,7 @@ def embedding_dups_lsh(
         bucket_pairs,
         auto_shrink=True,
     )
-    return exchange_map(
-        pairs,
-        lambda t: _col(t, "vec_id_a") % np_,
-        np_,
-        dedup_pairs,
-        auto_shrink=True,
-    )
+    return _distinct_pairs(pairs, "vec_id_a", "vec_id_b", np_)
 
 
 def holdout_contamination_ds(
@@ -1752,7 +1681,6 @@ def _containment_candidates_ds(sf_dir: str, tau: float, max_bucket: int | None =
     The ceil is taken conservatively (eps-subtracted), which can only ADD
     candidates, never lose one; the exact verify drops false positives."""
     import logging
-    import math
 
     from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
 
@@ -1866,17 +1794,6 @@ def _containment_candidates_ds(sf_dir: str, tau: float, max_bucket: int | None =
             }
         )
 
-    def distinct_pairs(t: pa.Table) -> pa.Table:
-        a = _col(t, "docid_a")
-        b = _col(t, "docid_b")
-        uk = np.unique(np.stack([a, b], axis=1), axis=0)
-        return pa.table(
-            {
-                "docid_a": pa.array(uk[:, 0].astype(np.int64)),
-                "docid_b": pa.array(uk[:, 1].astype(np.int64)),
-            }
-        )
-
     rows = _read_docs(sf_dir).map_batches(shingle_rows, batch_format="pyarrow")
     with_df = exchange_map(
         rows,
@@ -1896,10 +1813,7 @@ def _containment_candidates_ds(sf_dir: str, tau: float, max_bucket: int | None =
         gen_pairs,
         auto_shrink=True,
     )
-    return exchange_map(
-        pairs, lambda t: _col(t, "docid_a") % np_, np_, distinct_pairs,
-        auto_shrink=True,
-    )
+    return _distinct_pairs(pairs, "docid_a", "docid_b", np_)
 
 
 def containment_dups(sf_dir: str, tau: float = 0.8, max_bucket: int | None = None):
@@ -1908,10 +1822,12 @@ def containment_dups(sf_dir: str, tau: float = 0.8, max_bucket: int | None = Non
     high containment but low Jaccard, so :func:`ngram_jaccard_dups` and its
     minhash seeding both miss it). Exact prefix-filter candidates
     (:func:`_containment_candidates_ds`) + the same distributed shingle
-    verify as the Jaccard join with the containment denominator."""
-    return ngram_jaccard_dups(
-        sf_dir,
-        tau=tau,
-        metric="containment",
-        candidates=_containment_candidates_ds(sf_dir, tau, max_bucket=max_bucket),
+    verify as the Jaccard join (:func:`_verified_pairs`) with the
+    containment denominator."""
+    from web_search_engine_ray.stages.exchange import cluster_parts
+
+    return _verified_pairs(
+        _containment_candidates_ds(sf_dir, tau, max_bucket=max_bucket),
+        _read_docs(sf_dir), "doc_id", "text", ("docid_a", "docid_b"),
+        "containment", tau, cluster_parts(N_PARTS),
     )

@@ -21,9 +21,12 @@ exchange on ``conv_id`` — never a global sort.
 - :func:`sft_examples_ds` — one (context, target) training example per
   assistant turn with a keep-last-k context budget: the canonical SFT-pair
   construction over multi-turn transcripts.
-- :func:`conversation_minhash_dups_ds` — near-duplicate conversation
-  candidate pairs (banded minhash LSH over the reassembled text), the
-  fuzzy counterpart of :func:`conversation_dedup_ds`.
+- :func:`conversation_minhash_dups_ds` /
+  :func:`conversation_jaccard_dups_ds` — near-duplicate conversation
+  candidate and verified pairs, the fuzzy counterpart of
+  :func:`conversation_dedup_ds`. Both run on the dedup kernel
+  (``pipelines/dedup.py``: ``_minhash_pairs`` and ``_verified_pairs``)
+  with string conv ids, over the reassembled text.
 - :func:`role_filtered_search_table` — fielded BM25 ("what did the
   assistant say about X"): corpus-global ranking post-filtered by role
   via score-ordered row-group-seek probes.
@@ -674,132 +677,26 @@ def conversation_minhash_dups_ds(
     actually near-deduped at (a re-run of the same session differs by a few
     turns, so turn- or doc-level dedup misses it).
 
-    Reuses the doc-level minhash kernels (shingle -> signature -> band
-    buckets -> intra-bucket pairs, all vectorized) but carries STRING conv
-    ids: inside each bucket partition the ids are factorized with
-    ``np.unique`` (codes sort lexicographically, so pair order a < b is the
-    conv_id order) and mapped back after pairing. Pairs from different
-    bands dedupe in a second coarse exchange. Approximate by construction
-    (LSH) — rows-only in the driver gate; the planted-near-dup recall
-    contract lives in tests/test_transcripts_ops.py.
+    Runs the doc-level candidate stage (``dedup._minhash_pairs``) on string
+    conv ids: pair order a < b is the conv_id order. Approximate by
+    construction (LSH) — rows-only in the driver gate; the planted-near-dup
+    recall contract lives in tests/test_transcripts_ops.py.
 
     ``conv_text``: optionally pass an already-built (ideally materialized)
     :func:`conversation_text_ds` Dataset so composed jobs reassemble the
     corpus ONCE instead of once per consumer."""
-    from web_search_engine_ray.pipelines.dedup import (
-        LSH_BANDS,
-        _band_hashes,
-        _batch_signatures,
-        _intra_bucket_pairs,
-    )
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
+    from web_search_engine_ray.pipelines.dedup import _minhash_pairs
+    from web_search_engine_ray.stages.exchange import cluster_parts
 
     np_ = cluster_parts(max(n_parts, 16))
-    # the signature stage's parallelism is capped by the reassembly
-    # exchange's output partition count — scale it with the cluster, not
-    # the caller's (bucket-oriented) n_parts (measured: 32 parts serialized
-    # 444k convs into 32 long signature tasks)
-    n_parts = max(n_parts, np_)
-
-    def to_bands(t: pa.Table) -> pa.Table:
-        ids = t["conv_id"].to_pylist()
-        col = t["conv_text"].combine_chunks()
-        txt = np.asarray(col.to_pylist(), dtype=object)
-        # dictionary-encode identical conversation texts: sign each UNIQUE
-        # text once and gather (min over a multiset == min over its set, so
-        # the gathered signatures are bit-identical). Wins on templated
-        # corpora with repeated whole conversations; ~free otherwise (one
-        # string sort per batch). Turn-LEVEL dictionary encoding was
-        # investigated and rejected — see BASELINE.md round-5 notes (the
-        # per-chunk unique-shingle pass in _batch_signatures already
-        # captures cross-conversation shingle repetition).
-        if col.null_count == 0 and txt.size:
-            uniq, inv = np.unique(txt, return_inverse=True)
-            if uniq.size < txt.size:
-                utoks = token_lists(
-                    pa.chunked_array([pa.array(uniq.tolist(), pa.string())])
-                ).to_list()
-                sigs = _batch_signatures(utoks)[inv]
-            else:
-                sigs = _batch_signatures(token_lists(col).to_list())
-        else:
-            sigs = _batch_signatures(token_lists(col).to_list())
-        bh = _band_hashes(sigs)
-        n = len(ids)
-        return pa.table(
-            {
-                "band": pa.array(np.tile(np.arange(LSH_BANDS, dtype=np.int32), n)),
-                "bhash": pa.array((bh.reshape(-1) >> np.uint64(1)).astype(np.int64)),
-                "conv_id": pa.array(np.repeat(np.asarray(ids, dtype=object), LSH_BANDS)),
-            }
-        )
-
-    def partition_pairs(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"conv_a": pa.array([], pa.string()), "conv_b": pa.array([], pa.string())}
-        )
-        if t.num_rows == 0:
-            return empty
-        band = t["band"].to_numpy(zero_copy_only=False).astype(np.int64)
-        bhash = t["bhash"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ids = np.asarray(t["conv_id"].to_pylist(), dtype=object)
-        uniq, codes = np.unique(ids, return_inverse=True)
-        a, b = _intra_bucket_pairs((band, bhash), codes, max_bucket=max_bucket)
-        if a.size == 0:
-            return empty
-        return pa.table(
-            {
-                "conv_a": pa.array(uniq[a].tolist(), pa.string()),
-                "conv_b": pa.array(uniq[b].tolist(), pa.string()),
-            }
-        )
-
-    def dedup_pairs(t: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(t)
-            .unique(subset=["conv_a", "conv_b"])
-            .to_arrow()
-            .select(["conv_a", "conv_b"])
-            .cast(pa.schema([("conv_a", pa.string()), ("conv_b", pa.string())]))
-        )
-
     if conv_text is None:
-        conv_text = conversation_text_ds(corpus, n_parts=n_parts)
-    bands = conv_text.map_batches(to_bands, batch_format="pyarrow")
-    pairs = exchange_map(
-        bands,
-        lambda t: t["bhash"].to_numpy(zero_copy_only=False) % np_,
-        np_,
-        partition_pairs,
-        auto_shrink=True,
-    )
-    return exchange_map(
-        pairs,
-        lambda t: (
-            pl.from_arrow(t["conv_a"]).hash(seed=7).to_numpy() % np.uint64(np_)
-        ).astype(np.int64),
-        np_,
-        dedup_pairs,
-        auto_shrink=True,
-    )
-
-
-_CJ_REQUEST = 0  # (ckey=conv_id, p): "verify partition p needs this conv"
-_CJ_CORPUS = 1  # (ckey=conv_id, text): a reassembled-conversation row
-_CJ_SHINGLES = 1  # (p, ckey, shingles): a conv's shingle set, en route to p
-_CJ_PAIR = 2  # (p, conv_a, conv_b): a candidate pair, en route to p
-
-
-def _cj_shingle_schema() -> pa.Schema:
-    return pa.schema(
-        [
-            ("p", pa.int64()),
-            ("kind", pa.int8()),
-            ("ckey", pa.string()),
-            ("shingles", pa.list_(pa.uint64())),
-            ("conv_a", pa.string()),
-            ("conv_b", pa.string()),
-        ]
+        # the signature stage's parallelism is capped by the reassembly
+        # exchange's output partition count — scale it with the cluster,
+        # not the caller's (bucket-oriented) n_parts (measured: 32 parts
+        # serialized 444k convs into 32 long signature tasks)
+        conv_text = conversation_text_ds(corpus, n_parts=max(n_parts, np_))
+    return _minhash_pairs(
+        conv_text, "conv_id", "conv_text", ("conv_a", "conv_b"), np_, max_bucket
     )
 
 
@@ -812,29 +709,18 @@ def conversation_jaccard_dups_ds(
 ):
     """(conv_a, conv_b, jaccard): VERIFIED near-duplicate conversation
     pairs — :func:`conversation_minhash_dups_ds` candidates whose exact
-    conversation-shingle Jaccard clears ``tau``. The conversation-level
-    twin of the doc-level ``ngram_jaccard_dups`` (pipelines/dedup.py), and
-    like it FULLY distributed: candidate pairs never leave Dataset land, no
-    driver dicts, two hash exchanges over union relations:
-
-    1. **Semi-join exchange on hash(conv_id) % P.** Union of request rows
-       (two per candidate pair, tagging each endpoint with the pair's
-       verify partition ``p = hash(conv_a) % P``) and the reassembled
-       corpus (:func:`conversation_text_ds`). The partition fn inner-joins
-       distinct requests against its corpus slice ON THE STRING conv_id
-       (exact — no hash-collision exposure), shingles each requested
-       conversation once, and fans the set out per partition with a
-       vectorized offset gather.
-    2. **Verify exchange on p.** Union of shingle rows and pair rows;
-       string ids are factorized per partition (``np.unique`` codes), then
-       exact Jaccard per pair via sorted-u64 membership count.
+    conversation-shingle Jaccard clears ``tau``, verified by the doc-level
+    kernel (``dedup._verified_pairs``): a semi-join exchange on the conv_id
+    ships each requested conversation's shingle set to its pairs' verify
+    partitions, and a verify exchange counts the intersections. Candidate
+    pairs never leave Dataset land.
 
     The driver sees only the VERIFIED pair relation — true-dup-scale, not
     candidate-scale (the 2M-turn stress produced 5.35M candidates but
     ~500 verified dups). Used by the SFT dataset job's conversation-dedup
     stage (pipelines/corpus_job.py)."""
-    from web_search_engine_ray.pipelines.dedup import _shingle_hashes
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
+    from web_search_engine_ray.pipelines.dedup import _verified_pairs
+    from web_search_engine_ray.stages.exchange import cluster_parts
 
     np_ = cluster_parts(max(n_parts, 16))
     if conv_text is None:
@@ -848,215 +734,9 @@ def conversation_jaccard_dups_ds(
     cand = conversation_minhash_dups_ds(
         corpus, n_parts=n_parts, max_bucket=max_bucket, conv_text=conv_text
     )
-
-    def _route_str(col: str):
-        def f(t: pa.Table) -> np.ndarray:
-            return (
-                pl.from_arrow(t[col]).hash(seed=7).to_numpy() % np.uint64(np_)
-            ).astype(np.int64)
-
-        return f
-
-    def _pair_p(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t["conv_a"]).hash(seed=11).to_numpy() % np.uint64(np_)
-        ).astype(np.int64)
-
-    def pairs_to_requests(t: pa.Table) -> pa.Table:
-        p = pl.Series("p", _pair_p(t))
-        df = pl.concat(
-            [
-                pl.DataFrame(
-                    {"ckey": pl.from_arrow(t["conv_a"]), "p": p}
-                ),
-                pl.DataFrame(
-                    {"ckey": pl.from_arrow(t["conv_b"]), "p": p}
-                ),
-            ]
-        ).unique()  # clone-heavy corpora repeat endpoints across pairs
-        n = df.height
-        return pa.table(
-            {
-                "ckey": df["ckey"].to_arrow().cast(pa.string()),
-                "kind": pa.array(np.full(n, _CJ_REQUEST, np.int8), pa.int8()),
-                "p": pa.array(df["p"].to_numpy().astype(np.int64), pa.int64()),
-                "text": pa.nulls(n, pa.string()),
-            }
-        )
-
-    def corpus_to_rows(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table(
-            {
-                "ckey": t["conv_id"].cast(pa.string()),
-                "kind": pa.array(np.full(n, _CJ_CORPUS, np.int8), pa.int8()),
-                "p": pa.array(np.zeros(n, np.int64), pa.int64()),
-                "text": t["conv_text"],
-            }
-        )
-
-    def join_shingles(t: pa.Table) -> pa.Table:
-        kind = t["kind"].to_numpy(zero_copy_only=False).astype(np.int8)
-        req = t.filter(pa.array(kind == _CJ_REQUEST))
-        corp = t.filter(pa.array(kind == _CJ_CORPUS))
-        need = (
-            pl.from_arrow(req.select(["ckey", "p"]))
-            .unique()
-            .join(
-                pl.from_arrow(corp.select(["ckey", "text"])),
-                on="ckey",
-                how="inner",
-            )
-            .sort(["ckey", "p"])
-        )
-        docs = need.unique(subset="ckey", maintain_order=True)
-        sh_per_doc = (
-            [
-                _shingle_hashes(tl or [])
-                for tl in token_lists(docs["text"].to_arrow()).to_list()
-            ]
-            if docs.height
-            else []
-        )
-        doc_lens = np.array([r.size for r in sh_per_doc], dtype=np.int64)
-        doc_offs = np.zeros(doc_lens.size + 1, dtype=np.int64)
-        np.cumsum(doc_lens, out=doc_offs[1:])
-        doc_values = (
-            np.concatenate(sh_per_doc)
-            if sh_per_doc
-            else np.empty(0, dtype=np.uint64)
-        )
-        # need -> row in docs, by exact string join (need is a superset of
-        # docs rows repeated per p; docs order == first-occurrence order of
-        # the ckey-sorted need, so searchsorted over the sorted keys works)
-        dkeys = docs["ckey"].to_numpy()
-        idx = np.searchsorted(dkeys, need["ckey"].to_numpy())
-        lens = doc_lens[idx]
-        offsets = np.zeros(lens.size + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        total = int(offsets[-1])
-        pos = (
-            np.repeat(doc_offs[idx], lens)
-            + np.arange(total, dtype=np.int64)
-            - np.repeat(offsets[:-1], lens)
-        )
-        values = doc_values[pos]
-        shingles = pa.LargeListArray.from_arrays(
-            pa.array(offsets, pa.int64()), pa.array(values, pa.uint64())
-        ).cast(pa.list_(pa.uint64()))
-        n = need.height
-        empty_str = pa.array([""] * n, pa.string())
-        return pa.table(
-            {
-                "p": pa.array(need["p"].to_numpy().astype(np.int64), pa.int64()),
-                "kind": pa.array(np.full(n, _CJ_SHINGLES, np.int8), pa.int8()),
-                "ckey": need["ckey"].to_arrow().cast(pa.string()),
-                "shingles": shingles,
-                "conv_a": empty_str,
-                "conv_b": empty_str,
-            },
-            schema=_cj_shingle_schema(),
-        )
-
-    def pairs_to_rows(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        empty = pa.ListArray.from_arrays(
-            pa.array(np.zeros(n + 1, np.int32), pa.int32()),
-            pa.array(np.empty(0, np.uint64), pa.uint64()),
-        )
-        return pa.table(
-            {
-                "p": pa.array(_pair_p(t), pa.int64()),
-                "kind": pa.array(np.full(n, _CJ_PAIR, np.int8), pa.int8()),
-                "ckey": pa.array([""] * n, pa.string()),
-                "shingles": empty,
-                "conv_a": t["conv_a"].cast(pa.string()),
-                "conv_b": t["conv_b"].cast(pa.string()),
-            },
-            schema=_cj_shingle_schema(),
-        )
-
-    def verify(group: pa.Table) -> pa.Table:
-        kind = group["kind"].to_numpy(zero_copy_only=False).astype(np.int8)
-        pairs_t = group.filter(pa.array(kind == _CJ_PAIR))
-        docs_t = group.filter(pa.array(kind == _CJ_SHINGLES))
-        a_s = np.asarray(pairs_t["conv_a"].to_pylist(), dtype=object)
-        b_s = np.asarray(pairs_t["conv_b"].to_pylist(), dtype=object)
-        did_s = np.asarray(docs_t["ckey"].to_pylist(), dtype=object)
-        # factorize the partition's string ids once; codes preserve
-        # lexicographic order so downstream logic is pure int64
-        uniq, codes = np.unique(
-            np.concatenate([a_s, b_s, did_s]), return_inverse=True
-        )
-        a = codes[: a_s.size].astype(np.int64)
-        b = codes[a_s.size : a_s.size + b_s.size].astype(np.int64)
-        did = codes[a_s.size + b_s.size :].astype(np.int64)
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        sh = docs_t["shingles"].combine_chunks()
-        if isinstance(sh, pa.ChunkedArray):
-            sh = (
-                sh.chunk(0)
-                if sh.num_chunks
-                else pa.array([], pa.list_(pa.uint64()))
-            )
-        offs = sh.offsets.to_numpy()
-        vals = sh.values.to_numpy(zero_copy_only=False)
-        sorder = np.argsort(did, kind="stable")
-        dsorted = did[sorder]
-
-        def locate(x: np.ndarray) -> np.ndarray:
-            if dsorted.size == 0:
-                return np.full(x.size, -1, dtype=np.int64)
-            p_ = np.searchsorted(dsorted, x)
-            p_c = np.minimum(p_, dsorted.size - 1)
-            ok = dsorted[p_c] == x
-            return np.where(ok, sorder[p_c], -1)
-
-        ia_all = locate(a)
-        ib_all = locate(b)
-        a_l, b_l, j_l = [], [], []
-        for i in range(a.size):
-            ra, rb = int(ia_all[i]), int(ib_all[i])
-            sa = vals[offs[ra] : offs[ra + 1]] if ra >= 0 else vals[:0]
-            sb = vals[offs[rb] : offs[rb + 1]] if rb >= 0 else vals[:0]
-            if sa.size and sb.size:
-                # both sorted unique: membership count beats intersect1d
-                p_ = np.searchsorted(sa, sb)
-                p_[p_ == sa.size] = sa.size - 1
-                inter = int(np.count_nonzero(sa[p_] == sb))
-            else:
-                inter = 0
-            denom = sa.size + sb.size - inter
-            if denom == 0:
-                continue
-            j = inter / denom
-            if j >= tau:
-                a_l.append(a[i])
-                b_l.append(b[i])
-                j_l.append(round(j, 6))
-        ai = np.asarray(a_l, dtype=np.int64)
-        bi = np.asarray(b_l, dtype=np.int64)
-        return pa.table(
-            {
-                "conv_a": pa.array(uniq[ai].tolist(), pa.string()),
-                "conv_b": pa.array(uniq[bi].tolist(), pa.string()),
-                "jaccard": pa.array(j_l, pa.float64()),
-            }
-        )
-
-    requests = cand.map_batches(pairs_to_requests, batch_format="pyarrow")
-    corpus_rows = conv_text.map_batches(corpus_to_rows, batch_format="pyarrow")
-    shingle_rows = exchange_map(
-        requests.union(corpus_rows),
-        _route_str("ckey"),
-        np_,
-        join_shingles,
-        auto_shrink=True,
-    )
-    pair_rows = cand.map_batches(pairs_to_rows, batch_format="pyarrow")
-    return exchange_map(
-        shingle_rows.union(pair_rows), "p", np_, verify, auto_shrink=True
+    return _verified_pairs(
+        cand, conv_text, "conv_id", "conv_text", ("conv_a", "conv_b"),
+        "jaccard", tau, np_,
     )
 
 
