@@ -82,6 +82,13 @@ def test_build_manifest_counts(built, oracle):
     assert "the" in build["heavy_terms"]
 
 
+def test_heavy_terms_exact(built, oracle):
+    """The heavy set is exactly {t : df_t >= heavy_df_frac * N}."""
+    _, build = built
+    want = sorted(t for t, p in oracle.index.items() if len(p) >= 0.05 * oracle.N)
+    assert build["heavy_terms"] == want
+
+
 def test_build_json_skew_names_stragglers(built):
     """build.json alone says where the build's time went: the skew block's
     keys exist, each straggler is the argmax of its manifests' walls, and
@@ -115,9 +122,39 @@ def test_build_json_skew_names_stragglers(built):
     from tools.index_stats import stage_table
 
     table = stage_table(build).splitlines()
-    assert [r.split()[0] for r in table[1:4]] == ["plan", "runs", "merge"]
+    assert [r.split()[0] for r in table[1:4]] == ["runs", "heavy", "merge"]
     assert any(r.endswith(f"pid {skew['straggler_pid']}") for r in table)
     assert any(r.endswith(f"shard {skew['straggler_shard']}") for r in table)
+
+
+def test_build_json_heavy_coverage_matches_run_manifests(built):
+    """The skew block's heavy-term coverage is what the run manifests say:
+    the candidates are the terms some run isolated, and a heavy term is read
+    from the hash row group of each run that did not isolate it and has its
+    shard's row group. tools/index_stats.py shows both."""
+    import json
+    import os
+
+    from tools.index_stats import stage_table
+    from web_search_engine_ray.state.lexicon import term_shard_array
+
+    out, build = built
+    runs = []
+    for p in sorted(glob.glob(os.path.join(out, "manifests", "run_*.json"))):
+        with open(p) as f:
+            runs.append(json.load(f))
+    skew = build["skew"]
+    assert skew["heavy_candidates"] == len({t for m in runs for t in m["isolated"]})
+    S = build["num_shards"]
+    want = {}
+    for t in build["heavy_terms"]:
+        g = int(term_shard_array([t], S)[0])
+        want[t] = sum(t not in m["isolated"] and g in m["gkeys"] for m in runs)
+    assert skew["heavy_hash_runs"] == want
+    table = stage_table(build).splitlines()
+    assert ["heavy", "candidates", str(skew["heavy_candidates"])] in [r.split() for r in table]
+    for t, n in want.items():
+        assert any(r.split() == ["heavy", "hash", "runs", str(n), t] for r in table), t
 
 
 def test_corpus_stats(built, oracle):

@@ -166,3 +166,59 @@ def test_resume_rebuilds_after_code_change(ray_session, small_corpus_dir, tmp_pa
     resumed, fresh = json.loads(out.stdout.strip().splitlines()[-1])
     assert resumed == fresh
     assert resumed != before
+
+
+# appended to a copy of pipelines/build.py: the merge writes its first
+# shard, then the build dies
+_MERGE_CRASH_PATCH = '''
+
+_fan_out_all = fan_out
+
+
+def fan_out(stage, fn, items, *args):
+    if stage == "build.merge":
+        _fan_out_all(stage, fn, items[:1], *args)
+        raise SystemExit(3)
+    return _fan_out_all(stage, fn, items, *args)
+'''
+
+_BUILD_SCRIPT = '''
+import json, sys
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False)
+from web_search_engine_ray.pipelines.build import build_index
+build_index(sys.argv[1], sys.argv[2], **json.loads(sys.argv[3]))
+'''
+
+
+def test_resume_after_another_build_crashed_mid_merge(ray_session, small_corpus_dir, tmp_path):
+    """Build A completes in X. Build B (another block_size, same runs) dies
+    in X after its merge wrote one shard. Resuming A must merge again rather
+    than trust A's build.json over B's shard: X ends with A's bytes."""
+    import shutil
+    import subprocess
+    import sys
+
+    from web_search_engine_ray.pipelines import build
+
+    x = str(tmp_path / "x")
+    build_index(small_corpus_dir, x, partition_rows=700, **CFG)
+    clean = _index_digest(x)
+
+    pkg = os.path.dirname(os.path.dirname(os.path.abspath(build.__file__)))
+    root = tmp_path / "patched"
+    shutil.copytree(pkg, root / "web_search_engine_ray", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(root / "web_search_engine_ray" / "pipelines" / "build.py", "a") as f:
+        f.write(_MERGE_CRASH_PATCH)
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    env["PYTHONPATH"] = str(root)
+    cfg_b = dict(partition_rows=700, **{**CFG, "block_size": 2 * CFG["block_size"]})
+    out = subprocess.run(
+        [sys.executable, "-c", _BUILD_SCRIPT, small_corpus_dir, x, json.dumps(cfg_b)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 3, out.stderr[-2000:]
+    assert _index_digest(x) != clean, "build B wrote no shard before it died"
+
+    build_index(small_corpus_dir, x, partition_rows=700, **CFG)
+    assert _index_digest(x) == clean

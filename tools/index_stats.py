@@ -7,7 +7,9 @@ manifest + shard files.
 
 It also prints where the build's time went, from ``build.json`` alone: one
 row per stage timing, then the skew report (partition wall p50/max and the
-straggler pid, the slowest shard, the shard-bytes max/median ratio).
+straggler pid, the slowest shard, the shard-bytes max/median ratio) and the
+heavy-term coverage (how many terms some run isolated, and per heavy term
+how many runs the merge read it from a hash row group).
 
 Usage: python tools/index_stats.py <index_dir>
 """
@@ -63,13 +65,14 @@ def stats(index_dir: str) -> dict:
     return out
 
 
-# corpus builds: plan, runs, merge; legacy-run builds: convert .. merge
-STAGE_ORDER = ["plan_s", "runs_s", "convert_s", "layout_s", "doclens_s", "merge_s"]
+# corpus builds: runs, heavy, merge; legacy-run builds: convert .. merge
+STAGE_ORDER = ["runs_s", "convert_s", "layout_s", "heavy_s", "doclens_s", "merge_s"]
 
 
 def stage_table(build: dict) -> str:
     """Per-stage table of a build manifest: each stage's seconds and share
-    of the total, then the skew rows (legacy-run builds have no skew)."""
+    of the total, then the skew rows (legacy-run builds have only the
+    heavy-term ones)."""
     t = build["timings"]
     total = t.get("total_s") or 0.0
     rows = [("stage", "seconds", "share")]
@@ -89,6 +92,10 @@ def stage_table(build: dict) -> str:
             ("shard wall max", f"{skew['shard_wall_max_s']:.3f}", f"shard {skew['straggler_shard']}")
         )
         rows.append(("shard bytes max/median", str(skew["shard_bytes_max_over_median"]), ""))
+    if "heavy_candidates" in skew:
+        rows.append(("heavy candidates", str(skew["heavy_candidates"]), ""))
+        for term, n in sorted(skew["heavy_hash_runs"].items()):
+            rows.append(("heavy hash runs", str(n), term))
     w0 = max(len(r[0]) for r in rows)
     w1 = max(len(r[1]) for r in rows)
     return "\n".join(f"{a:<{w0}}  {b:>{w1}}  {c}".rstrip() for a, b, c in rows)

@@ -18,35 +18,40 @@ Ray-Data-native replacement for the reference's three-stage external sort
   ``HW2/README.md:131``). Every posting gets a group key ``gkey`` — the
   explicit repartition required by the north rule:
 
-    * normal term  -> ``gkey = hash(term) % num_shards``
-    * heavy term i -> ``gkey = num_shards + i * n_salts + docid // bucket_width``
+    * a term of the run -> ``gkey = hash(term) % num_shards``
+    * a term the run isolates (its j-th, by term) ->
+      ``gkey = num_shards + j * n_salts + docid // bucket_width``
       (salted partitioning: a stopword's postings spread over ``n_salts``
       docid-range buckets so no single group ever materializes the full list)
 
-  Phase 1 sorts each partition's postings by ``(gkey, term, docid)`` and
-  writes ONE PARQUET ROW GROUP PER GKEY, recording the gkeys present in the
-  run manifest (:func:`_write_run_layout`). The merge
-  (:func:`merge_runs_mapside`) is then embarrassingly parallel: one task per
-  normal gkey reads exactly its row groups from each run (a map-side
-  partitioned shuffle, MapReduce-style — no sort all-to-all, no Ray Data
-  shuffle; no task reads a row it doesn't own) and encodes the
-  blocked/varbyte shard + lexicon shard with one call of the whole-shard
-  encode kernel (``PostingsShardWriter.add_terms``). One task per HEAVY
-  term streams its salt gkeys in docid-range order through the same kernel,
-  one flush of whole blocks at a time —
-  O(block) memory, a 10^12-posting stopword list is never materialized
-  (unlike the reference's per-term dict, ``merger.py:101``). That stream
-  needs docid-disjoint runs visited in ascending docid order. Corpus
-  partitions come that way from the offset plan; converted reference runs
-  are ordered by docid range, and go unsalted when ranges overlap
-  (``pipelines/legacy.py``).
+  A run isolates the terms that are heavy in it: local df >=
+  ``heavy_df_frac`` x the run's share of N (:func:`heavy_min`). Phase 1
+  sorts each partition's postings by ``(gkey, term, docid)`` and writes ONE
+  PARQUET ROW GROUP PER GKEY, recording the gkeys present and the isolated
+  terms with their local df in the run manifest (:func:`_write_run_layout`).
+  The merge (:func:`merge_runs_mapside`) is then embarrassingly parallel:
+  one task per hash shard reads exactly its row groups from each run (a
+  map-side partitioned shuffle, MapReduce-style — no sort all-to-all, no
+  Ray Data shuffle) and encodes the blocked/varbyte shard + lexicon shard
+  with one call of the whole-shard encode kernel
+  (``PostingsShardWriter.add_terms``). One task per HEAVY term streams it
+  run by run in docid order through the same kernel, one flush of whole
+  blocks at a time — O(row group) memory, a 10^12-posting stopword list is
+  never materialized (unlike the reference's per-term dict,
+  ``merger.py:101``). That stream needs docid-disjoint runs visited in
+  ascending docid order. Corpus partitions come that way from the offset
+  plan; converted reference runs are ordered by docid range, and go
+  unsalted when ranges overlap (``pipelines/legacy.py``).
 
-Heavy terms are detected BEFORE phase 1 by a deterministic sample pre-pass
-over a fixed, partitioning-independent subset of input files (so the run
-layout — and every output byte — is invariant to partition size and task
-order; missing a true heavy term only costs balance, never correctness).
+Heavy terms are decided exactly BETWEEN the phases, from what phase 1
+counted (:func:`detect_heavy_sample`): a term is heavy iff its global df
+>= ``heavy_df_frac`` x N. By pigeonhole every such term is isolated by some
+run, so the candidates are the union of the runs' isolated terms; only a
+candidate whose isolated dfs fall short is counted in the hash row groups
+of the runs where it was light. The run layout depends on no global heavy
+list, and the index bytes are invariant to partition size and task order.
 
-Every fan-out (heavy sample, runs, merge) is :func:`fan_out`: one
+Every fan-out (runs, merge) is :func:`fan_out`: one
 ``ray.remote(num_cpus=1)`` task per item, results in input order, no Ray
 Data executor. All shard/run/manifest writes are atomic (tmp + rename) with
 deterministic names, so Ray's retry of a crashed task is safe, a rerun after
@@ -85,11 +90,6 @@ from web_search_engine_ray.state.docstats import write_stats
 from web_search_engine_ray.state.lexicon import LexiconShard, term_shard_array
 from web_search_engine_ray.state.listio import PostingsShardWriter
 
-# heavy-detection sample: fixed, partitioning-independent file subset
-HEAVY_SAMPLE_FILES = 8
-HEAVY_SAMPLE_ROWS = 200_000
-# per-partition term counts kept in each run manifest
-MANIFEST_TOP_TERMS = 64
 # a fan-out with no task finished for this long logs its stage and progress
 STALL_LOG_S = 30.0
 # the sources that decide run and shard bytes (package-relative)
@@ -125,7 +125,7 @@ class BuildConfig:
     # N/avgdl/sum_dl, so the result equals an index over the corpus minus
     # those docs with docids unchanged
     delete_docids: tuple = ()
-    # a term is "heavy" (salted) when its sampled df fraction exceeds this
+    # a term is "heavy" (its own salted shard) when df >= this fraction of N
     heavy_df_frac: float = 0.05
 
     @property
@@ -149,6 +149,10 @@ def _np(col: pa.ChunkedArray | pa.Array, dtype) -> np.ndarray:
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     return col.to_numpy(zero_copy_only=False).astype(dtype, copy=False)
+
+
+def _run_path(cfg: BuildConfig, pid: int) -> str:
+    return os.path.join(cfg.runs_dir, f"run_{pid:06d}.parquet")
 
 
 def _sha256_file(path: str) -> str:
@@ -201,68 +205,16 @@ def fan_out(stage: str, fn, items: list, *args) -> list:
     return [out[r] for r in refs]
 
 
-# ---------------------------------------------------- heavy-term detection
-
-
-def _sample_dfs(path: str, text_column: str, n_rows: int) -> tuple[int, dict[str, int]]:
-    """Row count and per-term df over the first ``n_rows`` rows of ``path``."""
-    import polars as pl
-
-    from web_search_engine_ray.functions.tokenize import token_lists
-
-    t = pq.ParquetFile(path).read_row_group(0, columns=[text_column])
-    t = t.slice(0, n_rows)
-    toks = token_lists(t[text_column])
-    dfp = (
-        pl.DataFrame({"term": toks})
-        .with_row_index("rid")
-        .explode("term", empty_as_null=True)
-        .drop_nulls("term")
-        .unique(subset=["rid", "term"])
-        .group_by("term")
-        .len(name="df")
-    )
-    return t.num_rows, dict(zip(dfp["term"].to_list(), (int(x) for x in dfp["df"].to_list())))
-
-
-def detect_heavy_sample(files: list[str], cfg: BuildConfig) -> list[str]:
-    """Pre-phase-1 heavy-hitter detection over a deterministic sample.
-
-    Reads up to ``HEAVY_SAMPLE_ROWS`` rows from up to ``HEAVY_SAMPLE_FILES``
-    evenly-spaced input FILES (files are stable across partition sizes, so
-    the resulting heavy set — and hence the whole run/shard layout — is
-    partitioning-invariant). A term is heavy when its sampled df fraction is
-    >= ``heavy_df_frac``. Misses only cost group balance, never correctness.
-    """
-    if cfg.heavy_df_frac is None or cfg.heavy_df_frac <= 0:
-        return []
-    k = min(HEAVY_SAMPLE_FILES, len(files))
-    stride = max(1, len(files) // k)
-    sample_files = files[::stride][:k]
-    per_file_rows = max(1, HEAVY_SAMPLE_ROWS // len(sample_files))
-    results = fan_out("build.detect_heavy", _sample_dfs, sample_files, cfg.text_column, per_file_rows)
-
-    acc: dict[str, int] = {}
-    n_sampled = 0
-    for n_rows, dfs in results:
-        n_sampled += n_rows
-        for term, df in dfs.items():
-            acc[term] = acc.get(term, 0) + df
-    if n_sampled == 0:
-        return []
-    thresh = cfg.heavy_df_frac * n_sampled
-    return sorted(t for t, c in acc.items() if c >= thresh)
-
-
-def make_layout(heavy_terms: list[str], n_docs: int, cfg: BuildConfig) -> dict:
+def make_layout(n_docs: int, cfg: BuildConfig) -> dict:
     """The gkey routing contract shared by the run layout and the merge.
     Its ``fp`` also covers :func:`code_fingerprint`, and so does every run
-    fingerprint and ``build_fp`` built on it."""
+    fingerprint and ``build_fp`` built on it. No global heavy list is part
+    of it: each run isolates its own locally heavy terms."""
     layout = {
         "S": cfg.num_shards,
         "n_salts": cfg.n_salts,
         "bucket_width": max(1, math.ceil(n_docs / cfg.n_salts)),
-        "heavy": list(heavy_terms),
+        "heavy_df_frac": cfg.heavy_df_frac or 0.0,
         "code": code_fingerprint(),
     }
     layout["fp"] = hashlib.sha256(
@@ -271,38 +223,59 @@ def make_layout(heavy_terms: list[str], n_docs: int, cfg: BuildConfig) -> dict:
     return layout
 
 
+def heavy_min(layout: dict, share: int) -> int | None:
+    """Least local df that isolates a term in a run holding ``share`` of
+    N, or None when heavy detection is off. The bound sits a hair under
+    ``heavy_df_frac * share`` so float rounding can never leave a term with
+    global df >= ``heavy_df_frac * N`` unisolated in every run (pigeonhole:
+    such a term reaches its share's fraction in at least one run)."""
+    f = layout["heavy_df_frac"]
+    if f <= 0:
+        return None
+    return max(1, math.ceil(f * share * (1 - 1e-9)))
+
+
 def assign_gkeys(
-    terms: pa.ChunkedArray | pa.Array, docids: np.ndarray, layout: dict
-) -> np.ndarray:
-    """Row-level group keys: hash shard for normal terms, per-docid-range
-    salt buckets for heavy terms (the salted repartition)."""
+    terms: pa.ChunkedArray | pa.Array, docids: np.ndarray, layout: dict, min_df: int | None
+) -> tuple[np.ndarray, dict[str, int]]:
+    """Row-level group keys of one run, whose rows each hold a distinct
+    (term, docid): the hash shard for a term, or per-docid-range salt
+    buckets for a term this run isolates (local df >= ``min_df``). Returns
+    the gkeys and the isolated terms with their local df, sorted by term;
+    isolated term j, salt s has gkey ``S + j * n_salts + s``."""
     if isinstance(terms, pa.ChunkedArray):
         terms = terms.combine_chunks()
     S, nsalts = layout["S"], layout["n_salts"]
-    heavy_idx = {t: i for i, t in enumerate(layout["heavy"])}
     enc = terms.dictionary_encode()
     uniq = enc.dictionary.to_pylist()
     indices = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    shard_of = term_shard_array(uniq, S).astype(np.int64)
-    hv = np.array([heavy_idx.get(t, -1) for t in uniq], dtype=np.int64)
-    gkey = shard_of[indices]
-    hrow = hv[indices]
-    mask = hrow >= 0
-    if mask.any():
+    gkey = term_shard_array(uniq, S).astype(np.int64)[indices]
+    if min_df is None:
+        return gkey, {}
+    df = np.bincount(indices, minlength=len(uniq))
+    iso = sorted((uniq[i], int(i)) for i in np.flatnonzero(df >= min_df))
+    if iso:
+        rank = np.full(len(uniq), -1, dtype=np.int64)
+        rank[[i for _, i in iso]] = np.arange(len(iso))
+        hrow = rank[indices]
+        mask = hrow >= 0
         salt = (docids[mask] // np.uint64(layout["bucket_width"])).astype(np.int64)
         gkey[mask] = S + hrow[mask] * nsalts + salt
-    return gkey
+    return gkey, {t: int(df[i]) for t, i in iso}
 
 
-def _write_run_layout(postings: pa.Table, layout: dict, run_path: str):
+def _write_run_layout(postings: pa.Table, layout: dict, run_path: str, share: int) -> dict:
     """Write ``(term, docid)``-sorted postings as a map-side partitioned run
-    (atomic): one parquet row group per gkey, gkeys ascending. Returns the
-    gkey-sorted postings and the gkeys present, in row-group order."""
+    (atomic): one parquet row group per gkey, gkeys ascending. ``share`` is
+    the run's part of N (its alive rows, or its docid span). Returns the
+    run manifest's layout fields: ``gkeys`` (in row-group order),
+    ``isolated`` (term -> local df) and ``heavy_min``."""
     # group-key routing + stable sort by gkey: rows within a gkey keep their
-    # (term, docid) order (heavy salts are docid-monotonic), giving the
+    # (term, docid) order (salts are docid-monotonic), giving the
     # (gkey, term, docid) order the map-side shuffle layout needs
     pdoc = _np(postings["docid"], np.uint64)
-    gkey = assign_gkeys(postings["term"], pdoc, layout)
+    min_df = heavy_min(layout, share)
+    gkey, isolated = assign_gkeys(postings["term"], pdoc, layout, min_df)
     order = np.argsort(gkey, kind="stable")
     postings = postings.take(pa.array(order, pa.int64()))
     gsorted = gkey[order]
@@ -317,7 +290,7 @@ def _write_run_layout(postings: pa.Table, layout: dict, run_path: str):
         writer.write_table(postings.slice(lo, hi - lo))
     writer.close()
     os.replace(tmp, run_path)
-    return postings, gkeys_present
+    return {"gkeys": gkeys_present, "isolated": isolated, "heavy_min": min_df}
 
 
 # ---------------------------------------------------------------- phase 1
@@ -326,7 +299,7 @@ def _write_run_layout(postings: pa.Table, layout: dict, run_path: str):
 def _build_one_partition(desc: dict, cfg: BuildConfig, layout: dict) -> dict:
     t0 = time.perf_counter()
     pid = desc["pid"]
-    run_path = os.path.join(cfg.runs_dir, f"run_{pid:06d}.parquet")
+    run_path = _run_path(cfg, pid)
     dl_path = os.path.join(cfg.doclens_dir, f"doclen_{pid:06d}.parquet")
     man_path = os.path.join(cfg.manifests_dir, f"run_{pid:06d}.json")
     fp = mf.descriptor_fingerprint(desc) + ":" + layout["fp"]
@@ -377,7 +350,7 @@ def _build_one_partition(desc: dict, cfg: BuildConfig, layout: dict) -> dict:
         postings = pa.concat_tables(parts)
         dl = np.concatenate(dls)
 
-    postings, gkeys_present = _write_run_layout(postings, layout, run_path)
+    run_layout = _write_run_layout(postings, layout, run_path, tbl.num_rows)
 
     if alive_mask is not None:
         # keep the dl shard DENSE over the full docid span (the reader
@@ -395,15 +368,6 @@ def _build_one_partition(desc: dict, cfg: BuildConfig, layout: dict) -> dict:
     pq.write_table(dl_tbl, tmp)
     os.replace(tmp, dl_path)
 
-    # per-partition df partials for heavy-hitter detection (term run lengths:
-    # postings are (term, docid)-sorted and docid-unique within the partition)
-    tcol = postings["term"].combine_chunks()
-    counts = tcol.value_counts()
-    vals = counts.field("values").to_pylist()
-    cnts = np.asarray(counts.field("counts"))
-    top = np.argsort(cnts)[::-1][:MANIFEST_TOP_TERMS]
-    top_terms = {vals[i]: int(cnts[i]) for i in top}
-
     m = {
         "pid": pid,
         "descriptor_fp": fp,
@@ -415,10 +379,8 @@ def _build_one_partition(desc: dict, cfg: BuildConfig, layout: dict) -> dict:
         "n_docs": int(desc["n_rows"]),
         "n_deleted": n_deleted,
         "n_postings": int(postings.num_rows),
-        "n_terms": int(len(vals)),
         "sum_dl": int(dl.sum()),
-        "top_terms": top_terms,
-        "gkeys": gkeys_present,
+        **run_layout,
         "run_sha256": _sha256_file(run_path),
         "wall_s": round(time.perf_counter() - t0, 4),
         "skipped": False,
@@ -432,6 +394,69 @@ def build_runs(descs: list[dict], cfg: BuildConfig, layout: dict) -> list[dict]:
     for d in (cfg.runs_dir, cfg.doclens_dir, cfg.manifests_dir):
         os.makedirs(d, exist_ok=True)
     return fan_out("build.runs", _build_one_partition, descs, cfg, layout)
+
+
+# ------------------------------------------------------ heavy-term decision
+
+
+def detect_heavy_sample(run_ms: list[dict], cfg: BuildConfig, n_docs: int) -> dict:
+    """The exact heavy set ``{t : df_t >= heavy_df_frac * n_docs}``, decided
+    from the runs between phase 1 and the merge. (The name is kept from the
+    sample pre-pass this replaced: the benchmark's tracer times this stage
+    by it.)
+
+    The candidates are the terms some run isolated; by pigeonhole every
+    heavy term is one. A candidate whose isolated dfs reach the threshold
+    is heavy. One that misses it even at ``heavy_min - 1`` in every run
+    where it was light is not. Only the rest are counted, from the ``term``
+    column of their hash row group in each run where they were light.
+
+    Returns ``heavy_terms`` (sorted), ``heavy_candidates`` (how many terms
+    some run isolated) and ``heavy_hash_runs`` (per heavy term, from how
+    many runs' hash row groups the merge reads it)."""
+    thresh = (cfg.heavy_df_frac or 0) * n_docs
+    iso_df: dict[str, int] = {}
+    iso_slack: dict[str, int] = {}
+    light_max = 0  # a term's most postings if it were light in every run
+    for m in run_ms:
+        slack = (m["heavy_min"] or 1) - 1
+        light_max += slack
+        for t, c in m["isolated"].items():
+            iso_df[t] = iso_df.get(t, 0) + c
+            iso_slack[t] = iso_slack.get(t, 0) + slack
+    heavy = {t for t, c in iso_df.items() if c >= thresh}
+    unsure = sorted(
+        t for t, c in iso_df.items() if t not in heavy and c + light_max - iso_slack[t] >= thresh
+    )
+    if unsure:
+        shard = dict(zip(unsure, term_shard_array(unsure, cfg.num_shards).tolist()))
+        df = {t: iso_df[t] for t in unsure}
+        for m in run_ms:
+            by_rg: dict[int, list[str]] = {}
+            for t in unsure:
+                if t not in m["isolated"] and shard[t] in m["gkeys"]:
+                    by_rg.setdefault(m["gkeys"].index(shard[t]), []).append(t)
+            if not by_rg:
+                continue
+            pf = pq.ParquetFile(_run_path(cfg, m["pid"]))
+            for ordinal, ts in by_rg.items():
+                # value_counts -> Python: no Arrow conversion of Python
+                # objects, which would import pandas into the driver
+                vc = pf.read_row_group(ordinal, columns=["term"])["term"].value_counts()
+                counts = dict(zip(vc.field("values").to_pylist(), vc.field("counts").to_pylist()))
+                for t in ts:
+                    df[t] += counts.get(t, 0)
+        heavy.update(t for t in unsure if df[t] >= thresh)
+    heavy_terms = sorted(heavy)
+    shard = dict(zip(heavy_terms, term_shard_array(heavy_terms, cfg.num_shards).tolist()))
+    return {
+        "heavy_terms": heavy_terms,
+        "heavy_candidates": len(iso_df),
+        "heavy_hash_runs": {
+            t: sum(t not in m["isolated"] and shard[t] in m["gkeys"] for m in run_ms)
+            for t in heavy_terms
+        },
+    }
 
 
 # ---------------------------------------------------------------- phase 2
@@ -521,51 +546,84 @@ def _encode_heavy_shard(
 
 
 def merge_runs_mapside(
-    cfg: BuildConfig, run_manifests: list[dict], layout: dict, build_fp: str
+    cfg: BuildConfig, run_manifests: list[dict], layout: dict, build_fp: str, heavy_terms: list[str]
 ) -> list[dict]:
     """Phase 2: the runs are already partitioned by gkey (one parquet row
-    group per gkey, ``{pid, gkeys}`` manifests); one task per normal gkey
-    gathers and encodes its shard, one task per heavy term streams its salt
-    gkeys in docid-range order. Runs are visited in the order given, which
-    the caller makes docid-ascending over docid-disjoint runs, so each heavy
-    stream is globally docid-ascending: no sort and O(block) memory."""
+    group per gkey, ``{pid, gkeys, isolated}`` manifests). One task per
+    hash shard gathers and encodes it: the shard's hash row groups less the
+    rows of heavy terms, plus the isolated row groups of its terms that
+    are not heavy. One task per heavy term streams it run by run: the run's
+    isolated salt row groups, or its hash row group filtered to the term.
+    Runs are visited in the order given, which the caller makes
+    docid-ascending over docid-disjoint runs, so each heavy stream is
+    globally docid-ascending: no sort and O(row group) memory.
+
+    ``build.json`` is removed before the first shard is written: until the
+    build writes it again the index dir may mix shards of two builds, and a
+    resume must not take that for a finished build."""
     os.makedirs(cfg.index_dir, exist_ok=True)
+    done = os.path.join(cfg.out_dir, "build.json")
+    if os.path.exists(done):
+        os.remove(done)
     S, nsalts = layout["S"], layout["n_salts"]
+    heavy_shard = dict(zip(heavy_terms, term_shard_array(heavy_terms, S).tolist()))
 
-    # gkey -> [(run_path, row_group_ordinal)], runs in the order given
-    sources: dict[int, list[tuple[str, int]]] = {}
+    # shard -> [(run_path, row_group_ordinal, heavy terms to drop)] and
+    # heavy term -> [(run_path, row_group_ordinal, term to keep or None)],
+    # runs in the order given
+    normal: dict[int, list] = {}
+    streams: dict[str, list] = {t: [] for t in heavy_terms}
     for m in run_manifests:
-        path = os.path.join(cfg.runs_dir, f"run_{m['pid']:06d}.parquet")
+        path = _run_path(cfg, m["pid"])
+        iso = sorted(m["isolated"])
+        iso_shard = term_shard_array(iso, S).tolist()
+        hash_rg = {}
         for ordinal, g in enumerate(m["gkeys"]):
-            sources.setdefault(int(g), []).append((path, ordinal))
+            if g < S:
+                hash_rg[g] = (path, ordinal, [])
+                normal.setdefault(g, []).append(hash_rg[g])
+                continue
+            j = (g - S) // nsalts
+            if iso[j] in heavy_shard:
+                streams[iso[j]].append((path, ordinal, None))
+            else:  # isolated in this run but not heavy: back to its hash shard
+                normal.setdefault(iso_shard[j], []).append((path, ordinal, []))
+        for t, g in heavy_shard.items():
+            if t not in m["isolated"] and g in hash_rg:
+                hash_rg[g][2].append(t)
+                streams[t].append((path, hash_rg[g][1], t))
 
-    # (kind, shard-or-term index, heavy term, sources); a heavy item's
-    # sources are one list per salt, in salt order
-    items = [("normal", g, None, sources[g]) for g in sorted(k for k in sources if k < S)]
-    for i, term in enumerate(layout["heavy"]):
-        salt_srcs = [sources.get(S + i * nsalts + s, []) for s in range(nsalts)]
-        if any(salt_srcs):
-            items.append(("heavy", i, term, salt_srcs))
-    return fan_out("build.merge", _merge_one, items, cfg, build_fp)
+    items = [("normal", g, None, normal[g]) for g in sorted(normal)]
+    items += [("heavy", i, t, streams[t]) for i, t in enumerate(heavy_terms) if streams[t]]
+    return [m for m in fan_out("build.merge", _merge_one, items, cfg, build_fp) if m is not None]
 
 
 def _read_rg(path: str, ordinal: int, columns) -> pa.Table:
     return pq.ParquetFile(path).read_row_group(ordinal, columns=columns)
 
 
-def _merge_one(item: tuple, cfg: BuildConfig, build_fp: str) -> dict:
-    """One merge task: gather and encode a normal shard, or stream a heavy
-    term's salts in order (each salt's runs arrive docid-ascending)."""
+def _merge_one(item: tuple, cfg: BuildConfig, build_fp: str) -> dict | None:
+    """One merge task: gather and encode a hash shard (None when every row
+    belongs to a heavy term), or stream a heavy term run by run."""
     kind, idx, term, srcs = item
     if kind == "normal":
-        parts = [_read_rg(p, o, ["term", "docid", "tf"]) for p, o in srcs]
-        return _encode_normal_shard(pa.concat_tables(parts), idx, cfg, build_fp)
+        parts = []
+        for p, o, drop in srcs:
+            t = _read_rg(p, o, ["term", "docid", "tf"])
+            if drop:
+                t = t.filter(pc.invert(pc.is_in(t["term"], value_set=pa.array(drop, t["term"].type))))
+            parts.append(t)
+        batch = pa.concat_tables(parts)
+        return _encode_normal_shard(batch, idx, cfg, build_fp) if batch.num_rows else None
 
     def chunks():
-        for salt in srcs:
-            for p, o in salt:
+        for p, o, only in srcs:
+            if only is None:
                 t = _read_rg(p, o, ["docid", "tf"])
-                yield _np(t["docid"], np.uint64), _np(t["tf"], np.uint64)
+            else:
+                t = _read_rg(p, o, ["term", "docid", "tf"])
+                t = t.filter(pc.equal(t["term"], only))
+            yield _np(t["docid"], np.uint64), _np(t["tf"], np.uint64)
 
     return _encode_heavy_shard(idx, term, chunks(), cfg, build_fp)
 
@@ -573,11 +631,14 @@ def _merge_one(item: tuple, cfg: BuildConfig, build_fp: str) -> dict:
 # ---------------------------------------------------------------- driver
 
 
-def build_skew(run_ms: list[dict], shard_ms: list[dict]) -> dict:
+def build_skew(run_ms: list[dict], shard_ms: list[dict], heavy: dict) -> dict:
     """Where the build's time went, from its run and shard manifests: the
     partition wall p50 and max with the straggler pid, the slowest shard
-    and its id, and the largest shard's postings bytes over the median."""
-    out = {}
+    and its id, and the largest shard's postings bytes over the median.
+    Heavy-term coverage comes from the decision (:func:`detect_heavy_sample`):
+    the candidate count, and per heavy term the runs whose hash row group
+    the merge reads it from."""
+    out = {k: heavy[k] for k in ("heavy_candidates", "heavy_hash_runs")}
     if run_ms:
         slow = max(run_ms, key=lambda m: m["wall_s"])
         out["partition_wall_p50_s"] = round(statistics.median(m["wall_s"] for m in run_ms), 4)
@@ -615,13 +676,11 @@ def build_index(input_path_or_dir, out_dir: str, **kw) -> dict:
                 "directory of mixed tables"
             )
     descs, n_docs = plan_partitions(files, cfg.partition_rows, cfg.docid_offset)
-    heavy = detect_heavy_sample(files, cfg)
-    layout = make_layout(heavy, cfg.docid_offset + n_docs, cfg)
+    layout = make_layout(cfg.docid_offset + n_docs, cfg)
     if cfg.delete_docids:
         dels = np.asarray(sorted({int(x) for x in cfg.delete_docids}), dtype=np.uint64)
         cfg._deletes_np = dels
         cfg._delete_fp = hashlib.sha256(dels.tobytes()).hexdigest()[:16]
-    t_plan = time.perf_counter()
     run_ms = build_runs(descs, cfg, layout)
     run_ms.sort(key=lambda m: m["pid"])
     total_tokens = sum(m["sum_dl"] for m in run_ms)
@@ -629,6 +688,8 @@ def build_index(input_path_or_dir, out_dir: str, **kw) -> dict:
     n_alive = n_docs - n_deleted
     stats = write_stats(cfg.doclens_dir, n_alive, total_tokens)
     t_runs = time.perf_counter()
+    heavy = detect_heavy_sample(run_ms, cfg, n_alive)
+    t_heavy = time.perf_counter()
 
     build_fp = hashlib.sha256(
         json.dumps(
@@ -656,7 +717,7 @@ def build_index(input_path_or_dir, out_dir: str, **kw) -> dict:
         if ok:
             shard_ms = prev["shards"]
     if shard_ms is None:
-        shard_ms = merge_runs_mapside(cfg, run_ms, layout, build_fp)
+        shard_ms = merge_runs_mapside(cfg, run_ms, layout, build_fp, heavy["heavy_terms"])
     t_merge = time.perf_counter()
 
     cfg_dict = asdict(cfg)
@@ -677,16 +738,16 @@ def build_index(input_path_or_dir, out_dir: str, **kw) -> dict:
         "n_partitions": len(descs),
         "n_postings": sum(m["n_postings"] for m in run_ms),
         "n_terms": sum(m.get("n_terms", 0) for m in shard_ms),
-        "heavy_terms": heavy,
+        "heavy_terms": heavy["heavy_terms"],
         "num_shards": cfg.num_shards,
         "shards": sorted(shard_ms, key=lambda m: m["shard"]),
         "timings": {
-            "plan_s": round(t_plan - t0, 3),
-            "runs_s": round(t_runs - t_plan, 3),
-            "merge_s": round(t_merge - t_runs, 3),
+            "runs_s": round(t_runs - t0, 3),
+            "heavy_s": round(t_heavy - t_runs, 3),
+            "merge_s": round(t_merge - t_heavy, 3),
             "total_s": round(t_merge - t0, 3),
         },
-        "skew": build_skew(run_ms, shard_ms),
+        "skew": build_skew(run_ms, shard_ms, heavy),
     }
     mf.write_manifest(os.path.join(out_dir, "build.json"), build)
     return build

@@ -16,15 +16,17 @@ Shape (every fan-out is one plain Ray task per item,
    (term, docid) if needed, tf-sum repeated (term, docid) rows, write a
    native parquet run into the build's ``runs/`` dir. Each conversion
    manifest records lineage (source path, format, sha256) plus partials:
-   posting count, tf sum, min and max docid, and per-file top term counts.
-2. **Plan**: heavy terms from the merged per-file term-count partials
-   (df-fraction threshold, same knob as the corpus build; misses cost
-   group balance, never correctness); ``N`` = max docid + 1 unless the
-   caller passes ``n_docs`` (runs cannot see trailing empty docs — the
+   posting count, tf sum, min and max docid. ``N`` = max docid + 1 unless
+   the caller passes ``n_docs`` (runs cannot see trailing empty docs — the
    reference merge has the same blind spot, ``HW2/engine/merger.py``).
-3. **Layout** (one Ray task per run): rewrite each converted run in place
+2. **Layout** (one Ray task per run): rewrite each converted run in place
    into the map-side layout of the corpus build — one parquet row group
-   per gkey (:func:`~web_search_engine_ray.pipelines.build._write_run_layout`).
+   per gkey, the run's locally heavy terms isolated into their own salt
+   row groups, with its docid span as its share of N
+   (:func:`~web_search_engine_ray.pipelines.build._write_run_layout`).
+3. **Heavy terms**: the corpus build's exact decision
+   (:func:`~web_search_engine_ray.pipelines.build.detect_heavy_sample`)
+   over the laid-out runs: heavy iff df >= ``heavy_df_frac`` x N.
 4. **Doc lengths**: ``dl(doc) = sum of tf over the doc's postings`` (the
    reference's dl-from-runs rule, A5) via one docid-range hash exchange;
    each range writes a DENSE doclen shard (absent docids get dl=0, still
@@ -32,13 +34,14 @@ Shape (every fan-out is one plain Ray task per item,
    ``DocLengths`` range store reads it directly.
 5. **Merge**: the corpus build's merge
    (:func:`~web_search_engine_ray.pipelines.build.merge_runs_mapside`)
-   over the runs in ``min_docid`` order. A heavy term's salts stream run by
-   run without a sort, which is exact only for docid-disjoint runs. So when
-   any two runs' ``[min_docid, max_docid]`` ranges overlap, the heavy set
-   is empty: every term lands in a normal shard, whose encoder sorts and
-   tf-sums duplicate (term, docid) across runs exactly like the reference
-   k-way merge (``HW2/engine/merger.py:114-132``). Reference runs are
-   batch-disjoint and keep their salting.
+   over the runs in ``min_docid`` order. A heavy term streams run by run
+   without a sort, which is exact only for docid-disjoint runs. So when
+   any two runs' ``[min_docid, max_docid]`` ranges overlap, no run
+   isolates a term and the heavy set is empty: every term lands in a
+   normal shard, whose encoder sorts and tf-sums duplicate (term, docid)
+   across runs exactly like the reference k-way merge
+   (``HW2/engine/merger.py:114-132``). Reference runs are batch-disjoint
+   and keep their salting.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pyarrow as pa
@@ -58,8 +61,10 @@ from web_search_engine_ray.functions.tokenize import batch_postings
 from web_search_engine_ray.pipelines.build import (
     BuildConfig,
     _np,
+    _run_path,
     _sha256_file,
     _write_run_layout,
+    detect_heavy_sample,
     fan_out,
     make_layout,
     merge_runs_mapside,
@@ -77,10 +82,6 @@ from web_search_engine_ray.sources.transcripts import (
 )
 from web_search_engine_ray.state import manifest as mf
 from web_search_engine_ray.state.docstats import write_stats
-
-
-def _run_path(cfg: BuildConfig, ordinal: int) -> str:
-    return os.path.join(cfg.runs_dir, f"run_{ordinal:06d}.parquet")
 
 
 def _sort_and_sum(t: pa.Table) -> pa.Table:
@@ -132,11 +133,6 @@ def _convert_one(src: tuple[int, str], cfg: BuildConfig) -> dict:
 
     docid = t["docid"].to_numpy(zero_copy_only=False)
     tf = t["tf"].to_numpy(zero_copy_only=False)
-    terms = t["term"].combine_chunks()
-    counts = terms.value_counts()
-    vals = counts.field("values").to_pylist()
-    cnts = np.asarray(counts.field("counts"))
-    top = np.argsort(cnts)[::-1][:256]
     m = {
         "ordinal": ordinal,
         "lineage": {"src": path, "format": fmt, "src_sha256": src_sha},
@@ -145,7 +141,6 @@ def _convert_one(src: tuple[int, str], cfg: BuildConfig) -> dict:
         "sum_tf": int(tf.sum()) if tf.size else 0,
         "min_docid": int(docid.min()) if docid.size else -1,
         "max_docid": int(docid.max()) if docid.size else -1,
-        "top_terms": {vals[i]: int(cnts[i]) for i in top},
         "wall_s": round(time.perf_counter() - t0, 4),
         "skipped": False,
     }
@@ -153,15 +148,19 @@ def _convert_one(src: tuple[int, str], cfg: BuildConfig) -> dict:
     return m
 
 
-def _layout_one_run(ordinal: int, cfg: BuildConfig, layout: dict) -> dict:
+def _layout_one_run(conv: dict, cfg: BuildConfig, layout: dict) -> dict:
     """Rewrite one converted run in place (atomic) into the map-side layout;
-    returns its ``{pid, gkeys}`` run manifest for the merge."""
+    returns its ``{pid, gkeys, isolated, heavy_min}`` run manifest for the
+    heavy-term decision and the merge. The run's share of N is its docid
+    span."""
+    ordinal = conv["ordinal"]
     path = _run_path(cfg, ordinal)
+    share = conv["max_docid"] - conv["min_docid"] + 1 if conv["n_postings"] else 0
     # back to (term, docid) order first: a resumed build finds the run in
     # the previous build's layout, and the rewrite must not depend on it
     t = pq.read_table(path).sort_by([("term", "ascending"), ("docid", "ascending")])
-    _, gkeys = _write_run_layout(t, layout, path)
-    return {"pid": ordinal, "gkeys": gkeys, "run_sha256": _sha256_file(path)}
+    run_layout = _write_run_layout(t, layout, path, share)
+    return {"pid": ordinal, **run_layout, "run_sha256": _sha256_file(path)}
 
 
 def _write_doclens_from_runs(
@@ -289,32 +288,24 @@ def build_index_from_runs(
     total_tokens = sum(m["sum_tf"] for m in conv)
     t_conv = time.perf_counter()
 
-    # heavy terms from the merged per-file term-count partials (exact dfs
-    # of those terms when the runs are docid-disjoint; overlapping runs
-    # get no heavy terms below)
-    acc: dict[str, int] = {}
-    for m in conv:
-        for term, c in m["top_terms"].items():
-            acc[term] = acc.get(term, 0) + int(c)
-    thresh = (cfg.heavy_df_frac or 0) * n_docs
-    heavy = sorted(t for t, c in acc.items() if thresh and c >= thresh)
-    # the merge streams heavy salts run by run in min_docid order, exact
-    # only for docid-disjoint runs; overlapping runs go unsalted, so shared
-    # (term, docid) pairs meet in a normal shard and are tf-summed there
-    by_docid = sorted(conv, key=lambda m: (m["min_docid"], m["ordinal"]))
-    spans = [(m["min_docid"], m["max_docid"]) for m in by_docid if m["n_postings"]]
+    # the merge streams heavy terms run by run in min_docid order, exact
+    # only for docid-disjoint runs; overlapping runs isolate no term, so
+    # nothing is heavy and shared (term, docid) pairs meet in a normal
+    # shard, where they are tf-summed
+    ordered = sorted(conv, key=lambda m: (m["min_docid"], m["ordinal"]))
+    spans = [(m["min_docid"], m["max_docid"]) for m in ordered if m["n_postings"]]
     if any(lo <= prev_hi for (_, prev_hi), (lo, _) in zip(spans, spans[1:])):
-        heavy = []
-    layout = make_layout(heavy, n_docs, cfg)
+        cfg = replace(cfg, heavy_df_frac=0.0)
+    layout = make_layout(n_docs, cfg)
 
     # phase: map-side run layout (one task per run, rewritten in place)
-    laid_out = {
-        m["pid"]: m
-        for m in fan_out(
-            "legacy.layout", _layout_one_run, [m["ordinal"] for m in conv], cfg, layout
-        )
-    }
+    laid_out = {m["pid"]: m for m in fan_out("legacy.layout", _layout_one_run, conv, cfg, layout)}
+    by_docid = [laid_out[m["ordinal"]] for m in ordered]
     t_layout = time.perf_counter()
+
+    # phase: the exact heavy set, from the laid-out runs
+    heavy = detect_heavy_sample(by_docid, cfg, n_docs)
+    t_heavy = time.perf_counter()
 
     # phase: doc lengths from the runs (A5 rule)
     _write_doclens_from_runs(
@@ -334,9 +325,7 @@ def build_index_from_runs(
             sort_keys=True,
         ).encode()
     ).hexdigest()[:16]
-    shard_ms = merge_runs_mapside(
-        cfg, [laid_out[m["ordinal"]] for m in by_docid], layout, build_fp
-    )
+    shard_ms = merge_runs_mapside(cfg, by_docid, layout, build_fp, heavy["heavy_terms"])
     t_merge = time.perf_counter()
 
     build = {
@@ -350,13 +339,15 @@ def build_index_from_runs(
         "run_lineage": [m["lineage"] for m in conv],
         "n_postings": sum(m["n_postings"] for m in shard_ms),
         "n_terms": sum(m.get("n_terms", 0) for m in shard_ms),
-        "heavy_terms": heavy,
+        "heavy_terms": heavy["heavy_terms"],
         "num_shards": cfg.num_shards,
         "shards": sorted(shard_ms, key=lambda m: m["shard"]),
+        "skew": {k: heavy[k] for k in ("heavy_candidates", "heavy_hash_runs")},
         "timings": {
             "convert_s": round(t_conv - t0, 3),
             "layout_s": round(t_layout - t_conv, 3),
-            "doclens_s": round(t_dl - t_layout, 3),
+            "heavy_s": round(t_heavy - t_layout, 3),
+            "doclens_s": round(t_dl - t_heavy, 3),
             "merge_s": round(t_merge - t_dl, 3),
             "total_s": round(t_merge - t0, 3),
         },
