@@ -60,3 +60,19 @@ def small_corpus_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("small_corpus")
     write_corpus(str(d), n_convs=300, max_turns=6, rows_per_file=500)
     return str(d)
+
+
+@pytest.fixture(scope="session")
+def multi_rowgroup_corpus_dir(small_corpus_dir, tmp_path_factory):
+    """``small_corpus_dir``'s files rewritten in 100-row row groups. The
+    build never splits a row group, so on one-row-group files every
+    ``partition_rows`` gives one partition per file; here partition sizes
+    below a file's rows give different plans."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    d = tmp_path_factory.mktemp("multi_rowgroup_corpus")
+    for p in sorted(glob.glob(os.path.join(small_corpus_dir, "*.parquet"))):
+        pq.write_table(pq.read_table(p), str(d / os.path.basename(p)), row_group_size=100)
+    return str(d)

@@ -593,9 +593,10 @@ def test_kernel_same_pairs_and_scores_for_int_and_string_ids(ray_session):
     """``_minhash_pairs`` + ``_verified_pairs`` give the same pairs and the
     same jaccard/containment scores whether ids are int64 docids or
     zero-padded string ids (string order == numeric order), and the
-    verified pairs equal a brute-force all-pairs answer."""
+    verified pairs equal a brute-force all-pairs answer. The kernel runs on
+    block refs."""
     import pyarrow as pa
-    import ray.data
+    import ray
 
     from web_search_engine_ray.functions.tokenize import token_lists
     from web_search_engine_ray.pipelines.dedup import (
@@ -613,12 +614,13 @@ def test_kernel_same_pairs_and_scores_for_int_and_string_ids(ray_session):
     got = {}
     for kind, ids in id_cols.items():
         t = pa.table({"key": ids, "body": pa.array(texts, pa.string())})
-        ds = ray.data.from_arrow([t.slice(0, 12), t.slice(12)])
-        cand = _minhash_pairs(ds, "key", "body", ("a", "b"), 8)
-        rows = {"cand": {(r["a"], r["b"]) for r in cand.take_all()}}
+        blocks = [ray.put(t.slice(0, 12)), ray.put(t.slice(12))]
+        cand = _minhash_pairs(blocks, "key", "body", ("a", "b"), 8)
+        tab = pa.concat_tables(ray.get(cand))
+        rows = {"cand": set(zip(tab["a"].to_pylist(), tab["b"].to_pylist()))}
         for metric, tau in (("jaccard", 0.5), ("containment", 0.8)):
-            out = _verified_pairs(cand, ds, "key", "body", ("a", "b"), metric, tau, 8)
-            tab = pa.concat_tables(ray.get(out.to_arrow_refs()))
+            out = _verified_pairs(cand, blocks, "key", "body", ("a", "b"), metric, tau, 8)
+            tab = pa.concat_tables(ray.get(out))
             assert tab.schema.field("a").type == ids.type
             rows[metric] = set(
                 zip(tab["a"].to_pylist(), tab["b"].to_pylist(), tab[metric].to_pylist())

@@ -1,12 +1,15 @@
 """The build's one task launcher, ``pipelines.build.fan_out``: results in
 input order, task errors re-raised with their type, and a heartbeat that
-names a stalled stage."""
+names a stalled stage. The near-dup chain waits on its final partitions
+through the same heartbeat (``stages.exchange.as_ready``)."""
 
 import logging
+import re
 
 import pytest
 
 from web_search_engine_ray.pipelines import build
+from web_search_engine_ray.stages import exchange
 
 
 def test_fan_out_empty_needs_no_tasks():
@@ -41,13 +44,29 @@ def test_fan_out_stall_heartbeat_names_stage(ray_session, monkeypatch, caplog):
         return s
 
     def logged():
-        return [r.getMessage() for r in caplog.records if r.name == build.__name__]
+        return [r.getMessage() for r in caplog.records if r.name == exchange.__name__]
 
-    caplog.set_level(logging.WARNING, logger=build.__name__)
+    caplog.set_level(logging.WARNING, logger=exchange.__name__)
     assert build.fan_out("test.quick", nap, [0.0, 0.0]) == [0.0, 0.0]
     assert not logged()
 
-    monkeypatch.setattr(build, "STALL_LOG_S", 0.2)
+    monkeypatch.setattr(exchange, "STALL_LOG_S", 0.2)
     assert build.fan_out("test.stalled", nap, [1.0]) == [1.0]
     msgs = logged()
     assert msgs and all(m.startswith("test.stalled: 0/1 tasks done") for m in msgs)
+
+
+def test_near_dup_chain_stall_heartbeat_names_stage(ray_session, monkeypatch, caplog):
+    """A near-dup wrapper waits for its final partitions through
+    ``exchange.as_ready``: with a stall window far shorter than the chain,
+    it logs ``<wrapper>: k/n partitions done`` and nothing else."""
+    from web_search_engine_ray.pipelines import transcripts_ops
+
+    nd = transcripts_ops.neardup_fixture_corpus()
+    caplog.set_level(logging.WARNING, logger=exchange.__name__)
+    monkeypatch.setattr(exchange, "STALL_LOG_S", 0.005)
+    assert transcripts_ops.conversation_jaccard_dups_ds(nd).count() > 0
+    msgs = [r.getMessage() for r in caplog.records if r.name == exchange.__name__]
+    assert msgs
+    for m in msgs:
+        assert re.match(r"conversation_jaccard_dups_ds: \d+/\d+ partitions done", m), m

@@ -344,6 +344,123 @@ def test_near_dup_paths_use_no_ray_data_shuffle(ray_session, monkeypatch):
         assert run().count() > 0, name
 
 
+def _near_dup_chain_runs(nd_corpus: str) -> dict:
+    from web_search_engine_ray.pipelines import dedup, transcripts_ops
+
+    return {
+        "conversation_jaccard_dups_ds": lambda: (
+            transcripts_ops.conversation_jaccard_dups_ds(nd_corpus)
+        ),
+        "ngram_jaccard_dups": lambda: dedup.ngram_jaccard_dups(SF),
+        "containment_dups": lambda: dedup.containment_dups(SF),
+    }
+
+
+def test_near_dup_chain_runs_on_block_refs(ray_session, monkeypatch):
+    """After its source read, the near-dup chain runs on block refs alone:
+    ``Dataset.map_batches``, ``.union`` and ``.materialize`` raise once the
+    read is materialized, and ``ray.data.from_arrow_refs`` is called
+    exactly once per pipeline, on its final partitions."""
+    import ray
+    import ray.data
+
+    from web_search_engine_ray.pipelines import transcripts_ops
+
+    runs = _near_dup_chain_runs(transcripts_ops.neardup_fixture_corpus())
+    read_done: list = []
+    made: list = []
+    real_materialize = ray.data.Dataset.materialize
+    real_from_refs = ray.data.from_arrow_refs
+
+    def materialize(self, *a, **k):
+        if read_done:
+            raise AssertionError("Ray Data materialize after the source read")
+        out = real_materialize(self, *a, **k)
+        read_done.append(True)
+        return out
+
+    def refuse_after_read(name):
+        real = getattr(ray.data.Dataset, name)
+
+        def f(self, *a, **k):
+            if read_done:
+                raise AssertionError(f"Ray Data {name} after the source read")
+            return real(self, *a, **k)
+
+        return f
+
+    def from_arrow_refs(refs):
+        made.append(len(refs))
+        return real_from_refs(refs)
+
+    monkeypatch.setattr(ray.data.Dataset, "materialize", materialize)
+    for name in ("map_batches", "union"):
+        monkeypatch.setattr(ray.data.Dataset, name, refuse_after_read(name))
+    monkeypatch.setattr(ray.data, "from_arrow_refs", from_arrow_refs)
+    for name, run in runs.items():
+        read_done.clear()
+        made.clear()
+        ds = run()
+        assert sum(t.num_rows for t in ray.get(ds.to_arrow_refs())) > 0, name
+        assert len(made) == 1, (name, made)
+
+
+_ONE_CPU_SCRIPT = """
+import json, os, sys
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False)
+sys.path.insert(0, os.getcwd())
+from tests.test_legacy_runs import _near_dup_chain_runs, _sorted_rows
+out = {n: _sorted_rows(run()) for n, run in _near_dup_chain_runs(sys.argv[1]).items()}
+print(json.dumps(out))
+ray.shutdown()
+"""
+
+
+def _sorted_rows(ds) -> list:
+    import ray
+
+    t = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    return [str(t.schema)] + sorted(
+        map(list, zip(*(t[c].to_pylist() for c in t.column_names)))
+    )
+
+
+def test_near_dup_chain_one_cpu_no_hang(ray_session):
+    """On a 1-CPU Ray node the whole ref chain (every task waits for a free
+    CPU, none holds one while waiting for its inputs) finishes well inside
+    a hard timeout, with the 4-CPU session's rows and schemas."""
+    import json
+    import shutil
+    import subprocess
+    import sys
+    import tempfile
+
+    from web_search_engine_ray.pipelines import transcripts_ops
+
+    nd = transcripts_ops.neardup_fixture_corpus()
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    # own Ray root, as in test_parallelism_invariance: the child must not
+    # flip the live session's session_latest link
+    env["RAY_TMPDIR"] = tempfile.mkdtemp(prefix="ray_sub_")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _ONE_CPU_SCRIPT, nd],
+            cwd=root, env=env, capture_output=True, text=True, timeout=240,
+        )
+    finally:
+        shutil.rmtree(env["RAY_TMPDIR"], ignore_errors=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    one_cpu = json.loads(proc.stdout.strip().splitlines()[-1])
+    here = {
+        n: json.loads(json.dumps(_sorted_rows(run())))
+        for n, run in _near_dup_chain_runs(nd).items()
+    }
+    assert one_cpu == here
+    assert all(len(rows) > 1 for rows in here.values())
+
+
 def test_dl_from_runs_matches_token_counts(ray_session, legacy_run_dir, tmp_path):
     """dl(doc) from runs == the doc's token count (A5 rule), empty docs
     dl=0 but counted in N."""

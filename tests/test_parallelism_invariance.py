@@ -46,8 +46,14 @@ def _run(corpus: str, out: str, ncpu: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_num_cpus_invariance(small_corpus_dir, tmp_path):
-    lo = _run(small_corpus_dir, str(tmp_path / "idx2"), 2)
-    hi = _run(small_corpus_dir, str(tmp_path / "idx8"), 8)
+def test_num_cpus_invariance(multi_rowgroup_corpus_dir, tmp_path):
+    from web_search_engine_ray.sources.transcripts import corpus_files, plan_partitions
+
+    # the script's partition_rows=300 splits files, so both nodes run more
+    # partitions than the 2-CPU one has slots
+    files = corpus_files(multi_rowgroup_corpus_dir)
+    assert len(plan_partitions(files, 300)[0]) > max(len(files), 2)
+    lo = _run(multi_rowgroup_corpus_dir, str(tmp_path / "idx2"), 2)
+    hi = _run(multi_rowgroup_corpus_dir, str(tmp_path / "idx8"), 8)
     assert lo["digest"] == hi["digest"]
     assert lo["res"] == hi["res"]  # exact float repr equality

@@ -27,26 +27,36 @@ def _index_digest(out: str) -> dict[str, str]:
 
 
 @pytest.fixture(scope="module")
-def base_build(ray_session, small_corpus_dir, tmp_path_factory):
+def base_build(ray_session, multi_rowgroup_corpus_dir, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("resume_base"))
-    build = build_index(small_corpus_dir, out, partition_rows=700, **CFG)
+    build = build_index(multi_rowgroup_corpus_dir, out, partition_rows=700, **CFG)
     return out, build, _index_digest(out)
 
 
-def test_partitioning_invariance(ray_session, small_corpus_dir, tmp_path_factory, base_build):
-    """Different partition_rows -> byte-identical index shards."""
+def test_partitioning_invariance(
+    ray_session, multi_rowgroup_corpus_dir, tmp_path_factory, base_build
+):
+    """Different partition_rows -> different partition plans, byte-identical
+    index shards."""
+    from web_search_engine_ray.sources.transcripts import corpus_files, plan_partitions
+
+    files = corpus_files(multi_rowgroup_corpus_dir)
+    counts = {r: len(plan_partitions(files, r)[0]) for r in (700, 311)}
+    assert counts[700] != counts[311], counts
     _, base, base_sigs = base_build
+    assert base["n_partitions"] == counts[700]
     out2 = str(tmp_path_factory.mktemp("resume_alt"))
-    build2 = build_index(small_corpus_dir, out2, partition_rows=311, **CFG)
+    build2 = build_index(multi_rowgroup_corpus_dir, out2, partition_rows=311, **CFG)
+    assert build2["n_partitions"] == counts[311]
     assert build2["n_postings"] == base["n_postings"]
     assert build2["heavy_terms"] == base["heavy_terms"]
     assert _index_digest(out2) == base_sigs
 
 
-def test_rerun_skips_everything(ray_session, small_corpus_dir, base_build):
+def test_rerun_skips_everything(ray_session, multi_rowgroup_corpus_dir, base_build):
     out, _, base_sigs = base_build
     mtimes = {p: os.path.getmtime(p) for p in glob.glob(out + "/index/shard_*")}
-    build2 = build_index(small_corpus_dir, out, partition_rows=700, **CFG)
+    build2 = build_index(multi_rowgroup_corpus_dir, out, partition_rows=700, **CFG)
     # all partitions skipped; shards untouched
     for p, t in mtimes.items():
         assert os.path.getmtime(p) == t, f"shard rewritten on clean rerun: {p}"
@@ -55,7 +65,7 @@ def test_rerun_skips_everything(ray_session, small_corpus_dir, base_build):
     assert man and all(os.path.exists(out + f"/runs/run_{m['pid']:06d}.parquet") for m in man)
 
 
-def test_crash_resume_rebuilds_only_missing(ray_session, small_corpus_dir, base_build):
+def test_crash_resume_rebuilds_only_missing(ray_session, multi_rowgroup_corpus_dir, base_build):
     out, _, base_sigs = base_build
     # simulate a crash: lose two run partitions (data + manifest) and the
     # whole merge output
@@ -71,7 +81,7 @@ def test_crash_resume_rebuilds_only_missing(ray_session, small_corpus_dir, base_
 
     intact = sorted(set(glob.glob(out + "/runs/run_*.parquet")))
     mtimes = {p: os.path.getmtime(p) for p in intact}
-    build2 = build_index(small_corpus_dir, out, partition_rows=700, **CFG)
+    build2 = build_index(multi_rowgroup_corpus_dir, out, partition_rows=700, **CFG)
     # intact runs were not rebuilt
     for p, t in mtimes.items():
         assert os.path.getmtime(p) == t

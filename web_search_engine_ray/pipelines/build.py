@@ -66,7 +66,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import logging
 import math
 import os
 import statistics
@@ -89,9 +88,8 @@ from web_search_engine_ray.state import manifest as mf
 from web_search_engine_ray.state.docstats import write_stats
 from web_search_engine_ray.state.lexicon import LexiconShard, term_shard_array
 from web_search_engine_ray.state.listio import PostingsShardWriter
+from web_search_engine_ray.stages.exchange import as_ready
 
-# a fan-out with no task finished for this long logs its stage and progress
-STALL_LOG_S = 30.0
 # the sources that decide run and shard bytes (package-relative)
 CODE_FILES = (
     "functions/tokenize.py",
@@ -101,8 +99,6 @@ CODE_FILES = (
     "state/docstats.py",
     "pipelines/build.py",
 )
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -182,8 +178,9 @@ def fan_out(stage: str, fn, items: list, *args) -> list:
     A module-level ``fn`` is pickled by reference, so each worker calls its
     own copy of the module attribute. ``args`` go to the object store once,
     shared by every task. A task's exception re-raises here as its own type
-    as soon as that task ends. While no task finishes for ``STALL_LOG_S``
-    seconds, the driver logs the stage name and how many tasks are done."""
+    as soon as that task ends. The wait is ``exchange.as_ready``: while no
+    task finishes for ``exchange.STALL_LOG_S`` seconds, the driver logs the
+    stage name and how many tasks are done."""
     if not items:
         return []
     import ray
@@ -192,15 +189,7 @@ def fan_out(stage: str, fn, items: list, *args) -> list:
     shared = [ray.put(a) for a in args]
     refs = [task.remote(item, *shared) for item in items]
     out: dict = {}
-    pending = refs
-    while pending:
-        ready, pending = ray.wait(pending, num_returns=len(pending), timeout=STALL_LOG_S)
-        if not ready:
-            log.warning(
-                "%s: %d/%d tasks done, none finished in %gs",
-                stage, len(out), len(refs), STALL_LOG_S,
-            )
-            continue
+    for ready in as_ready(stage, refs):
         out.update(zip(ready, ray.get(ready)))
     return [out[r] for r in refs]
 

@@ -13,7 +13,14 @@ operator set — it has only exact ``(term, docid)`` collapse,
   candidate pairs), ``_distinct_pairs`` (the one pair-distinct exchange,
   shared by every pair generator here) and ``_verified_pairs`` (exact
   3-gram Jaccard or containment verify). All hashing is deterministic
-  (md5-derived token hashes + splitmix64 mixing).
+  (md5-derived token hashes + splitmix64 mixing). The kernel runs on block
+  refs, not Datasets: per-block maps are ``exchange.map_refs`` tasks, a
+  union is a list concatenation, and each ``exchange_map`` hands its
+  partitions' refs straight to the next, so a whole chain is submitted at
+  once and no Ray Data executor or driver wait sits between its exchanges.
+  Each public wrapper reads its source once (``arrow_refs``) and waits once
+  on its final partitions (``exchange.to_dataset``, which logs a stalled
+  chain by name).
 - :func:`minhash_lsh_candidates_ds` / :func:`ngram_jaccard_dups` — the
   kernel over the documents: LSH candidates, then verified by exact 3-gram
   Jaccard >= tau, all as Ray stages (no driver-side corpus read). Band
@@ -48,7 +55,7 @@ import pyarrow.compute as pc
 from web_search_engine_ray.functions.arrays import list_matrix
 from web_search_engine_ray.functions.tokenize import token_lists
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
-from web_search_engine_ray.stages.exchange import arrow_refs
+from web_search_engine_ray.stages.exchange import arrow_refs, map_refs, to_dataset
 
 logger = logging.getLogger(__name__)
 
@@ -382,10 +389,10 @@ def _text_signatures(col: pa.ChunkedArray) -> np.ndarray:
     return _batch_signatures(token_lists(col).to_list())
 
 
-def _minhash_pairs(ds, id_col, text_col, pair_cols, n_parts, max_bucket=None):
-    """Candidate near-dup pairs ``(a, b)``, a < b, from banded minhash LSH
-    over ``ds``'s (``id_col``, ``text_col``) rows; ``pair_cols`` names the
-    output columns.
+def _minhash_pairs(refs, id_col, text_col, pair_cols, n_parts, max_bucket=None):
+    """Block refs of the candidate near-dup pairs ``(a, b)``, a < b, from
+    banded minhash LSH over the (``id_col``, ``text_col``) rows of the
+    blocks ``refs``; ``pair_cols`` names the output columns.
 
     shingle -> minhash -> band -> hash exchange on the band hash -> pairs
     within each bucket (vectorized lexsort + triu, ``max_bucket`` the logged
@@ -421,18 +428,19 @@ def _minhash_pairs(ds, id_col, text_col, pair_cols, n_parts, max_bucket=None):
             {a_col: ids.take(pa.array(first[a])), b_col: ids.take(pa.array(first[b]))}
         )
 
-    bands = ds.map_batches(to_bands, batch_format="pyarrow")
     pairs = exchange_map(
-        bands, _hash_route("bhash", n_parts), n_parts, pair_buckets, auto_shrink=True
+        map_refs(to_bands, refs), _hash_route("bhash", n_parts), n_parts,
+        pair_buckets, auto_shrink=True,
     )
     return _distinct_pairs(pairs, a_col, b_col, n_parts)
 
 
 def _distinct_pairs(ds, a_col, b_col, n_parts):
     """One row per distinct (``a_col``, ``b_col``) pair, through one hash
-    exchange on ``a_col``. Other columns ride along, and any one row of a
-    pair is kept — valid because every payload the callers carry (hamming,
-    cos) is a function of the pair."""
+    exchange on ``a_col``; ``ds`` is a Dataset or block refs, and the result
+    is the same kind. Other columns ride along, and any one row of a pair is
+    kept — valid because every payload the callers carry (hamming, cos) is a
+    function of the pair."""
     from web_search_engine_ray.stages.exchange import exchange_map
 
     def dedup_pairs(t: pa.Table) -> pa.Table:
@@ -449,11 +457,12 @@ def _distinct_pairs(ds, a_col, b_col, n_parts):
 
 
 def _verified_pairs(cand, corpus, id_col, text_col, pair_cols, metric, tau, n_parts):
-    """Candidate pairs whose exact 3-gram set similarity clears ``tau``:
+    """Block refs of the candidate pairs (block refs ``cand``) whose exact
+    3-gram set similarity over the corpus blocks ``corpus`` clears ``tau``:
     ``(a, b, <metric>)`` rows, ``metric`` either ``"jaccard"``
     (inter / union) or ``"containment"`` (inter / min size). Fully
     distributed — nothing is collected to the driver — as two hash
-    exchanges over union relations:
+    exchanges over union relations (a union is a list of block refs):
 
     1. **Semi-join exchange on the id.** Input is the union of *request*
        rows — two per candidate pair, tagging each endpoint with the pair's
@@ -630,15 +639,13 @@ def _verified_pairs(cand, corpus, id_col, text_col, pair_cols, metric, tau, n_pa
             }
         )
 
-    req = cand.map_batches(requests, batch_format="pyarrow")
-    docs = corpus.map_batches(corpus_rows, batch_format="pyarrow")
     shingle_rows = exchange_map(
-        req.union(docs), _hash_route("id", n_parts), n_parts, join_shingles,
-        auto_shrink=True,
+        map_refs(requests, cand) + map_refs(corpus_rows, corpus),
+        _hash_route("id", n_parts), n_parts, join_shingles, auto_shrink=True,
     )
-    pairs = cand.map_batches(pair_rows, batch_format="pyarrow")
     return exchange_map(
-        shingle_rows.union(pairs), "p", n_parts, verify, auto_shrink=True
+        shingle_rows + map_refs(pair_rows, cand), "p", n_parts, verify,
+        auto_shrink=True,
     )
 
 
@@ -648,10 +655,11 @@ def minhash_lsh_candidates_ds(sf_dir: str, max_bucket: int | None = None):
     skew guard (``max_bucket``)."""
     from web_search_engine_ray.stages.exchange import cluster_parts
 
-    return _minhash_pairs(
-        _read_docs(sf_dir), "doc_id", "text", ("docid_a", "docid_b"),
+    pairs = _minhash_pairs(
+        arrow_refs(_read_docs(sf_dir)), "doc_id", "text", ("docid_a", "docid_b"),
         cluster_parts(N_PARTS), max_bucket,
     )
+    return to_dataset("minhash_lsh_candidates_ds", pairs)
 
 
 def ngram_jaccard_dups(sf_dir: str, tau: float = 0.8, max_bucket: int | None = None):
@@ -660,17 +668,18 @@ def ngram_jaccard_dups(sf_dir: str, tau: float = 0.8, max_bucket: int | None = N
     :func:`_verified_pairs`, fully distributed. ``max_bucket`` forwards the
     logged LSH skew guard (None = exact). Band config (r=2, b=32) keeps the
     miss probability for a true tau=0.8 pair below 1e-14, so the result
-    equals the all-pairs answer the DuckDB oracle computes."""
+    equals the all-pairs answer the DuckDB oracle computes. The documents
+    are read once; both stages consume the same blocks."""
     from web_search_engine_ray.stages.exchange import cluster_parts
 
     np_ = cluster_parts(N_PARTS)
     pair_cols = ("docid_a", "docid_b")
-    cand = _minhash_pairs(
-        _read_docs(sf_dir), "doc_id", "text", pair_cols, np_, max_bucket
+    docs = arrow_refs(_read_docs(sf_dir))
+    cand = _minhash_pairs(docs, "doc_id", "text", pair_cols, np_, max_bucket)
+    pairs = _verified_pairs(
+        cand, docs, "doc_id", "text", pair_cols, "jaccard", tau, np_
     )
-    return _verified_pairs(
-        cand, _read_docs(sf_dir), "doc_id", "text", pair_cols, "jaccard", tau, np_
-    )
+    return to_dataset("ngram_jaccard_dups", pairs)
 
 
 # ---------------------------------------------------------------- simhash
@@ -1663,8 +1672,9 @@ def incremental_novel_ds(
 # ------------------------------------------------------- containment join
 
 
-def _containment_candidates_ds(sf_dir: str, tau: float, max_bucket: int | None = None):
-    """(docid_a, docid_b) candidate pairs for the containment join via EXACT
+def _containment_candidates(docs: list, tau: float, max_bucket: int | None = None):
+    """Block refs of the (docid_a, docid_b) candidate pairs over the
+    document blocks ``docs``, for the containment join via EXACT
     prefix filtering (Bayardo/Chaudhuri's All-Pairs/PPJoin family, WWW'07):
     order each doc's shingles by ascending global df; the PREFIX is its
     first ``n - ceil(tau*n) + 1`` shingles. If inter/min(|A|,|B|) >= tau,
@@ -1794,9 +1804,8 @@ def _containment_candidates_ds(sf_dir: str, tau: float, max_bucket: int | None =
             }
         )
 
-    rows = _read_docs(sf_dir).map_batches(shingle_rows, batch_format="pyarrow")
     with_df = exchange_map(
-        rows,
+        map_refs(shingle_rows, docs),
         lambda t: (_col(t, "sh", np.uint64) % np.uint64(np_)).astype(np.int64),
         np_,
         attach_df,
@@ -1821,13 +1830,15 @@ def containment_dups(sf_dir: str, tau: float = 0.8, max_bucket: int | None = Non
     asymmetric near-dup criterion (a short doc pasted inside a long one has
     high containment but low Jaccard, so :func:`ngram_jaccard_dups` and its
     minhash seeding both miss it). Exact prefix-filter candidates
-    (:func:`_containment_candidates_ds`) + the same distributed shingle
+    (:func:`_containment_candidates`) + the same distributed shingle
     verify as the Jaccard join (:func:`_verified_pairs`) with the
-    containment denominator."""
+    containment denominator, over one read of the documents."""
     from web_search_engine_ray.stages.exchange import cluster_parts
 
-    return _verified_pairs(
-        _containment_candidates_ds(sf_dir, tau, max_bucket=max_bucket),
-        _read_docs(sf_dir), "doc_id", "text", ("docid_a", "docid_b"),
+    docs = arrow_refs(_read_docs(sf_dir))
+    pairs = _verified_pairs(
+        _containment_candidates(docs, tau, max_bucket=max_bucket),
+        docs, "doc_id", "text", ("docid_a", "docid_b"),
         "containment", tau, cluster_parts(N_PARTS),
     )
+    return to_dataset("containment_dups", pairs)

@@ -17,7 +17,9 @@ exchange on ``conv_id`` — never a global sort.
 - :func:`conversation_text_ds` — reassemble full ordered conversation
   text ("role: text" lines) — the conv-granularity corpus for downstream
   conv-level dedup/packing. Ships text through the exchange (inherent:
-  the output IS the reassembled corpus).
+  the output IS the reassembled corpus). Its core,
+  ``_conversation_text_refs``, yields block refs, which the near-dup chain
+  consumes directly.
 - :func:`sft_examples_ds` — one (context, target) training example per
   assistant turn with a keep-last-k context budget: the canonical SFT-pair
   construction over multi-turn transcripts.
@@ -26,7 +28,9 @@ exchange on ``conv_id`` — never a global sort.
   candidate and verified pairs, the fuzzy counterpart of
   :func:`conversation_dedup_ds`. Both run on the dedup kernel
   (``pipelines/dedup.py``: ``_minhash_pairs`` and ``_verified_pairs``)
-  with string conv ids, over the reassembled text.
+  with string conv ids, over the reassembled text: one read, then
+  reassembly → candidates → semi-join → verify as one graph of block refs
+  that the driver waits on once.
 - :func:`role_filtered_search_table` — fielded BM25 ("what did the
   assistant say about X"): corpus-global ranking post-filtered by role
   via score-ordered row-group-seek probes.
@@ -283,10 +287,28 @@ def tool_usage_ds(corpus: str | list[str], n_parts: int = 8):
 def conversation_text_ds(corpus: str | list[str], n_parts: int = 32):
     """(conv_id, n_turns, conv_text): ordered reassembly, one "role: text"
     line per turn."""
-    from web_search_engine_ray.stages.exchange import exchange_map
+    from web_search_engine_ray.stages.exchange import to_dataset
 
-    def rows(t: pa.Table) -> pa.Table:
-        return t.select(["conv_id", "turn_idx", "role", "text"])
+    return to_dataset("conversation_text_ds", _conversation_text_refs(corpus, n_parts))
+
+
+def _conversation_text_refs(
+    corpus: str | list[str], n_parts: int, conv_text=None
+) -> list:
+    """Block refs of :func:`conversation_text_ds`'s rows, one per partition:
+    one read, then one exchange on ``conv_id`` — the ref-producing core that
+    the near-dup chain consumes twice without running it twice. A caller's
+    already-built ``conv_text`` Dataset gives its own blocks instead.
+
+    The near-dup callers ask for at least ``cluster_parts`` partitions: the
+    signature stage's parallelism is capped by the reassembly's partition
+    count, so it scales with the cluster, not with the caller's
+    (bucket-oriented) ``n_parts`` (measured: 32 parts serialized 444k convs
+    into 32 long signature tasks)."""
+    from web_search_engine_ray.stages.exchange import arrow_refs, exchange_map
+
+    if conv_text is not None:
+        return arrow_refs(conv_text)
 
     def route(t: pa.Table) -> np.ndarray:
         return (
@@ -316,10 +338,8 @@ def conversation_text_ds(corpus: str | list[str], n_parts: int = 32):
             )
         )
 
-    ds = _read(corpus, ["conv_id", "turn_idx", "role", "text"]).map_batches(
-        rows, batch_format="pyarrow"
-    )
-    return exchange_map(ds, route, n_parts, assemble, auto_shrink=True)
+    turns = arrow_refs(_read(corpus, ["conv_id", "turn_idx", "role", "text"]))
+    return exchange_map(turns, route, n_parts, assemble, auto_shrink=True)
 
 
 def conversation_episode_split_ds(
@@ -686,18 +706,14 @@ def conversation_minhash_dups_ds(
     :func:`conversation_text_ds` Dataset so composed jobs reassemble the
     corpus ONCE instead of once per consumer."""
     from web_search_engine_ray.pipelines.dedup import _minhash_pairs
-    from web_search_engine_ray.stages.exchange import cluster_parts
+    from web_search_engine_ray.stages.exchange import cluster_parts, to_dataset
 
     np_ = cluster_parts(max(n_parts, 16))
-    if conv_text is None:
-        # the signature stage's parallelism is capped by the reassembly
-        # exchange's output partition count — scale it with the cluster,
-        # not the caller's (bucket-oriented) n_parts (measured: 32 parts
-        # serialized 444k convs into 32 long signature tasks)
-        conv_text = conversation_text_ds(corpus, n_parts=max(n_parts, np_))
-    return _minhash_pairs(
-        conv_text, "conv_id", "conv_text", ("conv_a", "conv_b"), np_, max_bucket
+    texts = _conversation_text_refs(corpus, max(n_parts, np_), conv_text)
+    pairs = _minhash_pairs(
+        texts, "conv_id", "conv_text", ("conv_a", "conv_b"), np_, max_bucket
     )
+    return to_dataset("conversation_minhash_dups_ds", pairs)
 
 
 def conversation_jaccard_dups_ds(
@@ -718,26 +734,23 @@ def conversation_jaccard_dups_ds(
     The driver sees only the VERIFIED pair relation — true-dup-scale, not
     candidate-scale (the 2M-turn stress produced 5.35M candidates but
     ~500 verified dups). Used by the SFT dataset job's conversation-dedup
-    stage (pipelines/corpus_job.py)."""
-    from web_search_engine_ray.pipelines.dedup import _verified_pairs
-    from web_search_engine_ray.stages.exchange import cluster_parts
+    stage (pipelines/corpus_job.py).
+
+    The whole chain — reassembly, candidates, semi-join, verify — is
+    submitted as one graph of block refs; the reassembled blocks feed both
+    the candidate stage and the semi-join's corpus side, and the driver
+    waits once, on the verified partitions."""
+    from web_search_engine_ray.pipelines.dedup import _minhash_pairs, _verified_pairs
+    from web_search_engine_ray.stages.exchange import cluster_parts, to_dataset
 
     np_ = cluster_parts(max(n_parts, 16))
-    if conv_text is None:
-        # one reassembly shared by the candidate stage and the semi-join
-        # corpus side; materialized because BOTH consume it (a lazy Dataset
-        # re-executes per consumer). Object-store spill bounds the cost —
-        # the reassembled text is the same order of bytes as the input.
-        conv_text = conversation_text_ds(
-            corpus, n_parts=max(n_parts, np_)
-        ).materialize()
-    cand = conversation_minhash_dups_ds(
-        corpus, n_parts=n_parts, max_bucket=max_bucket, conv_text=conv_text
+    pair_cols = ("conv_a", "conv_b")
+    texts = _conversation_text_refs(corpus, max(n_parts, np_), conv_text)
+    cand = _minhash_pairs(texts, "conv_id", "conv_text", pair_cols, np_, max_bucket)
+    pairs = _verified_pairs(
+        cand, texts, "conv_id", "conv_text", pair_cols, "jaccard", tau, np_
     )
-    return _verified_pairs(
-        cand, conv_text, "conv_id", "conv_text", ("conv_a", "conv_b"),
-        "jaccard", tau, np_,
-    )
+    return to_dataset("conversation_jaccard_dups_ds", pairs)
 
 
 def sft_examples_ds(

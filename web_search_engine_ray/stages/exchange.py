@@ -10,8 +10,11 @@ function). :func:`exchange_map` is the direct expression of that pattern:
    small side tables — the only data movement, O(n) total);
 2. one Ray task per partition concatenates its P-th slices from every block
    and applies ``fn`` to the whole partition at once;
-3. the results come back as a ``Dataset`` (``from_arrow_refs``), so the rest
-   of the pipeline stays in Dataset land.
+3. the results come back as the input's kind. A ``Dataset`` in gives a
+   ``Dataset`` out (``from_arrow_refs``), so the rest of the pipeline stays
+   in Dataset land. A list of block refs (``ObjectRef``) in gives one ref per
+   partition out, with no driver wait: a chain of exchanges over refs is
+   submitted whole, and Ray starts each task as soon as its inputs exist.
 
 This is the classic map-side hash shuffle (same discipline as the index
 build's one-row-group-per-gkey merge): B x P shuffle objects, no sort, no
@@ -23,14 +26,26 @@ should manage memory per group, stick with ``groupby``.
 
 ``fn`` must tolerate an empty table (carrying the input schema) — empty
 partitions still invoke it so the output block count is deterministic.
+
+The refs form has two helpers: :func:`map_refs` (one plain task per block,
+the refs counterpart of ``map_batches``) and :func:`to_dataset` (the
+chain's one driver wait, then ``from_arrow_refs``). :func:`as_ready` is the
+driver's wait loop for every plain-task fan-out: a stalled one logs
+``<stage>: k/n <tasks|partitions> done`` every ``STALL_LOG_S`` seconds.
 """
 
 from __future__ import annotations
 
+import logging
 from collections.abc import Callable
 
 import numpy as np
 import pyarrow as pa
+
+# seconds without a finished task before a fan-out logs its progress
+STALL_LOG_S = 30.0
+
+log = logging.getLogger(__name__)
 
 # Schema-metadata marker for empty blocks whose schema may be PRE-UDF
 # (Ray Data skips map UDFs on empty blocks, so an empty parquet file's
@@ -70,13 +85,15 @@ def exchange_map(
     auto_shrink: bool = False,
 ):
     """Apply ``fn`` once per hash partition of ``ds``, without a sort
-    shuffle. ``part`` is either the name of an int column with values in
+    shuffle. ``ds`` is a Dataset or a list of block refs; the result is the
+    same kind: a Dataset of ``fn``'s outputs, or one ref per partition
+    (returned at once, before any task has run). ``part`` is either the name of an int column with values in
     [0, n_parts) (dropped before ``fn`` unless ``drop_part_col=False``) or
     a callable computing the partition vector from a block — the callable
     form sidesteps Ray Data's skip-UDF-on-empty-blocks behavior (an
     add-partition-column ``map_batches`` never runs on empty blocks, so the
-    column can be missing; a callable always works). Returns a Dataset of
-    ``fn``'s outputs (one block per partition).
+    column can be missing; a callable always works). Either way the output
+    has one block per partition.
 
     Input blocks are coalesced into at most ``max_split_tasks`` splitter
     tasks (Spark's shuffle-file consolidation): the exchange creates
@@ -103,7 +120,8 @@ def exchange_map(
     if auto_shrink and with_index:
         raise ValueError("auto_shrink would change with_index partition ids")
 
-    blocks = arrow_refs(ds)
+    from_refs = isinstance(ds, list)
+    blocks = ds if from_refs else arrow_refs(ds)
     if not blocks:
         raise ValueError("exchange_map needs at least one input block")
     orig_parts = n_parts
@@ -186,7 +204,49 @@ def exchange_map(
         apply.remote(p, *[per_group[g][p] for g in range(len(groups))])
         for p in range(n_parts)
     ]
-    return ray.data.from_arrow_refs(out)
+    return out if from_refs else ray.data.from_arrow_refs(out)
+
+
+def map_refs(fn: Callable[[pa.Table], pa.Table], refs: list) -> list:
+    """``fn`` applied to each block of ``refs`` by one plain Ray task per
+    block; returns the output refs in input order, before any task has run.
+    The refs counterpart of ``Dataset.map_batches(fn, batch_format=
+    "pyarrow")``, except that ``fn`` gets the whole block and also runs on
+    empty blocks, so every output block carries ``fn``'s schema."""
+    import ray
+
+    task = ray.remote(fn)
+    return [task.remote(r) for r in refs]
+
+
+def as_ready(stage: str, refs: list, what: str = "tasks"):
+    """Yield ``refs`` in batches as their tasks finish. While none finishes
+    for ``STALL_LOG_S`` seconds, log ``<stage>: k/n <what> done``, so a
+    stalled fan-out names itself."""
+    import ray
+
+    pending, done = list(refs), 0
+    while pending:
+        ready, pending = ray.wait(pending, num_returns=len(pending), timeout=STALL_LOG_S)
+        if not ready:
+            log.warning(
+                "%s: %d/%d %s done, none finished in %gs",
+                stage, done, len(refs), what, STALL_LOG_S,
+            )
+            continue
+        done += len(ready)
+        yield ready
+
+
+def to_dataset(stage: str, refs: list):
+    """The Dataset of a chain's final block refs. Waits for every partition
+    through :func:`as_ready` first, so a stalled chain logs ``stage``;
+    ``from_arrow_refs`` would block on the same tasks without a word."""
+    import ray.data
+
+    for _ in as_ready(stage, refs, "partitions"):
+        pass
+    return ray.data.from_arrow_refs(refs)
 
 
 def cluster_parts(min_parts: int = 64, per_cpu: int = 2) -> int:
