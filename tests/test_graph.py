@@ -84,6 +84,52 @@ def test_partition_count_invariance(ray_session, n_parts):
     assert _labels(pairs, n_parts=n_parts) == _oracle(pairs)
 
 
+def test_connected_components_runs_on_block_refs(ray_session, monkeypatch):
+    """After its one read of the pair relation, connected components runs
+    on block refs alone: ``Dataset.map_batches``, ``.union`` and
+    ``.materialize`` raise once the read is done, and
+    ``ray.data.from_arrow_refs`` is called exactly once, on the final
+    labels; the labels still equal union-find's."""
+    import ray.data
+
+    pairs = [(i, i + 1) for i in range(10, 25)] + [(100, 101), (7, 8), (8, 7)]
+    ds = _pairs_ds(pairs).map_batches(lambda t: t, batch_format="pyarrow")  # lazy
+    read_done: list = []
+    made: list = []
+    real_materialize = ray.data.Dataset.materialize
+    real_from_refs = ray.data.from_arrow_refs
+
+    def materialize(self, *a, **k):
+        if read_done:
+            raise AssertionError("Ray Data materialize after the pair read")
+        out = real_materialize(self, *a, **k)
+        read_done.append(True)
+        return out
+
+    def refuse_after_read(name):
+        real = getattr(ray.data.Dataset, name)
+
+        def f(self, *a, **k):
+            if read_done:
+                raise AssertionError(f"Ray Data {name} after the pair read")
+            return real(self, *a, **k)
+
+        return f
+
+    def from_arrow_refs(refs):
+        made.append(len(refs))
+        return real_from_refs(refs)
+
+    monkeypatch.setattr(ray.data.Dataset, "materialize", materialize)
+    for name in ("map_batches", "union"):
+        monkeypatch.setattr(ray.data.Dataset, name, refuse_after_read(name))
+    monkeypatch.setattr(ray.data, "from_arrow_refs", from_arrow_refs)
+    out = connected_components(ds, n_parts=4)
+    assert read_done and len(made) == 1, made
+    got = {r["docid"]: r["cluster_id"] for r in out.take_all()}
+    assert got == _oracle(pairs)
+
+
 def test_dedup_clusters_vs_duckdb(ray_session):
     """dedup_clusters over sf0.001 == DuckDB recursive-CTE closure."""
     import duckdb

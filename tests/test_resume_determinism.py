@@ -53,6 +53,35 @@ def test_partitioning_invariance(
     assert _index_digest(out2) == base_sigs
 
 
+def test_chunked_partition_invariance(ray_session, small_corpus_dir, tmp_path_factory):
+    """A partition above 1.5 x 8,192 rows is tokenized in 8,192-row chunks
+    whose postings concatenate in (chunk, term, docid) order. One ~16k-row
+    single-row-group file at the default ``partition_rows`` (one chunked
+    partition) writes the same index bytes as the same rows in 4,000-row
+    row groups at ``partition_rows=4000`` (unchunked partitions)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from web_search_engine_ray.pipelines.build import BuildConfig
+    from web_search_engine_ray.sources.transcripts import corpus_files
+
+    base = pa.concat_tables(pq.read_table(p) for p in corpus_files(small_corpus_dir))
+    rows = pa.concat_tables([base] * -(-16_000 // base.num_rows))
+    assert 8192 + 8192 // 2 < rows.num_rows < BuildConfig("").partition_rows
+    sigs = {}
+    for name, rg_rows, kw, n_parts in (
+        ("one", rows.num_rows, {}, 1),
+        ("split", 4000, {"partition_rows": 4000}, -(-rows.num_rows // 4000)),
+    ):
+        src = tmp_path_factory.mktemp(f"chunked_src_{name}")
+        pq.write_table(rows, str(src / "part.parquet"), row_group_size=rg_rows)
+        out = str(tmp_path_factory.mktemp(f"chunked_out_{name}"))
+        build = build_index(str(src), out, resume=False, **kw, **CFG)
+        assert (build["n_partitions"], build["n_docs"]) == (n_parts, rows.num_rows)
+        sigs[name] = _index_digest(out)
+    assert sigs["one"] == sigs["split"]
+
+
 def test_rerun_skips_everything(ray_session, multi_rowgroup_corpus_dir, base_build):
     out, _, base_sigs = base_build
     mtimes = {p: os.path.getmtime(p) for p in glob.glob(out + "/index/shard_*")}

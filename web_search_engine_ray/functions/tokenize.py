@@ -16,7 +16,10 @@ Vectorization: the batch path runs the same regex through polars'
 ``str.extract_all`` (Rust regex — leftmost-first semantics identical to CPython
 ``re`` for this pattern; property-tested in ``tests/test_tokenizer.py``).
 HTML unescape only ever changes strings containing ``&``, so we apply the
-(Python) unescape only to the rare rows that contain one.
+(Python) unescape only to the rare rows that contain one. tf aggregation
+(``batch_postings``) never hashes or compares strings past one Arrow
+dictionary encode of the flat tokens: the per-(term, docid) counting and the
+``(term, docid)`` order come from one int64 sort of integer keys.
 
 ``ftfy`` is an optional dependency in this environment; when absent, mojibake
 repair is an identity transform. Corpus fixtures are clean ASCII so engine
@@ -38,6 +41,7 @@ os.environ.setdefault("POLARS_MAX_THREADS", "1")
 import numpy as np
 import polars as pl
 import pyarrow as pa
+import pyarrow.compute as pc
 
 try:  # optional; not installed in this environment
     from ftfy import fix_text as _fix_text
@@ -115,27 +119,32 @@ def batch_postings(
     derived from the reference MP path, ``HW2/engine/build_runs_mp.py:87-91``).
 
     This is the per-batch "tiny index" (partial tf aggregation) of
-    ``HW2/engine/indexer.py:36-49``, vectorized: explode token lists and
-    ``group_by(docid, term).len()`` in polars. tf counts are complete (not
-    partial) because a document never spans batches.
+    ``HW2/engine/indexer.py:36-49``, on integer keys: the flat tokens are
+    dictionary-encoded once, the distinct terms ranked in byte order and the
+    docids densely ranked (``np.unique``, so duplicate or unsorted docids
+    aggregate as one key each), then one int64 sort of
+    ``term_rank * n_docids + docid_rank`` gives the ``(term, docid)`` runs and
+    their lengths are tf. tf counts are complete (not partial) because a
+    document never spans batches.
     """
     toks = token_lists(texts)
     dl = toks.list.len().fill_null(0).to_numpy().astype(np.uint32)
-    df = pl.DataFrame(
-        {"docid": pl.Series(docids, dtype=pl.UInt64), "term": toks}
-    )
-    counts = (
-        df.explode("term", empty_as_null=True)
-        .drop_nulls("term")
-        .group_by(["term", "docid"])
-        .len(name="tf")
-        .sort(["term", "docid"])
-    )
+    lists = toks.to_arrow()
+    enc = pc.dictionary_encode(pc.list_flatten(lists))
+    rows = pc.list_parent_indices(lists).to_numpy()
+    # distinct terms in byte order, the order of Arrow's (and polars') string sort
+    by_term = pc.sort_indices(enc.dictionary).to_numpy()
+    term_rank = np.empty(by_term.size, dtype=np.int64)
+    term_rank[by_term] = np.arange(by_term.size)
+    uniq_docids, docid_rank = np.unique(np.asarray(docids, dtype=np.uint64), return_inverse=True)
+    n = uniq_docids.size
+    # < n_distinct_terms * n_docids: no int64 overflow for any batch that fits in memory
+    keys, tf = np.unique(term_rank[enc.indices.to_numpy()] * n + docid_rank[rows], return_counts=True)
     out = pa.table(
         {
-            "term": counts["term"].to_arrow().cast(pa.string()),
-            "docid": counts["docid"].to_arrow().cast(pa.uint64()),
-            "tf": counts["tf"].to_arrow().cast(pa.uint32()),
+            "term": enc.dictionary.take(by_term[keys // n]).cast(pa.string()),
+            "docid": pa.array(uniq_docids[keys % n], pa.uint64()),
+            "tf": pa.array(tf, pa.uint32()),
         }
     )
     return out, dl

@@ -6,7 +6,7 @@ Ray-Data-native replacement for the reference's three-stage external sort
 - **Phase 1 (runs)**: one plain Ray task per partition descriptor
   (:func:`fan_out`). Each partition (a run of whole parquet
   row groups, ~``partition_rows`` rows) is tokenized vectorized (polars regex
-  over zero-copy Arrow), partially tf-aggregated, sorted by ``(term, docid)``,
+  over zero-copy Arrow), tf-aggregated on integer keys (``batch_postings``),
   and written as a Parquet run + a doc-length range file + a checkpoint
   manifest (lineage, spans, metrics, content hash). Resume skips partitions
   with valid manifests. This replaces ``HW2/engine/build_runs_mp.py``; docids
@@ -26,9 +26,10 @@ Ray-Data-native replacement for the reference's three-stage external sort
 
   A run isolates the terms that are heavy in it: local df >=
   ``heavy_df_frac`` x the run's share of N (:func:`heavy_min`). Phase 1
-  sorts each partition's postings by ``(gkey, term, docid)`` and writes ONE
-  PARQUET ROW GROUP PER GKEY, recording the gkeys present and the isolated
-  terms with their local df in the run manifest (:func:`_write_run_layout`).
+  groups each partition's postings by gkey, docids ascending within each
+  term, and writes ONE PARQUET ROW GROUP PER GKEY, recording the gkeys
+  present and the isolated terms with their local df in the run manifest
+  (:func:`_write_run_layout`).
   The merge (:func:`merge_runs_mapside`) is then embarrassingly parallel:
   one task per hash shard reads exactly its row groups from each run (a
   map-side partitioned shuffle, MapReduce-style — no sort all-to-all, no
@@ -254,14 +255,18 @@ def assign_gkeys(
 
 
 def _write_run_layout(postings: pa.Table, layout: dict, run_path: str, share: int) -> dict:
-    """Write ``(term, docid)``-sorted postings as a map-side partitioned run
-    (atomic): one parquet row group per gkey, gkeys ascending. ``share`` is
-    the run's part of N (its alive rows, or its docid span). Returns the
-    run manifest's layout fields: ``gkeys`` (in row-group order),
-    ``isolated`` (term -> local df) and ``heavy_min``."""
+    """Write postings whose docids ascend within each term as a map-side
+    partitioned run (atomic): one parquet row group per gkey, gkeys
+    ascending. The input is one ``(term, docid)``-sorted ``batch_postings``
+    table, or several concatenated over ascending, disjoint docid ranges,
+    i.e. ``(chunk, term, docid)``-ordered; either way each term's docids
+    ascend, which is all the salt row groups need (the hash shard encode
+    sorts again). ``share`` is the run's part of N (its alive rows, or its
+    docid span). Returns the run manifest's layout fields: ``gkeys`` (in
+    row-group order), ``isolated`` (term -> local df) and ``heavy_min``."""
     # group-key routing + stable sort by gkey: rows within a gkey keep their
-    # (term, docid) order (salts are docid-monotonic), giving the
-    # (gkey, term, docid) order the map-side shuffle layout needs
+    # input order (salts are docid-monotonic), so each term's docids still
+    # ascend within its row group
     pdoc = _np(postings["docid"], np.uint64)
     min_df = heavy_min(layout, share)
     gkey, isolated = assign_gkeys(postings["term"], pdoc, layout, min_df)
@@ -324,8 +329,9 @@ def _build_one_partition(desc: dict, cfg: BuildConfig, layout: dict) -> dict:
         docids = docids[alive_mask]
     # tokenize in ~8k-row chunks: large polars string pipelines degrade
     # super-linearly under many-way concurrency (allocator/bandwidth churn);
-    # chunking halves the 24-way wall time (measured). Chunk concat keeps
-    # docid order ascending per term because chunk docid ranges are disjoint.
+    # chunking halves the 24-way wall time (measured). The concat is
+    # (chunk, term, docid)-ordered, not (term, docid): chunk docid ranges
+    # are disjoint and ascending, so only each term's docids ascend.
     CHUNK = 8192
     if tbl.num_rows <= CHUNK + CHUNK // 2:
         postings, dl = batch_postings(docids, tbl[cfg.text_column])

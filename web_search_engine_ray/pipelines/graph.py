@@ -40,6 +40,8 @@ from web_search_engine_ray.stages.exchange import (
     arrow_refs,
     cluster_parts,
     exchange_map,
+    map_refs,
+    to_dataset,
 )
 
 # Row kinds for the union relation flowing through the exchanges.
@@ -69,13 +71,6 @@ def _col(t: pa.Table, name: str, dtype=np.int64) -> np.ndarray:
     )
 
 
-def _norm(t: pa.Table) -> pa.Table:
-    """Empty partitions of an empty relation can carry the pre-UDF pair
-    schema (Ray Data skips map UDFs on empty blocks) — normalize to the
-    union-relation schema so the partition fns stay column-safe."""
-    return t if "node" in t.column_names else _SCHEMA.empty_table()
-
-
 def _min_per_node(node: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(unique nodes asc, min val per node) via one lexsort + reduceat."""
     if node.size == 0:
@@ -96,10 +91,20 @@ def connected_components(
     """Dataset (docid, cluster_id) for every node of the pair relation;
     ``cluster_id`` = the smallest docid reachable through pairs. Nodes not
     appearing in any pair are absent (singletons are their own cluster by
-    definition — emitting them would mean scanning the corpus again)."""
+    definition — emitting them would mean scanning the corpus again).
+
+    After one read of ``pairs_ds`` every round runs on block refs
+    (``map_refs``, refs-form ``exchange_map``); the driver waits only for
+    one per-block ``changed`` count per round, and builds one Dataset at
+    the end. Every map runs on every block, empty ones too, so each block
+    carries its map's schema."""
+    import ray
+
     np_ = n_parts or cluster_parts(64)
 
     def to_edges(t: pa.Table) -> pa.Table:
+        if not t.num_rows:  # an empty read block may have no columns at all
+            return _SCHEMA.empty_table()
         a, b = _col(t, col_a), _col(t, col_b)
         return _rows(np.concatenate([a, b]), np.concatenate([b, a]), _K_EDGE)
 
@@ -108,14 +113,12 @@ def connected_components(
 
     def init_labels(t: pa.Table) -> pa.Table:
         """label(u) = min(u, min neighbors) — iteration 0 fused with init."""
-        t = _norm(t)
         node, val = _col(t, "node"), _col(t, "val")
         u, m = _min_per_node(node, np.minimum(node, val))
         return _rows(u, m, _K_SELF)
 
     def propose(t: pa.Table) -> pa.Table:
         """One node partition: join labels to edges, emit proposals."""
-        t = _norm(t)
         kind = _col(t, "kind", np.int8)
         is_e = kind == _K_EDGE
         en, ev = _col(t, "node")[is_e], _col(t, "val")[is_e]
@@ -129,7 +132,6 @@ def connected_components(
 
     def combine(t: pa.Table) -> pa.Table:
         """New label = min(proposals, own); emit (node, label, changed)."""
-        t = _norm(t)
         node, val = _col(t, "node"), _col(t, "val")
         kind = _col(t, "kind", np.int8)
         u, new = _min_per_node(node, val)
@@ -145,11 +147,14 @@ def connected_components(
     def drop_changed(t: pa.Table) -> pa.Table:
         return t.drop_columns(["changed"]) if "changed" in t.column_names else t
 
-    edges = pairs_ds.map_batches(to_edges, batch_format="pyarrow")
+    def n_changed(t: pa.Table) -> int:
+        return int(_col(t, "changed").sum())
+
+    edges = map_refs(to_edges, arrow_refs(pairs_ds))
     labels = exchange_map(edges, route, np_, init_labels, auto_shrink=True)
 
     for _ in range(max_iters):
-        rel = edges.union(labels.map_batches(drop_changed, batch_format="pyarrow"))
+        rel = edges + map_refs(drop_changed, labels)
         labels = exchange_map(
             exchange_map(rel, route, np_, propose, auto_shrink=True),
             route,
@@ -157,8 +162,7 @@ def connected_components(
             combine,
             auto_shrink=True,
         )
-        changed = labels.sum("changed")
-        if not changed:
+        if not sum(ray.get(map_refs(n_changed, labels))):
             break
     else:  # pragma: no cover - 64 rounds >> any real dup-cluster diameter
         raise RuntimeError(f"connected_components: no fixed point in {max_iters} rounds")
@@ -169,7 +173,7 @@ def connected_components(
             schema=pa.schema([("docid", pa.int64()), ("cluster_id", pa.int64())]),
         )
 
-    return labels.map_batches(project, batch_format="pyarrow")
+    return to_dataset("connected_components", map_refs(project, labels))
 
 
 def dedup_clusters_ds(sf_dir: str, tau: float = 0.8):

@@ -207,12 +207,14 @@ def exchange_map(
     return out if from_refs else ray.data.from_arrow_refs(out)
 
 
-def map_refs(fn: Callable[[pa.Table], pa.Table], refs: list) -> list:
+def map_refs(fn: Callable[[pa.Table], object], refs: list) -> list:
     """``fn`` applied to each block of ``refs`` by one plain Ray task per
     block; returns the output refs in input order, before any task has run.
     The refs counterpart of ``Dataset.map_batches(fn, batch_format=
     "pyarrow")``, except that ``fn`` gets the whole block and also runs on
-    empty blocks, so every output block carries ``fn``'s schema."""
+    empty blocks, so every output block carries ``fn``'s schema. ``fn`` may
+    also return a small value (a per-block count) for the driver to
+    ``ray.get``."""
     import ray
 
     task = ray.remote(fn)
