@@ -33,14 +33,17 @@ def test_summarize_medians_wins_iqr_and_failures():
     assert "rss_mb" not in s["metrics"]  # reported by no leg
     assert (s["base_failed"], s["base_attempted"]) == (0, 20)
     assert (s["head_failed"], s["head_attempted"]) == (1, 21)
+    assert (s["base_crashed"], s["head_crashed"]) == (0, 0)
 
 
-def test_summarize_skips_pairs_missing_a_metric():
-    # a leg that crashed reports no metrics: its pair counts for none
-    base = [_res(work_per_s=100), _res(work_per_s=120)]
-    head = [{"correct": False, "attempted": 1, "failed": 1, "metrics": {}}, _res(work_per_s=130)]
-    s = summarize(base, head, {"work_per_s": "higher"})
-    assert s["metrics"]["work_per_s"]["pairs"] == 1
-    assert s["metrics"]["work_per_s"]["wins"] == 1
-    assert s["metrics"]["work_per_s"]["base_iqr"] == (120, 120)
-    assert s["head_failed"] == 1
+def test_summarize_skips_crashed_legs():
+    # a crashed leg (None) counts for no pair and no operation
+    base = [_res(work_per_s=100), _res(work_per_s=120), _res(work_per_s=110)]
+    head = [None, _res(work_per_s=130), _res(work_per_s=115, p50_ms=3)]
+    s = summarize(base, head, {"work_per_s": "higher", "p50_ms": "lower"})
+    assert s["metrics"]["work_per_s"]["pairs"] == 2
+    assert s["metrics"]["work_per_s"]["wins"] == 2
+    assert s["metrics"]["work_per_s"]["base_iqr"] == pytest.approx((112.5, 117.5))
+    assert "p50_ms" not in s["metrics"]  # only one side reports it
+    assert (s["head_failed"], s["head_attempted"], s["head_crashed"]) == (0, 10, 1)
+    assert (s["base_failed"], s["base_attempted"], s["base_crashed"]) == (0, 15, 0)

@@ -1,18 +1,21 @@
 """Interleaved A/B of one benchmark workload: a base revision against the checkout.
 
-    python tools/ab.py <rev> <workload> [--pairs N] [--seed0 S] [--seconds T]
+    python tools/ab.py <rev> <workload> [--pairs N] [--seed0 S]
 
 Exports ``<rev>``'s committed files (``git archive``) to a temporary
-directory, then runs ``N`` pairs of fresh-process legs of
-``perfbench/run.py --workload <workload> --seed S+i --seconds T --trace 0``:
-one leg from the export (``base``) and one from this checkout (``head``),
-in the same pair on the same seed. Which side runs first alternates from
-pair to pair, so a drift of the shared host does not favour one side.
+directory, then runs ``N`` (default 10) pairs of fresh-process legs of
+``perfbench/run.py --workload <workload> --seed S+i --seconds T --trace 0``,
+with ``T`` the ``run_seconds`` of ``BENCHMARK.json``: one leg from the
+export (``base``) and one from this checkout (``head``), in the same pair
+on the same seed. Which side runs first alternates from pair to pair, so
+a drift of the shared host does not favour one side.
 
 Prints one line per leg, then per end-to-end metric of ``BENCHMARK.json``:
 the median of each side, the relative change of the medians, how many
 pairs ``head`` won (in the metric's ``better`` direction), and the
 interquartile range of ``base``; then ``failed``/``attempted`` per side.
+A leg that prints no result line is reported with its return code and the
+tail of its stderr, counted as ``crashed`` and kept out of every sum.
 A claimed gain should win nearly every pair and move the median by more
 than the base's IQR. The export is removed at exit; ``perfbench/`` is run
 as it is in each tree, never changed.
@@ -42,21 +45,24 @@ def export_rev(rev: str, dest: str) -> None:
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def run_leg(tree: str, workload: str, seed: int, seconds: int) -> dict:
-    """One fresh-process untraced run in ``tree``; its result JSON line."""
+def run_leg(tree: str, workload: str, seed: int, seconds: int) -> dict | None:
+    """One fresh-process untraced run in ``tree``; its result JSON line, or
+    ``None`` (after printing the return code and stderr tail) if it has none."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True).stdout
-    for line in reversed(out.splitlines()):
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    for line in reversed(proc.stdout.splitlines()):
         try:
             res = json.loads(line)
         except ValueError:
             continue
         if isinstance(res, dict) and "metrics" in res:
             return res
-    return {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
+    tail = "\n    ".join(proc.stderr.splitlines()[-20:])
+    print(f"  leg in {tree} crashed: return code {proc.returncode}, stderr tail:\n    {tail}", flush=True)
+    return None
 
 
 def quartiles(xs: list[float]) -> tuple[float, float]:
@@ -66,17 +72,20 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
     return q[0], q[2]
 
 
-def summarize(base: list[dict], head: list[dict], better: dict[str, str]) -> dict:
+def summarize(base: list[dict | None], head: list[dict | None], better: dict[str, str]) -> dict:
     """Pairwise summary of result dicts (``base[i]`` and ``head[i]`` ran on
-    the same seed). ``better`` maps each metric to ``"higher"`` or
-    ``"lower"``. A pair counts toward a metric only when both legs report
-    it; ``wins`` counts the pairs where ``head`` is strictly better."""
+    the same seed; ``None`` is a crashed leg). ``better`` maps each metric
+    to ``"higher"`` or ``"lower"``. A pair counts toward a metric only when
+    both legs report it; ``wins`` counts the pairs where ``head`` is
+    strictly better. Crashed legs are counted apart from ``failed`` and
+    ``attempted``, which sum real operations only."""
     metrics = {}
     for name, direction in better.items():
         pairs = [
             (b["metrics"][name]["value"], h["metrics"][name]["value"])
             for b, h in zip(base, head)
-            if name in b["metrics"] and name in h["metrics"]
+            if b is not None and h is not None
+            and name in b["metrics"] and name in h["metrics"]
         ]
         if not pairs:
             continue
@@ -91,26 +100,27 @@ def summarize(base: list[dict], head: list[dict], better: dict[str, str]) -> dic
             "pairs": len(pairs),
             "base_iqr": quartiles(bs),
         }
-    return {
-        "metrics": metrics,
-        "base_failed": sum(r["failed"] for r in base),
-        "base_attempted": sum(r["attempted"] for r in base),
-        "head_failed": sum(r["failed"] for r in head),
-        "head_attempted": sum(r["attempted"] for r in head),
-    }
+    out = {"metrics": metrics}
+    for side, results in (("base", base), ("head", head)):
+        ran = [r for r in results if r is not None]
+        out[f"{side}_failed"] = sum(r["failed"] for r in ran)
+        out[f"{side}_attempted"] = sum(r["attempted"] for r in ran)
+        out[f"{side}_crashed"] = len(results) - len(ran)
+    return out
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev", help="base revision, e.g. HEAD~1")
     ap.add_argument("workload")
-    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed0", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=10)
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        bench = json.load(f)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     tree = tempfile.mkdtemp(prefix="ab_base_")
     try:
         export_rev(args.rev, tree)
@@ -119,8 +129,11 @@ def main() -> int:
             seed = args.seed0 + i
             legs = [("base", tree, base), ("head", ROOT, head)]
             for side, where, results in legs if i % 2 == 0 else legs[::-1]:
-                res = run_leg(where, args.workload, seed, args.seconds)
+                res = run_leg(where, args.workload, seed, seconds)
                 results.append(res)
+                if res is None:
+                    print(f"pair {i} seed {seed} {side}: crashed", flush=True)
+                    continue
                 vals = {k: round(v["value"], 4) for k, v in res["metrics"].items()}
                 print(f"pair {i} seed {seed} {side}: failed {res['failed']}/{res['attempted']} {vals}", flush=True)
     finally:
@@ -136,7 +149,8 @@ def main() -> int:
         )
     print(
         f"failed/attempted: base {s['base_failed']}/{s['base_attempted']}, "
-        f"head {s['head_failed']}/{s['head_attempted']}"
+        f"head {s['head_failed']}/{s['head_attempted']}; "
+        f"crashed legs: base {s['base_crashed']}, head {s['head_crashed']}"
     )
     return 0
 
