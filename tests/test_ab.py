@@ -2,7 +2,7 @@
 
 import pytest
 
-from tools.ab import summarize
+from tools.ab import directions, summarize
 
 
 def _res(failed=0, attempted=5, **values):
@@ -47,3 +47,30 @@ def test_summarize_skips_crashed_legs():
     assert "p50_ms" not in s["metrics"]  # only one side reports it
     assert (s["head_failed"], s["head_attempted"], s["head_crashed"]) == (0, 10, 1)
     assert (s["base_failed"], s["base_attempted"], s["base_crashed"]) == (0, 15, 0)
+
+
+def test_directions_and_summarize_per_layer_metrics():
+    # --trace 1 legs report per-layer metrics only; they are summarized in
+    # BENCHMARK.json's per-layer directions
+    bench = {
+        "end_to_end": [{"name": "work_per_s", "better": "higher"}],
+        "per_layer": [
+            {"name": "exchange.split_s", "better": "lower"},
+            {"name": "exchange.busy_frac", "better": "higher"},
+            {"name": "exchange.calls", "better": "lower"},
+            {"name": "build.merge_s", "better": "lower"},
+        ],
+    }
+    assert directions(bench, 0) == {"work_per_s": "higher"}
+    better = directions(bench, 1)
+    assert better["exchange.busy_frac"] == "higher" and "work_per_s" not in better
+    base = [_res(**{"exchange.split_s": s, "exchange.busy_frac": f, "exchange.calls": 5,
+                    "build.merge_s": 0.0}) for s, f in [(2.0, 0.30), (2.2, 0.34), (2.1, 0.36)]]
+    head = [_res(**{"exchange.split_s": s, "exchange.busy_frac": f, "exchange.calls": 5,
+                    "build.merge_s": 0.0}) for s, f in [(0.5, 0.6), (0.6, 0.7), (2.5, 0.2)]]
+    m = summarize(base, head, better)["metrics"]
+    assert (m["exchange.split_s"]["base_median"], m["exchange.split_s"]["head_median"]) == (2.1, 0.6)
+    assert m["exchange.split_s"]["wins"] == 2  # lower is better
+    assert m["exchange.busy_frac"]["wins"] == 2  # higher is better
+    assert (m["exchange.calls"]["change"], m["exchange.calls"]["wins"]) == (0.0, 0)
+    assert "build.merge_s" not in m  # 0 in every leg: a layer dedup does not run

@@ -7,6 +7,7 @@ import logging
 import numpy as np
 import pytest
 
+from web_search_engine_ray.pipelines import dedup
 from web_search_engine_ray.pipelines.dedup import (
     _intra_bucket_pairs,
     _popcount64,
@@ -60,6 +61,50 @@ def test_intra_bucket_pairs_skew_guard_logs(caplog):
     assert set(zip(a.tolist(), b.tolist())) == {
         (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
     }
+
+
+def _naive_signature(tokens) -> np.ndarray:
+    """Reference minhash: per permutation p, the min over the doc's unique
+    shingles s of splitmix(s ^ seed_p); all-max for a doc with no shingle."""
+    seeds = dedup._splitmix(np.arange(1, dedup.MINHASH_PERMS + 1, dtype=np.uint64))
+    sig = np.full(dedup.MINHASH_PERMS, np.iinfo(np.uint64).max, dtype=np.uint64)
+    for s in set(dedup._shingle_hashes(tokens or []).tolist()):
+        sig = np.minimum(sig, dedup._splitmix(np.uint64(s) ^ seeds))
+    return sig
+
+
+def test_batch_signatures_match_naive_reference():
+    """The chunked, tiled kernel equals the per-doc definition bit for bit:
+    one batch over the chunk cap (and one doc over it on its own), docs
+    with fewer than 3 tokens, empty and null texts, repeated whole texts."""
+    import pyarrow as pa
+
+    from web_search_engine_ray.functions.tokenize import token_lists
+
+    rng = np.random.default_rng(5)
+    vocab = np.array([f"w{i}" for i in range(400)])
+
+    def text(n):
+        return " ".join(rng.choice(vocab, n))
+
+    texts = [text(int(n)) for n in rng.integers(3, 200, 600)]
+    texts += [text(dedup._MINHASH_CHUNK_SHINGLES + 500), "", "one", "two words", texts[0]]
+    texts += texts[:40]  # repeated whole texts
+    toks = token_lists(pa.array(texts, pa.string())).to_list()
+    assert sum(max(0, len(t) - 2) for t in toks) > 2 * dedup._MINHASH_CHUNK_SHINGLES
+    want = np.stack([_naive_signature(t) for t in toks])
+    assert (want[601:604] == np.iinfo(np.uint64).max).all()  # "", 1-2 tokens
+    np.testing.assert_array_equal(dedup._batch_signatures(toks + [None]), np.vstack(
+        [want, np.full((1, dedup.MINHASH_PERMS), np.iinfo(np.uint64).max, np.uint64)]
+    ))
+    # the distinct-text path (no nulls) and the direct path (nulls)
+    np.testing.assert_array_equal(
+        dedup._text_signatures(pa.chunked_array([pa.array(texts, pa.string())])), want
+    )
+    with_null = pa.chunked_array([pa.array(texts + [None], pa.string())])
+    got = dedup._text_signatures(with_null)
+    np.testing.assert_array_equal(got[:-1], want)
+    assert (got[-1] == np.iinfo(np.uint64).max).all()
 
 
 def test_popcount64():

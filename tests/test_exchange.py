@@ -326,6 +326,26 @@ def test_arrow_refs_and_exchange_run_the_plan_once(ray_session, tmp_path):
     assert rows_seen() == 700
 
 
+def test_chain_parts_sizes_from_cluster_and_input(ray_session, monkeypatch):
+    """A chain is 2 x CPUs wide unless its head's bytes need more Ray Data
+    blocks of ``target_max_block_size``: then one partition per block."""
+    import ray
+    from ray.data import DataContext
+
+    from web_search_engine_ray.stages.exchange import chain_parts
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    t = pa.table({"v": np.arange(100_000, dtype=np.int64)})
+    refs = [ray.put(t) for _ in range(3)]
+    assert chain_parts(refs) == 2 * cpus
+    block = 64 * 1024
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", block)
+    n = chain_parts(refs)
+    assert n > 2 * cpus
+    assert n * block >= 3 * t.nbytes  # every partition within one block
+    assert (n - 1) * block < 3 * (t.nbytes + block)  # not more than needed
+
+
 def test_pool_size_caps_to_cluster(ray_session):
     """A fixed actor-pool concurrency >= cluster CPUs starves the upstream
     task operators and deadlocks the stream (observed live: the full gate at

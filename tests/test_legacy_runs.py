@@ -411,8 +411,9 @@ import ray
 ray.init(address="local", num_cpus=1, include_dashboard=False)
 sys.path.insert(0, os.getcwd())
 from tests.test_legacy_runs import _near_dup_chain_runs, _sorted_rows
+from web_search_engine_ray.stages.exchange import chain_parts
 out = {n: _sorted_rows(run()) for n, run in _near_dup_chain_runs(sys.argv[1]).items()}
-print(json.dumps(out))
+print(json.dumps({"rows": out, "parts": chain_parts([ray.put(0)])}))
 ray.shutdown()
 """
 
@@ -429,7 +430,8 @@ def _sorted_rows(ds) -> list:
 def test_near_dup_chain_one_cpu_no_hang(ray_session):
     """On a 1-CPU Ray node the whole ref chain (every task waits for a free
     CPU, none holds one while waiting for its inputs) finishes well inside
-    a hard timeout, with the 4-CPU session's rows and schemas."""
+    a hard timeout, with the 4-CPU session's rows and schemas; a small
+    chain is sized to 2 partitions there."""
     import json
     import shutil
     import subprocess
@@ -457,8 +459,41 @@ def test_near_dup_chain_one_cpu_no_hang(ray_session):
         n: json.loads(json.dumps(_sorted_rows(run())))
         for n, run in _near_dup_chain_runs(nd).items()
     }
-    assert one_cpu == here
+    assert one_cpu["rows"] == here
+    assert one_cpu["parts"] == 2
     assert all(len(rows) > 1 for rows in here.values())
+
+
+def test_near_dup_chain_partition_count_invariant(ray_session, monkeypatch):
+    """Every exchange of a near-dup chain runs at the one count its wrapper
+    derived from the input (``chain_parts``: 2 x CPUs for these small
+    inputs), and forcing that count to 32 gives the same sorted rows."""
+    import ray
+
+    from web_search_engine_ray.pipelines import dedup, transcripts_ops
+    from web_search_engine_ray.stages import exchange
+
+    runs = _near_dup_chain_runs(transcripts_ops.neardup_fixture_corpus())
+    seen: list = []
+    real_exchange_map = exchange.exchange_map
+
+    def exchange_map(ds, part, n_parts, fn, *a, **k):
+        seen.append(n_parts)
+        return real_exchange_map(ds, part, n_parts, fn, *a, **k)
+
+    monkeypatch.setattr(exchange, "exchange_map", exchange_map)
+    derived = {}
+    for name, run in runs.items():
+        seen.clear()
+        derived[name] = _sorted_rows(run())
+        assert set(seen) == {2 * int(ray.cluster_resources()["CPU"])}, (name, seen)
+        assert len(derived[name]) > 1, name
+    for mod in (exchange, dedup):
+        monkeypatch.setattr(mod, "chain_parts", lambda refs: 32)
+    for name, run in runs.items():
+        seen.clear()
+        assert _sorted_rows(run()) == derived[name], name
+        assert set(seen) == {32}, (name, seen)
 
 
 def test_dl_from_runs_matches_token_counts(ray_session, legacy_run_dir, tmp_path):

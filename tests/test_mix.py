@@ -53,3 +53,18 @@ def test_source_report_consistent_with_quality(ray_session):
     assert (rep["n_quality_ok"] == per_src_ok).all()
     assert rep["n_docs"].sum() == len(q)
     assert (rep["mean_tokens"] > 0).all()
+
+
+def test_mix_and_report_blocks_carry_one_schema(ray_session):
+    """Every partition of source_mix_ds and source_report_ds, empty or not,
+    carries the declared schema (polars output is cast from large_string)."""
+    import pyarrow as pa
+    import ray
+
+    from web_search_engine_ray.pipelines.report import source_report_ds
+    from web_search_engine_ray.stages.exchange import arrow_refs
+
+    for ds in (source_mix_ds(SF, budget_chars=3000), source_report_ds(SF)):
+        blocks = ray.get(arrow_refs(ds))
+        assert len({b.schema for b in blocks}) == 1, {str(b.schema) for b in blocks}
+        assert blocks[0].schema.field("source").type == pa.string()

@@ -1,16 +1,18 @@
 """Interleaved A/B of one benchmark workload: a base revision against the checkout.
 
-    python tools/ab.py <rev> <workload> [--pairs N] [--seed0 S]
+    python tools/ab.py <rev> <workload> [--pairs N] [--seed0 S] [--trace 1]
 
 Exports ``<rev>``'s committed files (``git archive``) to a temporary
 directory, then runs ``N`` (default 10) pairs of fresh-process legs of
-``perfbench/run.py --workload <workload> --seed S+i --seconds T --trace 0``,
-with ``T`` the ``run_seconds`` of ``BENCHMARK.json``: one leg from the
+``perfbench/run.py --workload <workload> --seed S+i --seconds T --trace X``,
+with ``T`` the ``run_seconds`` of ``BENCHMARK.json`` and ``X`` the
+``--trace`` given here (0 by default): one leg from the
 export (``base``) and one from this checkout (``head``), in the same pair
 on the same seed. Which side runs first alternates from pair to pair, so
 a drift of the shared host does not favour one side.
 
-Prints one line per leg, then per end-to-end metric of ``BENCHMARK.json``:
+Prints one line per leg, then per end-to-end metric of ``BENCHMARK.json``
+(per-layer metric with ``--trace 1``, whose legs report only those):
 the median of each side, the relative change of the medians, how many
 pairs ``head`` won (in the metric's ``better`` direction), and the
 interquartile range of ``base``; then ``failed``/``attempted`` per side.
@@ -45,12 +47,12 @@ def export_rev(rev: str, dest: str) -> None:
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def run_leg(tree: str, workload: str, seed: int, seconds: int) -> dict | None:
-    """One fresh-process untraced run in ``tree``; its result JSON line, or
-    ``None`` (after printing the return code and stderr tail) if it has none."""
+def run_leg(tree: str, workload: str, seed: int, seconds: int, trace: int) -> dict | None:
+    """One fresh-process run in ``tree``; its result JSON line, or ``None``
+    (after printing the return code and stderr tail) if it has none."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     for line in reversed(proc.stdout.splitlines()):
@@ -72,13 +74,21 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
     return q[0], q[2]
 
 
+def directions(bench: dict, trace: int) -> dict[str, str]:
+    """Metric name -> ``better`` direction for the metrics a leg reports:
+    ``BENCHMARK.json``'s end-to-end list, or its per-layer list when traced."""
+    return {m["name"]: m["better"] for m in bench["per_layer" if trace else "end_to_end"]}
+
+
 def summarize(base: list[dict | None], head: list[dict | None], better: dict[str, str]) -> dict:
     """Pairwise summary of result dicts (``base[i]`` and ``head[i]`` ran on
     the same seed; ``None`` is a crashed leg). ``better`` maps each metric
     to ``"higher"`` or ``"lower"``. A pair counts toward a metric only when
-    both legs report it; ``wins`` counts the pairs where ``head`` is
-    strictly better. Crashed legs are counted apart from ``failed`` and
-    ``attempted``, which sum real operations only."""
+    both legs report it; a metric that reads 0 in every leg is left out
+    (a traced leg reports the layers its workload does not run as 0).
+    ``wins`` counts the pairs where ``head`` is strictly better. Crashed
+    legs are counted apart from ``failed`` and ``attempted``, which sum
+    real operations only."""
     metrics = {}
     for name, direction in better.items():
         pairs = [
@@ -87,9 +97,9 @@ def summarize(base: list[dict | None], head: list[dict | None], better: dict[str
             if b is not None and h is not None
             and name in b["metrics"] and name in h["metrics"]
         ]
-        if not pairs:
-            continue
         bs, hs = [p[0] for p in pairs], [p[1] for p in pairs]
+        if not any(bs + hs):
+            continue
         sign = 1.0 if direction == "higher" else -1.0
         b_med, h_med = statistics.median(bs), statistics.median(hs)
         metrics[name] = {
@@ -115,11 +125,12 @@ def main() -> int:
     ap.add_argument("workload")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed0", type=int, default=1)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    better = directions(bench, args.trace)
     seconds = bench["run_seconds"]
     tree = tempfile.mkdtemp(prefix="ab_base_")
     try:
@@ -129,7 +140,7 @@ def main() -> int:
             seed = args.seed0 + i
             legs = [("base", tree, base), ("head", ROOT, head)]
             for side, where, results in legs if i % 2 == 0 else legs[::-1]:
-                res = run_leg(where, args.workload, seed, seconds)
+                res = run_leg(where, args.workload, seed, seconds, args.trace)
                 results.append(res)
                 if res is None:
                     print(f"pair {i} seed {seed} {side}: crashed", flush=True)
@@ -140,11 +151,12 @@ def main() -> int:
         shutil.rmtree(tree, ignore_errors=True)
 
     s = summarize(base, head, better)
-    print(f"\n{args.workload}: {args.rev} (base) vs checkout (head), {args.pairs} pairs")
+    traced = ", traced" if args.trace else ""
+    print(f"\n{args.workload}: {args.rev} (base) vs checkout (head), {args.pairs} pairs{traced}")
     for name, m in s["metrics"].items():
         q1, q3 = m["base_iqr"]
         print(
-            f"{name:12s} base {m['base_median']:12.4g}  head {m['head_median']:12.4g}  "
+            f"{name:28s} base {m['base_median']:12.4g}  head {m['head_median']:12.4g}  "
             f"{m['change']:+7.1%}  wins {m['wins']}/{m['pairs']}  base IQR {q1:.4g}-{q3:.4g}"
         )
     print(

@@ -465,9 +465,7 @@ def _conv_drop_set(corpus, n_parts: int, tau: float = 0.8, hash_fn: str = "md5")
     )
 
     pairs: list = []
-    verified = conversation_jaccard_dups_ds(
-        corpus, tau=tau, n_parts=n_parts, conv_text=conv_text
-    )
+    verified = conversation_jaccard_dups_ds(corpus, tau=tau, conv_text=conv_text)
     for b in verified.iter_batches(batch_format="pyarrow"):
         pairs.extend(zip(b["conv_a"].to_pylist(), b["conv_b"].to_pylist()))
     parent: dict = {}

@@ -55,7 +55,12 @@ import pyarrow.compute as pc
 from web_search_engine_ray.functions.arrays import list_matrix
 from web_search_engine_ray.functions.tokenize import token_lists
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
-from web_search_engine_ray.stages.exchange import arrow_refs, map_refs, to_dataset
+from web_search_engine_ray.stages.exchange import (
+    arrow_refs,
+    chain_parts,
+    map_refs,
+    to_dataset,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -64,10 +69,12 @@ LSH_ROWS = 2  # rows per band
 LSH_BANDS = 32
 SHINGLE_K = 3
 N_PARTS = 64  # MINIMUM coarse shuffle partitions for bucket/pair groupbys
-# (ops call cluster_parts(N_PARTS) at runtime: the count grows with the
-# cluster's CPU total so per-partition state stays bounded at 100 TB, and
-# auto_shrink trims it back down for small inputs — both directions rely
-# on per-key merges being partition-count invariant)
+# (Dataset-form ops call cluster_parts(N_PARTS) at runtime: the count grows
+# with the cluster's CPU total so per-partition state stays bounded at
+# 100 TB, and auto_shrink trims it back down for small inputs — both
+# directions rely on per-key merges being partition-count invariant). The
+# near-dup chains on block refs are sized once from their input instead
+# (exchange.chain_parts).
 
 
 def _col(t: pa.Table, name: str, dtype=np.int64) -> np.ndarray:
@@ -240,7 +247,28 @@ def _positional_shingle_hashes(tokens: list[str], k: int) -> np.ndarray:
     return _splitmix(acc)
 
 
-_MINHASH_CHUNK_SHINGLES = 131_072  # bounds the (64, chunk) gather at ~64 MB
+_MINHASH_CHUNK_SHINGLES = 32_768  # caps a chunk's (shingles x perms) matrix at 16 MB
+_MINHASH_TILE_ROWS = 256  # splitmix tile: 256 x 64 perms x 8 B = 128 KB, cache-sized
+
+
+def _splitmix_rows(uniq: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """(uniq.size, seeds.size) row-major ``_splitmix(uniq[i] ^ seeds[p])``,
+    bit-identical to the vectorized form but computed in place over
+    cache-sized row tiles, so the only full-size array is the result."""
+    h = np.empty((uniq.size, seeds.size), dtype=np.uint64)
+    tmp = np.empty((_MINHASH_TILE_ROWS, seeds.size), dtype=np.uint64)
+    for r in range(0, uniq.size, _MINHASH_TILE_ROWS):
+        z = h[r : r + _MINHASH_TILE_ROWS]
+        t = tmp[: z.shape[0]]
+        np.bitwise_xor(uniq[r : r + _MINHASH_TILE_ROWS, None], seeds, out=z)
+        z += _SM_A
+        for shift, mul in ((_SM_S30, _SM_B), (_SM_S27, _SM_C)):
+            np.right_shift(z, shift, out=t)
+            z ^= t
+            z *= mul
+        np.right_shift(z, _SM_S31, out=t)
+        z ^= t
+    return h
 
 
 def _batch_signatures(toks: list[list[str] | None], nperm: int = MINHASH_PERMS) -> np.ndarray:
@@ -248,10 +276,12 @@ def _batch_signatures(toks: list[list[str] | None], nperm: int = MINHASH_PERMS) 
 
     The permuted hashes are computed over the batch's UNIQUE shingle values
     only (templated corpora repeat shingles massively across docs — the
-    splitmix work would otherwise be paid once per occurrence), then
-    gathered per occurrence and reduced per doc with
-    ``np.minimum.reduceat``. Docs are processed in ~128k-shingle chunks so
-    the transient (nperm x chunk) gather stays ~64 MB per task."""
+    splitmix work would otherwise be paid once per occurrence) as a
+    (unique shingles x nperm) row-major matrix (:func:`_splitmix_rows`),
+    then its rows are gathered per occurrence and reduced per doc with
+    ``np.minimum.reduceat(axis=0)``. Docs are processed in ~32k-shingle
+    chunks, so a task's transient memory (two 16 MB matrices) does not grow
+    with its block size."""
     sh_per_doc = [_shingle_hashes(t or []) for t in toks]
     lens = np.array([s.size for s in sh_per_doc], dtype=np.int64)
     sigs = np.full((len(toks), nperm), np.iinfo(np.uint64).max, dtype=np.uint64)
@@ -269,11 +299,9 @@ def _batch_signatures(toks: list[list[str] | None], nperm: int = MINHASH_PERMS) 
         sel = nz[lo:hi]
         allsh = np.concatenate([sh_per_doc[i] for i in sel])
         uniq, inv = np.unique(allsh, return_inverse=True)
-        m_u = _splitmix(uniq[None, :] ^ seeds[:, None])  # (nperm, n_unique)
-        m = m_u[:, inv]  # gather back to per-occurrence order
         starts = np.zeros(sel.size, dtype=np.int64)
         np.cumsum(lens[sel][:-1], out=starts[1:])
-        sigs[sel] = np.minimum.reduceat(m, starts, axis=1).T
+        sigs[sel] = np.minimum.reduceat(_splitmix_rows(uniq, seeds)[inv], starts, axis=0)
         lo = hi
     return sigs
 
@@ -430,7 +458,7 @@ def _minhash_pairs(refs, id_col, text_col, pair_cols, n_parts, max_bucket=None):
 
     pairs = exchange_map(
         map_refs(to_bands, refs), _hash_route("bhash", n_parts), n_parts,
-        pair_buckets, auto_shrink=True,
+        pair_buckets,
     )
     return _distinct_pairs(pairs, a_col, b_col, n_parts)
 
@@ -440,7 +468,9 @@ def _distinct_pairs(ds, a_col, b_col, n_parts):
     exchange on ``a_col``; ``ds`` is a Dataset or block refs, and the result
     is the same kind. Other columns ride along, and any one row of a pair is
     kept — valid because every payload the callers carry (hamming, cos) is a
-    function of the pair."""
+    function of the pair. ``auto_shrink`` trims the Dataset-form callers; in
+    a refs chain it never fires, since the input is the previous exchange's
+    ``n_parts`` blocks."""
     from web_search_engine_ray.stages.exchange import exchange_map
 
     def dedup_pairs(t: pa.Table) -> pa.Table:
@@ -590,9 +620,7 @@ def _verified_pairs(cand, corpus, id_col, text_col, pair_cols, metric, tau, n_pa
             sh = sh.chunk(0) if sh.num_chunks else pa.array([], pa.list_(pa.uint64()))
         offs = sh.offsets.to_numpy()
         vals = sh.values.to_numpy(zero_copy_only=False)
-        # id -> shingle row, vectorized (an id can appear twice after an
-        # auto-shrunk exchange merges two p-values — copies are identical,
-        # any row works)
+        # id -> shingle row, vectorized (an id appears once per p)
         sorder = np.argsort(did, kind="stable")
         dsorted = did[sorder]
 
@@ -641,11 +669,10 @@ def _verified_pairs(cand, corpus, id_col, text_col, pair_cols, metric, tau, n_pa
 
     shingle_rows = exchange_map(
         map_refs(requests, cand) + map_refs(corpus_rows, corpus),
-        _hash_route("id", n_parts), n_parts, join_shingles, auto_shrink=True,
+        _hash_route("id", n_parts), n_parts, join_shingles,
     )
     return exchange_map(
-        shingle_rows + map_refs(pair_rows, cand), "p", n_parts, verify,
-        auto_shrink=True,
+        shingle_rows + map_refs(pair_rows, cand), "p", n_parts, verify
     )
 
 
@@ -653,11 +680,10 @@ def minhash_lsh_candidates_ds(sf_dir: str, max_bucket: int | None = None):
     """Candidate near-dup pairs (docid_a, docid_b) from banded minhash LSH
     (:func:`_minhash_pairs` over the documents), with an optional logged
     skew guard (``max_bucket``)."""
-    from web_search_engine_ray.stages.exchange import cluster_parts
-
+    docs = arrow_refs(_read_docs(sf_dir))
     pairs = _minhash_pairs(
-        arrow_refs(_read_docs(sf_dir)), "doc_id", "text", ("docid_a", "docid_b"),
-        cluster_parts(N_PARTS), max_bucket,
+        docs, "doc_id", "text", ("docid_a", "docid_b"), chain_parts(docs),
+        max_bucket,
     )
     return to_dataset("minhash_lsh_candidates_ds", pairs)
 
@@ -670,11 +696,9 @@ def ngram_jaccard_dups(sf_dir: str, tau: float = 0.8, max_bucket: int | None = N
     miss probability for a true tau=0.8 pair below 1e-14, so the result
     equals the all-pairs answer the DuckDB oracle computes. The documents
     are read once; both stages consume the same blocks."""
-    from web_search_engine_ray.stages.exchange import cluster_parts
-
-    np_ = cluster_parts(N_PARTS)
     pair_cols = ("docid_a", "docid_b")
     docs = arrow_refs(_read_docs(sf_dir))
+    np_ = chain_parts(docs)
     cand = _minhash_pairs(docs, "doc_id", "text", pair_cols, np_, max_bucket)
     pairs = _verified_pairs(
         cand, docs, "doc_id", "text", pair_cols, "jaccard", tau, np_
@@ -1672,9 +1696,12 @@ def incremental_novel_ds(
 # ------------------------------------------------------- containment join
 
 
-def _containment_candidates(docs: list, tau: float, max_bucket: int | None = None):
+def _containment_candidates(
+    docs: list, tau: float, n_parts: int, max_bucket: int | None = None
+):
     """Block refs of the (docid_a, docid_b) candidate pairs over the
-    document blocks ``docs``, for the containment join via EXACT
+    document blocks ``docs`` through ``n_parts``-way exchanges, for the
+    containment join via EXACT
     prefix filtering (Bayardo/Chaudhuri's All-Pairs/PPJoin family, WWW'07):
     order each doc's shingles by ascending global df; the PREFIX is its
     first ``n - ceil(tau*n) + 1`` shingles. If inter/min(|A|,|B|) >= tau,
@@ -1692,9 +1719,7 @@ def _containment_candidates(docs: list, tau: float, max_bucket: int | None = Non
     candidates, never lose one; the exact verify drops false positives."""
     import logging
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    np_ = cluster_parts(N_PARTS)
+    from web_search_engine_ray.stages.exchange import exchange_map
 
     def shingle_rows(t: pa.Table) -> pa.Table:
         toks = token_lists(t["text"]).to_list()
@@ -1806,23 +1831,20 @@ def _containment_candidates(docs: list, tau: float, max_bucket: int | None = Non
 
     with_df = exchange_map(
         map_refs(shingle_rows, docs),
-        lambda t: (_col(t, "sh", np.uint64) % np.uint64(np_)).astype(np.int64),
-        np_,
+        lambda t: (_col(t, "sh", np.uint64) % np.uint64(n_parts)).astype(np.int64),
+        n_parts,
         attach_df,
-        auto_shrink=True,
     )
     marked = exchange_map(
-        with_df, lambda t: _col(t, "docid") % np_, np_, mark_prefix,
-        auto_shrink=True,
+        with_df, lambda t: _col(t, "docid") % n_parts, n_parts, mark_prefix
     )
     pairs = exchange_map(
         marked,
-        lambda t: (_col(t, "sh", np.uint64) % np.uint64(np_)).astype(np.int64),
-        np_,
+        lambda t: (_col(t, "sh", np.uint64) % np.uint64(n_parts)).astype(np.int64),
+        n_parts,
         gen_pairs,
-        auto_shrink=True,
     )
-    return _distinct_pairs(pairs, "docid_a", "docid_b", np_)
+    return _distinct_pairs(pairs, "docid_a", "docid_b", n_parts)
 
 
 def containment_dups(sf_dir: str, tau: float = 0.8, max_bucket: int | None = None):
@@ -1833,12 +1855,11 @@ def containment_dups(sf_dir: str, tau: float = 0.8, max_bucket: int | None = Non
     (:func:`_containment_candidates`) + the same distributed shingle
     verify as the Jaccard join (:func:`_verified_pairs`) with the
     containment denominator, over one read of the documents."""
-    from web_search_engine_ray.stages.exchange import cluster_parts
-
     docs = arrow_refs(_read_docs(sf_dir))
+    np_ = chain_parts(docs)
     pairs = _verified_pairs(
-        _containment_candidates(docs, tau, max_bucket=max_bucket),
+        _containment_candidates(docs, tau, np_, max_bucket=max_bucket),
         docs, "doc_id", "text", ("docid_a", "docid_b"),
-        "containment", tau, cluster_parts(N_PARTS),
+        "containment", tau, np_,
     )
     return to_dataset("containment_dups", pairs)

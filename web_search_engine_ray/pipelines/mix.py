@@ -68,16 +68,14 @@ def source_mix_ds(sf_dir: str, budget_chars: int = 5000):
         columns=["doc_id", "source", "n_chars"],
     ).map_batches(prio_batch, batch_format="pyarrow")
 
+    out_schema = pa.schema(
+        [("docid", pa.int64()), ("source", pa.string()), ("cum_chars", pa.int64())]
+    )
+
     def take_prefix(t: pa.Table) -> pa.Table:
         df = pl.from_arrow(t)
         if df.height == 0:
-            return pa.table(
-                {
-                    "docid": pa.array([], pa.int64()),
-                    "source": pa.array([], pa.string()),
-                    "cum_chars": pa.array([], pa.int64()),
-                }
-            )
+            return out_schema.empty_table()
         out = (
             df.sort(["source", "prio", "docid"])
             .with_columns(
@@ -86,7 +84,7 @@ def source_mix_ds(sf_dir: str, budget_chars: int = 5000):
             .filter(pl.col("cum_chars") <= budget_chars)
             .select("docid", "source", "cum_chars")
         )
-        return out.to_arrow()
+        return out.to_arrow().cast(out_schema)  # polars emits large_string
 
     def route(t: pa.Table) -> np.ndarray:
         return (

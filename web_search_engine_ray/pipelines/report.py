@@ -62,18 +62,20 @@ def source_report_ds(
         columns=["doc_id", "text", "source"],
     ).map_batches(partial, batch_format="pyarrow")
 
+    out_schema = pa.schema(
+        [
+            ("source", pa.string()),
+            ("n_docs", pa.int64()),
+            ("total_tokens", pa.int64()),
+            ("n_quality_ok", pa.int64()),
+            ("mean_tokens", pa.float64()),
+        ]
+    )
+
     def merge(t: pa.Table) -> pa.Table:
         df = pl.from_arrow(t)
         if df.height == 0:
-            return pa.table(
-                {
-                    "source": pa.array([], pa.string()),
-                    "n_docs": pa.array([], pa.int64()),
-                    "total_tokens": pa.array([], pa.int64()),
-                    "n_quality_ok": pa.array([], pa.int64()),
-                    "mean_tokens": pa.array([], pa.float64()),
-                }
-            )
+            return out_schema.empty_table()
         out = (
             df.group_by("source")
             .agg(
@@ -90,7 +92,7 @@ def source_report_ds(
                 .alias("mean_tokens")
             )
         )
-        return out.to_arrow()
+        return out.to_arrow().cast(out_schema)  # polars emits large_string
 
     def route(t: pa.Table) -> np.ndarray:
         return (

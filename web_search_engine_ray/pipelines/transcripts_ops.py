@@ -17,9 +17,9 @@ exchange on ``conv_id`` — never a global sort.
 - :func:`conversation_text_ds` — reassemble full ordered conversation
   text ("role: text" lines) — the conv-granularity corpus for downstream
   conv-level dedup/packing. Ships text through the exchange (inherent:
-  the output IS the reassembled corpus). Its core,
-  ``_conversation_text_refs``, yields block refs, which the near-dup chain
-  consumes directly.
+  the output IS the reassembled corpus). ``_conversation_text_refs`` runs
+  the same reassembly as block refs for the near-dup chain, and sizes that
+  chain once from the turns it read.
 - :func:`sft_examples_ds` — one (context, target) training example per
   assistant turn with a keep-last-k context budget: the canonical SFT-pair
   construction over multi-turn transcripts.
@@ -287,59 +287,70 @@ def tool_usage_ds(corpus: str | list[str], n_parts: int = 8):
 def conversation_text_ds(corpus: str | list[str], n_parts: int = 32):
     """(conv_id, n_turns, conv_text): ordered reassembly, one "role: text"
     line per turn."""
-    from web_search_engine_ray.stages.exchange import to_dataset
+    from web_search_engine_ray.pipelines.dedup import _hash_route
+    from web_search_engine_ray.stages.exchange import (
+        arrow_refs,
+        exchange_map,
+        to_dataset,
+    )
 
-    return to_dataset("conversation_text_ds", _conversation_text_refs(corpus, n_parts))
+    parts = exchange_map(
+        arrow_refs(_read(corpus, _TURN_COLS)), _hash_route("conv_id", n_parts),
+        n_parts, _assemble_conversations, auto_shrink=True,
+    )
+    return to_dataset("conversation_text_ds", parts)
 
 
-def _conversation_text_refs(
-    corpus: str | list[str], n_parts: int, conv_text=None
-) -> list:
-    """Block refs of :func:`conversation_text_ds`'s rows, one per partition:
-    one read, then one exchange on ``conv_id`` — the ref-producing core that
-    the near-dup chain consumes twice without running it twice. A caller's
-    already-built ``conv_text`` Dataset gives its own blocks instead.
+_TURN_COLS = ["conv_id", "turn_idx", "role", "text"]
 
-    The near-dup callers ask for at least ``cluster_parts`` partitions: the
-    signature stage's parallelism is capped by the reassembly's partition
-    count, so it scales with the cluster, not with the caller's
-    (bucket-oriented) ``n_parts`` (measured: 32 parts serialized 444k convs
-    into 32 long signature tasks)."""
-    from web_search_engine_ray.stages.exchange import arrow_refs, exchange_map
+
+def _assemble_conversations(t: pa.Table) -> pa.Table:
+    """One conv_id partition of turns -> (conv_id, n_turns, conv_text)."""
+    df = (
+        pl.from_arrow(t)
+        .with_columns(line=pl.col("role") + ": " + pl.col("text").fill_null(""))
+        .sort(["conv_id", "turn_idx"])
+        .group_by("conv_id", maintain_order=True)
+        .agg(
+            n_turns=pl.len().cast(pl.Int64),
+            conv_text=pl.col("line").str.join("\n"),
+        )
+    )
+    return df.to_arrow().cast(
+        pa.schema(
+            [
+                ("conv_id", pa.string()),
+                ("n_turns", pa.int64()),
+                ("conv_text", pa.string()),
+            ]
+        )
+    )
+
+
+def _conversation_text_refs(corpus: str | list[str], conv_text=None) -> tuple[list, int]:
+    """Block refs of :func:`conversation_text_ds`'s rows and the partition
+    count of the near-dup chain that consumes them (twice, without running
+    the reassembly twice). The chain is sized once, from its head: the turns
+    read, or a caller's already-built ``conv_text`` Dataset, whose own
+    blocks are then returned (``exchange.chain_parts``). The reassembly's
+    partition count caps the signature stage's parallelism, so it is the
+    chain's count too."""
+    from web_search_engine_ray.pipelines.dedup import _hash_route
+    from web_search_engine_ray.stages.exchange import (
+        arrow_refs,
+        chain_parts,
+        exchange_map,
+    )
 
     if conv_text is not None:
-        return arrow_refs(conv_text)
-
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t["conv_id"]).hash(seed=7).to_numpy() % np.uint64(n_parts)
-        ).astype(np.int64)
-
-    def assemble(t: pa.Table) -> pa.Table:
-        df = (
-            pl.from_arrow(t)
-            .with_columns(
-                line=pl.col("role") + ": " + pl.col("text").fill_null("")
-            )
-            .sort(["conv_id", "turn_idx"])
-            .group_by("conv_id", maintain_order=True)
-            .agg(
-                n_turns=pl.len().cast(pl.Int64),
-                conv_text=pl.col("line").str.join("\n"),
-            )
-        )
-        return df.to_arrow().cast(
-            pa.schema(
-                [
-                    ("conv_id", pa.string()),
-                    ("n_turns", pa.int64()),
-                    ("conv_text", pa.string()),
-                ]
-            )
-        )
-
-    turns = arrow_refs(_read(corpus, ["conv_id", "turn_idx", "role", "text"]))
-    return exchange_map(turns, route, n_parts, assemble, auto_shrink=True)
+        refs = arrow_refs(conv_text)
+        return refs, chain_parts(refs)
+    turns = arrow_refs(_read(corpus, _TURN_COLS))
+    n = chain_parts(turns)
+    return (
+        exchange_map(turns, _hash_route("conv_id", n), n, _assemble_conversations),
+        n,
+    )
 
 
 def conversation_episode_split_ds(
@@ -686,7 +697,6 @@ def pack_conversations_ds(
 
 def conversation_minhash_dups_ds(
     corpus: str | list[str],
-    n_parts: int = 32,
     max_bucket: int | None = None,
     conv_text=None,
 ):
@@ -706,10 +716,9 @@ def conversation_minhash_dups_ds(
     :func:`conversation_text_ds` Dataset so composed jobs reassemble the
     corpus ONCE instead of once per consumer."""
     from web_search_engine_ray.pipelines.dedup import _minhash_pairs
-    from web_search_engine_ray.stages.exchange import cluster_parts, to_dataset
+    from web_search_engine_ray.stages.exchange import to_dataset
 
-    np_ = cluster_parts(max(n_parts, 16))
-    texts = _conversation_text_refs(corpus, max(n_parts, np_), conv_text)
+    texts, np_ = _conversation_text_refs(corpus, conv_text)
     pairs = _minhash_pairs(
         texts, "conv_id", "conv_text", ("conv_a", "conv_b"), np_, max_bucket
     )
@@ -719,7 +728,6 @@ def conversation_minhash_dups_ds(
 def conversation_jaccard_dups_ds(
     corpus: str | list[str],
     tau: float = 0.8,
-    n_parts: int = 32,
     max_bucket: int | None = None,
     conv_text=None,
 ):
@@ -741,11 +749,10 @@ def conversation_jaccard_dups_ds(
     the candidate stage and the semi-join's corpus side, and the driver
     waits once, on the verified partitions."""
     from web_search_engine_ray.pipelines.dedup import _minhash_pairs, _verified_pairs
-    from web_search_engine_ray.stages.exchange import cluster_parts, to_dataset
+    from web_search_engine_ray.stages.exchange import to_dataset
 
-    np_ = cluster_parts(max(n_parts, 16))
     pair_cols = ("conv_a", "conv_b")
-    texts = _conversation_text_refs(corpus, max(n_parts, np_), conv_text)
+    texts, np_ = _conversation_text_refs(corpus, conv_text)
     cand = _minhash_pairs(texts, "conv_id", "conv_text", pair_cols, np_, max_bucket)
     pairs = _verified_pairs(
         cand, texts, "conv_id", "conv_text", pair_cols, "jaccard", tau, np_

@@ -29,7 +29,8 @@ partitions still invoke it so the output block count is deterministic.
 
 The refs form has two helpers: :func:`map_refs` (one plain task per block,
 the refs counterpart of ``map_batches``) and :func:`to_dataset` (the
-chain's one driver wait, then ``from_arrow_refs``). :func:`as_ready` is the
+chain's one driver wait, then ``from_arrow_refs``); :func:`chain_parts` sizes
+a chain once from its head blocks. :func:`as_ready` is the
 driver's wait loop for every plain-task fan-out: a stalled one logs
 ``<stage>: k/n <tasks|partitions> done`` every ``STALL_LOG_S`` seconds.
 """
@@ -267,6 +268,23 @@ def cluster_parts(min_parts: int = 64, per_cpu: int = 2) -> int:
     except Exception:  # pragma: no cover - resource query is best-effort
         pass
     return min_parts
+
+
+def chain_parts(refs: list) -> int:
+    """Partition count for a chain of exchanges over block refs, sized once
+    from its head ``refs`` (ready blocks, e.g. from :func:`arrow_refs`):
+    ``cluster_parts`` of ``ceil(head bytes / target_max_block_size)``, i.e.
+    2 x cluster CPUs unless the input needs more partitions for each to
+    stay at one Ray Data block. ``auto_shrink`` cannot size a chain: past
+    its first exchange, every input block count is just the previous
+    exchange's partition count."""
+    import ray
+    from ray.data import DataContext
+
+    locs = ray.experimental.get_object_locations(refs)
+    head_bytes = sum(locs[r]["object_size"] or 0 for r in refs)
+    target = DataContext.get_current().target_max_block_size
+    return cluster_parts(max(1, -(-head_bytes // target)))
 
 
 def pool_size(requested: int) -> int:
