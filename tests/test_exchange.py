@@ -77,24 +77,24 @@ def test_exchange_column_key_dropped(ray_session):
 
 
 def test_exchange_empty_partitions_still_call_fn(ray_session):
-    import ray.data
+    import ray
 
     from web_search_engine_ray.stages.exchange import exchange_map
 
     t = pa.table({"k": pa.array([5, 5, 5], pa.int64())})
-    ds = ray.data.from_arrow(t)
     out = exchange_map(
-        ds,
+        [ray.put(t)],
         lambda x: x["k"].to_numpy() % 8,
         8,
         lambda g: pa.table({"n": pa.array([g.num_rows], pa.int64())}),
-    ).to_pandas()
+    )
     assert len(out) == 8
-    assert sorted(out["n"]) == [0] * 7 + [3]
+    assert sorted(b["n"][0].as_py() for b in ray.get(out)) == [0] * 7 + [3]
 
 
-def test_exchange_result_invariant_to_split_tasks(ray_session):
+def test_exchange_result_invariant_to_split_tasks(ray_session, monkeypatch):
     """Merged aggregates must not depend on the coalescing granularity."""
+    from web_search_engine_ray.stages import exchange
     from web_search_engine_ray.stages.exchange import exchange_map
 
     import polars as pl
@@ -106,10 +106,9 @@ def test_exchange_result_invariant_to_split_tasks(ray_session):
 
     outs = []
     for mst in (1, 3, 100):
+        monkeypatch.setattr(exchange, "MAX_SPLIT_TASKS", mst)
         ds = _make_ds()
-        o = exchange_map(
-            ds, lambda t: t["k"].to_numpy() % 4, 4, merge, max_split_tasks=mst
-        ).to_pandas()
+        o = exchange_map(ds, lambda t: t["k"].to_numpy() % 4, 4, merge).to_pandas()
         outs.append(o.sort_values(["k"]).reset_index(drop=True))
     assert outs[0].equals(outs[1]) and outs[1].equals(outs[2])
 
@@ -130,7 +129,7 @@ def test_exchange_rejects_empty_dataset(ray_session):
     assert sorted(out["n"]) == [0, 0]
 
 
-def test_exchange_pre_udf_empty_block_schema(ray_session):
+def test_exchange_pre_udf_empty_block_schema(ray_session, monkeypatch):
     """An empty source block (e.g. an empty parquet file in a multi-file
     corpus) never runs the map UDF, so it reaches the exchange with the
     PRE-UDF schema. fn must still only ever see the post-UDF schema — even
@@ -138,6 +137,7 @@ def test_exchange_pre_udf_empty_block_schema(ray_session):
     block."""
     import ray.data
 
+    from web_search_engine_ray.stages import exchange
     from web_search_engine_ray.stages.exchange import exchange_map
 
     pre = pa.table({"text": pa.array([], pa.string())})  # pre-UDF schema
@@ -165,19 +165,21 @@ def test_exchange_pre_udf_empty_block_schema(ray_session):
 
     # 6 partitions but keys only hit {0, 1}: partitions 2-5 are all-empty,
     # and the pre-UDF empty group routes its stale block to every partition
-    out = exchange_map(ds, "k", 6, fn, max_split_tasks=100).to_pandas()
+    monkeypatch.setattr(exchange, "MAX_SPLIT_TASKS", 100)
+    out = exchange_map(ds, "k", 6, fn).to_pandas()
     assert len(out) == 6
     assert out["n"].sum() == 3
     assert out["s"].sum() == 21
 
 
-def test_exchange_property_random(ray_session):
+def test_exchange_property_random(ray_session, monkeypatch):
     """Property: for arbitrary key/value tables, block splits, and partition
     counts, the exchange is a permutation of the input (no loss, no dupes)
     and per-key sums survive a group-merge exactly."""
     import polars as pl
     import ray.data
 
+    from web_search_engine_ray.stages import exchange
     from web_search_engine_ray.stages.exchange import exchange_map
 
     rng = np.random.default_rng(123)
@@ -205,12 +207,12 @@ def test_exchange_property_random(ray_session):
                 pl.from_arrow(t).group_by("k").agg(pl.col("v").sum()).to_arrow()
             )
 
+        monkeypatch.setattr(exchange, "MAX_SPLIT_TASKS", int(rng.integers(1, 6)))
         out = exchange_map(
             ds,
             lambda t: t["k"].to_numpy(zero_copy_only=False) % n_parts,
             n_parts,
             merge,
-            max_split_tasks=int(rng.integers(1, 6)),
         ).to_pandas()
         want = (
             pl.DataFrame({"k": keys, "v": vals})
@@ -224,65 +226,50 @@ def test_exchange_property_random(ray_session):
         assert got["v"].tolist() == want["v"].tolist(), trial
 
 
-def test_exchange_auto_shrink_invariance(ray_session):
-    """auto_shrink picks a divisor partition count from the block count;
-    per-key merge results must be identical to the unshrunk exchange, and
-    with_index + auto_shrink must refuse."""
+def test_exchange_derives_partition_count(ray_session):
+    """A Dataset input trims ``n_parts`` to the largest power-of-two divisor
+    not far above twice its block count; a list of block refs and a
+    ``with_index`` sink run at exactly ``n_parts``. Trimmed or not, every
+    key lands whole in one partition, so a per-key merge gives the same
+    rows."""
     import polars as pl
-    import pytest as _pytest
-    import ray.data
+    import ray
 
-    from web_search_engine_ray.stages.exchange import exchange_map
+    from web_search_engine_ray.stages.exchange import arrow_refs, exchange_map
 
-    ds_small = _make_ds(n_rows=200, n_blocks=2)
+    def route(t: pa.Table) -> np.ndarray:
+        return t["k"].to_numpy() % 64
 
     def merge(t: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(t).group_by("k").agg(pl.col("v").sum()).to_arrow()
-        )
+        return pl.from_arrow(t).group_by("k").agg(pl.col("v").sum()).to_arrow()
 
-    a = (
-        exchange_map(
-            _make_ds(200, 2), lambda t: t["k"].to_numpy() % 64, 64, merge
-        )
-        .to_pandas()
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
-    b = (
-        exchange_map(
-            ds_small,
-            lambda t: t["k"].to_numpy() % 64,
-            64,
-            merge,
-            auto_shrink=True,
-        )
-        .to_pandas()
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
-    assert a.equals(b)
-    # shrunk: far fewer output blocks than 64 for a 2-block input
-    n_blocks = len(
-        exchange_map(
-            _make_ds(200, 2),
-            lambda t: t["k"].to_numpy() % 64,
-            64,
-            merge,
-            auto_shrink=True,
-        ).to_arrow_refs()
-    )
-    assert n_blocks <= 8
+    def indexed(t: pa.Table, pi: int) -> pa.Table:
+        return merge(t)
 
-    with _pytest.raises(ValueError, match="with_index"):
-        exchange_map(
-            ds_small,
-            lambda t: t["k"].to_numpy() % 64,
-            64,
-            merge,
-            with_index=True,
-            auto_shrink=True,
-        )
+    src = pl.from_arrow(pa.concat_tables(ray.get(arrow_refs(_make_ds(210, 7)))))
+    want = sorted(src.group_by("k").agg(pl.col("v").sum()).rows())
+
+    def parts(out) -> list:
+        return ray.get(out if isinstance(out, list) else arrow_refs(out))
+
+    # (blocks, n_parts) -> partitions of a Dataset input
+    sizes = [(1, 8, 4), (2, 64, 4), (7, 64, 16), (3, 6, 6), (20, 64, 64)]
+    for n_blocks, n_parts, eff in sizes:
+        ds = _make_ds(30 * n_blocks, n_blocks)
+        out = exchange_map(ds, lambda t: t["k"].to_numpy() % n_parts, n_parts, merge)
+        assert len(parts(out)) == eff, (n_blocks, n_parts)
+    for out in (
+        exchange_map(_make_ds(210, 7), route, 64, merge),
+        exchange_map(arrow_refs(_make_ds(210, 7)), route, 64, merge),
+        exchange_map(_make_ds(210, 7), route, 64, indexed, with_index=True),
+    ):
+        got = parts(out)
+        keys = [k for t in got for k in t["k"].to_pylist()]
+        assert len(keys) == len(set(keys))  # no key split across partitions
+        assert sorted(pl.from_arrow(pa.concat_tables(got)).rows()) == want
+    two_refs = arrow_refs(_make_ds(200, 2))
+    assert len(parts(exchange_map(two_refs, route, 64, merge))) == 64
+    assert len(parts(exchange_map(_make_ds(200, 2), route, 64, indexed, True))) == 64
 
 
 def test_arrow_refs_and_exchange_run_the_plan_once(ray_session, tmp_path):
@@ -320,7 +307,6 @@ def test_arrow_refs_and_exchange_run_the_plan_once(ray_session, tmp_path):
         "k",
         10,
         lambda t: t,
-        drop_part_col=False,
     )
     assert out.count() == 700
     assert rows_seen() == 700

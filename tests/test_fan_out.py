@@ -1,7 +1,8 @@
 """The build's one task launcher, ``pipelines.build.fan_out``: results in
 input order, task errors re-raised with their type, and a heartbeat that
-names a stalled stage. The near-dup chain waits on its final partitions
-through the same heartbeat (``stages.exchange.as_ready``)."""
+names a stalled stage. The near-dup chain and every Dataset-form exchange
+wait on their final partitions through the same heartbeat
+(``stages.exchange.as_ready``)."""
 
 import logging
 import re
@@ -70,3 +71,27 @@ def test_near_dup_chain_stall_heartbeat_names_stage(ray_session, monkeypatch, ca
     assert msgs
     for m in msgs:
         assert re.match(r"conversation_jaccard_dups_ds: \d+/\d+ partitions done", m), m
+
+
+def test_dataset_exchange_stall_heartbeat_names_fn(ray_session, monkeypatch, caplog):
+    """A Dataset-form ``exchange_map`` waits for its partitions through
+    ``exchange.as_ready``: with a stall window far shorter than its
+    partition fn, it logs ``<fn>: k/n partitions done`` and nothing else."""
+    import pyarrow as pa
+    import ray.data
+
+    def slow_identity(t):
+        import time
+
+        time.sleep(1.0)
+        return t
+
+    caplog.set_level(logging.WARNING, logger=exchange.__name__)
+    monkeypatch.setattr(exchange, "STALL_LOG_S", 0.2)
+    ds = ray.data.from_arrow(pa.table({"k": list(range(8))}))
+    route = lambda t: t["k"].to_numpy() % 2  # noqa: E731
+    assert exchange.exchange_map(ds, route, 2, slow_identity).count() == 8
+    msgs = [r.getMessage() for r in caplog.records if r.name == exchange.__name__]
+    assert msgs
+    for m in msgs:
+        assert re.match(r"slow_identity: \d+/2 partitions done", m), m

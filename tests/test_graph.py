@@ -79,9 +79,24 @@ def test_randomized_vs_union_find(ray_session):
 
 
 @pytest.mark.parametrize("n_parts", [4, 64])
-def test_partition_count_invariance(ray_session, n_parts):
+def test_partition_count_invariance(ray_session, monkeypatch, n_parts):
+    """Every round runs at the one count ``exchange.chain_parts`` sizes
+    from the pair read; forcing it to 4 or 64 gives union-find's labels."""
+    from web_search_engine_ray.pipelines import graph
+    from web_search_engine_ray.stages import exchange
+
+    seen: list = []
+    real_exchange_map = graph.exchange_map
+
+    def exchange_map(refs, part, n, fn):
+        seen.append(n)
+        return real_exchange_map(refs, part, n, fn)
+
+    monkeypatch.setattr(exchange, "chain_parts", lambda refs: n_parts)
+    monkeypatch.setattr(graph, "exchange_map", exchange_map)
     pairs = [(i, i + 3) for i in range(0, 30)]
-    assert _labels(pairs, n_parts=n_parts) == _oracle(pairs)
+    assert _labels(pairs) == _oracle(pairs)
+    assert seen and set(seen) == {n_parts}
 
 
 def test_connected_components_runs_on_block_refs(ray_session, monkeypatch):
@@ -124,7 +139,7 @@ def test_connected_components_runs_on_block_refs(ray_session, monkeypatch):
     for name in ("map_batches", "union"):
         monkeypatch.setattr(ray.data.Dataset, name, refuse_after_read(name))
     monkeypatch.setattr(ray.data, "from_arrow_refs", from_arrow_refs)
-    out = connected_components(ds, n_parts=4)
+    out = connected_components(ds)
     assert read_done and len(made) == 1, made
     got = {r["docid"]: r["cluster_id"] for r in out.take_all()}
     assert got == _oracle(pairs)

@@ -313,22 +313,27 @@ def test_build_paths_use_no_ray_data_shuffle(
     assert b["heavy_terms"]
 
 
-def test_near_dup_paths_use_no_ray_data_shuffle(ray_session, monkeypatch):
-    """The near-dup family runs on ``exchange_map`` alone: every pipeline
-    succeeds with ``Dataset.groupby`` / ``.sort`` / ``.repartition`` /
-    ``.random_shuffle`` raising."""
+def _refuse_ray_data_shuffles(monkeypatch):
+    """Make ``Dataset.groupby`` / ``.sort`` / ``.repartition`` /
+    ``.random_shuffle`` raise for the rest of the test."""
     import ray.data
-
-    from web_search_engine_ray.pipelines import dedup, transcripts_ops
 
     def _refuse(name):
         def _raise(*a, **k):
-            raise AssertionError(f"Ray Data {name} in a near-dup pipeline")
+            raise AssertionError(f"Ray Data {name} in an exchange pipeline")
 
         return _raise
 
     for name in ("groupby", "sort", "repartition", "random_shuffle"):
         monkeypatch.setattr(ray.data.Dataset, name, _refuse(name))
+
+
+def test_near_dup_paths_use_no_ray_data_shuffle(ray_session, monkeypatch):
+    """The near-dup family runs on ``exchange_map`` alone: every pipeline
+    succeeds with Ray Data's shuffles raising."""
+    from web_search_engine_ray.pipelines import dedup, transcripts_ops
+
+    _refuse_ray_data_shuffles(monkeypatch)
     runs = {
         "ngram_jaccard_dups": lambda: dedup.ngram_jaccard_dups(SF),
         "containment_dups": lambda: dedup.containment_dups(SF),
@@ -339,6 +344,30 @@ def test_near_dup_paths_use_no_ray_data_shuffle(ray_session, monkeypatch):
                 transcripts_ops.neardup_fixture_corpus()
             )
         ),
+    }
+    for name, run in runs.items():
+        assert run().count() > 0, name
+
+
+def test_conversation_aggregates_and_components_use_no_ray_data_shuffle(
+    ray_session, monkeypatch
+):
+    """The conversation aggregates and connected components run on
+    ``exchange_map`` alone: each succeeds with Ray Data's shuffles
+    raising."""
+    import ray.data
+
+    from web_search_engine_ray.pipelines import graph, transcripts_ops as tops
+
+    corpus = tops.fixture_corpus()
+    pairs = ray.data.from_arrow(pa.table({"docid_a": [1, 2, 7], "docid_b": [2, 3, 8]}))
+    _refuse_ray_data_shuffles(monkeypatch)
+    runs = {
+        "conversation_rollup_ds": lambda: tops.conversation_rollup_ds(corpus),
+        "role_stats_ds": lambda: tops.role_stats_ds(corpus),
+        "tool_usage_ds": lambda: tops.tool_usage_ds(corpus),
+        "conversation_text_ds": lambda: tops.conversation_text_ds(corpus),
+        "connected_components": lambda: graph.connected_components(pairs),
     }
     for name, run in runs.items():
         assert run().count() > 0, name

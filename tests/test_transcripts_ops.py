@@ -123,6 +123,26 @@ def test_rollup_conv_spanning_files(ray_session, conv_corpus):
     assert got.n_turns.sum() == total
 
 
+def test_conversation_aggregates_key_column_is_string(ray_session, conv_corpus):
+    """Every output block of the four conversation aggregates carries its
+    key column as ``pa.string()``, not polars' ``large_string``, so no
+    consumer sees one Dataset of mixed string types."""
+    import pyarrow as pa
+    import ray
+
+    ops = {
+        conversation_rollup_ds: "conv_id",
+        role_stats_ds: "role",
+        tool_usage_ds: "tool",
+        conversation_text_ds: "conv_id",
+    }
+    for op, key in ops.items():
+        blocks = ray.get(op(conv_corpus).to_arrow_refs())
+        assert blocks, op.__name__
+        types = {b.schema.field(key).type for b in blocks}
+        assert types == {pa.string()}, (op.__name__, types)
+
+
 def test_conversation_dedup(ray_session, conv_corpus, con):
     from web_search_engine_ray.pipelines.transcripts_ops import conversation_dedup_ds
 

@@ -19,7 +19,7 @@ import pyarrow as pa
 
 from web_search_engine_ray.functions.tokenize import token_lists
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
-from web_search_engine_ray.stages.exchange import arrow_refs, pool_size
+from web_search_engine_ray.stages.exchange import arrow_refs, hash_route, pool_size
 
 STOPWORDS = ("the", "a", "and", "of", "to", "in", "is")
 
@@ -212,13 +212,6 @@ def lm_score_ds(sf_dir: str):
 
     np_ = cluster_parts(32)
 
-    def _part(t: pa.Table) -> np.ndarray:
-        # any deterministic-within-run routing works: merged counts are
-        # partition-invariant, the hash only balances the exchange
-        return (
-            pl.from_arrow(t["w1"]).hash(seed=7).to_numpy() % np.uint64(np_)
-        ).astype(np.int64)
-
     def _merge(t: pa.Table) -> pa.Table:
         return (
             pl.from_arrow(t)
@@ -229,7 +222,7 @@ def lm_score_ds(sf_dir: str):
 
     ds = _read_docs(sf_dir)
     partials = ds.map_batches(_bigram_partials, batch_format="pyarrow")
-    merged = exchange_map(partials, _part, np_, _merge, auto_shrink=True)
+    merged = exchange_map(partials, hash_route("w1", np_), np_, _merge)
     # collect the finished model COLUMNAR (arrow concat — no Python loop over
     # millions of bigram rows) and derive prefix counts / V in polars
     model = pl.from_arrow(pa.concat_tables(ray.get(arrow_refs(merged))))
@@ -467,10 +460,7 @@ def collocations_ds(sf_dir: str, min_count: int = 5, k: int = 50):
             }
         )
 
-    def route1(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t["w1"]).hash(seed=7).to_numpy() % np.uint64(np_)
-        ).astype(np.int64)
+    route1 = hash_route("w1", np_)
 
     def merge_attach_ca(t: pa.Table) -> pa.Table:
         g = (
@@ -520,7 +510,7 @@ def collocations_ds(sf_dir: str, min_count: int = 5, k: int = 50):
         )
 
     counts = _read_docs(sf_dir).map_batches(partial, batch_format="pyarrow")
-    ex1 = exchange_map(counts, route1, np_, merge_attach_ca, auto_shrink=True)
+    ex1 = exchange_map(counts, route1, np_, merge_attach_ca)
     parts = [p for p in ray.get(arrow_refs(ex1)) if p.num_rows]
     # two scalar sums off the vocab-scale exchange output (columnar, no rows
     # to the driver beyond what the exchange already materialized)
@@ -571,7 +561,7 @@ def collocations_ds(sf_dir: str, min_count: int = 5, k: int = 50):
             }
         )
 
-    ex2 = exchange_map(ex1, route2, np_, attach_cb_and_score, auto_shrink=True)
+    ex2 = exchange_map(ex1, route2, np_, attach_cb_and_score)
     return ex2.sort(["pmi", "w1", "w2"], descending=[True, False, False]).limit(k)
 
 
@@ -635,10 +625,7 @@ def distinctive_terms_ds(sf_dir: str, k: int = 10):
         )
         return d.select("source", "term", "a_p").to_arrow()
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t["source"]).hash(seed=11).to_numpy() % np.uint64(np_)
-        ).astype(np.int64)
+    route = hash_route("source", np_)
 
     def merge(t: pa.Table) -> pa.Table:
         d = (
@@ -681,7 +668,7 @@ def distinctive_terms_ds(sf_dir: str, k: int = 10):
     ds = ray.data.read_parquet(
         _docs_path(sf_dir), columns=["source", "text"]
     ).map_batches(partial, batch_format="pyarrow")
-    return exchange_map(ds, route, np_, merge, auto_shrink=True)
+    return exchange_map(ds, route, np_, merge)
 
 
 class LangIdConfusionStage:
@@ -744,7 +731,7 @@ def langid_confusion_ds(sf_dir: str, concurrency: int = 2):
             )
         )
 
-    return exchange_map(ds, route, 8, merge, auto_shrink=True)
+    return exchange_map(ds, route, 8, merge)
 
 
 BURSTINESS_MIN_DF = 20
@@ -775,10 +762,7 @@ def term_burstiness_ds(sf_dir: str, min_df: int = BURSTINESS_MIN_DF, k: int = BU
         )
         return g.to_arrow()
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t["term"]).hash(seed=23).to_numpy() % np.uint64(np_)
-        ).astype(np.int64)
+    route = hash_route("term", np_)
 
     def merge(t: pa.Table) -> pa.Table:
         g = (
@@ -813,7 +797,7 @@ def term_burstiness_ds(sf_dir: str, min_df: int = BURSTINESS_MIN_DF, k: int = BU
         )
 
     ds = _read_docs(sf_dir).map_batches(partial, batch_format="pyarrow")
-    parts = exchange_map(ds, route, np_, merge, auto_shrink=True)
+    parts = exchange_map(ds, route, np_, merge)
 
     # per-partition head(k) is a SUPERSET of the global top-k (each term
     # lives in exactly one partition); one tiny final cut
@@ -826,13 +810,7 @@ def term_burstiness_ds(sf_dir: str, min_df: int = BURSTINESS_MIN_DF, k: int = BU
             .cast(t.schema)
         )
 
-    return exchange_map(
-        parts,
-        lambda t: np.zeros(t.num_rows, np.int64),
-        1,
-        final_cut,
-        auto_shrink=False,
-    )
+    return exchange_map(parts, lambda t: np.zeros(t.num_rows, np.int64), 1, final_cut)
 
 
 def zipf_slope_table(sf_dir: str, top_n: int = 200) -> pa.Table:

@@ -257,7 +257,6 @@ def semdedup_ds(
         lambda t: t["cluster"].to_numpy() % np_,
         np_,
         drop_dominated,
-        auto_shrink=True,
     )
 
 

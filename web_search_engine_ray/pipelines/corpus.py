@@ -20,7 +20,7 @@ import pyarrow as pa
 
 from web_search_engine_ray.functions.tokenize import batch_postings, token_lists
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
-from web_search_engine_ray.stages.exchange import arrow_refs
+from web_search_engine_ray.stages.exchange import arrow_refs, hash_route
 
 
 def _docs_path(sf_dir: str) -> str:
@@ -90,15 +90,12 @@ def term_stats_ds(sf_dir: str):
             pa.schema([("term", pa.string()), ("df", pa.int64()), ("cf", pa.int64())])
         )
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t["term"]).hash(seed=7).to_numpy() % np.uint64(np_)
-        ).astype(np.int64)
+    route = hash_route("term", np_)
 
     ds = _read_docs(sf_dir).map_batches(partial, batch_format="pyarrow")
     # partition hash exchange + local polars merge (routing is
     # correctness-neutral; merged sums are partition-invariant)
-    return exchange_map(ds, route, np_, merge, auto_shrink=True)
+    return exchange_map(ds, route, np_, merge)
 
 
 def dl_from_postings_ds(sf_dir: str):
@@ -215,10 +212,7 @@ def top_terms_per_source_ds(sf_dir: str, k: int = 5):
         )
         return d.to_arrow()
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t["source"]).hash(seed=11).to_numpy() % np.uint64(np_)
-        ).astype(np.int64)
+    route = hash_route("source", np_)
 
     def merge(t: pa.Table) -> pa.Table:
         d = (
@@ -246,7 +240,7 @@ def top_terms_per_source_ds(sf_dir: str, k: int = 5):
     ds = ray.data.read_parquet(
         _docs_path(sf_dir), columns=["source", "text"]
     ).map_batches(partial, batch_format="pyarrow")
-    return exchange_map(ds, route, np_, merge, auto_shrink=True)
+    return exchange_map(ds, route, np_, merge)
 
 
 def tfidf_topk_ds(sf_dir: str, k: int = 5):

@@ -30,7 +30,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from web_search_engine_ray.sources.documents import read_docs
-from web_search_engine_ray.stages.exchange import arrow_refs
+from web_search_engine_ray.stages.exchange import arrow_refs, hash_route, route_probe
 
 
 def _marker(stage_dir: str) -> str:
@@ -50,20 +50,6 @@ def _corpus_fp(files: list[str]) -> list:
         [os.path.basename(f), os.stat(f).st_size, os.stat(f).st_mtime_ns]
         for f in files
     ]
-
-
-def _pl_routing_probe(n_parts: int) -> list:
-    """polars' hash() is not pinned across releases (curate.py documents
-    this); sinks routed by it embed this probe so a crash-resume under a
-    different polars never mixes two routings in one stage dir."""
-    import polars as pl
-
-    return (
-        pl.Series(["wse-routing-probe-a", "wse-routing-probe-b", ""])
-        .hash(seed=7)
-        .to_numpy()
-        % np.uint64(n_parts)
-    ).tolist()
 
 
 def _check_params(stage_dir: str, path: str, params: dict, what: str) -> dict | None:
@@ -442,16 +428,7 @@ def _conv_drop_set(corpus, n_parts: int, tau: float = 0.8, hash_fn: str = "md5")
     ).materialize()
 
     hashed = conv_text.map_batches(hash_rows, batch_format="pyarrow")
-    lost = exchange_map(
-        hashed,
-        lambda t: (
-            pl.from_arrow(t["conv_hash"]).hash(seed=7).to_numpy()
-            % np.uint64(n_parts)
-        ).astype(np.int64),
-        n_parts,
-        losers,
-        auto_shrink=True,
-    )
+    lost = exchange_map(hashed, hash_route("conv_hash", n_parts), n_parts, losers)
     for b in lost.iter_batches(batch_format="pyarrow"):
         drop.update(b["conv_id"].to_pylist())
 
@@ -536,7 +513,7 @@ def run_sft_dataset_job(
         "n_parts": n_parts,
         "hash_fn": hash_fn,
         "input_fp": _corpus_fp(corpus_files(corpus)),
-        "routing_probe": _pl_routing_probe(n_parts),
+        "routing_probe": route_probe(n_parts),
     }
     if drop_malformed:  # key only when on: pre-flag markers stay resumable
         p1["drop_malformed"] = True
@@ -579,11 +556,7 @@ def run_sft_dataset_job(
 
         os.makedirs(s1, exist_ok=True)
 
-        def route(t: pa.Table) -> np.ndarray:
-            return (
-                pl.from_arrow(t["conv_id"]).hash(seed=7).to_numpy()
-                % np.uint64(n_parts)
-            ).astype(np.int64)
+        route = hash_route("conv_id", n_parts)
 
         def write_part(t: pa.Table, pi: int) -> pa.Table:
             path = os.path.join(s1, f"transcripts_{pi:05d}.parquet")
@@ -629,7 +602,7 @@ def run_sft_dataset_job(
                 os.path.join(s1, f) for f in os.listdir(s1) if f.endswith(".parquet")
             )
         ),
-        "routing_probe": _pl_routing_probe(n_parts),
+        "routing_probe": route_probe(n_parts),
     }
     m2 = _stage_done(final, p2)
     if m2 is None:
@@ -671,11 +644,7 @@ def run_sft_dataset_job(
 
             from web_search_engine_ray.stages.exchange import exchange_map
 
-            def route(t: pa.Table) -> np.ndarray:
-                return (
-                    _pl.from_arrow(t["conv_id"]).hash(seed=7).to_numpy()
-                    % np.uint64(n_parts)
-                ).astype(np.int64)
+            route = hash_route("conv_id", n_parts)
 
             def write_part(t: pa.Table, pi: int, _sdir=sdir) -> pa.Table:
                 path = os.path.join(_sdir, f"sft_{pi:05d}.parquet")

@@ -28,6 +28,7 @@ import pyarrow as pa
 
 from web_search_engine_ray.functions.tokenize import token_lists
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
+from web_search_engine_ray.stages.exchange import hash_route, route_probe
 from web_search_engine_ray.pipelines.analysis import STOPWORDS, _stop_hits
 
 _TOK_BITS = 22
@@ -95,7 +96,6 @@ def curated_docs_ds(
     vectorized."""
     import polars as pl
 
-    from web_search_engine_ray.pipelines.dedup import _hash_route
     from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
 
     np_ = cluster_parts(32)
@@ -107,9 +107,7 @@ def curated_docs_ds(
         return pa.table({"docid": pa.array(p[keep] >> 1, pa.int64())})
 
     sig = _signals_ds(sf_dir, min_tokens, max_stop_ratio, hash_fn)
-    return exchange_map(
-        sig, _hash_route("text_hash", np_), np_, merge, auto_shrink=True
-    )
+    return exchange_map(sig, hash_route("text_hash", np_), np_, merge)
 
 
 def curation_stats_table(sf_dir: str, min_tokens: int = 5, max_stop_ratio: float = 0.6) -> pa.Table:
@@ -121,7 +119,6 @@ def curation_stats_table(sf_dir: str, min_tokens: int = 5, max_stop_ratio: float
     partial-sum row — the driver only adds up 32 partial rows."""
     import polars as pl
 
-    from web_search_engine_ray.pipelines.dedup import _hash_route
     from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
 
     np_ = cluster_parts(32)
@@ -155,9 +152,7 @@ def curation_stats_table(sf_dir: str, min_tokens: int = 5, max_stop_ratio: float
         )
 
     sig = _signals_ds(sf_dir, min_tokens, max_stop_ratio)
-    parts = exchange_map(
-        sig, _hash_route("text_hash", np_), np_, partial, auto_shrink=True
-    ).to_pandas()
+    parts = exchange_map(sig, hash_route("text_hash", np_), np_, partial).to_pandas()
     return pa.table(
         {
             "n_input": pa.array([int(parts["n_input"].sum())], pa.int64()),
@@ -193,7 +188,6 @@ def write_curated_corpus(
 
     import pyarrow.parquet as pq
 
-    from web_search_engine_ray.pipelines.dedup import _hash_route
     from web_search_engine_ray.stages.exchange import exchange_map
 
     os.makedirs(out_dir, exist_ok=True)
@@ -207,14 +201,7 @@ def write_curated_corpus(
     # across releases: a resume under a different routing would mix two
     # layouts (dup/drop docs, split dup-groups across files). Probe the
     # actual routing on sentinel keys and refuse to resume if it moved.
-    import polars as pl
-
-    routing_probe = (
-        pl.Series(["wse-routing-probe-a", "wse-routing-probe-b", ""])
-        .hash(seed=7)
-        .to_numpy()
-        % np.uint64(n_parts)
-    ).tolist()
+    routing_probe = route_probe(n_parts)
     fp = {
         "src": src,
         "src_size": st.st_size,
@@ -284,7 +271,7 @@ def write_curated_corpus(
 
     ds = _read_docs(sf_dir).map_batches(signals_with_text, batch_format="pyarrow")
     report = exchange_map(
-        ds, _hash_route("text_hash", n_parts), n_parts, write_part, with_index=True
+        ds, hash_route("text_hash", n_parts), n_parts, write_part, with_index=True
     ).to_pandas()
     return {
         "out_dir": out_dir,

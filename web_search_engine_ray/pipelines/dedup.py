@@ -58,6 +58,7 @@ from web_search_engine_ray.sources.documents import read_docs as _read_docs
 from web_search_engine_ray.stages.exchange import (
     arrow_refs,
     chain_parts,
+    hash_route,
     map_refs,
     to_dataset,
 )
@@ -71,9 +72,9 @@ SHINGLE_K = 3
 N_PARTS = 64  # MINIMUM coarse shuffle partitions for bucket/pair groupbys
 # (Dataset-form ops call cluster_parts(N_PARTS) at runtime: the count grows
 # with the cluster's CPU total so per-partition state stays bounded at
-# 100 TB, and auto_shrink trims it back down for small inputs — both
-# directions rely on per-key merges being partition-count invariant). The
-# near-dup chains on block refs are sized once from their input instead
+# 100 TB, and exchange_map trims it back down for a Dataset of few blocks;
+# both directions rely on per-key merges being partition-count invariant).
+# The near-dup chains on block refs are sized once from their input instead
 # (exchange.chain_parts).
 
 
@@ -82,18 +83,6 @@ def _col(t: pa.Table, name: str, dtype=np.int64) -> np.ndarray:
     return (
         t[name].combine_chunks().to_numpy(zero_copy_only=False).astype(dtype, copy=False)
     )
-
-
-def _hash_route(col: str, n: int = 32):
-    """Partition-routing callable for string keys: polars hash % n. Routing
-    only balances the exchange — merged results are partition-invariant."""
-
-    def f(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t[col]).hash(seed=7).to_numpy() % np.uint64(n)
-        ).astype(np.int64)
-
-    return f
 
 
 # ---------------------------------------------------------------- exact
@@ -171,9 +160,7 @@ def exact_dedup_ds(sf_dir: str, hash_fn: str = "md5"):
         )
 
     ds = _read_docs(sf_dir).map_batches(hash_batch, batch_format="pyarrow")
-    return exchange_map(
-        ds, _hash_route("text_hash", np_), np_, merge, auto_shrink=True
-    )
+    return exchange_map(ds, hash_route("text_hash", np_), np_, merge)
 
 
 # ------------------------------------------------------------- hashing core
@@ -457,7 +444,7 @@ def _minhash_pairs(refs, id_col, text_col, pair_cols, n_parts, max_bucket=None):
         )
 
     pairs = exchange_map(
-        map_refs(to_bands, refs), _hash_route("bhash", n_parts), n_parts,
+        map_refs(to_bands, refs), hash_route("bhash", n_parts), n_parts,
         pair_buckets,
     )
     return _distinct_pairs(pairs, a_col, b_col, n_parts)
@@ -468,9 +455,9 @@ def _distinct_pairs(ds, a_col, b_col, n_parts):
     exchange on ``a_col``; ``ds`` is a Dataset or block refs, and the result
     is the same kind. Other columns ride along, and any one row of a pair is
     kept — valid because every payload the callers carry (hamming, cos) is a
-    function of the pair. ``auto_shrink`` trims the Dataset-form callers; in
-    a refs chain it never fires, since the input is the previous exchange's
-    ``n_parts`` blocks."""
+    function of the pair. A Dataset input may run at fewer partitions
+    (``exchange_map`` trims ``n_parts`` to its block count); a refs input
+    runs at exactly ``n_parts``, the count its chain was sized to."""
     from web_search_engine_ray.stages.exchange import exchange_map
 
     def dedup_pairs(t: pa.Table) -> pa.Table:
@@ -481,9 +468,7 @@ def _distinct_pairs(ds, a_col, b_col, n_parts):
             .cast(t.schema)
         )
 
-    return exchange_map(
-        ds, _hash_route(a_col, n_parts), n_parts, dedup_pairs, auto_shrink=True
-    )
+    return exchange_map(ds, hash_route(a_col, n_parts), n_parts, dedup_pairs)
 
 
 def _verified_pairs(cand, corpus, id_col, text_col, pair_cols, metric, tau, n_parts):
@@ -511,7 +496,7 @@ def _verified_pairs(cand, corpus, id_col, text_col, pair_cols, metric, tau, n_pa
     from web_search_engine_ray.stages.exchange import exchange_map
 
     a_col, b_col = pair_cols
-    pair_p = _hash_route(a_col, n_parts)
+    pair_p = hash_route(a_col, n_parts)
 
     def requests(t: pa.Table) -> pa.Table:
         p = pl.Series("p", pair_p(t))
@@ -669,11 +654,9 @@ def _verified_pairs(cand, corpus, id_col, text_col, pair_cols, metric, tau, n_pa
 
     shingle_rows = exchange_map(
         map_refs(requests, cand) + map_refs(corpus_rows, corpus),
-        _hash_route("id", n_parts), n_parts, join_shingles,
+        hash_route("id", n_parts), n_parts, join_shingles,
     )
-    return exchange_map(
-        shingle_rows + map_refs(pair_rows, cand), "p", n_parts, verify
-    )
+    return exchange_map(shingle_rows + map_refs(pair_rows, cand), "p", n_parts, verify)
 
 
 def minhash_lsh_candidates_ds(sf_dir: str, max_bucket: int | None = None):
@@ -897,7 +880,6 @@ def simhash_dups(sf_dir: str, max_hamming: int = 3, max_bucket: int | None = Non
         lambda t: (_col(t, "bkey") + _col(t, "band") * 65536) % np_,
         np_,
         band_pairs,
-        auto_shrink=True,
     )
     return _distinct_pairs(pairs, "docid_a", "docid_b", np_)
 
@@ -1158,7 +1140,6 @@ def embedding_dups_lsh(
         lambda t: (_col(t, "bucket") + _col(t, "rep") * 131) % np_,
         np_,
         bucket_pairs,
-        auto_shrink=True,
     )
     return _distinct_pairs(pairs, "vec_id_a", "vec_id_b", np_)
 
@@ -1403,8 +1384,8 @@ def dup_spans_ds(sf_dir: str, k: int = 4, hash_fn: str = "md5"):
         )
 
     ds = _read_docs(sf_dir).map_batches(emit, batch_format="pyarrow")
-    dups = exchange_map(ds, route_h, np_, find_dups, auto_shrink=True)
-    return exchange_map(dups, route_doc, np_, agg, auto_shrink=True)
+    dups = exchange_map(ds, route_h, np_, find_dups)
+    return exchange_map(dups, route_doc, np_, agg)
 
 
 def dup_span_clean_ds(sf_dir: str, k: int = 4, hash_fn: str = "md5"):
@@ -1568,9 +1549,9 @@ def dup_span_clean_ds(sf_dir: str, k: int = 4, hash_fn: str = "md5"):
         )
 
     grams = _read_docs(sf_dir).map_batches(emit, batch_format="pyarrow")
-    lose_ds = exchange_map(grams, route_h, np_, losers, auto_shrink=True)
+    lose_ds = exchange_map(grams, route_h, np_, losers)
     corpus = _read_docs(sf_dir).map_batches(doc_rows, batch_format="pyarrow")
-    return exchange_map(corpus.union(lose_ds), route_doc, np_, clean, auto_shrink=True)
+    return exchange_map(corpus.union(lose_ds), route_doc, np_, clean)
 
 
 # --------------------------------------------- incremental (snapshot) dedup

@@ -126,7 +126,7 @@ def dsir_weights_ds(
                 p
                 for p in ray.get(
                     arrow_refs(
-                        exchange_map(partials, route, np_, merge, auto_shrink=True)
+                        exchange_map(partials, route, np_, merge)
                     )
                 )
                 if p.num_rows

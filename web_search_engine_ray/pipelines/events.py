@@ -20,7 +20,7 @@ import numpy as np
 import polars as pl
 import pyarrow as pa
 
-from web_search_engine_ray.stages.exchange import arrow_refs
+from web_search_engine_ray.stages.exchange import arrow_refs, hash_route
 
 WINDOW_S = 3600
 SESSION_GAP_S = 1800
@@ -115,7 +115,6 @@ def window_agg_ds(sf_dir: str, window_s: int = WINDOW_S):
         lambda t: (_np(t["window_start"]) // window_s) % N,
         N,
         _window_merge,
-        auto_shrink=True,
     )
 
 
@@ -177,9 +176,7 @@ def sessionize_ds(sf_dir: str, gap_s: int = SESSION_GAP_S):
 
     N = cluster_parts(32)
     ds = _read_events(sf_dir, ["event_id", "user_id", "ts"])
-    return exchange_map(
-        ds, lambda t: _np(t["user_id"]) % N, N, sessions_part, auto_shrink=True
-    )
+    return exchange_map(ds, lambda t: _np(t["user_id"]) % N, N, sessions_part)
 
 
 HOP_S = 900
@@ -220,7 +217,6 @@ def hopping_window_ds(sf_dir: str, window_s: int = WINDOW_S, hop_s: int = HOP_S)
         lambda t: (_np(t["window_start"]) // hop_s) % N,
         N,
         _window_merge,
-        auto_shrink=True,
     )
 
 
@@ -335,9 +331,7 @@ def asof_join_ds(
     N = 32
     ds = _read_events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
     ds = ds.map_batches(keep_types, batch_format="pyarrow")
-    return exchange_map(
-        ds, lambda t: _np(t["user_id"]) % N, N, join_part, auto_shrink=True
-    )
+    return exchange_map(ds, lambda t: _np(t["user_id"]) % N, N, join_part)
 
 
 def session_range_join_ds(sf_dir: str, gap_s: int = SESSION_GAP_S):
@@ -392,9 +386,7 @@ def session_range_join_ds(sf_dir: str, gap_s: int = SESSION_GAP_S):
 
     N = 32
     ds = _read_events(sf_dir, ["event_id", "user_id", "ts"])
-    return exchange_map(
-        ds, lambda t: _np(t["user_id"]) % N, N, join_part, auto_shrink=True
-    )
+    return exchange_map(ds, lambda t: _np(t["user_id"]) % N, N, join_part)
 
 
 def json_props_agg_ds(sf_dir: str):
@@ -433,10 +425,7 @@ def json_props_agg_ds(sf_dir: str):
         )
         return d.to_arrow()
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t["event_type"]).hash(seed=3).to_numpy() % np.uint64(N)
-        ).astype(np.int64)
+    route = hash_route("event_type", N)
 
     def merge(t: pa.Table) -> pa.Table:
         g = (
@@ -472,7 +461,6 @@ def json_props_agg_ds(sf_dir: str):
     ds = _read_events(sf_dir, ["event_type", "props"])
     return exchange_map(
         ds.map_batches(partial, batch_format="pyarrow"), route, N, merge,
-        auto_shrink=True,
     )
 
 
@@ -512,7 +500,7 @@ def topn_per_user_ds(sf_dir: str, n: int = 3):
         )
 
     ds = _read_events(sf_dir, ["event_id", "user_id", "value"])
-    return exchange_map(ds, lambda t: _np(t["user_id"]) % P, P, part, auto_shrink=True)
+    return exchange_map(ds, lambda t: _np(t["user_id"]) % P, P, part)
 
 
 def running_sum_ds(sf_dir: str, round_to: int = 6):
@@ -552,7 +540,7 @@ def running_sum_ds(sf_dir: str, round_to: int = 6):
         )
 
     ds = _read_events(sf_dir, ["event_id", "user_id", "ts", "value"])
-    return exchange_map(ds, lambda t: _np(t["user_id"]) % P, P, part, auto_shrink=True)
+    return exchange_map(ds, lambda t: _np(t["user_id"]) % P, P, part)
 
 
 def value_histogram_ds(sf_dir: str, lo: float = 0.0, hi: float = 100.0, bins: int = 20):
@@ -624,10 +612,7 @@ def value_quantiles_per_type_ds(sf_dir: str, qs: tuple[float, ...] = (0.5, 0.9, 
             )
         )
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t["event_type"]).hash(seed=5).to_numpy() % np.uint64(N)
-        ).astype(np.int64)
+    route = hash_route("event_type", N)
 
     def merge(t: pa.Table) -> pa.Table:
         d = (
@@ -665,7 +650,6 @@ def value_quantiles_per_type_ds(sf_dir: str, qs: tuple[float, ...] = (0.5, 0.9, 
     ds = _read_events(sf_dir, ["event_type", "value"])
     return exchange_map(
         ds.map_batches(partial, batch_format="pyarrow"), route, N, merge,
-        auto_shrink=True,
     )
 
 
@@ -742,7 +726,6 @@ def daily_active_users_ds(sf_dir: str):
     ds = _read_events(sf_dir, ["ts", "event_type", "user_id"])
     return exchange_map(
         ds.map_batches(partial, batch_format="pyarrow"), route, P, merge,
-        auto_shrink=True,
     )
 
 
@@ -792,10 +775,7 @@ def window_anomalies_ds(sf_dir: str, window_s: int = WINDOW_S, z: float = ANOMAL
             )
         )
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t["event_type"]).hash(seed=9).to_numpy() % np.uint64(N)
-        ).astype(np.int64)
+    route = hash_route("event_type", N)
 
     def flag(t: pa.Table) -> pa.Table:
         g = (
@@ -833,10 +813,7 @@ def window_anomalies_ds(sf_dir: str, window_s: int = WINDOW_S, z: float = ANOMAL
         )
 
     ds = _read_events(sf_dir, ["ts", "event_type"])
-    return exchange_map(
-        ds.map_batches(partial, batch_format="pyarrow"), route, N, flag,
-        auto_shrink=True,
-    )
+    return exchange_map(ds.map_batches(partial, batch_format="pyarrow"), route, N, flag)
 
 
 def retention_cohorts_ds(sf_dir: str):
@@ -912,10 +889,8 @@ def retention_cohorts_ds(sf_dir: str):
         )
 
     ds = _read_events(sf_dir, ["user_id", "ts"])
-    users = exchange_map(
-        ds, lambda t: _np(t["user_id"]) % P, P, per_user, auto_shrink=True
-    )
-    return exchange_map(users, route, P, merge, auto_shrink=True)
+    users = exchange_map(ds, lambda t: _np(t["user_id"]) % P, P, per_user)
+    return exchange_map(users, route, P, merge)
 
 
 FUNNEL_STAGES = ("signup", "view", "purchase")
@@ -1024,10 +999,8 @@ def session_funnel_ds(
         )
 
     ds = _read_events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
-    partials = exchange_map(
-        ds, lambda t: _np(t["user_id"]) % P, P, funnel_part, auto_shrink=True
-    )
-    return exchange_map(partials, route, 4, merge, auto_shrink=True)
+    partials = exchange_map(ds, lambda t: _np(t["user_id"]) % P, P, funnel_part)
+    return exchange_map(partials, route, 4, merge)
 
 
 def conversion_lags_ds(sf_dir: str, from_type: str = "signup", to_type: str = "purchase"):
@@ -1079,7 +1052,7 @@ def conversion_lags_ds(sf_dir: str, from_type: str = "signup", to_type: str = "p
         )
 
     ds = _read_events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
-    return exchange_map(ds, lambda t: _np(t["user_id"]) % P, P, part, auto_shrink=True)
+    return exchange_map(ds, lambda t: _np(t["user_id"]) % P, P, part)
 
 
 def hourly_profile_ds(sf_dir: str):
@@ -1112,10 +1085,7 @@ def hourly_profile_ds(sf_dir: str):
         )
         return d.to_arrow()
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t["event_type"]).hash(seed=29).to_numpy() % np.uint64(N)
-        ).astype(np.int64)
+    route = hash_route("event_type", N)
 
     def merge(t: pa.Table) -> pa.Table:
         g = (
@@ -1137,5 +1107,4 @@ def hourly_profile_ds(sf_dir: str):
     ds = _read_events(sf_dir, ["ts", "event_type", "value"])
     return exchange_map(
         ds.map_batches(partial, batch_format="pyarrow"), route, N, merge,
-        auto_shrink=True,
     )

@@ -36,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from web_search_engine_ray.stages import exchange
 from web_search_engine_ray.stages.exchange import (
     arrow_refs,
     cluster_parts,
@@ -85,7 +86,6 @@ def connected_components(
     pairs_ds,
     col_a: str = "docid_a",
     col_b: str = "docid_b",
-    n_parts: int | None = None,
     max_iters: int = 64,
 ):
     """Dataset (docid, cluster_id) for every node of the pair relation;
@@ -94,13 +94,15 @@ def connected_components(
     definition — emitting them would mean scanning the corpus again).
 
     After one read of ``pairs_ds`` every round runs on block refs
-    (``map_refs``, refs-form ``exchange_map``); the driver waits only for
-    one per-block ``changed`` count per round, and builds one Dataset at
-    the end. Every map runs on every block, empty ones too, so each block
-    carries its map's schema."""
+    (``map_refs``, refs-form ``exchange_map``) at the one partition count
+    ``exchange.chain_parts`` derives from that read; the driver waits only
+    for one per-block ``changed`` count per round, and builds one Dataset
+    at the end. Every map runs on every block, empty ones too, so each
+    block carries its map's schema."""
     import ray
 
-    np_ = n_parts or cluster_parts(64)
+    pairs = arrow_refs(pairs_ds)
+    np_ = exchange.chain_parts(pairs)
 
     def to_edges(t: pa.Table) -> pa.Table:
         if not t.num_rows:  # an empty read block may have no columns at all
@@ -150,18 +152,12 @@ def connected_components(
     def n_changed(t: pa.Table) -> int:
         return int(_col(t, "changed").sum())
 
-    edges = map_refs(to_edges, arrow_refs(pairs_ds))
-    labels = exchange_map(edges, route, np_, init_labels, auto_shrink=True)
+    edges = map_refs(to_edges, pairs)
+    labels = exchange_map(edges, route, np_, init_labels)
 
     for _ in range(max_iters):
         rel = edges + map_refs(drop_changed, labels)
-        labels = exchange_map(
-            exchange_map(rel, route, np_, propose, auto_shrink=True),
-            route,
-            np_,
-            combine,
-            auto_shrink=True,
-        )
+        labels = exchange_map(exchange_map(rel, route, np_, propose), route, np_, combine)
         if not sum(ray.get(map_refs(n_changed, labels))):
             break
     else:  # pragma: no cover - 64 rounds >> any real dup-cluster diameter
@@ -393,9 +389,7 @@ def _event_type_edges(sf_dir: str):
             }
         )
 
-    partial_edges = exchange_map(
-        ds, lambda t: _np(t["user_id"]) % P, P, edges_part, auto_shrink=True
-    )
+    partial_edges = exchange_map(ds, lambda t: _np(t["user_id"]) % P, P, edges_part)
 
     # aggregate per-partition partials to ONE row per (src, dst): PageRank
     # and HITS are linear in w so partials were fine, but anything that
@@ -428,7 +422,6 @@ def _event_type_edges(sf_dir: str):
         ).astype(np.int64),
         4,
         agg_edges,
-        auto_shrink=True,
     )
     return nodes, edges
 

@@ -95,4 +95,4 @@ def source_mix_ds(sf_dir: str, budget_chars: int = 5000):
             % np_
         ).astype(np.int64)
 
-    return exchange_map(ds, route, np_, take_prefix, auto_shrink=True)
+    return exchange_map(ds, route, np_, take_prefix)

@@ -131,7 +131,6 @@ def pack_chunks_ds(
         lambda t: t["range_id"].to_numpy() % np_,
         np_,
         assign,
-        auto_shrink=True,
     )
 
 

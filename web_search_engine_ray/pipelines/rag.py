@@ -376,8 +376,9 @@ def build_rag_ivf(store_dir: str, n_cells: int = IVF_CELLS) -> dict:
     from web_search_engine_ray.stages.exchange import exchange_map
 
     def write_cell(t: pa.Table) -> pa.Table:
-        # One exchange shard may carry SEVERAL cells (auto_shrink re-mods
-        # routing for small inputs), so split by the cell column and write
+        # One exchange shard may carry SEVERAL cells (a Dataset-form
+        # exchange trims its partition count for small inputs and re-mods
+        # the routing), so split by the cell column and write
         # one file per ACTUAL cell — the file set must equal the assigned
         # cell set or probe-side reads silently miss rows.
         if t.num_rows == 0:
@@ -399,9 +400,7 @@ def build_rag_ivf(store_dir: str, n_cells: int = IVF_CELLS) -> dict:
              "n": pa.array(ns_out, pa.int64())}
         )
 
-    counts = exchange_map(
-        assigned, route, n_cells, write_cell, auto_shrink=True
-    ).to_pandas()
+    counts = exchange_map(assigned, route, n_cells, write_cell).to_pandas()
     np.save(os.path.join(ivf_dir, "centroids.npy"), C)
     # a fresh build replaces the whole cell set: cells left by an earlier
     # build that crashed before its marker would otherwise be probed

@@ -161,7 +161,6 @@ def pricing_summary_ds(sf_dir: str, cutoff: str = Q1_CUTOFF):
         route,
         n_parts,
         merge,
-        auto_shrink=True,
     )
 
 
@@ -280,7 +279,7 @@ def shipping_priority_ds(
             }
         )
 
-    joined = exchange_map(orders.union(lines), route, np_, join, auto_shrink=True)
+    joined = exchange_map(orders.union(lines), route, np_, join)
     top = joined.sort(
         ["rev_c", "order_epoch", "orderkey"], descending=[True, False, False]
     ).limit(k)
@@ -420,9 +419,7 @@ def local_supplier_volume_ds(
             }
         )
 
-    ord_nat = exchange_map(
-        cust.union(orders), route_key, np_, join_cust, auto_shrink=True
-    )
+    ord_nat = exchange_map(cust.union(orders), route_key, np_, join_cust)
 
     # -- exchange #2: (orderkey, cust_nat) x lineitem on orderkey ---------
     def on_rows(t: pa.Table) -> pa.Table:
@@ -486,7 +483,6 @@ def local_supplier_volume_ds(
         route_key,
         np_,
         join_line,
-        auto_shrink=True,
     )
 
     # -- final tiny exchange: merge <= 25-row partials per nation ---------
@@ -632,7 +628,6 @@ def label_doc_stats_ds(sf_dir: str):
         ).astype(np.int64),
         np_,
         join,
-        auto_shrink=True,
     )
 
     def merge(t: pa.Table) -> pa.Table:
@@ -661,5 +656,4 @@ def label_doc_stats_ds(sf_dir: str):
         ).astype(np.int64),
         4,
         merge,
-        auto_shrink=True,
     )

@@ -103,4 +103,4 @@ def source_report_ds(
             % np_
         ).astype(np.int64)
 
-    return exchange_map(ds, route, np_, merge, auto_shrink=True)
+    return exchange_map(ds, route, np_, merge)

@@ -340,7 +340,7 @@ def dl_quantiles_ds(sf_dir: str, qs: tuple[float, ...] = (0.5, 0.9, 0.99)) -> pa
         return pl.from_arrow(t).group_by("dl").agg(pl.col("c").sum()).to_arrow()
 
     partials = _read_docs(sf_dir).map_batches(partial, batch_format="pyarrow")
-    merged = exchange_map(partials, route, np_, merge, auto_shrink=True)
+    merged = exchange_map(partials, route, np_, merge)
     hist = (
         pl.from_arrow(
             pa.concat_tables(

@@ -48,6 +48,7 @@ import polars as pl
 import pyarrow as pa
 
 from web_search_engine_ray.functions.tokenize import token_lists
+from web_search_engine_ray.stages.exchange import hash_route
 
 _EPOCH_DIV = 1_000_000  # us -> s, the events-family epoch convention
 
@@ -173,32 +174,30 @@ def conversation_rollup_ds(corpus: str | list[str], n_parts: int = 32):
         )
         return g.to_arrow()
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t["conv_id"]).hash(seed=7).to_numpy() % np.uint64(n_parts)
-        ).astype(np.int64)
+    route = hash_route("conv_id", n_parts)
+
+    sums = ["n_turns", "n_user", "n_assistant", "n_tool", "n_tool_calls", "total_chars"]
+    schema = pa.schema(
+        [("conv_id", pa.string())]
+        + [(c, pa.int64()) for c in [*sums, "first_epoch", "last_epoch"]]
+    )
 
     def merge(t: pa.Table) -> pa.Table:
         g = (
             pl.from_arrow(t)
             .group_by("conv_id")
             .agg(
-                pl.col("n_turns").sum(),
-                pl.col("n_user").sum(),
-                pl.col("n_assistant").sum(),
-                pl.col("n_tool").sum(),
-                pl.col("n_tool_calls").sum(),
-                pl.col("total_chars").sum(),
+                *(pl.col(c).sum() for c in sums),
                 pl.col("first_epoch").min(),
                 pl.col("last_epoch").max(),
             )
         )
-        return g.to_arrow()
+        return g.to_arrow().cast(schema)
 
     ds = _read(corpus, ["conv_id", "role", "text", "tool", "ts"]).map_batches(
         partial, batch_format="pyarrow"
     )
-    return exchange_map(ds, route, n_parts, merge, auto_shrink=True)
+    return exchange_map(ds, route, n_parts, merge)
 
 
 def role_stats_ds(corpus: str | list[str], n_parts: int = 4):
@@ -220,10 +219,7 @@ def role_stats_ds(corpus: str | list[str], n_parts: int = 4):
             .to_arrow()
         )
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t["role"]).hash(seed=7).to_numpy() % np.uint64(n_parts)
-        ).astype(np.int64)
+    route = hash_route("role", n_parts)
 
     def merge(t: pa.Table) -> pa.Table:
         g = (
@@ -243,7 +239,7 @@ def role_stats_ds(corpus: str | list[str], n_parts: int = 4):
         )
 
     ds = _read(corpus, ["role", "text"]).map_batches(partial, batch_format="pyarrow")
-    return exchange_map(ds, route, n_parts, merge, auto_shrink=True)
+    return exchange_map(ds, route, n_parts, merge)
 
 
 def tool_usage_ds(corpus: str | list[str], n_parts: int = 8):
@@ -260,10 +256,7 @@ def tool_usage_ds(corpus: str | list[str], n_parts: int = 8):
         )
         return df.to_arrow()
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t["tool"]).hash(seed=7).to_numpy() % np.uint64(n_parts)
-        ).astype(np.int64)
+    route = hash_route("tool", n_parts)
 
     def merge(t: pa.Table) -> pa.Table:
         g = (
@@ -281,24 +274,18 @@ def tool_usage_ds(corpus: str | list[str], n_parts: int = 8):
         )
 
     ds = _read(corpus, ["conv_id", "tool"]).map_batches(partial, batch_format="pyarrow")
-    return exchange_map(ds, route, n_parts, merge, auto_shrink=True)
+    return exchange_map(ds, route, n_parts, merge)
 
 
 def conversation_text_ds(corpus: str | list[str], n_parts: int = 32):
     """(conv_id, n_turns, conv_text): ordered reassembly, one "role: text"
     line per turn."""
-    from web_search_engine_ray.pipelines.dedup import _hash_route
-    from web_search_engine_ray.stages.exchange import (
-        arrow_refs,
-        exchange_map,
-        to_dataset,
-    )
+    from web_search_engine_ray.stages.exchange import exchange_map
 
-    parts = exchange_map(
-        arrow_refs(_read(corpus, _TURN_COLS)), _hash_route("conv_id", n_parts),
-        n_parts, _assemble_conversations, auto_shrink=True,
+    return exchange_map(
+        _read(corpus, _TURN_COLS), hash_route("conv_id", n_parts), n_parts,
+        _assemble_conversations,
     )
-    return to_dataset("conversation_text_ds", parts)
 
 
 _TURN_COLS = ["conv_id", "turn_idx", "role", "text"]
@@ -335,7 +322,6 @@ def _conversation_text_refs(corpus: str | list[str], conv_text=None) -> tuple[li
     blocks are then returned (``exchange.chain_parts``). The reassembly's
     partition count caps the signature stage's parallelism, so it is the
     chain's count too."""
-    from web_search_engine_ray.pipelines.dedup import _hash_route
     from web_search_engine_ray.stages.exchange import (
         arrow_refs,
         chain_parts,
@@ -348,7 +334,7 @@ def _conversation_text_refs(corpus: str | list[str], conv_text=None) -> tuple[li
     turns = arrow_refs(_read(corpus, _TURN_COLS))
     n = chain_parts(turns)
     return (
-        exchange_map(turns, _hash_route("conv_id", n), n, _assemble_conversations),
+        exchange_map(turns, hash_route("conv_id", n), n, _assemble_conversations),
         n,
     )
 
@@ -392,10 +378,7 @@ def conversation_episode_split_ds(
     def rows(t: pa.Table) -> pa.Table:
         return t.select(["conv_id", "turn_idx", "role", "text", "tool", "ts"])
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t["conv_id"]).hash(seed=7).to_numpy() % np.uint64(n_parts)
-        ).astype(np.int64)
+    route = hash_route("conv_id", n_parts)
 
     def split(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -435,7 +418,7 @@ def conversation_episode_split_ds(
     ds = _read(corpus, ["conv_id", "turn_idx", "role", "text", "tool", "ts"]).map_batches(
         rows, batch_format="pyarrow"
     )
-    return exchange_map(ds, route, n_parts, split, auto_shrink=True)
+    return exchange_map(ds, route, n_parts, split)
 
 
 def conversation_structure_stats_ds(corpus: str | list[str], n_parts: int = 32):
@@ -472,10 +455,7 @@ def conversation_structure_stats_ds(corpus: str | list[str], n_parts: int = 32):
     def rows(t: pa.Table) -> pa.Table:
         return t.select(["conv_id", "turn_idx", "role", "text"])
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t["conv_id"]).hash(seed=7).to_numpy() % np.uint64(n_parts)
-        ).astype(np.int64)
+    route = hash_route("conv_id", n_parts)
 
     def stats(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -521,7 +501,7 @@ def conversation_structure_stats_ds(corpus: str | list[str], n_parts: int = 32):
     ds = _read(corpus, ["conv_id", "turn_idx", "role", "text"]).map_batches(
         rows, batch_format="pyarrow"
     )
-    return exchange_map(ds, route, n_parts, stats, auto_shrink=True)
+    return exchange_map(ds, route, n_parts, stats)
 
 
 def pack_conversations_ds(
@@ -586,10 +566,7 @@ def pack_conversations_ds(
         )
         return df.to_arrow().cast(schema)
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t["conv_id"]).hash(seed=7).to_numpy() % np.uint64(np_)
-        ).astype(np.int64)
+    route = hash_route("conv_id", np_)
 
     convs = exchange_map(
         _read(corpus, ["conv_id", "text"]).map_batches(
@@ -598,7 +575,6 @@ def pack_conversations_ds(
         route,
         np_,
         merge_conv,
-        auto_shrink=True,
     ).materialize()
 
     # --- sampled string boundaries for order-preserving ranges
@@ -692,7 +668,7 @@ def pack_conversations_ds(
             schema=out_schema,
         )
 
-    return exchange_map(convs, _rid, np_, assign, auto_shrink=True)
+    return exchange_map(convs, _rid, np_, assign)
 
 
 def conversation_minhash_dups_ds(
@@ -785,10 +761,7 @@ def sft_examples_ds(
     def rows(t: pa.Table) -> pa.Table:
         return t.select(["conv_id", "turn_idx", "role", "text"])
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t["conv_id"]).hash(seed=7).to_numpy() % np.uint64(n_parts)
-        ).astype(np.int64)
+    route = hash_route("conv_id", n_parts)
 
     def build(t: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -849,7 +822,7 @@ def sft_examples_ds(
     ds = _read(corpus, ["conv_id", "turn_idx", "role", "text"]).map_batches(
         rows, batch_format="pyarrow"
     )
-    return exchange_map(ds, route, n_parts, build, auto_shrink=True)
+    return exchange_map(ds, route, n_parts, build)
 
 
 # Fixed queries over the transcript fixture vocabulary (stopwords + zipf
@@ -1081,10 +1054,7 @@ def conversation_dedup_ds(corpus: str | list[str], n_parts: int = 32):
             }
         )
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t["conv_hash"]).hash(seed=7).to_numpy() % np.uint64(n_parts)
-        ).astype(np.int64)
+    route = hash_route("conv_hash", n_parts)
 
     def merge(t: pa.Table) -> pa.Table:
         return (
@@ -1099,4 +1069,4 @@ def conversation_dedup_ds(corpus: str | list[str], n_parts: int = 32):
     ds = conversation_text_ds(corpus, n_parts=n_parts).map_batches(
         hash_rows, batch_format="pyarrow"
     )
-    return exchange_map(ds, route, n_parts, merge, auto_shrink=True)
+    return exchange_map(ds, route, n_parts, merge)

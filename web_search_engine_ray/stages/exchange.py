@@ -10,11 +10,17 @@ function). :func:`exchange_map` is the direct expression of that pattern:
    small side tables — the only data movement, O(n) total);
 2. one Ray task per partition concatenates its P-th slices from every block
    and applies ``fn`` to the whole partition at once;
-3. the results come back as the input's kind. A ``Dataset`` in gives a
-   ``Dataset`` out (``from_arrow_refs``), so the rest of the pipeline stays
-   in Dataset land. A list of block refs (``ObjectRef``) in gives one ref per
-   partition out, with no driver wait: a chain of exchanges over refs is
-   submitted whole, and Ray starts each task as soon as its inputs exist.
+3. the results come back as the input's kind. A list of block refs
+   (``ObjectRef``) in gives one ref per partition out, with no driver wait:
+   a chain of exchanges over refs is submitted whole, and Ray starts each
+   task as soon as its inputs exist. A ``Dataset`` in is the same exchange
+   between one :func:`arrow_refs` and one :func:`to_dataset`, so the rest
+   of the pipeline stays in Dataset land.
+
+The partition count is derived from the input, never set per call: a
+Dataset trims the caller's ``n_parts`` to its block count, and a refs chain
+runs at the count :func:`chain_parts` sized once from its head. Every
+single-key route is :func:`hash_route`.
 
 This is the classic map-side hash shuffle (same discipline as the index
 build's one-row-group-per-gkey merge): B x P shuffle objects, no sort, no
@@ -41,10 +47,14 @@ import logging
 from collections.abc import Callable
 
 import numpy as np
+import polars as pl
 import pyarrow as pa
 
 # seconds without a finished task before a fan-out logs its progress
 STALL_LOG_S = 30.0
+
+# at most this many splitter tasks per exchange (see _exchange_refs)
+MAX_SPLIT_TASKS = 16
 
 log = logging.getLogger(__name__)
 
@@ -75,61 +85,87 @@ def arrow_refs(ds) -> list:
     return ds.materialize().to_arrow_refs()
 
 
+def hash_route(col: str, n: int) -> Callable[[pa.Table], np.ndarray]:
+    """The partition callable for a key column: polars hash (seed 7) of
+    ``col`` mod ``n``. Routing only balances the exchange: every row of a
+    key lands in one partition, whichever that is."""
+
+    def route(t: pa.Table) -> np.ndarray:
+        return (
+            pl.from_arrow(t[col]).hash(seed=7).to_numpy() % np.uint64(n)
+        ).astype(np.int64)
+
+    return route
+
+
+def route_probe(n: int) -> list:
+    """:func:`hash_route` of three sentinel keys. polars does not pin its
+    hash across releases, so a resumable sink routed by it embeds this
+    probe, and a resume under a different routing (which would mix two
+    layouts in one output dir) refuses instead."""
+    probe = pa.table({"k": ["wse-routing-probe-a", "wse-routing-probe-b", ""]})
+    return hash_route("k", n)(probe).tolist()
+
+
 def exchange_map(
     ds,
     part: str | Callable[[pa.Table], np.ndarray],
     n_parts: int,
     fn: Callable[[pa.Table], pa.Table],
-    drop_part_col: bool = True,
-    max_split_tasks: int = 16,
     with_index: bool = False,
-    auto_shrink: bool = False,
 ):
     """Apply ``fn`` once per hash partition of ``ds``, without a sort
     shuffle. ``ds`` is a Dataset or a list of block refs; the result is the
     same kind: a Dataset of ``fn``'s outputs, or one ref per partition
-    (returned at once, before any task has run). ``part`` is either the name of an int column with values in
-    [0, n_parts) (dropped before ``fn`` unless ``drop_part_col=False``) or
-    a callable computing the partition vector from a block — the callable
-    form sidesteps Ray Data's skip-UDF-on-empty-blocks behavior (an
-    add-partition-column ``map_batches`` never runs on empty blocks, so the
-    column can be missing; a callable always works). Either way the output
-    has one block per partition.
+    (returned at once, before any task has run). ``part`` is either the
+    name of an int column with values in [0, n_parts), dropped before
+    ``fn``, or a callable computing the partition vector from a block
+    (usually :func:`hash_route`). The callable form sidesteps Ray Data's
+    skip-UDF-on-empty-blocks behavior: an add-partition-column
+    ``map_batches`` never runs on empty blocks, so the column can be
+    missing; a callable always works. Either way the output has one block
+    per partition.
 
-    Input blocks are coalesced into at most ``max_split_tasks`` splitter
-    tasks (Spark's shuffle-file consolidation): the exchange creates
-    ``split_tasks x n_parts`` objects, and per-object bookkeeping — not
-    bytes — dominates small exchanges. On a cluster, raise
-    ``max_split_tasks`` toward the node count so splitters parallelize.
-
-    ``with_index=True`` calls ``fn(table, partition_index)`` — for sinks
+    ``with_index=True`` calls ``fn(table, partition_index)``, for sinks
     that need a deterministic per-partition output name.
 
-    ``auto_shrink=True`` lowers the partition count for small inputs: the
-    effective count is the largest power-of-two DIVISOR of ``n_parts`` not
-    far above twice the input block count, and routing values are re-modded
-    (``(x % n) % d == x % d`` when ``d | n``), so every key still lands
-    whole in one partition. Use ONLY for per-key merge fns whose result is
-    partition-count invariant (aggregates, dedup, pair verify) — never for
-    sinks or ``with_index`` fns, where the partition index is part of the
-    output contract (raises on that combination). A tiny sf-scale input
-    then pays ~4 apply tasks instead of 64; at corpus scale the count is
-    unchanged."""
+    The partition count is derived, never set per call:
+
+    - A list of block refs runs at exactly ``n_parts``: a chain is sized
+      once from its head (:func:`chain_parts`), and past the head every
+      input block count is just the previous exchange's partition count.
+    - A Dataset runs at the largest power-of-two divisor of ``n_parts`` not
+      far above twice its block count, so a tiny input pays ~4 apply tasks
+      instead of 64 and a corpus-scale one keeps ``n_parts``. Routing
+      values are re-modded (``(x % n) % d == x % d`` when ``d | n``), so
+      every key still lands whole in one partition, and a per-key merge
+      (aggregate, dedup, pair verify) gives the same rows. A ``with_index``
+      sink keeps ``n_parts``: its partition index is part of its output.
+      The Dataset form waits for its partitions through :func:`to_dataset`,
+      so a stalled exchange logs ``fn``'s name."""
+    if isinstance(ds, list):
+        return _exchange_refs(ds, part, n_parts, n_parts, fn, with_index)
+    blocks = arrow_refs(ds)
+    n = n_parts
+    if not with_index:
+        target = max(4, 2 * len(blocks))
+        while n % 2 == 0 and n >= 2 * target:
+            n //= 2
+    out = _exchange_refs(blocks, part, n_parts, n, fn, with_index)
+    return to_dataset(getattr(fn, "__name__", "exchange_map"), out)
+
+
+def _exchange_refs(blocks, part, n_route, n_parts, fn, with_index) -> list:
+    """The exchange over block refs: ``part`` routes into [0, ``n_route``),
+    re-modded to ``n_parts`` (a divisor of ``n_route``). Input blocks are
+    coalesced into at most ``MAX_SPLIT_TASKS`` splitter tasks (Spark's
+    shuffle-file consolidation): the exchange creates ``split_tasks x
+    n_parts`` objects, and per-object bookkeeping, not bytes, dominates
+    small exchanges."""
     import ray
-    import ray.data
 
-    if auto_shrink and with_index:
-        raise ValueError("auto_shrink would change with_index partition ids")
-
-    from_refs = isinstance(ds, list)
-    blocks = ds if from_refs else arrow_refs(ds)
     if not blocks:
         raise ValueError("exchange_map needs at least one input block")
-    orig_parts = n_parts
-    if auto_shrink:
-        target = max(4, 2 * len(blocks))
-        while n_parts % 2 == 0 and n_parts >= 2 * target:
-            n_parts //= 2
 
     @ray.remote(num_returns=n_parts)
     def split(*ts: pa.Table):
@@ -162,15 +198,14 @@ def exchange_map(
                         "would be dropped silently"
                     )
                 p = p.astype(np.int64)
-            if drop_part_col:
-                t = t.drop_columns([part])
-        if p.size and (p.min() < 0 or p.max() >= orig_parts):
+            t = t.drop_columns([part])
+        if p.size and (p.min() < 0 or p.max() >= n_route):
             raise ValueError(
-                f"partition values outside [0, {orig_parts}): "
+                f"partition values outside [0, {n_route}): "
                 f"[{p.min()}, {p.max()}] — rows would be dropped silently"
             )
-        if n_parts != orig_parts:
-            p = p % n_parts  # n_parts | orig_parts, so keys stay whole
+        if n_parts != n_route:
+            p = p % n_parts  # n_parts | n_route, so keys stay whole
         order = np.argsort(p, kind="stable")
         sorted_p = p[order]
         bounds = np.searchsorted(sorted_p, np.arange(n_parts + 1))
@@ -196,16 +231,15 @@ def exchange_map(
             t = trusted[0] if trusted else parts[0]
         return fn(t, pi) if with_index else fn(t)
 
-    gsize = max(1, -(-len(blocks) // max_split_tasks))
+    gsize = max(1, -(-len(blocks) // MAX_SPLIT_TASKS))
     groups = [blocks[i : i + gsize] for i in range(0, len(blocks), gsize)]
     per_group = [split.remote(*g) for g in groups]
     if n_parts == 1:
         per_group = [[r] for r in per_group]
-    out = [
+    return [
         apply.remote(p, *[per_group[g][p] for g in range(len(groups))])
         for p in range(n_parts)
     ]
-    return out if from_refs else ray.data.from_arrow_refs(out)
 
 
 def map_refs(fn: Callable[[pa.Table], object], refs: list) -> list:
@@ -252,19 +286,20 @@ def to_dataset(stage: str, refs: list):
     return ray.data.from_arrow_refs(refs)
 
 
-def cluster_parts(min_parts: int = 64, per_cpu: int = 2) -> int:
-    """Partition count scaled to the cluster: ``max(min_parts, per_cpu x
-    total CPUs)``, so per-partition state stays roughly constant as nodes
-    are added (64 partitions that fit a laptop would each hold ~1.5 TB of
-    a 100 TB corpus on a 256-node cluster). Safe wherever the partition fn
+def cluster_parts(min_parts: int = 64) -> int:
+    """Partition count scaled to the cluster: ``max(min_parts, 2 x total
+    CPUs)``, so per-partition state stays roughly constant as nodes are
+    added (64 partitions that fit a laptop would each hold ~1.5 TB of a
+    100 TB corpus on a 256-node cluster). Safe wherever the partition fn
     is a per-key merge — results are partition-count invariant (the same
-    property ``auto_shrink`` relies on in the other direction)."""
+    property the Dataset-form trim of :func:`exchange_map` relies on in the
+    other direction)."""
     try:
         import ray
 
         if ray.is_initialized():
             cpus = int(ray.cluster_resources().get("CPU", 0))
-            return max(min_parts, per_cpu * cpus)
+            return max(min_parts, 2 * cpus)
     except Exception:  # pragma: no cover - resource query is best-effort
         pass
     return min_parts
@@ -275,9 +310,10 @@ def chain_parts(refs: list) -> int:
     from its head ``refs`` (ready blocks, e.g. from :func:`arrow_refs`):
     ``cluster_parts`` of ``ceil(head bytes / target_max_block_size)``, i.e.
     2 x cluster CPUs unless the input needs more partitions for each to
-    stay at one Ray Data block. ``auto_shrink`` cannot size a chain: past
-    its first exchange, every input block count is just the previous
-    exchange's partition count."""
+    stay at one Ray Data block. Every exchange of the chain runs at that
+    count: past its first exchange, an input block count is just the
+    previous exchange's partition count, so there is nothing to trim
+    from."""
     import ray
     from ray.data import DataContext
 
