@@ -1472,8 +1472,8 @@ FROM (SELECT s.*, row_number() OVER (PARTITION BY s.query_id
       FROM scored s JOIN need n ON n.query_id = s.query_id AND s.nmatch = n.need)
 WHERE rn <= {TOPK}
 """,
-        # the TAAT ranker path (different float association, same values
-        # after ROUND(4)) must reproduce the same answer as the DAAT path
+        # the reference TAAT contract (every OR match by score desc, docid;
+        # served by bm25_topk's sorted cut) is the same answer as the OR path
         "bm25_taat": bm25_core
         + f"""
 SELECT query_id, docid, ROUND(score, 4) AS score

@@ -315,15 +315,66 @@ def test_truncated_doclens_span_takes_sorted_path(built, oracle, dense_taken):
 
 
 def test_taat_matches_oracle(built, oracle):
+    """The reference TAAT ``search`` (every match, allowed-set filtered,
+    by -score) is served by ``bm25_topk``'s sorted cut with ``topk=None``;
+    its loop lives only in ``OracleIndex.search``. The per-doc
+    accumulation order differs (query order there, ascending df here), so
+    scores agree to 1e-9."""
     out, _ = built
     s = Searcher(out)
     for q in QUERIES:
         for mode in ("AND", "OR"):
-            got = _norm(s.search(q, mode=mode))
+            got = _norm(s.bm25_topk(q, topk=None, mode=mode, tie_semantics="sorted"))
             want = _norm(oracle.search(q, mode=mode))
             assert [d for d, _ in got] == [d for d, _ in want], (q, mode)
             for (gd, gs), (wd, ws) in zip(got, want):
                 assert gs == pytest.approx(ws, rel=1e-9)
+
+
+def test_ql_matches_oracle(built, oracle):
+    """Dirichlet QL against the oracle's scalar loop, duplicate and unknown
+    query terms included: docids exact, scores to rel 1e-12 (``np.log`` and
+    ``math.log`` may differ in the last ulp)."""
+    out, _ = built
+    s = Searcher(out)
+    for q in QUERIES:
+        got = s.ql_topk(q, topk=None)
+        want = oracle.ql(q)
+        assert [d for d, _ in got] == [d for d, _ in want], q
+        for (_, gs), (_, ws) in zip(got, want):
+            assert gs == pytest.approx(ws, rel=1e-12), q
+
+
+def test_each_distinct_term_looked_up_once(built, monkeypatch):
+    """Every ranker resolves a query's distinct terms once: a repeated
+    term and an unknown one are each looked up exactly one time."""
+    from collections import Counter
+
+    from web_search_engine_ray.pipelines.serving import vsm_topk_table
+
+    calls = Counter()
+    orig = Searcher.lookup
+
+    def spy(self, term):
+        calls[term] += 1
+        return orig(self, term)
+
+    monkeypatch.setattr(Searcher, "lookup", spy)
+    q = "the the data zzzz"
+    s = Searcher(built[0])
+    rankers = {
+        "bm25_topk OR": lambda: s.bm25_topk(q, 10, "OR"),
+        "bm25_topk AND": lambda: s.bm25_topk(q, 10, "AND"),
+        "bm25_topk sorted": lambda: s.bm25_topk(q, None, "OR", tie_semantics="sorted"),
+        "ql_topk": lambda: s.ql_topk(q),
+        "boolean AND": lambda: s.boolean(q, "AND"),
+        "boolean OR": lambda: s.boolean(q, "OR"),
+        "vsm_topk_table": lambda: vsm_topk_table("/root/testdata/sf0.001", queries=[q]),
+    }
+    for name, run in rankers.items():
+        calls.clear()
+        assert run(), name
+        assert calls == Counter(["the", "data", "zzzz"]), (name, calls)
 
 
 def test_boolean_matches_oracle(built, oracle):

@@ -73,7 +73,7 @@ def test_query_edges(ray_session, small_corpus_dir, tmp_path):
     build_index(small_corpus_dir, out, partition_rows=500, num_shards=4, n_salts=2)
     s = Searcher(out)
     assert s.bm25_topk("", 10, "OR") == []
-    assert s.search("", "AND") == []
+    assert s.bm25_topk("", topk=None, mode="AND", tie_semantics="sorted") == []
     assert s.boolean("", "OR") == set()
     assert s.boolean("zzz qqq", "AND") == set()
     # topk larger than result count

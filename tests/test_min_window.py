@@ -166,7 +166,7 @@ def test_bm25_proximity_flips_tie_and_boosts(ray_session, tmp_path_factory):
     )
     assert [r[0] for r in rows] == [1, 0, 2]
     s = documents_searcher(str(d))
-    base = dict(s.search("spark join", mode="OR", topk=None))
+    base = dict(s.bm25_topk("spark join", topk=None, mode="OR", tie_semantics="sorted"))
     assert rows[0][1] == round(base[1] + math.log(1.0 + math.exp(-2.0)), 4)
     assert rows[1][1] == round(base[0] + math.log(1.0 + math.exp(-3.0)), 4)
     assert rows[2][1] == round(base[2], 4)  # missing term: exp(-inf) -> 0

@@ -296,7 +296,9 @@ def test_flask_proximity_boost(ray_session, tmp_path_factory):
     )
     assert r.status_code == 200
     got = {h["docid"]: h["score"] for h in r.get_json()["results"]}
-    base = dict(Searcher(idx).search("spark join", mode="OR", topk=None))
+    base = dict(
+        Searcher(idx).bm25_topk("spark join", topk=None, mode="OR", tie_semantics="sorted")
+    )
     boosts = {0: 2, 1: 2, 2: 4}  # doc 3 misses 'join' -> raw bm25
     want = {
         d_: b + (math.log(1.0 + math.exp(-boosts[d_])) if d_ in boosts else 0.0)

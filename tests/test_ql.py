@@ -124,22 +124,38 @@ def test_flask_rrf_ranker(ray_session, ql_corpus, tmp_path_factory):
     client = create_app(idx).test_client()
     r = client.post("/search", json={"query": "spark join", "ranker": "rrf", "topk": 5})
     assert r.status_code == 200
-    got = {h["docid"]: h["score"] for h in r.get_json()["results"]}
-    s = Searcher(idx)
-    fused = {}
-    for pool in (
-        s.bm25_topk("spark join", topk=50, mode="OR", tie_semantics="sorted"),
-        s.ql_topk("spark join", topk=50),
-    ):
-        for rank, (d, _sc) in enumerate(pool, start=1):
-            fused[d] = fused.get(d, 0.0) + 1.0 / (60 + rank)
-    assert got == {
-        d: sc
-        for d, sc in sorted(fused.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
-    }
+    got = [(h["docid"], h["score"]) for h in r.get_json()["results"]]
+    # the same fusion as the gate-checked rrf_fusion table
+    assert got == Searcher(idx).rrf_topk("spark join", topk=5)
     assert (
         client.post(
             "/search", json={"query": "x", "ranker": "rrf", "mode": "PHRASE"}
         ).status_code
         == 400
     )
+
+
+def test_flask_topk_validation(ray_session, ql_corpus, tmp_path_factory):
+    """``topk`` must be a JSON integer >= 1 for every ranker: anything else
+    is a 400, never a 500 from the ranker or a silently shortened list."""
+    from web_search_engine_ray.pipelines.build import build_index
+    from web_search_engine_ray.serve import create_app
+
+    idx = str(tmp_path_factory.mktemp("topk_idx"))
+    build_index(ql_corpus + "/documents.parquet", idx, partition_rows=10, num_shards=2)
+    client = create_app(idx).test_client()
+    for ranker in ("bm25", "ql", "rrf"):
+        for bad in (-1, 0, "x", "3", 1.5, True):
+            r = client.post(
+                "/search",
+                json={"query": "spark join", "mode": "OR", "ranker": ranker, "topk": bad},
+            )
+            assert r.status_code == 400, (ranker, bad)
+        r = client.post(
+            "/search", json={"query": "spark join", "mode": "OR", "ranker": ranker, "topk": 1}
+        )
+        assert r.status_code == 200 and len(r.get_json()["results"]) == 1, ranker
+    # omitted or null -> the default 10
+    for body in ({}, {"topk": None}):
+        r = client.post("/search", json={"query": "spark join", "mode": "OR", **body})
+        assert r.status_code == 200 and len(r.get_json()["results"]) == 2, body

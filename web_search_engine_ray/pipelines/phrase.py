@@ -643,11 +643,11 @@ def bm25_proximity_table(
     Exactness under bounded work at scale: the boost is bounded by ln 2, so
     only candidates with bm25 >= theta_k - ln 2 (theta_k = the k-th best raw
     BM25 score) can enter the rescored top-k; a serving path would rescore
-    just that candidate slice. At gate scale the TAAT ranker already yields
-    every matching doc, so the full rescore is the same work. SQL twin:
-    ``__ray_entry__`` joins the bm25 ``scored`` CTE to the min-window legs
-    under the identical ln(1 + coalesce(exp(-w), 0)) expression, rank raw,
-    ROUND({round_to}) both sides."""
+    just that candidate slice. At gate scale ``bm25_topk(topk=None)``
+    already yields every matching doc, so the full rescore is the same
+    work. SQL twin: ``__ray_entry__`` joins the bm25 ``scored`` CTE to the
+    min-window legs under the identical ln(1 + coalesce(exp(-w), 0))
+    expression, rank raw, ROUND({round_to}) both sides."""
     from web_search_engine_ray.pipelines.serving import (
         FIXED_QUERIES,
         documents_searcher,
@@ -684,8 +684,8 @@ def proximity_boosted_hits(
 ):
     """[(docid, raw boosted score)] — the shared rescore core of
     :func:`bm25_proximity_table` and the HTTP API's ``proximity_boost``
-    option. Uses the TAAT ranker throughout so the base score and the
-    boosted score share one float association.
+    option. The base scores are every match of ``bm25_topk``'s sorted cut
+    (``topk=None``), the one BM25 scorer.
 
     Identity contract: the boost joins the Searcher's docids (dense build
     ordinals, reference semantics) against the positional index's stored
@@ -698,9 +698,9 @@ def proximity_boosted_hits(
 
     Serving note at scale: the
     boost is bounded by ln 2, so an exact bounded variant rescores only the
-    AND set intersected with {bm25 >= theta_k - ln 2}; here the TAAT pass
+    AND set intersected with {bm25 >= theta_k - ln 2}; here the base pass
     already has every matching doc's score."""
-    base = searcher.search(query, mode=mode, topk=None)
+    base = searcher.bm25_topk(query, topk=None, mode=mode, tie_semantics="sorted")
     if not base:
         return []
     docs = np.array([d for d, _ in base], np.int64)

@@ -1,31 +1,36 @@
-"""Query engine: shard-backed Searcher + BM25 top-k / TAAT / boolean + actor pool.
+"""Query engine: shard-backed Searcher + BM25 top-k / QL / boolean + actor pool.
 
 API surface mirrors the reference's ``Searcher`` (``HW2/engine/searcher.py``):
 
-- ``bm25_topk(query, topk, mode)``   — the one ranked top-k path, used by
-  every serving surface: each distinct query term is resolved and decoded
-  once (``resolve_terms``), postings are scored vectorized in the reference
-  DAAT loop's per-doc accumulation order (terms ascending-df,
+- ``bm25_topk(query, topk, mode)``   — the one BM25 scorer, used by every
+  ranked surface: postings are scored vectorized in the reference DAAT
+  loop's per-doc accumulation order (terms ascending-df,
   ``HW2/engine/daat_ranker.py:47-141``) with its exact boundary-tie heap,
-  plus a score-exact MaxScore branch for rare+stopword OR queries
-- ``search(query, mode, topk)``      — TAAT BM25 with AND/OR allowed-set filter
+  plus a score-exact MaxScore branch for rare+stopword OR queries;
+  ``topk=None`` with ``tie_semantics="sorted"`` returns every match in
+  (-score, docid) order (the reference TAAT ``search`` contract)
 - ``boolean(query, mode)``           — full-postings set intersection/union
 - ``ql_topk(query, topk)``           — Dirichlet query likelihood
+- ``resolve_terms`` / ``decode`` / ``candidates`` — the one term resolver
+  (each distinct term looked up once) and the one candidate builder under
+  every ranker here and in ``serving``, ``phrase`` and ``transcripts_ops``
 
-Candidate set of the exhaustive (non-MaxScore) scan, chosen from the input:
-when the distinct terms' decoded lists hold at least 1/``DENSE_SPAN_RATIO``
-of the doclens docid span (docids are dense within it), their docids are
-marked in a span-sized hit array (a per-doc count for AND), and candidates
-and per-list positions come from ``flatnonzero`` and ``cumsum`` — no sort,
-no ``searchsorted``. Sparser lists, a docid outside the span, or an empty
-doclens store take the sorted union (``np.unique``) with ``searchsorted``
-positions. Both feed the same accumulate-and-select (``_score_topk``), which
-computes each distinct term's contribution once, so results are identical.
+Candidate set (``candidates``; MaxScore keeps its own essential-list union),
+chosen from the input: when the distinct terms' decoded lists hold at least
+1/``DENSE_SPAN_RATIO`` of the doclens docid span (docids are dense within
+it), their docids are marked in a span-sized hit array (a per-doc count for
+AND), and candidates and per-list positions come from ``flatnonzero`` and
+``cumsum`` — no sort, no ``searchsorted``. Sparser lists, a docid outside
+the span, or an empty doclens store take the sorted union (``np.unique``)
+with ``searchsorted`` positions. Both give the same candidates and
+positions; BM25 feeds them to one accumulate-and-select (``_score_topk``),
+which computes each distinct term's contribution once.
 
-The reference's cursor loops (DAAT top-k, DAAT set ops) live only in the
-in-memory ``oracle.OracleIndex`` (``ranked_daat`` / ``boolean``); the tests
-and the ``wand_daat_equivalence`` gate entry build the index both ways and
-compare (docids, scores bit-for-bit).
+The reference's cursor loops (TAAT ``search``, DAAT top-k, DAAT set ops)
+live only in the in-memory ``oracle.OracleIndex`` (``search`` /
+``ranked_daat`` / ``boolean``); the tests and the ``wand_daat_equivalence``
+gate entry build the index both ways and compare (docids, scores
+bit-for-bit; the TAAT order to 1e-9).
 
 Semantics preserved exactly (SURVEY.md §7.6-7.7): query tokenization is
 ``query.lower().split()`` (NOT the corpus tokenizer); unknown terms silently
@@ -64,6 +69,8 @@ B = 0.75
 # decoded (HERO's density rule: bitmaps for dense sets, sorted lists for
 # sparse ones). Ratios 4, 8, 16 and 32 measured the same latency.
 DENSE_SPAN_RATIO = 8
+RRF_K = 60  # the canonical constant (Cormack et al., SIGIR 2009)
+RRF_DEPTH = 50  # per-system pool depth feeding the fusion
 
 
 def _heap_topk_select(docids: np.ndarray, scores: np.ndarray, k: int) -> list[int]:
@@ -237,32 +244,48 @@ class Searcher:
         den = tf + self.k1 * (1.0 - self.b + self.b * (dl.astype(np.float64) / self.avgdl))
         return (idf * (tf * (self.k1 + 1.0))) / den
 
-    def _contrib_taat(self, tf: np.ndarray, df: int, dl: np.ndarray) -> np.ndarray:
-        """TAAT ranker association ``idf * (num / den)`` (``ranker.py:45-48``)."""
-        idf = self._idf(df)
-        tf = tf.astype(np.float64)
-        den = tf + self.k1 * (1.0 - self.b + self.b * (dl.astype(np.float64) / self.avgdl))
-        return idf * ((tf * (self.k1 + 1.0)) / den)
-
-    def resolve_terms(self, query: str) -> list[tuple[str, dict, PostingsShardReader, int]]:
-        """Known query terms as ``(term, entry, reader, df)``, one row per
-        query occurrence (a duplicated term contributes twice), stably sorted
-        by ascending df — the reference's cursor order and so the per-doc
-        accumulation order (SURVEY.md §7.7). Each distinct term is looked up
-        once; unknown terms are dropped. ``df`` is the ``set_global_stats``
-        override when one is set, the shard-local df otherwise."""
-        q = query_terms(query)
+    def resolve_terms(
+        self, query: str | list[str]
+    ) -> list[tuple[str, dict, PostingsShardReader, int]]:
+        """Known terms of a query string (tokenized by ``query_terms``) or of
+        a token list, as ``(term, entry, reader, df)``: one row per
+        occurrence, in query order (a duplicated term contributes twice).
+        Each distinct term is looked up once; unknown terms are dropped.
+        ``df`` is the ``set_global_stats`` override when one is set, the
+        shard-local df otherwise."""
+        q = query_terms(query) if isinstance(query, str) else query
         known = {}
         for t in dict.fromkeys(q):
             hit = self.lookup(t)
             if hit is not None:
                 entry, reader = hit
                 known[t] = (t, entry, reader, self._df_override.get(t, entry["df"]))
-        return sorted((known[t] for t in q if t in known), key=lambda r: r[3])
+        return [known[t] for t in q if t in known]
 
-    def _score_topk(self, cand, terms, matches, topk: int, tie_semantics: str = "heap"):
-        """Accumulate-and-select shared by both top-k branches: ``matches``
-        yields, per DISTINCT resolved term in ``terms`` order, the positions
+    @staticmethod
+    def decode(rows: list[tuple]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """``(docids, tfs)`` per distinct term of ``resolve_terms`` rows, in
+        first-row order; each list is decoded once."""
+        distinct = {r[0]: r for r in rows}.values()
+        return {t: reader.read_postings(entry) for t, entry, reader, _ in distinct}
+
+    def candidates(self, lists: dict, want_and: bool = False):
+        """The one candidate builder: sorted candidate docids of ``lists``
+        (the docs in any list, or in every list for AND) and a generator
+        yielding, per list in dict order, the positions in the candidates
+        of the docs it posts and their tfs. Dense lists take the docid-
+        indexed hit array, sparse ones the sorted union (module docstring);
+        both give the same answer."""
+        lists = list(lists.values())
+        return self._dense_candidates(lists, want_and) or self._sorted_candidates(
+            lists, want_and
+        )
+
+    def _score_topk(self, cand, terms, matches, topk: int | None, tie_semantics: str = "heap"):
+        """The one BM25 accumulate-and-select, under both top-k branches and
+        the statically pruned lists of ``serving.bm25_pruned_topk_table``:
+        ``terms`` are ``resolve_terms`` rows in ascending-df order and
+        ``matches`` yields, per DISTINCT term in ``terms`` order, the positions
         in ``cand`` that term posts and their tfs. Each distinct term's
         contribution is computed once and added once per query occurrence,
         at that occurrence's place in ``terms``. dl=0 docs score 0."""
@@ -306,9 +329,9 @@ class Searcher:
             for o in offs:
                 hit[o] = True
         cand = np.flatnonzero(hit).astype(np.uint64) + np.uint64(base)
-        rank = np.cumsum(hit, dtype=np.intp) - 1
 
         def matches():
+            rank = np.cumsum(hit, dtype=np.intp) - 1
             for o, (_, f) in zip(offs, lists):
                 if want_and:
                     sel = hit[o]
@@ -355,8 +378,10 @@ class Searcher:
         ``tie_semantics``: "heap" (default) reproduces the reference's size-k
         min-heap boundary-tie membership exactly; "sorted" uses the
         normalized (-score, docid) cut — SQL-expressible (``ORDER BY score
-        DESC, docid LIMIT k``), used by the driver oracle queries."""
-        terms = self.resolve_terms(query)
+        DESC, docid LIMIT k``), used by the driver oracle queries; with
+        ``topk=None`` it returns every match, the reference TAAT ``search``
+        result (``searcher.py:52-90``; its loop is ``OracleIndex.search``)."""
+        terms = sorted(self.resolve_terms(query), key=lambda r: r[3])
         if not terms or self.N == 0:
             return []
         want_and = mode.upper() == "AND" and len(terms) > 1
@@ -364,11 +389,7 @@ class Searcher:
             res = self._bm25_topk_maxscore(terms, topk)
             if res is not None:
                 return res
-        distinct = {r[0]: r for r in terms}.values()  # ascending df
-        lists = [reader.read_postings(entry) for _, entry, reader, _ in distinct]
-        cand, matches = self._dense_candidates(lists, want_and) or self._sorted_candidates(
-            lists, want_and
-        )
+        cand, matches = self.candidates(self.decode(terms), want_and)
         if cand.size == 0:
             return []
         return self._score_topk(cand, terms, matches, topk, tie_semantics)
@@ -433,51 +454,6 @@ class Searcher:
         res = self._score_topk(cand, terms, matches(), topk)
         return res if ub_non < res[-1][1] else None
 
-    # -- ranked: TAAT (reference `search`) ------------------------------
-    def search(self, query: str, mode: str = "AND", topk: int | None = None):
-        """TAAT BM25 with allowed-set filtering (``searcher.py:52-90``).
-        Duplicate query terms contribute per occurrence; accumulation per doc
-        follows query-token order. Result sorted by (-score, docid)."""
-        q = query_terms(query)
-        infos = []
-        doc_sets = []
-        seen: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for t in q:
-            if t not in seen:
-                d, f = self.postings(t)
-                if d.size:
-                    seen[t] = (d, f)
-                    doc_sets.append(d)
-            if t in seen:
-                infos.append((t, *seen[t]))
-        if not infos:
-            return []
-        if mode.upper() == "AND":
-            allowed = doc_sets[0]
-            for s in doc_sets[1:]:
-                allowed = np.intersect1d(allowed, s, assume_unique=True)
-            if allowed.size == 0:
-                return []
-        else:
-            allowed = np.unique(np.concatenate(doc_sets))
-        cand = np.unique(np.concatenate([d for _, d, _ in infos]))
-        dl_all = self.doclens.get_many(cand)
-        scores = np.zeros(cand.size, dtype=np.float64)
-        for t, d, f in infos:
-            pos = np.searchsorted(cand, d)
-            dl = dl_all[pos]
-            contrib = self._contrib_taat(f, self.df(t), dl)
-            # dl=0 guard (same rule as bm25_topk and the oracle loop): a
-            # posted doc always has dl>0 on a consistent index, so this only
-            # fires on corrupt/mismatched doclens — score 0, don't rank
-            contrib[dl == 0] = 0.0
-            scores[pos] += contrib
-        keep = np.searchsorted(cand, allowed)
-        sk = scores[keep]
-        order = np.lexsort((allowed, -sk))
-        out = [(int(allowed[i]), float(sk[i])) for i in order]
-        return out[:topk] if topk else out
-
     # -- ranked: query-likelihood (Dirichlet-smoothed LM) ----------------
     def ql_topk(self, query: str, topk: int | None = 10, mu: float = 2000.0):
         """Dirichlet-smoothed query-likelihood ranking (Zhai & Lafferty,
@@ -485,9 +461,9 @@ class Searcher:
 
             score(q, d) = sum_t ln( (tf(t,d) + mu * cf(t)/T) / (dl(d) + mu) )
 
-        over the query's token occurrences (duplicates count per occurrence,
-        the same multiplicity rule as :meth:`search`), where cf(t) is the
-        collection frequency and T the corpus token total. Candidates are
+        over the query's token occurrences in query order (duplicates count
+        per occurrence, the same multiplicity rule as BM25), where cf(t) is
+        the collection frequency and T the corpus token total. Candidates are
         the OR set (docs matching >= 1 known term); a candidate missing a
         term pays that term's background probability, so tf=0 contributes
         ln(mu*cf/T / (dl+mu)) — unknown terms (cf=0) are dropped on both
@@ -500,49 +476,66 @@ class Searcher:
         scores with shard-local cf/T (``set_global_stats`` overrides N/avgdl
         /df only — BM25's inputs); QL across ranges would need the cf sums
         broadcast the same way."""
-        q = query_terms(query)
+        rows = self.resolve_terms(query)
         T = float(self.doclens.total_tokens)
-        infos = []
-        seen: dict[str, tuple[np.ndarray, np.ndarray, float]] = {}
-        for t in q:
-            if t not in seen:
-                d, f = self.postings(t)
-                if d.size:
-                    seen[t] = (d, f.astype(np.float64), float(f.sum()))
-            if t in seen:
-                infos.append(seen[t])
-        if not infos or T <= 0:
+        if not rows or T <= 0:
             return []
-        cand = np.unique(np.concatenate([d for d, _, _ in infos]))
-        dl = self.doclens.get_many(cand).astype(np.float64)
-        scores = np.zeros(cand.size, dtype=np.float64)
-        den = dl + mu
-        for d, f, cf in infos:
+        lists = self.decode(rows)
+        cand, matches = self.candidates(lists)
+        den = self.doclens.get_many(cand).astype(np.float64) + mu
+        logs = {}
+        for t, (pos, f) in zip(lists, matches):
             tfv = np.zeros(cand.size, dtype=np.float64)
-            tfv[np.searchsorted(cand, d)] = f
-            scores += np.log((tfv + mu * cf / T) / den)
+            tfv[pos] = f
+            logs[t] = np.log((tfv + mu * float(f.sum()) / T) / den)
+        scores = np.zeros(cand.size, dtype=np.float64)
+        for t, _, _, _ in rows:
+            scores += logs[t]
         order = np.lexsort((cand, -scores))
         out = [(int(cand[i]), float(scores[i])) for i in order]
         return out[:topk] if topk else out
+
+    # -- ranked: reciprocal-rank fusion -----------------------------------
+    def rrf_topk(self, query: str, topk: int = 10):
+        """Reciprocal-rank fusion of the BM25 (OR) and Dirichlet-QL rankings
+        (Cormack, Clarke & Buettcher, SIGIR 2009): score(d) = sum over the
+        two systems of 1/(``RRF_K`` + rank_sys(d)) for docs inside each
+        system's top-``RRF_DEPTH`` pool (missing from a pool contributes 0)
+        — score-scale-free, so the incomparable BM25 and QL scores fuse by
+        rank. Returns ``(docid, fused score)`` by (-score, docid), cut to
+        ``topk``; the HTTP ``ranker: "rrf"`` and the ``rrf_fusion`` gate
+        entry both serve it.
+
+        Pools are ranked AND depth-cut by (ROUND(score, 6) desc, docid): RRF
+        is rank-SENSITIVE, so float-epsilon ties inside a pool (identical-
+        token docs; SQL sum() order is nondeterministic) would silently
+        shift 1/(k+r) contributions — rounding first makes the pool order
+        and the cut boundary the same deterministic rule as the twin's
+        ROUND(...)-ordered row_number (adversarial-gate tie blocks)."""
+        fused: dict[int, float] = {}
+        for raw in (
+            self.bm25_topk(query, topk=None, mode="OR", tie_semantics="sorted"),
+            self.ql_topk(query, topk=None),
+        ):
+            docs = np.array([d for d, _ in raw], np.int64)
+            sc = np.round(np.array([x for _, x in raw], np.float64), 6)
+            for rank, i in enumerate(np.lexsort((docs, -sc))[:RRF_DEPTH], start=1):
+                d = int(docs[i])
+                fused[d] = fused.get(d, 0.0) + 1.0 / (RRF_K + rank)
+        docs = np.array(sorted(fused), np.int64)
+        scores = np.array([fused[int(d)] for d in docs], np.float64)
+        order = np.lexsort((docs, -scores))[:topk]
+        return [(int(docs[i]), float(scores[i])) for i in order]
 
     # -- boolean ---------------------------------------------------------
     def boolean(self, query: str, mode: str = "AND") -> set[int]:
         """Full-postings set ops; unknown terms silently dropped
         (``searcher.py:92-109``)."""
-        arrays = []
-        for t in query_terms(query):
-            d, _ = self.postings(t)
-            if d.size:
-                arrays.append(d)
-        if not arrays:
+        rows = self.resolve_terms(query)
+        if not rows:
             return set()
-        if mode.upper() == "AND":
-            out = arrays[0]
-            for a in arrays[1:]:
-                out = np.intersect1d(out, a, assume_unique=True)
-        else:
-            out = np.unique(np.concatenate(arrays))
-        return set(int(x) for x in out)
+        cand, _ = self.candidates(self.decode(rows), mode.upper() == "AND")
+        return set(cand.tolist())
 
 
 class SearcherActor:

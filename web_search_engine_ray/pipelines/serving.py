@@ -12,7 +12,8 @@ import numpy as np
 import pyarrow as pa
 
 from web_search_engine_ray.pipelines.build import build_index, code_fingerprint
-from web_search_engine_ray.pipelines.query import Searcher
+# RRF_K / RRF_DEPTH are read here by the ``rrf_fusion`` SQL twin
+from web_search_engine_ray.pipelines.query import RRF_DEPTH, RRF_K, Searcher
 from web_search_engine_ray.stages.exchange import arrow_refs
 
 # Fixed query set over the documents vocabulary (bench_search.py-style fixed
@@ -328,28 +329,14 @@ def bm25_taat_table(
     topk: int = 10,
     round_to: int = 4,
 ) -> pa.Table:
-    """(query_id, docid, score) — top-k via the TAAT ranker
-    (``Searcher.search``, reference ``searcher.py:52-90`` transliteration).
-    TAAT's float association ``idf*(num/den)`` differs from DAAT's
-    ``(idf*num)/den`` by at most an ulp; after ROUND(4) both match the same
-    SQL oracle as ``bm25_topk_or`` — a second, independent engine path
-    checked against the same truth. Result order is the SQL-expressible
-    (-score, docid) cut (TAAT sorts exactly that way)."""
-    s = documents_searcher(sf_dir)
-    queries = queries if queries is not None else FIXED_QUERIES
-    q_l, d_l, s_l = [], [], []
-    for qid, q in enumerate(queries):
-        for docid, score in s.search(q, mode="OR", topk=topk):
-            q_l.append(qid)
-            d_l.append(int(docid))
-            s_l.append(float(np.round(score, round_to)))
-    return pa.table(
-        {
-            "query_id": pa.array(q_l, pa.int64()),
-            "docid": pa.array(d_l, pa.int64()),
-            "score": pa.array(s_l, pa.float64()),
-        }
-    )
+    """(query_id, docid, score) — the reference TAAT ``search`` contract
+    (``searcher.py:52-90``: every OR match by (-score, docid)) cut to
+    ``topk``. The engine serves it with ``bm25_topk``'s sorted cut, so this
+    table equals ``bm25_topk_table(mode="OR")``; the TAAT loop itself lives
+    only in ``OracleIndex.search``, which the tests compare against (docids
+    exact, scores to 1e-9). Kept as a gate entry against the same SQL
+    oracle as ``bm25_topk_or``."""
+    return bm25_topk_table(sf_dir, queries, topk, "OR", round_to)
 
 
 def wand_daat_equivalence_table(
@@ -600,9 +587,9 @@ def bm25_facet_topk_table(
     """(query_id, source, docid, score) — the best ``topk`` BM25 hits per
     (query, facet) where the facet is the document's ``source`` attribute.
 
-    Engine path: score once with the TAAT ranker (the oracle-matched float
-    association, same as ``bm25_taat_table``), gather ``source`` for the
-    candidate docids only, then a vectorized per-facet cut by
+    Engine path: score every OR match once (``bm25_topk`` with
+    ``topk=None``, sorted cut), gather ``source`` for the matched docids
+    only, then a vectorized per-facet cut by
     (-score, docid) — SQL ``row_number() OVER (PARTITION BY query, source
     ORDER BY score DESC, docid)`` semantics, which the DuckDB twin replays.
 
@@ -616,7 +603,7 @@ def bm25_facet_topk_table(
     queries = queries if queries is not None else FIXED_QUERIES
     q_parts, d_parts, s_parts = [], [], []
     for qid, q in enumerate(queries):
-        res = s.search(q, mode="OR", topk=None)
+        res = s.bm25_topk(q, topk=None, mode="OR", tie_semantics="sorted")
         if not res:
             continue
         n = len(res)
@@ -678,13 +665,9 @@ def facet_counts_table(sf_dir: str, queries: list[str] | None = None) -> pa.Tabl
     queries = queries if queries is not None else FIXED_QUERIES
     matched: dict[int, np.ndarray] = {}
     for qid, q in enumerate(queries):
-        terms = s.resolve_terms(q)
-        if not terms:
-            continue
-        docs = np.unique(
-            np.concatenate([r.read_postings(e)[0] for _, e, r, _ in terms])
-        )
-        matched[qid] = docs.astype(np.int64)
+        rows = s.resolve_terms(q)
+        if rows:
+            matched[qid] = s.candidates(s.decode(rows))[0].astype(np.int64)
     empty = pa.table(
         {
             "query_id": pa.array([], pa.int64()),
@@ -749,6 +732,30 @@ def facet_counts_table(sf_dir: str, queries: list[str] | None = None) -> pa.Tabl
 
 MLT_SOURCE_DOCS = list(range(10))
 MLT_TOPK = 10
+
+
+def _tfidf_dots(s: Searcher, counts: dict[str, int]):
+    """Dot products of a term-count vector with every candidate doc's TF-IDF
+    vector (tfidf = tf * ln(N/df)): ``(candidate docids, dots, squared norm
+    of the count vector)``, or ``None`` when no term is known. Distinct
+    terms resolve once and accumulate in sorted-term order — the
+    per-(term, doc) product (c*idf) * (tf*idf) the SQL twins sum; unknown
+    terms drop on both sides (no idf exists)."""
+    import math
+
+    rows = s.resolve_terms(sorted(counts))
+    if not rows:
+        return None
+    n = float(s.N)
+    cand, matches = s.candidates(s.decode(rows))
+    dots = np.zeros(cand.size, np.float64)
+    norm_sq = 0.0
+    for (t, _, _, df), (pos, f) in zip(rows, matches):
+        idf = math.log(n / float(df))
+        w = float(counts[t]) * idf
+        norm_sq += w * w
+        dots[pos] += w * (f.astype(np.float64) * idf)
+    return cand.astype(np.int64), dots, norm_sq
 
 
 def _tfidf_norms(sf_dir: str) -> np.ndarray:
@@ -821,7 +828,7 @@ def more_like_this_table(
     float expression (tf_s*idf) * (tf_d*idf) and the final
     dot/(norm_s*norm_d) match the SQL twin exactly; ROUND({round_to}) both
     sides."""
-    import math
+    from collections import Counter
 
     import pyarrow.parquet as pq_
     import pyarrow.compute as pc
@@ -832,7 +839,6 @@ def more_like_this_table(
     src_ids = source_docids if source_docids is not None else MLT_SOURCE_DOCS
     s = documents_searcher(sf_dir)
     norms = _tfidf_norms(sf_dir)
-    n = float(s.N)
     src_t = pq_.read_table(
         _docs_path(sf_dir),
         columns=["doc_id", "text"],
@@ -845,26 +851,10 @@ def more_like_this_table(
     q_l, d_l, s_l = [], [], []
     for qid, sdoc in enumerate(src_ids):
         toks = token_lists(pa.array([texts.get(sdoc, "")], pa.string())).to_list()[0] or []
-        if not toks:
+        got = _tfidf_dots(s, Counter(toks))
+        if got is None:
             continue
-        terms, counts = np.unique(np.asarray(toks, dtype=object), return_counts=True)
-        dot: dict[int, float] = {}
-        cand_all: list[np.ndarray] = []
-        per_term = []
-        for t_, c in zip(terms.tolist(), counts.tolist()):
-            d_arr, f_arr = s.postings(t_)
-            if not d_arr.size:
-                continue
-            idf = math.log(n / float(s.df(t_)))
-            per_term.append((d_arr.astype(np.int64), f_arr, float(c) * idf, idf))
-            cand_all.append(d_arr.astype(np.int64))
-        if not per_term:
-            continue
-        cand = np.unique(np.concatenate(cand_all))
-        dots = np.zeros(cand.size, np.float64)
-        for d_arr, f_arr, ws, idf in per_term:
-            wb = f_arr.astype(np.float64) * idf
-            dots[np.searchsorted(cand, d_arr)] += ws * wb
+        cand, dots, _ = got
         keep = cand != sdoc
         cand, dots = cand[keep], dots[keep]
         # round BEFORE ranking (vsm_topk_table note): token-identical docs
@@ -907,38 +897,26 @@ def bm25_pruned_topk_table(
     Scale note: pruning happens at build time in a real deployment (one
     row_number cut inside the term-partitioned merge — the build already
     groups by term); here the serving path applies the identical cut on
-    the decoded lists so the gate exercises the exact contract."""
+    the decoded lists so the gate exercises the exact contract. The pruned
+    lists then take ``bm25_topk``'s exhaustive half: the shared candidate
+    builder and BM25 scorer with the sorted cut."""
     s = documents_searcher(sf_dir)
     queries = queries if queries is not None else FIXED_QUERIES
-    from web_search_engine_ray.functions.tokenize import query_terms
-
     q_l, d_l, s_l = [], [], []
     for qid, q in enumerate(queries):
-        infos = []
-        seen: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for t in query_terms(q):
-            if t not in seen:
-                d, f = s.postings(t)
-                if d.size:
-                    keep = np.lexsort((d, -f.astype(np.int64)))[:m]
-                    keep.sort()  # restore docid order within the pruned list
-                    seen[t] = (d[keep], f[keep])
-            if t in seen:
-                infos.append((t, *seen[t]))
-        if not infos:
+        terms = sorted(s.resolve_terms(q), key=lambda r: r[3])
+        if not terms:
             continue
-        cand = np.unique(np.concatenate([d for _, d, _ in infos]))
-        dl_all = s.doclens.get_many(cand)
-        scores = np.zeros(cand.size, np.float64)
-        for t, d, f in infos:
-            pos = np.searchsorted(cand, d)
-            contrib = s._contrib_taat(f, s.df(t), dl_all[pos])
-            contrib[dl_all[pos] == 0] = 0.0
-            scores[pos] += contrib
-        order = np.lexsort((cand, -scores))[:topk]
-        q_l.append(np.full(order.size, qid, np.int64))
-        d_l.append(cand[order])
-        s_l.append(np.round(scores[order], round_to))
+        lists = {}
+        for t, (d, f) in s.decode(terms).items():
+            keep = np.lexsort((d, -f.astype(np.int64)))[:m]
+            keep.sort()  # restore docid order within the pruned list
+            lists[t] = d[keep], f[keep]
+        cand, matches = s.candidates(lists)
+        hits = s._score_topk(cand, terms, matches, topk, "sorted")
+        q_l.append(np.full(len(hits), qid, np.int64))
+        d_l.append(np.array([d for d, _ in hits], np.int64))
+        s_l.append(np.round(np.array([x for _, x in hits], np.float64), round_to))
     return pa.table(
         {
             "query_id": pa.array(np.concatenate(q_l) if q_l else [], pa.int64()),
@@ -950,65 +928,32 @@ def bm25_pruned_topk_table(
 
 # -- reciprocal-rank fusion ----------------------------------------------------
 
-RRF_K = 60       # the canonical constant (Cormack et al., SIGIR 2009)
-RRF_DEPTH = 50   # per-system pool depth feeding the fusion
-
 
 def rrf_fusion_table(
     sf_dir: str,
     queries: list[str] | None = None,
     topk: int = 10,
-    k: int = RRF_K,
-    depth: int = RRF_DEPTH,
     round_to: int = 6,
 ) -> pa.Table:
     """(query_id, docid, score): reciprocal-rank fusion of the BM25 and the
-    Dirichlet-QL rankings (Cormack, Clarke & Buettcher, SIGIR 2009):
-    score(d) = sum over systems of 1/(k + rank_sys(d)) for docs inside each
-    system's top-``depth`` pool (missing from a pool contributes 0) — the
-    standard zero-training way to combine rankers, and score-scale-free
-    (BM25 and QL scores are incomparable; ranks always fuse). Both pools
-    come from the same loaded index state; ranks use the (score desc,
-    docid) order both rankers already share with their twins."""
+    Dirichlet-QL rankings per fixed query (:meth:`Searcher.rrf_topk`, the
+    same fusion the HTTP ``ranker: "rrf"`` serves): score(d) = sum over
+    systems of 1/(k + rank_sys(d)) inside each system's top-``RRF_DEPTH``
+    pool, ranks by the (ROUND(score, 6) desc, docid) order both rankers
+    share with their twins."""
     s = documents_searcher(sf_dir)
     queries = queries if queries is not None else FIXED_QUERIES
     q_l, d_l, s_l = [], [], []
     for qid, q in enumerate(queries):
-        # pools ranked AND depth-cut by (ROUND(score, 6) desc, docid): RRF
-        # is rank-SENSITIVE, so float-epsilon ties inside a pool (identical-
-        # token docs; SQL sum() order is nondeterministic) would silently
-        # shift 1/(k+r) contributions — rounding first makes the pool order
-        # and the cut boundary the same deterministic rule as the twin's
-        # ROUND(...)-ordered row_number (adversarial-gate tie blocks)
-        pools = []
-        for raw in (
-            s.bm25_topk(q, topk=None, mode="OR", tie_semantics="sorted"),
-            s.ql_topk(q, topk=None),
-        ):
-            if not raw:
-                pools.append([])
-                continue
-            docs_p = np.array([d for d, _ in raw], np.int64)
-            sc_p = np.round(np.array([x for _, x in raw], np.float64), 6)
-            o = np.lexsort((docs_p, -sc_p))[:depth]
-            pools.append([(int(docs_p[i]), float(sc_p[i])) for i in o])
-        fused: dict[int, float] = {}
-        for pool in pools:
-            for rank, (docid, _sc) in enumerate(pool, start=1):
-                fused[int(docid)] = fused.get(int(docid), 0.0) + 1.0 / (k + rank)
-        if not fused:
-            continue
-        docs = np.array(sorted(fused), np.int64)
-        scores = np.array([fused[int(d)] for d in docs], np.float64)
-        order = np.lexsort((docs, -scores))[:topk]
-        q_l.append(np.full(order.size, qid, np.int64))
-        d_l.append(docs[order])
-        s_l.append(np.round(scores[order], round_to))
+        for docid, score in s.rrf_topk(q, topk):
+            q_l.append(qid)
+            d_l.append(docid)
+            s_l.append(float(np.round(score, round_to)))
     return pa.table(
         {
-            "query_id": pa.array(np.concatenate(q_l) if q_l else [], pa.int64()),
-            "docid": pa.array(np.concatenate(d_l) if d_l else [], pa.int64()),
-            "score": pa.array(np.concatenate(s_l) if s_l else [], pa.float64()),
+            "query_id": pa.array(q_l, pa.int64()),
+            "docid": pa.array(d_l, pa.int64()),
+            "score": pa.array(s_l, pa.float64()),
         }
     )
 
@@ -1032,42 +977,25 @@ def vsm_topk_table(
     Identical per-(term, doc) float products and the final
     dot/(|q||d|) quotient as the SQL twin, ROUND({round_to})."""
     import math
+    from collections import Counter
 
     from web_search_engine_ray.functions.tokenize import query_terms
 
     s = documents_searcher(sf_dir)
     norms = _tfidf_norms(sf_dir)
-    n = float(s.N)
     queries = queries if queries is not None else FIXED_QUERIES
     q_l, d_l, s_l = [], [], []
     for qid, q in enumerate(queries):
-        counts: dict[str, int] = {}
-        for t in query_terms(q):
-            counts[t] = counts.get(t, 0) + 1
-        per_term = []
-        qnorm_sq = 0.0
-        for t in sorted(counts):
-            d_arr, f_arr = s.postings(t)
-            if not d_arr.size:
-                continue  # unknown terms drop (no idf exists)
-            idf = math.log(n / float(s.df(t)))
-            wq = float(counts[t]) * idf
-            qnorm_sq += wq * wq
-            per_term.append((d_arr.astype(np.int64), f_arr, wq, idf))
-        if not per_term or qnorm_sq == 0.0:
+        got = _tfidf_dots(s, Counter(query_terms(q)))
+        if got is None or got[2] == 0.0:
             continue
-        qnorm = math.sqrt(qnorm_sq)
-        cand = np.unique(np.concatenate([d for d, _, _, _ in per_term]))
-        dots = np.zeros(cand.size, np.float64)
-        for d_arr, f_arr, wq, idf in per_term:
-            wd = f_arr.astype(np.float64) * idf
-            dots[np.searchsorted(cand, d_arr)] += wq * wd
+        cand, dots, qnorm_sq = got
         # round BEFORE ranking: identical-token-multiset docs have exactly
         # equal cosines in math but epsilon-apart floats under different
         # accumulation orders (engine per-term += vs SQL sum) — ranking the
         # rounded score makes both sides fall through to the docid tie-break
         # (adversarial-gate tie blocks)
-        scores = np.round(dots / (qnorm * norms[cand]), round_to)
+        scores = np.round(dots / (math.sqrt(qnorm_sq) * norms[cand]), round_to)
         order = np.lexsort((cand, -scores))[:topk]
         q_l.append(np.full(order.size, qid, np.int64))
         d_l.append(cand[order])
@@ -1096,12 +1024,13 @@ def bm25_source_boost_table(
     boost is a deterministic function of the attribute so the twin needs
     no side table: weight(source) = 1 + (len(source) % 3) * 0.25. Sources
     are gathered for CANDIDATES ONLY (:func:`_gather_doc_sources`, the
-    hybrid-rerank shape); one TAAT pass supplies the base scores."""
+    hybrid-rerank shape); one ``bm25_topk`` pass over every OR match
+    supplies the base scores."""
     s = documents_searcher(sf_dir)
     queries = queries if queries is not None else FIXED_QUERIES
     q_l, d_l, s_l = [], [], []
     for qid, q in enumerate(queries):
-        base = s.search(q, mode="OR", topk=None)
+        base = s.bm25_topk(q, topk=None, mode="OR", tie_semantics="sorted")
         if not base:
             continue
         docs = np.array([d for d, _ in base], np.int64)

@@ -879,9 +879,10 @@ def role_filtered_search_table(
     corpus-global, exactly as if the role were a post-filter on the full
     ranking — the contract the OracleIndex twin replays.
 
-    Scale shape: the full TAAT ranking is candidate-scale (scored docs
-    only); the role of each candidate is fetched by walking the ranking in
-    score order with row-group-seek :class:`DocStore` reads and stopping at
+    Scale shape: the full ranking (``bm25_topk`` with ``topk=None``, the
+    sorted cut) is candidate-scale (scored docs only); the role of each
+    candidate is fetched by walking the ranking in score order with
+    row-group-seek :class:`DocStore` reads and stopping at
     ``topk`` hits — expected probes ~ topk / role_frequency, never a corpus
     scan (``probe_cap`` bounds the pathological all-misses case, and a
     truncated walk is reported by raising, never silently)."""
@@ -895,7 +896,7 @@ def role_filtered_search_table(
     store = DocStore(corpus, columns=["role"])
     q_l, r_l, d_l, s_l = [], [], [], []
     for qi, q in enumerate(queries or FIXED_TRANSCRIPT_QUERIES):
-        full = s.search(q, mode=mode, topk=None)  # (-score, docid) order
+        full = s.bm25_topk(q, topk=None, mode=mode, tie_semantics="sorted")
         kept: list[tuple[int, float]] = []
         for probes, (docid, score) in enumerate(full):
             if probes >= probe_cap:

@@ -86,9 +86,13 @@ def create_app(
         data = _json_body()
         query = (data.get("query") or "").strip()
         mode = (data.get("mode") or "AND").upper()
-        topk = int(data.get("topk") or 10)
+        topk = data.get("topk")
+        topk = 10 if topk is None else topk
         if not query:
             return jsonify({"error": "Empty query"}), 400
+        # bool is an int subclass: `true` must not pass as topk=1
+        if type(topk) is not int or topk < 1:
+            return jsonify({"error": "topk must be an integer >= 1"}), 400
         if mode not in ("AND", "OR", "PHRASE"):
             return jsonify({"error": "Invalid mode. Must be AND, OR or PHRASE"}), 400
         prox_boost = bool(data.get("proximity_boost"))
@@ -138,16 +142,8 @@ def create_app(
             results = searcher.ql_topk(query, topk=topk)
         elif ranker == "rrf":
             # reciprocal-rank fusion of the BM25 and QL pools (Cormack
-            # 2009) — both pools from this searcher, still Ray-free
-            fused: dict[int, float] = {}
-            for pool in (
-                searcher.bm25_topk(query, topk=50, mode="OR",
-                                   tie_semantics="sorted"),
-                searcher.ql_topk(query, topk=50),
-            ):
-                for r_, (d_, _sc) in enumerate(pool, start=1):
-                    fused[int(d_)] = fused.get(int(d_), 0.0) + 1.0 / (60 + r_)
-            results = sorted(fused.items(), key=lambda kv: (-kv[1], kv[0]))[:topk]
+            # 2009), the ``rrf_fusion`` gate entry's fusion — still Ray-free
+            results = searcher.rrf_topk(query, topk=topk)
         else:
             results = searcher.bm25_topk(query, topk=topk, mode=mode)
         search_ms = (time.perf_counter() - t0) * 1000
