@@ -65,6 +65,24 @@ def test_flask_complete_endpoint(ray_session):
     assert client.post("/complete", json={"prefix": ""}).status_code == 400
 
 
+def test_flask_complete_k_must_be_a_positive_int(ray_session):
+    """``k`` follows ``POST /search``'s ``topk`` rule: a JSON integer >= 1,
+    10 when omitted or null, 400 otherwise (a bool too)."""
+    from web_search_engine_ray.serve import create_app
+
+    client = create_app(serving.documents_index(SF)).test_client()
+    for bad in ("x", "3", -1, 0, 2.5, True, [3]):
+        r = client.post("/complete", json={"prefix": "s", "k": bad})
+        assert r.status_code == 400, bad
+        assert "k must be" in r.get_json()["error"]
+    for k in (1, 3):
+        r = client.post("/complete", json={"prefix": "s", "k": k})
+        assert r.status_code == 200 and len(r.get_json()["completions"]) == k, k
+    ten = client.post("/complete", json={"prefix": "s", "k": 10}).get_json()["completions"]
+    for body in ({"prefix": "s", "k": None}, {"prefix": "s"}):
+        assert client.post("/complete", json=body).get_json()["completions"] == ten
+
+
 def test_complete_df_tie_at_shard_cut(ray_session, tmp_path_factory):
     """Regression: the per-shard k-cut must be the (df desc, term asc)
     order — a bare argpartition on df drops the lexicographically-first of

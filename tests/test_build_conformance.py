@@ -272,27 +272,115 @@ def dense_taken(monkeypatch):
     return took
 
 
+class _StatsOracle(OracleIndex):
+    """The oracle's postings under given N, avgdl and doc lengths: the
+    reference loop as it runs under a ``set_global_stats`` override or with
+    a doc's length zeroed."""
+
+    def __init__(self, base: OracleIndex, n: int, avgdl: float, doc_lengths: dict):
+        self.index, self._n, self._avgdl, self.doc_lengths = base.index, n, avgdl, doc_lengths
+
+    N = property(lambda self: self._n)
+    avgdl = property(lambda self: self._avgdl)
+
+
 def test_candidate_paths_taken_and_exact(built, oracle, dense_taken):
     """Exhaustive scoring builds its candidates one of two ways, chosen from
-    the input: a docid-indexed hit array for lists dense in the doclens span,
-    the sorted union otherwise. Both must answer some conformance cases, and
-    every dense answer is bit-identical to the oracle loop."""
+    the input: a docid-indexed hit array for lists dense in the doclens span
+    (scored in docid space), the sorted union otherwise. Both must answer
+    some conformance cases, and every dense answer is bit-identical to the
+    oracle loop: with a duplicated query term, under a ``set_global_stats``
+    override, and with a dl = 0 doc among the candidates."""
     out, _ = built
-    s = Searcher(out)
-    dense, sparse = set(), set()
-    for q in QUERIES:
-        for mode in ("OR", "AND"):
-            for topk in (1, 3, 10, 50):
-                dense_taken.clear()
-                got = s.bm25_topk(q, topk=topk, mode=mode)
-                if dense_taken == [True]:
-                    dense.add((q, mode))
-                    want = _by_score(oracle.ranked_daat(q, topk=topk, mode=mode))
-                    assert got == want, (q, mode, topk)
-                elif dense_taken == [False]:
-                    sparse.add((q, mode))
+
+    def dense_cases(s, oracle, queries):
+        dense, sparse = set(), set()
+        for q in queries:
+            for mode in ("OR", "AND"):
+                for topk in (1, 3, 10, 50):
+                    dense_taken.clear()
+                    got = s.bm25_topk(q, topk=topk, mode=mode)
+                    if dense_taken == [True]:
+                        dense.add((q, mode))
+                        want = _by_score(oracle.ranked_daat(q, topk=topk, mode=mode))
+                        assert got == want, (q, mode, topk)
+                    elif dense_taken == [False]:
+                        sparse.add((q, mode))
+        return dense, sparse
+
+    dense, sparse = dense_cases(Searcher(out), oracle, QUERIES)
     assert dense and sparse, (dense, sparse)
     assert {"AND", "OR"} <= {m for _, m in dense}
+    assert any(len(set(q.split())) < len(q.split()) for q, _ in dense), dense
+
+    # corpus-global N and avgdl of a larger corpus (df overridden to itself)
+    s = Searcher(out)
+    n, avgdl = 3 * oracle.N, 1.25 * oracle.avgdl
+    s.set_global_stats(n, avgdl, {t: oracle.df(t) for t in ("the", "data")})
+    scaled = _StatsOracle(oracle, n, avgdl, oracle.doc_lengths)
+    assert dense_cases(s, scaled, [q for q, _ in dense])[0] == dense
+
+    # the best doc of a dense query loses its length: it stays a candidate
+    # and scores 0, on the dense path as in the reference loop
+    q = "the data"
+    d = Searcher(out).bm25_topk(q, topk=1, mode="OR")[0][0]
+    s = Searcher(out)
+    shard = int(np.searchsorted(s.doclens._lo, d, side="right")) - 1
+    s.doclens._shard_dl(shard)[d - int(s.doclens._lo[shard])] = 0  # the loaded copy
+    zeroed = _StatsOracle(oracle, oracle.N, oracle.avgdl, {**oracle.doc_lengths, d: 0})
+    assert dense_cases(s, zeroed, [q]) == ({(q, "OR"), (q, "AND")}, set())
+    every = s.bm25_topk(q, topk=None, mode="OR")
+    assert every == _by_score(zeroed.ranked_daat(q, topk=len(every), mode="OR"))
+    assert (d, 0.0) in every
+
+
+def test_topk_none_returns_every_match_under_both_tie_rules(built, oracle):
+    """``topk=None`` is "every match" under the default heap ties as under
+    the sorted ones: MaxScore is skipped and the order is the lexsort a heap
+    with k >= matches keeps, bit-identical to the reference loop."""
+    out, _ = built
+    s = Searcher(out)
+    for q in QUERIES:
+        for mode in ("OR", "AND"):
+            heap = s.bm25_topk(q, topk=None, mode=mode)
+            assert heap == s.bm25_topk(q, topk=None, mode=mode, tie_semantics="sorted")
+            want = oracle.ranked_daat(q, topk=max(1, len(oracle.boolean(q, mode))), mode=mode)
+            assert heap == _by_score(want), (q, mode)
+
+
+def test_searcher_stats_count_each_path(built):
+    """``Searcher.stats()`` counters each move on a query built to hit
+    them: dense and sorted candidates, MaxScore taken and bailed, targeted
+    block decodes, and decoded-list LRU misses then hits."""
+    out, _ = built
+    s = Searcher(out)
+
+    def moved(run):
+        before = s.stats()
+        run()
+        after = s.stats()
+        return {k for k in after if after[k] != before[k]}
+
+    assert set(s.stats()) == {
+        "dense_candidates",
+        "sorted_candidates",
+        "maxscore_taken",
+        "maxscore_bailed",
+        "targeted_blocks",
+        "lru_hits",
+        "lru_misses",
+    }
+    assert "lru_misses" in moved(lambda: s.bm25_topk("the", mode="OR"))
+    assert {"dense_candidates", "lru_hits"} <= moved(lambda: s.bm25_topk("the", mode="OR"))
+    assert "sorted_candidates" in moved(lambda: s.bm25_topk("w0200 w0250", mode="AND"))
+    # a rare term beside a stopword: MaxScore reads the stopword's tfs for
+    # the rare term's docs from the blocks they fall in
+    assert {"maxscore_taken", "targeted_blocks"} <= moved(
+        lambda: s.bm25_topk("uq22x1 the", topk=1, mode="OR")
+    )
+    # at topk=50 both terms fall under MaxScore's essential-df cutoff
+    # (50 x topk): nothing to prune, so it bails to the exhaustive scan
+    assert "maxscore_bailed" in moved(lambda: s.bm25_topk("the data", topk=50, mode="OR"))
 
 
 def test_truncated_doclens_span_takes_sorted_path(built, oracle, dense_taken):

@@ -171,6 +171,15 @@ def test_flask_grep_endpoint(ray_session, grep_corpus, tmp_path_factory):
     assert body["docids"] == [0, 3] and body["totalResults"] == 2
     r = client.post("/grep", json={"pattern": "spark [a-z]+ join", "regex": True})
     assert r.status_code == 200 and r.get_json()["docids"] == [1]
+    # limit: a JSON integer >= 1 (POST /search's topk rule), 100 when null
+    r = client.post("/grep", json={"pattern": "Spark Join", "limit": 1})
+    assert r.status_code == 200 and r.get_json()["docids"] == [0]
+    assert r.get_json()["totalResults"] == 2
+    r = client.post("/grep", json={"pattern": "Spark Join", "limit": None})
+    assert r.get_json()["docids"] == [0, 3]
+    for bad in ("x", -1, 0, True, 1.5):
+        r = client.post("/grep", json={"pattern": "Spark Join", "limit": bad})
+        assert r.status_code == 400, bad
     # unprunable pattern -> 400 (serving never full-scans)
     r = client.post("/grep", json={"pattern": "(a|b)", "regex": True})
     assert r.status_code == 400

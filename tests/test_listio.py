@@ -52,7 +52,7 @@ def test_blocks_decode_in_order(tmp_path):
     with PostingsShardReader(str(path)) as r:
         e = entries["t"]
         # every block decodes against its directory base, in order
-        all_d = [x for b in range(e["nblocks"]) for x in r._decode_block(e, b)[0]]
+        all_d = [x for b in range(e["nblocks"]) for x in r._decode_block(e, [b])[0]]
         assert all_d == d
 
 
@@ -84,6 +84,60 @@ def test_roundtrip_property(tmp_path_factory, gaps, block_size, codec):
         d2, f2 = r.read_postings(e)
         assert d2.tolist() == docids.tolist()
         assert f2.tolist() == freqs.tolist()
+
+
+def _full_list_tfs(r, e, targets):
+    """tfs of ``targets`` looked up in the whole decoded list (0 if absent)."""
+    d, f = r.read_postings(e)
+    pos = np.minimum(np.searchsorted(d, targets), d.size - 1)
+    return np.where(d[pos] == targets, f[pos], 0)
+
+
+@given(
+    st.integers(min_value=1, max_value=600),
+    st.integers(min_value=1, max_value=32),
+    st.sampled_from(["varbyte", "raw"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_read_tfs_for_matches_full_list(tmp_path_factory, n, block_size, codec, seed, data):
+    """The block-targeted lookup (one gather over the blocks its targets can
+    fall in) equals a lookup in the whole list, on either side of the
+    full-list fallback, for targets below the first docid, past the last
+    block, on block boundaries and at random."""
+    tmp = tmp_path_factory.mktemp("tf")
+    rng = np.random.default_rng(seed)
+    docids = np.cumsum(rng.integers(1, 300, n, dtype=np.uint64)) + np.uint64(rng.integers(1, 50))
+    freqs = rng.integers(1, 300, n, dtype=np.uint64)
+    w = PostingsShardWriter(str(tmp / "s"), block_size=block_size, codec=codec)
+    e = w.add_term("x", docids, freqs)
+    w.close()
+    nb = e["nblocks"]
+    last = e["blk_last_docid"].astype(np.int64)
+    hi = int(docids[-1])
+    edges = [0, int(docids[0]) - 1, int(docids[0]), hi + 1, hi + 1000, *last, *(last + 1)]
+    random = data.draw(st.lists(st.integers(0, hi + 5), max_size=80))
+    # block sets at and just past the fallback threshold (more than
+    # max(8, nblocks // 2) blocks read the whole list)
+    thr = max(8, nb // 2)
+    order = data.draw(st.permutations(range(nb)))
+    picks = []
+    for k in {min(thr, nb), min(thr + 1, nb)}:
+        blocks = np.sort(np.array(order[:k], np.int64))
+        lo = np.where(blocks > 0, last[np.maximum(blocks - 1, 0)] + 1, 0)
+        # each picked block's first docid, and a docid between its bounds
+        t = np.concatenate([docids[blocks * block_size].astype(np.int64), (lo + last[blocks]) // 2])
+        picks.append((k, t))
+    with PostingsShardReader(str(tmp / "s")) as r:
+        assert r.read_postings(e)[0].tolist() == docids.tolist()
+        for k, t in [(None, edges), (None, random), *picks]:
+            t = np.unique(np.array(t, np.int64)).astype(np.uint64)
+            seen = r.targeted_blocks
+            got = r.read_tfs_for(e, t)
+            assert got.tolist() == _full_list_tfs(r, e, t).tolist(), (k, t)
+            if k is not None:
+                assert r.targeted_blocks - seen == (k if k <= thr else 0), (k, thr, nb)
 
 
 def test_lexicon_shard_roundtrip(tmp_path):
@@ -143,9 +197,9 @@ def test_decoded_lru_cache(tmp_path):
     assert r.cache.hits >= 3
     with _pytest.raises(ValueError):
         r.read_postings(entries["alpha"][0])[0][0] = 1  # read-only
-    # block decodes cache independently
-    b1 = r._decode_block(entries["alpha"][0], 0)
-    b2 = r._decode_block(entries["alpha"][0], 0)
+    # a block decode (not cached) gives the same arrays on every call
+    b1 = r._decode_block(entries["alpha"][0], [0])
+    b2 = r._decode_block(entries["alpha"][0], [0])
     assert np.array_equal(b1[0], b2[0])
     r.close()
 

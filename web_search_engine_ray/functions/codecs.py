@@ -116,10 +116,6 @@ def encode_freqs(freqs: np.ndarray) -> bytes:
     return vb_encode(freqs)
 
 
-def decode_freqs(data: bytes | memoryview) -> np.ndarray:
-    return vb_decode(data)
-
-
 def vb_sizes(values: np.ndarray) -> np.ndarray:
     """Encoded byte length of each value (for block-directory bookkeeping):
     one comparison pass per byte length present, so a stream of small gaps

@@ -7,8 +7,8 @@ API surface mirrors the reference's ``Searcher`` (``HW2/engine/searcher.py``):
   loop's per-doc accumulation order (terms ascending-df,
   ``HW2/engine/daat_ranker.py:47-141``) with its exact boundary-tie heap,
   plus a score-exact MaxScore branch for rare+stopword OR queries;
-  ``topk=None`` with ``tie_semantics="sorted"`` returns every match in
-  (-score, docid) order (the reference TAAT ``search`` contract)
+  ``topk=None`` returns every match in (-score, docid) order under either
+  tie rule (the reference TAAT ``search`` contract)
 - ``boolean(query, mode)``           — full-postings set intersection/union
 - ``ql_topk(query, topk)``           — Dirichlet query likelihood
 - ``resolve_terms`` / ``decode`` / ``candidates`` — the one term resolver
@@ -19,12 +19,16 @@ Candidate set (``candidates``; MaxScore keeps its own essential-list union),
 chosen from the input: when the distinct terms' decoded lists hold at least
 1/``DENSE_SPAN_RATIO`` of the doclens docid span (docids are dense within
 it), their docids are marked in a span-sized hit array (a per-doc count for
-AND), and candidates and per-list positions come from ``flatnonzero`` and
-``cumsum`` — no sort, no ``searchsorted``. Sparser lists, a docid outside
-the span, or an empty doclens store take the sorted union (``np.unique``)
-with ``searchsorted`` positions. Both give the same candidates and
-positions; BM25 feeds them to one accumulate-and-select (``_score_topk``),
-which computes each distinct term's contribution once.
+AND) and scoring stays in docid space: a list's slots are its span offsets
+``docid - base``, candidates are ``flatnonzero(hit)``, and BM25 accumulates
+into a span-sized array, reads dl by direct index from the span's doc
+lengths (``DocLengths.dense``, loaded once per Searcher) and reads the
+scores back at the candidates — no sort and no ``searchsorted``. Sparser
+lists, a docid outside the span, or an empty doclens store take the sorted
+union (``np.unique``) with ``searchsorted`` slots into it. Both give the
+same candidates and per-doc sums; BM25 feeds them to one
+accumulate-and-select (``_score_topk``), which computes each distinct
+term's contribution once. ``stats()`` counts which path each query took.
 
 The reference's cursor loops (TAAT ``search``, DAAT top-k, DAAT set ops)
 live only in the in-memory ``oracle.OracleIndex`` (``search`` /
@@ -65,7 +69,7 @@ K1 = 1.2
 B = 0.75
 # ``bm25_topk`` builds its candidates in a docid-indexed array when the
 # decoded lists hold at least 1/8 of the doclens docid span: the span-sized
-# hit and rank arrays then cost a small multiple of the postings already
+# hit and score arrays then cost a small multiple of the postings already
 # decoded (HERO's density rule: bitmaps for dense sets, sorted lists for
 # sparse ones). Ratios 4, 8, 16 and 32 measured the same latency.
 DENSE_SPAN_RATIO = 8
@@ -73,7 +77,7 @@ RRF_K = 60  # the canonical constant (Cormack et al., SIGIR 2009)
 RRF_DEPTH = 50  # per-system pool depth feeding the fusion
 
 
-def _heap_topk_select(docids: np.ndarray, scores: np.ndarray, k: int) -> list[int]:
+def _heap_topk_select(docids: np.ndarray, scores: np.ndarray, k: int | None) -> list[int]:
     """Top-k selection with the reference's exact tie semantics.
 
     The reference keeps a size-k min-heap of ``(score, docid)`` tuples over
@@ -84,9 +88,10 @@ def _heap_topk_select(docids: np.ndarray, scores: np.ndarray, k: int) -> list[in
     below the k-th largest score can neither enter nor influence the final
     heap, so emulating the heap over only the ``score >= theta*`` subsequence
     (ascending docid) yields the identical final set at O(m log k).
-    Returns candidate indices ordered by (-score, docid)."""
+    ``k=None`` keeps every candidate. Returns candidate indices ordered by
+    (-score, docid)."""
     n = scores.size
-    if n <= k:
+    if k is None or n <= k:
         order = np.lexsort((docids, -scores))
         return list(order)
     theta = np.partition(scores, n - k)[n - k]
@@ -130,6 +135,10 @@ class Searcher:
         from web_search_engine_ray.state.listio import _DecodedLRU
 
         self._decoded_cache = _DecodedLRU(cache_bytes) if cache_bytes else None
+        self._span_dl: np.ndarray | None = None  # DocLengths.dense(), on first dense query
+        self._counts = dict.fromkeys(
+            ("dense_candidates", "sorted_candidates", "maxscore_taken", "maxscore_bailed"), 0
+        )
 
     def set_global_stats(self, n: int, avgdl: float, df_override: dict[str, int]) -> None:
         """Override corpus stats for doc-range-partitioned serving: this index
@@ -184,6 +193,20 @@ class Searcher:
             return np.empty(0, np.uint64), np.empty(0, np.uint64)
         entry, reader = hit
         return reader.read_postings(entry)
+
+    def stats(self) -> dict[str, int]:
+        """Query counters since this Searcher opened: candidate sets built
+        dense or sorted (``candidates``, every ranker), MaxScore answers
+        taken or bailed to the exhaustive scan, blocks decoded by targeted
+        ``read_tfs_for`` lookups, and hits and misses of the decoded-list
+        LRU."""
+        cache = self._decoded_cache
+        return {
+            **self._counts,
+            "targeted_blocks": sum(r.targeted_blocks for r in self._readers.values()),
+            "lru_hits": cache.hits if cache is not None else 0,
+            "lru_misses": cache.misses if cache is not None else 0,
+        }
 
     def close(self) -> None:
         for r in self._readers.values():
@@ -270,27 +293,50 @@ class Searcher:
         return {t: reader.read_postings(entry) for t, entry, reader, _ in distinct}
 
     def candidates(self, lists: dict, want_and: bool = False):
-        """The one candidate builder: sorted candidate docids of ``lists``
-        (the docs in any list, or in every list for AND) and a generator
-        yielding, per list in dict order, the positions in the candidates
-        of the docs it posts and their tfs. Dense lists take the docid-
-        indexed hit array, sparse ones the sorted union (module docstring);
-        both give the same answer."""
+        """The one candidate builder: ``(cand, slots, matches)``. ``cand``
+        holds the sorted docids of ``lists`` (the docs in any list, or in
+        every list for AND); ``matches`` yields, per list in dict order, the
+        slots of the docs it posts and their tfs. Dense lists take the
+        docid-indexed hit array and their slots are span offsets
+        (``docid - base``), with ``slots`` the offsets of ``cand``; sparse
+        ones take the sorted union and their slots index ``cand``, with
+        ``slots`` None (module docstring). Read a slot-indexed array in
+        ``cand`` order with ``at_cands``."""
         lists = list(lists.values())
-        return self._dense_candidates(lists, want_and) or self._sorted_candidates(
-            lists, want_and
-        )
+        got = self._dense_candidates(lists, want_and)
+        self._counts["dense_candidates" if got else "sorted_candidates"] += 1
+        return got or self._sorted_candidates(lists, want_and)
 
-    def _score_topk(self, cand, terms, matches, topk: int | None, tie_semantics: str = "heap"):
+    @staticmethod
+    def at_cands(a: np.ndarray, slots: np.ndarray | None) -> np.ndarray:
+        """A ``candidates`` slot-indexed array, read in ``cand`` order."""
+        return a if slots is None else a[slots]
+
+    def slot_dl(self, cand: np.ndarray, slots: np.ndarray | None) -> np.ndarray:
+        """Doc lengths indexed by ``candidates`` slots: gathered per
+        candidate on the sorted path, the whole span's on the dense path
+        (``DocLengths.dense``, loaded once per Searcher)."""
+        if slots is None:
+            return self.doclens.get_many(cand)
+        if self._span_dl is None:
+            self._span_dl = self.doclens.dense()
+        return self._span_dl
+
+    def _score_topk(
+        self, cand, slots, terms, matches, topk: int | None, tie_semantics: str = "heap"
+    ):
         """The one BM25 accumulate-and-select, under both top-k branches and
         the statically pruned lists of ``serving.bm25_pruned_topk_table``:
-        ``terms`` are ``resolve_terms`` rows in ascending-df order and
-        ``matches`` yields, per DISTINCT term in ``terms`` order, the positions
-        in ``cand`` that term posts and their tfs. Each distinct term's
-        contribution is computed once and added once per query occurrence,
-        at that occurrence's place in ``terms``. dl=0 docs score 0."""
-        dl_all = self.doclens.get_many(cand)
-        scores = np.zeros(cand.size, dtype=np.float64)
+        ``cand``, ``slots`` and ``matches`` as ``candidates`` gives them
+        (``slots`` None when ``matches`` indexes ``cand``), with ``matches``
+        yielding per DISTINCT term in ``terms`` order; ``terms`` are
+        ``resolve_terms`` rows in ascending-df order. Scores accumulate by
+        slot (a span-sized array on the dense path) and are read at the
+        candidates at the end. Each distinct term's contribution is computed
+        once and added once per query occurrence, at that occurrence's place
+        in ``terms``. dl=0 docs score 0."""
+        dl_all = self.slot_dl(cand, slots)
+        scores = np.zeros(dl_all.size, dtype=np.float64)
         contribs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for t, _, _, df in terms:
             if t not in contribs:
@@ -301,6 +347,7 @@ class Searcher:
                 contribs[t] = pos, contrib
             pos, contrib = contribs[t]
             scores[pos] += contrib
+        scores = self.at_cands(scores, slots)
         if tie_semantics == "sorted":
             keep = np.lexsort((cand, -scores))[:topk]
         else:
@@ -308,8 +355,8 @@ class Searcher:
         return [(int(cand[i]), float(scores[i])) for i in keep]
 
     def _dense_candidates(self, lists: list, want_and: bool):
-        """Candidates and per-list positions from a docid-indexed hit array
-        over the doclens span: no sort and no ``searchsorted``. ``None`` when
+        """Candidates from a docid-indexed hit array over the doclens span,
+        slots = span offsets: no sort and no ``searchsorted``. ``None`` when
         the store is empty, the lists (their decoded, shard-local lengths)
         are sparse for the span (see ``DENSE_SPAN_RATIO``), or a list posts a
         docid outside the span."""
@@ -318,7 +365,8 @@ class Searcher:
             return None
         if any(d.size and (int(d[0]) < base or int(d[-1]) >= base + span) for d, _ in lists):
             return None
-        offs = [(d - np.uint64(base)).astype(np.intp) for d, _ in lists]
+        # span offsets (below 2**63) as int64 views: no conversion pass
+        offs = [(d - np.uint64(base) if base else d).view(np.int64) for d, _ in lists]
         if want_and:
             cnt = np.zeros(span, dtype=np.min_scalar_type(len(lists)))
             for o in offs:
@@ -328,22 +376,22 @@ class Searcher:
             hit = np.zeros(span, dtype=bool)
             for o in offs:
                 hit[o] = True
-        cand = np.flatnonzero(hit).astype(np.uint64) + np.uint64(base)
+        slots = np.flatnonzero(hit)
+        cand = slots.astype(np.uint64) + np.uint64(base)
 
         def matches():
-            rank = np.cumsum(hit, dtype=np.intp) - 1
             for o, (_, f) in zip(offs, lists):
                 if want_and:
                     sel = hit[o]
                     o, f = o[sel], f[sel]
-                yield rank[o], f
+                yield o, f
 
-        return cand, matches()
+        return cand, slots, matches()
 
     @staticmethod
     def _sorted_candidates(lists: list, want_and: bool):
         """Candidates as the sorted union of the lists (cut to docs in every
-        list for AND), positions by ``searchsorted``."""
+        list for AND), slots = candidate indexes by ``searchsorted``."""
         cand = np.unique(np.concatenate([d for d, _ in lists]))
         if want_and:
             cnt = np.zeros(cand.size, dtype=np.int32)
@@ -359,11 +407,11 @@ class Searcher:
                     pos, f = pos[sel], f[sel]
                 yield pos, f
 
-        return cand, matches()
+        return cand, None, matches()
 
     # -- ranked: the one BM25 top-k path (serving) ----------------------
     def bm25_topk(
-        self, query: str, topk: int = 10, mode: str = "AND", tie_semantics: str = "heap"
+        self, query: str, topk: int | None = 10, mode: str = "AND", tie_semantics: str = "heap"
     ):
         """Vectorized BM25 top-k with the reference DAAT loop's exact results
         (docids, scores bit-for-bit; ``daat_ranker.py:47-141``): per-doc
@@ -378,21 +426,24 @@ class Searcher:
         ``tie_semantics``: "heap" (default) reproduces the reference's size-k
         min-heap boundary-tie membership exactly; "sorted" uses the
         normalized (-score, docid) cut — SQL-expressible (``ORDER BY score
-        DESC, docid LIMIT k``), used by the driver oracle queries; with
-        ``topk=None`` it returns every match, the reference TAAT ``search``
-        result (``searcher.py:52-90``; its loop is ``OracleIndex.search``)."""
+        DESC, docid LIMIT k``), used by the gate's SQL oracle queries. With
+        ``topk=None`` either rule returns every match (no MaxScore; a heap
+        with k >= matches keeps the sorted order), the reference TAAT
+        ``search`` result (``searcher.py:52-90``; its loop is
+        ``OracleIndex.search``)."""
         terms = sorted(self.resolve_terms(query), key=lambda r: r[3])
         if not terms or self.N == 0:
             return []
         want_and = mode.upper() == "AND" and len(terms) > 1
-        if not want_and and len(terms) > 1 and tie_semantics == "heap":
+        if not want_and and len(terms) > 1 and tie_semantics == "heap" and topk is not None:
             res = self._bm25_topk_maxscore(terms, topk)
+            self._counts["maxscore_bailed" if res is None else "maxscore_taken"] += 1
             if res is not None:
                 return res
-        cand, matches = self.candidates(self.decode(terms), want_and)
+        cand, slots, matches = self.candidates(self.decode(terms), want_and)
         if cand.size == 0:
             return []
-        return self._score_topk(cand, terms, matches, topk, tie_semantics)
+        return self._score_topk(cand, slots, terms, matches, topk, tie_semantics)
 
     def _bm25_topk_maxscore(self, terms: list[tuple], topk: int):
         """MaxScore candidate pruning over ``resolve_terms`` rows,
@@ -451,7 +502,7 @@ class Searcher:
                     pos = np.flatnonzero(tf)
                     yield pos, tf[pos]
 
-        res = self._score_topk(cand, terms, matches(), topk)
+        res = self._score_topk(cand, None, terms, matches(), topk)
         return res if ub_non < res[-1][1] else None
 
     # -- ranked: query-likelihood (Dirichlet-smoothed LM) ----------------
@@ -481,13 +532,14 @@ class Searcher:
         if not rows or T <= 0:
             return []
         lists = self.decode(rows)
-        cand, matches = self.candidates(lists)
-        den = self.doclens.get_many(cand).astype(np.float64) + mu
+        cand, slots, matches = self.candidates(lists)
+        dl = self.slot_dl(cand, slots)
+        den = self.at_cands(dl, slots).astype(np.float64) + mu
         logs = {}
         for t, (pos, f) in zip(lists, matches):
-            tfv = np.zeros(cand.size, dtype=np.float64)
+            tfv = np.zeros(dl.size, dtype=np.float64)
             tfv[pos] = f
-            logs[t] = np.log((tfv + mu * float(f.sum()) / T) / den)
+            logs[t] = np.log((self.at_cands(tfv, slots) + mu * float(f.sum()) / T) / den)
         scores = np.zeros(cand.size, dtype=np.float64)
         for t, _, _, _ in rows:
             scores += logs[t]
@@ -534,7 +586,7 @@ class Searcher:
         rows = self.resolve_terms(query)
         if not rows:
             return set()
-        cand, _ = self.candidates(self.decode(rows), mode.upper() == "AND")
+        cand, _, _ = self.candidates(self.decode(rows), mode.upper() == "AND")
         return set(cand.tolist())
 
 

@@ -747,15 +747,16 @@ def _tfidf_dots(s: Searcher, counts: dict[str, int]):
     if not rows:
         return None
     n = float(s.N)
-    cand, matches = s.candidates(s.decode(rows))
-    dots = np.zeros(cand.size, np.float64)
+    cand, slots, matches = s.candidates(s.decode(rows))
+    # accumulate by candidate slot: a span offset on the dense path
+    dots = np.zeros(cand.size if slots is None else s.doclens.span()[1], np.float64)
     norm_sq = 0.0
     for (t, _, _, df), (pos, f) in zip(rows, matches):
         idf = math.log(n / float(df))
         w = float(counts[t]) * idf
         norm_sq += w * w
         dots[pos] += w * (f.astype(np.float64) * idf)
-    return cand.astype(np.int64), dots, norm_sq
+    return cand.astype(np.int64), s.at_cands(dots, slots), norm_sq
 
 
 def _tfidf_norms(sf_dir: str) -> np.ndarray:
@@ -912,8 +913,8 @@ def bm25_pruned_topk_table(
             keep = np.lexsort((d, -f.astype(np.int64)))[:m]
             keep.sort()  # restore docid order within the pruned list
             lists[t] = d[keep], f[keep]
-        cand, matches = s.candidates(lists)
-        hits = s._score_topk(cand, terms, matches, topk, "sorted")
+        cand, slots, matches = s.candidates(lists)
+        hits = s._score_topk(cand, slots, terms, matches, topk, "sorted")
         q_l.append(np.full(len(hits), qid, np.int64))
         d_l.append(np.array([d for d, _ in hits], np.int64))
         s_l.append(np.round(np.array([x for _, x in hits], np.float64), round_to))

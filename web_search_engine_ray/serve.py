@@ -70,6 +70,14 @@ def create_app(
         data = request.get_json(silent=True)
         return data if isinstance(data, dict) else {}
 
+    def _count(data: dict, key: str, default: int) -> int | None:
+        # a JSON integer >= 1, ``default`` when omitted or null, None (the
+        # caller's 400) otherwise; bool is an int subclass: `true` must not
+        # pass as 1
+        v = data.get(key)
+        v = default if v is None else v
+        return v if type(v) is int and v >= 1 else None
+
     @app.route("/")
     def index():
         """Static search frontend (reference parity: ``HW2/app.py:51-54``
@@ -86,12 +94,10 @@ def create_app(
         data = _json_body()
         query = (data.get("query") or "").strip()
         mode = (data.get("mode") or "AND").upper()
-        topk = data.get("topk")
-        topk = 10 if topk is None else topk
+        topk = _count(data, "topk", 10)
         if not query:
             return jsonify({"error": "Empty query"}), 400
-        # bool is an int subclass: `true` must not pass as topk=1
-        if type(topk) is not int or topk < 1:
+        if topk is None:
             return jsonify({"error": "topk must be an integer >= 1"}), 400
         if mode not in ("AND", "OR", "PHRASE"):
             return jsonify({"error": "Invalid mode. Must be AND, OR or PHRASE"}), 400
@@ -193,9 +199,11 @@ def create_app(
         structure for: its lexicon is one hash dict)."""
         data = _json_body()
         prefix = (data.get("prefix") or "").strip().lower()
-        k = int(data.get("k") or 10)
+        k = _count(data, "k", 10)
         if not prefix:
             return jsonify({"error": "Empty prefix"}), 400
+        if k is None:
+            return jsonify({"error": "k must be an integer >= 1"}), 400
         t0 = time.perf_counter()
         comps = searcher.complete(prefix, k=k)
         return jsonify(
@@ -221,7 +229,9 @@ def create_app(
         pattern = (data.get("pattern") or "").strip()
         if not pattern:
             return jsonify({"error": "Empty pattern"}), 400
-        limit = int(data.get("limit") or 100)
+        limit = _count(data, "limit", 100)
+        if limit is None:
+            return jsonify({"error": "limit must be an integer >= 1"}), 400
         t0 = time.perf_counter()
         try:
             ids = match_docids_local(

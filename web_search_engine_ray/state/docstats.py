@@ -99,8 +99,11 @@ class DocLengths:
         return base, int(self._lo[-1]) + int(self._n[-1]) - base
 
     def dense(self) -> np.ndarray:
-        """Full dense dl array indexed from this store's first docid
-        (test/small-scale convenience only). Sized by the shards' docid SPAN,
+        """Full dense dl array indexed from this store's first docid: 4 B per
+        docid of the span. It backs the dense serving path
+        (``Searcher.slot_dl``), which a query takes only when its lists hold
+        at least 1/``DENSE_SPAN_RATIO`` of the span, so it is bounded like
+        that path's span-sized hit array. Sized by the shards' docid SPAN,
         not ``N`` — on a deletion-compacted index N counts only alive docs
         while the shards keep dl=0 placeholder rows for deleted slots."""
         base, span = self.span()

@@ -25,8 +25,13 @@ Differences from the reference (documented, SURVEY.md §7.5):
   per-block byte counts from the term-restarting block starts, one varbyte
   scatter for all gaps and one for all tfs into the ``[doc][freq]`` block
   layout) and makes one ``write``. Per-term and streamed heavy-term encodes
-  are the same kernel with one term. Decode is whole-term: the block
-  directory only decides where the byte stream is split.
+  are the same kernel with one term. Decode is one gather for any set of a
+  term's blocks (:meth:`PostingsShardReader._decode_block`): one index array
+  pulls the blocks' doc and freq bytes, one varbyte decode runs on each
+  stream, and a segmented cumsum restarts each block's gaps at its base.
+  ``read_postings`` gathers every block (cached per term); ``read_tfs_for``
+  gathers only the blocks its targets can fall in and answers them with one
+  ``searchsorted``.
 
 Rank/score parity requires identical *decoded* ``(docids, tfs, df)`` per term,
 not identical bytes — the reference's own conformance check compares decoded
@@ -244,19 +249,20 @@ class _DecodedLRU:
 class PostingsShardReader:
     """Reads a postings shard written by :class:`PostingsShardWriter`.
 
-    The shard file is memory-mapped read-only: block decodes slice the map
-    directly (zero syscalls per block, OS page cache shared across query
+    The shard file is memory-mapped read-only: block decodes gather from the
+    map directly (zero syscalls per block, OS page cache shared across query
     actors on a node — the serving model the reference approximates with one
     open fd per Searcher, ``HW2/engine/searcher.py:28``). On top of the page
     cache sits a byte-bounded LRU of DECODED arrays (``cache_bytes``, 0
-    disables) keyed per block and per whole term — repeated terms (stopword
-    queries, MaxScore block lookups) skip the varbyte decode entirely. Pass an
-    existing :class:`_DecodedLRU` as ``cache`` to SHARE one budget across
-    many readers (a Searcher over thousands of shards must have one global
-    bound, not one per shard — keys carry the shard path).
+    disables) keyed per whole term — repeated terms (stopword queries) skip
+    the varbyte decode entirely; ``read_tfs_for``'s targeted block decodes
+    are not cached. Pass an existing :class:`_DecodedLRU` as ``cache`` to
+    SHARE one budget across many readers (a Searcher over thousands of
+    shards must have one global bound, not one per shard — keys carry the
+    shard path).
 
-    Copy before mutating anything returned by read_postings/_decode_block:
-    cached arrays are read-only."""
+    Copy before mutating anything returned by read_postings: cached arrays
+    are read-only."""
 
     def __init__(
         self,
@@ -277,6 +283,7 @@ class PostingsShardReader:
             self.cache = cache
         else:
             self.cache = _DecodedLRU(cache_bytes) if cache_bytes else None
+        self.targeted_blocks = 0  # blocks decoded by read_tfs_for's block seek
 
     def close(self) -> None:
         self._view.release()
@@ -290,88 +297,103 @@ class PostingsShardReader:
     def __exit__(self, *exc):
         self.close()
 
-    def _read_extent(self, entry: dict) -> memoryview:
-        start = int(entry["offset"])
-        total = int(entry["blk_doc_bytes"].sum() + entry["blk_freq_bytes"].sum())
-        return self._view[start : start + total]
-
     def read_postings(self, entry: dict) -> tuple[np.ndarray, np.ndarray]:
-        """Full postings of a term -> (docids u64, freqs u64), whole-term
-        vectorized decode (gap chaining makes concatenated doc segments one
-        valid gap stream with base 0). Cached per term (read-only arrays —
-        copy before mutating)."""
+        """Full postings of a term -> (docids u64, freqs u64): the
+        :meth:`_decode_block` gather over all of the term's blocks. Cached
+        per term (read-only arrays — copy before mutating)."""
         if self.cache is not None:
             key = ("t", self.path, int(entry["offset"]))
             hit = self.cache.get(key)
             if hit is not None:
                 return hit
-        buf = self._read_extent(entry)
-        db, fb = entry["blk_doc_bytes"], entry["blk_freq_bytes"]
-        rel = entry["blk_offset"] - entry["offset"]
-        if entry["codec"] == "varbyte":
-            doc_parts = [buf[int(r) : int(r + n)] for r, n in zip(rel, db)]
-            freq_parts = [buf[int(r + n) : int(r + n + m)] for r, n, m in zip(rel, db, fb)]
-            docids = codecs.decode_docids(b"".join(doc_parts), 0)
-            freqs = codecs.decode_freqs(b"".join(freq_parts))
-        else:
-            doc_parts = [buf[int(r) : int(r + n)] for r, n in zip(rel, db)]
-            freq_parts = [buf[int(r + n) : int(r + n + m)] for r, n, m in zip(rel, db, fb)]
-            docids = np.frombuffer(b"".join(doc_parts), dtype="<u8").astype(np.uint64)
-            freqs = np.frombuffer(b"".join(freq_parts), dtype="<u4").astype(np.uint64)
+        docids, freqs = self._decode_block(entry, np.arange(entry["nblocks"]))
         if self.cache is not None:
-            self.cache.put(("t", self.path, int(entry["offset"])), docids, freqs)
+            self.cache.put(key, docids, freqs)
         return docids, freqs
 
-    def _decode_block(self, entry: dict, bidx: int) -> tuple[np.ndarray, np.ndarray]:
-        if self.cache is not None:
-            key = ("b", self.path, int(entry["offset"]), bidx)
-            hit = self.cache.get(key)
-            if hit is not None:
-                return hit
-        off = int(entry["blk_offset"][bidx])
-        db = int(entry["blk_doc_bytes"][bidx])
-        fb = int(entry["blk_freq_bytes"][bidx])
-        base = int(entry["blk_last_docid"][bidx - 1]) if bidx > 0 else 0
-        raw = self._view[off : off + db + fb]
-        if entry["codec"] == "varbyte":
-            docids = codecs.decode_docids(raw[:db], base)
-            freqs = codecs.decode_freqs(raw[db:])
+    def _decode_block(self, entry: dict, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Decode the term's blocks ``blocks`` (ascending block indexes) in
+        one gather: one index array pulls the blocks' bytes (a plain slice
+        when they are contiguous), a doc/freq mask splits them into one doc
+        and one freq stream, and each stream takes one decode. Docids come
+        back globally sorted: a segmented cumsum restarts each block's gaps
+        at its base, the previous block's ``last_docid`` (0 for block 0)."""
+        b = np.asarray(blocks, dtype=np.intp)
+        if not b.size:
+            return np.empty(0, np.uint64), np.empty(0, np.uint64)
+        off = entry["blk_offset"][b].astype(np.int64)
+        db = entry["blk_doc_bytes"][b].astype(np.int64)
+        fb = entry["blk_freq_bytes"][b].astype(np.int64)
+        raw = np.frombuffer(self._view, dtype=np.uint8)
+        lo, hi = int(off[0]), int(off[-1] + db[-1] + fb[-1])
+        contiguous = hi - lo == int(db.sum() + fb.sum())
+        buf = raw[lo:hi] if contiguous else raw[_extents(off, db + fb)]
+        lens = np.column_stack([db, fb]).ravel()  # [doc][freq] per block
+        is_doc = np.repeat(np.resize(np.array([True, False]), lens.size), lens)
+        doc_bytes, freq_bytes = buf[is_doc], buf[~is_doc]
+        varbyte = entry["codec"] == "varbyte"
+        if varbyte:
+            gaps, freqs = codecs.vb_decode(doc_bytes), codecs.vb_decode(freq_bytes)
         else:
-            docids = np.frombuffer(raw[:db], dtype="<u8").astype(np.uint64)
-            freqs = np.frombuffer(raw[db:], dtype="<u4").astype(np.uint64)
-        if docids.size != freqs.size:
+            gaps = doc_bytes.view("<u8").astype(np.uint64)  # raw docids are absolute
+            freqs = freq_bytes.view("<u4").astype(np.uint64)
+        if gaps.size != freqs.size:
             raise ValueError("corrupt block: docid/freq length mismatch")
-        if self.cache is not None:
-            self.cache.put(("b", self.path, int(entry["offset"]), bidx), docids, freqs)
-        return docids, freqs
+        if not varbyte:
+            return gaps, freqs
+        # block j's first gap counts from blk_last_docid[b_j - 1] (0 for
+        # block 0), but a plain cumsum reaches it at blk_last_docid[b_{j-1}]:
+        # add the difference at its first posting. Contiguous blocks differ
+        # only at the first; otherwise block j starts after as many postings
+        # as there are terminator bytes before its doc bytes
+        last = entry["blk_last_docid"]
+        base = last[np.maximum(b - 1, 0)]
+        if b[0] == 0:
+            base[0] = 0
+        base[1:] -= last[b[:-1]]
+        if contiguous:
+            gaps[0] += base[0]
+        else:
+            gaps[np.searchsorted(np.flatnonzero(doc_bytes & 0x80), _cumstarts(db))] += base
+        return np.cumsum(gaps, dtype=np.uint64), freqs
 
     def read_tfs_for(self, entry: dict, targets: np.ndarray) -> np.ndarray:
-        """tf lookup for a sorted docid array: decode ONLY the blocks that can
-        contain a target (block directory seek), 0 where absent. Falls back to
-        a full-list read when the targets touch most blocks anyway."""
+        """tf lookup for a docid array, 0 where absent: decodes ONLY the
+        blocks that can contain a target (block directory seek), in one
+        :meth:`_decode_block` gather, and answers every target with one
+        ``searchsorted``. Falls back to the full (cached) list when the
+        targets touch most blocks anyway."""
         t = np.ascontiguousarray(targets, dtype=np.uint64)
         out = np.zeros(t.size, dtype=np.uint64)
         if t.size == 0 or entry["df"] == 0:
             return out
-        last = entry["blk_last_docid"]
-        blk = np.searchsorted(last, t, side="left")
-        valid = blk < entry["nblocks"]
-        blocks = np.unique(blk[valid])
+        blk = np.searchsorted(entry["blk_last_docid"], t, side="left")
+        blocks = np.unique(blk[blk < entry["nblocks"]])
         if blocks.size > max(8, entry["nblocks"] // 2):
-            d_all, f_all = self.read_postings(entry)
-            pos = np.searchsorted(d_all, t)
-            ok = pos < d_all.size
-            ok[ok] = d_all[pos[ok]] == t[ok]
-            out[ok] = f_all[pos[ok]]
-            return out
-        for b in blocks:
-            d, f = self._decode_block(entry, int(b))
-            sel = np.flatnonzero(valid & (blk == b))
-            pos = np.searchsorted(d, t[sel])
-            ok = pos < d.size
-            ok[ok] &= d[pos[ok]] == t[sel][ok]
-            out[sel[ok]] = f[pos[ok]]
+            d, f = self.read_postings(entry)
+        else:
+            d, f = self._decode_block(entry, blocks)
+            self.targeted_blocks += int(blocks.size)
+        pos = np.searchsorted(d, t)
+        ok = pos < d.size
+        ok[ok] = d[pos[ok]] == t[ok]
+        out[ok] = f[pos[ok]]
         return out
+
+
+def _cumstarts(lengths: np.ndarray) -> np.ndarray:
+    """Start of each segment when segments of ``lengths`` sit back to back."""
+    at = np.zeros(lengths.size, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=at[1:])
+    return at
+
+
+def _extents(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """One index array over the extents ``[starts[i], starts[i] +
+    lengths[i])``, back to back."""
+    return np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
+        starts - _cumstarts(lengths), lengths
+    )
 
 
 def shard_path(index_dir: str, shard: int, kind: str) -> str:
