@@ -263,8 +263,8 @@ def dense_taken(monkeypatch):
     took = []
     orig = Searcher._dense_candidates
 
-    def spy(self, lists, want_and):
-        res = orig(self, lists, want_and)
+    def spy(self, *args):
+        res = orig(self, *args)
         took.append(res is not None)
         return res
 
@@ -348,10 +348,15 @@ def test_topk_none_returns_every_match_under_both_tie_rules(built, oracle):
             assert heap == _by_score(want), (q, mode)
 
 
-def test_searcher_stats_count_each_path(built):
+def test_searcher_stats_count_each_path(built, monkeypatch):
     """``Searcher.stats()`` counters each move on a query built to hit
     them: dense and sorted candidates, MaxScore taken and bailed, targeted
-    block decodes, and decoded-list LRU misses then hits."""
+    block decodes, decoded-list LRU misses then hits, and dense-list
+    contributions computed then found. A contribution lookup is not a
+    decoded-list lookup: it neither moves the LRU counters nor calls
+    ``_DecodedLRU.get``."""
+    from web_search_engine_ray.state.listio import _DecodedLRU
+
     out, _ = built
     s = Searcher(out)
 
@@ -366,12 +371,20 @@ def test_searcher_stats_count_each_path(built):
         "sorted_candidates",
         "maxscore_taken",
         "maxscore_bailed",
+        "contrib_hits",
+        "contrib_misses",
         "targeted_blocks",
         "lru_hits",
         "lru_misses",
     }
-    assert "lru_misses" in moved(lambda: s.bm25_topk("the", mode="OR"))
-    assert {"dense_candidates", "lru_hits"} <= moved(lambda: s.bm25_topk("the", mode="OR"))
+    assert {"lru_misses", "contrib_misses"} <= moved(lambda: s.bm25_topk("the", mode="OR"))
+    gets = []
+    orig_get = _DecodedLRU.get
+    monkeypatch.setattr(_DecodedLRU, "get", lambda c, key: gets.append(key) or orig_get(c, key))
+    warm = moved(lambda: s.bm25_topk("the", mode="OR"))
+    assert {"dense_candidates", "lru_hits", "contrib_hits"} <= warm
+    assert not {"lru_misses", "contrib_misses"} & warm
+    assert len(gets) == 1 and s.stats()["lru_hits"] == 1  # the decoded list only
     assert "sorted_candidates" in moved(lambda: s.bm25_topk("w0200 w0250", mode="AND"))
     # a rare term beside a stopword: MaxScore reads the stopword's tfs for
     # the rare term's docs from the blocks they fall in
@@ -400,6 +413,100 @@ def test_truncated_doclens_span_takes_sorted_path(built, oracle, dense_taken):
     dense_taken.clear()
     assert s.bm25_topk(q, topk=10, mode="OR") == want
     assert dense_taken == [False], q
+
+
+def test_dense_query_holds_doc_lengths_once(built, dense_taken):
+    """After a dense query the span's doc lengths are held once, in
+    ``DocLengths.dense()``: the shards a sorted-path query loaded leave the
+    shard LRU, and ``get_many`` then reads the span array with a fresh
+    store's answers (docids past the span read 0)."""
+    out, _ = built
+    s = Searcher(out)
+    assert s.bm25_topk("w0250 uq22x1", mode="AND")
+    assert dense_taken == [False] and s.doclens._cache
+    s.bm25_topk("the", mode="OR")
+    assert dense_taken == [False, True]
+    assert s.doclens._cache == {} and s.doclens.dense().size == s.doclens.span()[1]
+    _, span = s.doclens.span()
+    ids = np.random.default_rng(0).permutation(np.arange(span + 5, dtype=np.uint64))
+    ids = np.append(ids, np.uint64(2**63))
+    fresh = Searcher(out).doclens
+    assert s.doclens.get_many(ids).tolist() == fresh.get_many(ids).tolist()
+    assert s.doclens._cache == {}
+
+
+def _assert_equals_daat_loop(s, oracle, queries):
+    for q in queries:
+        for mode in ("OR", "AND"):
+            for topk in (1, 10, 50):
+                want = _by_score(oracle.ranked_daat(q, topk=topk, mode=mode))
+                assert s.bm25_topk(q, topk=topk, mode=mode) == want, (q, mode, topk)
+
+
+def test_contrib_cache_cold_warm_evicted_exact(built, oracle):
+    """A list dense on its own scores from its cached full-list BM25
+    contribution: answers stay bit-identical to the reference loop with the
+    cache cold and warm, thrashing (a budget of about one dense list, so a
+    term's decoded list and its contribution evict each other), too small
+    for any entry, and off (``cache_bytes=0``)."""
+    out, _ = built
+    assert "to" in oracle.index
+    queries = QUERIES + ["the the to"]
+    n = oracle.df("the")
+    hits, misses = {}, {}
+    for cache_bytes in (64 << 20, 24 * n, 1024, 0):
+        s = Searcher(out, cache_bytes=cache_bytes)
+        for _ in range(2):  # cold, then warm
+            _assert_equals_daat_loop(s, oracle, queries)
+        hits[cache_bytes], misses[cache_bytes] = (
+            s.stats()["contrib_hits"],
+            s.stats()["contrib_misses"],
+        )
+    assert hits[64 << 20] > 0 and hits[1024] == hits[0] == 0
+    # each dense list computed once when it fits, again after each eviction
+    assert 0 < misses[64 << 20] < misses[24 * n] < misses[1024] == misses[0]
+
+
+def test_contrib_cache_follows_global_stats(built, oracle):
+    """The cache is keyed by df, N and avgdl: after ``set_global_stats``
+    changes them, the same query scores with the new stats, and setting
+    the old ones back reuses the old entries (range actors set the same
+    stats before every query)."""
+    out, _ = built
+    s = Searcher(out)
+    q = "the the data"
+    dfs = {t: oracle.df(t) for t in ("the", "data")}
+    old = (s.N, s.avgdl)
+    s.set_global_stats(*old, dfs)
+    _assert_equals_daat_loop(s, oracle, [q])
+    assert s.stats()["contrib_misses"] > 0
+    n, avgdl = 3 * oracle.N, 1.25 * oracle.avgdl
+    s.set_global_stats(n, avgdl, dfs)
+    _assert_equals_daat_loop(s, _StatsOracle(oracle, n, avgdl, oracle.doc_lengths), [q])
+    before = s.stats()
+    s.set_global_stats(*old, dfs)
+    _assert_equals_daat_loop(s, oracle, [q])
+    after = s.stats()
+    assert after["contrib_hits"] > before["contrib_hits"]
+    assert after["contrib_misses"] == before["contrib_misses"]
+
+
+def test_contrib_cache_on_range_above_zero(ray_session, small_corpus_dir, tmp_path):
+    """A range index (docids from ``docid_offset`` > 0, as each range of a
+    partitioned index) scores dense lists from cached contributions at span
+    offsets, bit-identical to the reference loop over the range's docs."""
+    files = sorted(glob.glob(small_corpus_dir + "/*.parquet"))
+    off = pq.read_metadata(files[0]).num_rows
+    out = str(tmp_path / "range")
+    build_index(files[1:], out, partition_rows=700, num_shards=4, n_salts=3, docid_offset=off)
+    rows = [t for f in files[1:] for t in pq.read_table(f, columns=["text"])["text"].to_pylist()]
+    oracle = OracleIndex.build([(off + i, t) for i, t in enumerate(rows)])
+    s = Searcher(out)
+    assert s.doclens.span()[0] == off
+    for _ in range(2):  # cold, then warm
+        _assert_equals_daat_loop(s, oracle, QUERIES + ["the the to"])
+    st = s.stats()
+    assert st["contrib_hits"] > 0 and st["dense_candidates"] > 0
 
 
 def test_taat_matches_oracle(built, oracle):

@@ -201,6 +201,16 @@ def test_decoded_lru_cache(tmp_path):
     b1 = r._decode_block(entries["alpha"][0], [0])
     b2 = r._decode_block(entries["alpha"][0], [0])
     assert np.array_equal(b1[0], b2[0])
+    # a key put twice (two threads missed it at once) is held and counted
+    # once; ``find`` answers without moving the decoded-list counters
+    e = entries["alpha"][0]
+    key = ("t", r.path, int(e["offset"]))
+    held = r.cache.bytes
+    r.cache.put(key, *r._decode_block(e, np.arange(e["nblocks"])))
+    assert r.cache.bytes == held
+    counts = (r.cache.hits, r.cache.misses)
+    assert r.cache.find(key) is not None and r.cache.find(("t", "none", 0)) is None
+    assert (r.cache.hits, r.cache.misses) == counts
     r.close()
 
     # tiny budget: evicts, never exceeds the bound

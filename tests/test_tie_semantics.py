@@ -58,7 +58,8 @@ def test_vectorized_tie_set_matches_heap(tie_index):
 
 
 def test_bm25_pruned_recall_and_contract(ray_session, oracle_eq):
-    """Pruned serving: (a) matches its own SQL twin (gate test), (b) a
+    """Pruned serving: (a) matches its own SQL twin (gate test), also after
+    ``bm25_topk`` cached the same terms' full-list contributions, (b) a
     LARGE m degenerates to the exact unpruned answer, (c) recall@10 vs the
     full index stays high on the fixed queries at gate scale."""
     import duckdb
@@ -68,6 +69,7 @@ def test_bm25_pruned_recall_and_contract(ray_session, oracle_eq):
     from web_search_engine_ray.pipelines.serving import (
         bm25_pruned_topk_table,
         bm25_topk_table,
+        documents_searcher,
     )
 
     sf = "/root/testdata/sf0.001"
@@ -83,6 +85,17 @@ def test_bm25_pruned_recall_and_contract(ray_session, oracle_eq):
 
     # m >= corpus size: identical to the exact unpruned ranking
     full = bm25_topk_table(sf).to_pandas()
+    # pruned lists are built by the caller, so they neither read nor fill
+    # the contribution cache that ``bm25_topk`` just warmed on the same
+    # terms; on this 500-doc index some of them take the dense path
+    s = documents_searcher(sf)
+    before = s.stats()
+    assert before["contrib_hits"] + before["contrib_misses"] > 0
+    oracle_eq(bm25_pruned_topk_table(sf).to_pandas(), want)
+    after = s.stats()
+    assert after["dense_candidates"] > before["dense_candidates"]
+    assert after["contrib_hits"] == before["contrib_hits"]
+    assert after["contrib_misses"] == before["contrib_misses"]
     big_m = bm25_pruned_topk_table(sf, m=10**9).to_pandas()
     oracle_eq(big_m, full)
 

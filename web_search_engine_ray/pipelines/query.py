@@ -22,13 +22,20 @@ it), their docids are marked in a span-sized hit array (a per-doc count for
 AND) and scoring stays in docid space: a list's slots are its span offsets
 ``docid - base``, candidates are ``flatnonzero(hit)``, and BM25 accumulates
 into a span-sized array, reads dl by direct index from the span's doc
-lengths (``DocLengths.dense``, loaded once per Searcher) and reads the
+lengths (``DocLengths.dense``, built once per store) and reads the
 scores back at the candidates — no sort and no ``searchsorted``. Sparser
 lists, a docid outside the span, or an empty doclens store take the sorted
 union (``np.unique``) with ``searchsorted`` slots into it. Both give the
 same candidates and per-doc sums; BM25 feeds them to one
 accumulate-and-select (``_score_topk``), which computes each distinct
-term's contribution once. ``stats()`` counts which path each query took.
+term's contribution once. In ``bm25_topk`` a list dense in the span on its
+own takes its contribution from a cache (``_dense_contribs``): span offsets
+and every posting's BM25 value, in the decoded-list LRU's budget, keyed by
+the list and the df, N and avgdl that score it; scoring it is one
+scatter-add per query occurrence, over all its postings also for AND
+(scores are read at the candidates only, so each gets the same terms in
+the same order). Lists a caller builds never read or fill that cache.
+``stats()`` counts which path each query took.
 
 The reference's cursor loops (TAAT ``search``, DAAT top-k, DAAT set ops)
 live only in the in-memory ``oracle.OracleIndex`` (``search`` /
@@ -75,6 +82,11 @@ B = 0.75
 DENSE_SPAN_RATIO = 8
 RRF_K = 60  # the canonical constant (Cormack et al., SIGIR 2009)
 RRF_DEPTH = 50  # per-system pool depth feeding the fusion
+
+
+def _span_offsets(docids: np.ndarray, base: int) -> np.ndarray:
+    """``docids - base`` (below 2**63) as an int64 view: no conversion pass."""
+    return (docids - np.uint64(base) if base else docids).view(np.int64)
 
 
 def _heap_topk_select(docids: np.ndarray, scores: np.ndarray, k: int | None) -> list[int]:
@@ -135,9 +147,16 @@ class Searcher:
         from web_search_engine_ray.state.listio import _DecodedLRU
 
         self._decoded_cache = _DecodedLRU(cache_bytes) if cache_bytes else None
-        self._span_dl: np.ndarray | None = None  # DocLengths.dense(), on first dense query
         self._counts = dict.fromkeys(
-            ("dense_candidates", "sorted_candidates", "maxscore_taken", "maxscore_bailed"), 0
+            (
+                "dense_candidates",
+                "sorted_candidates",
+                "maxscore_taken",
+                "maxscore_bailed",
+                "contrib_hits",
+                "contrib_misses",
+            ),
+            0,
         )
 
     def set_global_stats(self, n: int, avgdl: float, df_override: dict[str, int]) -> None:
@@ -197,9 +216,10 @@ class Searcher:
     def stats(self) -> dict[str, int]:
         """Query counters since this Searcher opened: candidate sets built
         dense or sorted (``candidates``, every ranker), MaxScore answers
-        taken or bailed to the exhaustive scan, blocks decoded by targeted
-        ``read_tfs_for`` lookups, and hits and misses of the decoded-list
-        LRU."""
+        taken or bailed to the exhaustive scan, dense lists' BM25
+        contributions found in the cache or computed (``_dense_contribs``),
+        blocks decoded by targeted ``read_tfs_for`` lookups, and hits and
+        misses of the decoded-list LRU (decoded lists only)."""
         cache = self._decoded_cache
         return {
             **self._counts,
@@ -292,7 +312,7 @@ class Searcher:
         distinct = {r[0]: r for r in rows}.values()
         return {t: reader.read_postings(entry) for t, entry, reader, _ in distinct}
 
-    def candidates(self, lists: dict, want_and: bool = False):
+    def candidates(self, lists: dict, want_and: bool = False, dense: dict | None = None):
         """The one candidate builder: ``(cand, slots, matches)``. ``cand``
         holds the sorted docids of ``lists`` (the docs in any list, or in
         every list for AND); ``matches`` yields, per list in dict order, the
@@ -301,11 +321,14 @@ class Searcher:
         (``docid - base``), with ``slots`` the offsets of ``cand``; sparse
         ones take the sorted union and their slots index ``cand``, with
         ``slots`` None (module docstring). Read a slot-indexed array in
-        ``cand`` order with ``at_cands``."""
-        lists = list(lists.values())
-        got = self._dense_candidates(lists, want_and)
+        ``cand`` order with ``at_cands``. ``dense`` maps terms of ``lists``
+        to their ``_dense_contribs`` (``bm25_topk`` only): on the dense path
+        their offsets come from it and ``matches`` skips them, as
+        ``_score_topk`` adds their contributions from ``dense``."""
+        dense = dense or {}
+        got = self._dense_candidates(lists, want_and, dense)
         self._counts["dense_candidates" if got else "sorted_candidates"] += 1
-        return got or self._sorted_candidates(lists, want_and)
+        return got or self._sorted_candidates(list(lists.values()), want_and)
 
     @staticmethod
     def at_cands(a: np.ndarray, slots: np.ndarray | None) -> np.ndarray:
@@ -315,15 +338,20 @@ class Searcher:
     def slot_dl(self, cand: np.ndarray, slots: np.ndarray | None) -> np.ndarray:
         """Doc lengths indexed by ``candidates`` slots: gathered per
         candidate on the sorted path, the whole span's on the dense path
-        (``DocLengths.dense``, loaded once per Searcher)."""
+        (``DocLengths.dense``, built once per store)."""
         if slots is None:
             return self.doclens.get_many(cand)
-        if self._span_dl is None:
-            self._span_dl = self.doclens.dense()
-        return self._span_dl
+        return self.doclens.dense()
 
     def _score_topk(
-        self, cand, slots, terms, matches, topk: int | None, tie_semantics: str = "heap"
+        self,
+        cand,
+        slots,
+        terms,
+        matches,
+        topk: int | None,
+        tie_semantics: str = "heap",
+        dense: dict | None = None,
     ):
         """The one BM25 accumulate-and-select, under both top-k branches and
         the statically pruned lists of ``serving.bm25_pruned_topk_table``:
@@ -333,11 +361,12 @@ class Searcher:
         ``resolve_terms`` rows in ascending-df order. Scores accumulate by
         slot (a span-sized array on the dense path) and are read at the
         candidates at the end. Each distinct term's contribution is computed
-        once and added once per query occurrence, at that occurrence's place
-        in ``terms``. dl=0 docs score 0."""
+        once, or taken from ``dense`` (``candidates``' argument) on the dense
+        path, and added once per query occurrence, at that occurrence's
+        place in ``terms``. dl=0 docs score 0."""
         dl_all = self.slot_dl(cand, slots)
         scores = np.zeros(dl_all.size, dtype=np.float64)
-        contribs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        contribs = dict(dense or {}) if slots is not None else {}
         for t, _, _, df in terms:
             if t not in contribs:
                 pos, f = next(matches)
@@ -354,19 +383,23 @@ class Searcher:
             keep = _heap_topk_select(cand, scores, topk)
         return [(int(cand[i]), float(scores[i])) for i in keep]
 
-    def _dense_candidates(self, lists: list, want_and: bool):
+    def _dense_candidates(self, lists: dict, want_and: bool, dense: dict):
         """Candidates from a docid-indexed hit array over the doclens span,
         slots = span offsets: no sort and no ``searchsorted``. ``None`` when
         the store is empty, the lists (their decoded, shard-local lengths)
         are sparse for the span (see ``DENSE_SPAN_RATIO``), or a list posts a
         docid outside the span."""
         base, span = self.doclens.span()
-        if not span or DENSE_SPAN_RATIO * sum(d.size for d, _ in lists) < span:
+        if not span or DENSE_SPAN_RATIO * sum(d.size for d, _ in lists.values()) < span:
             return None
-        if any(d.size and (int(d[0]) < base or int(d[-1]) >= base + span) for d, _ in lists):
+        if any(
+            d.size and (int(d[0]) < base or int(d[-1]) >= base + span)
+            for d, _ in lists.values()
+        ):
             return None
-        # span offsets (below 2**63) as int64 views: no conversion pass
-        offs = [(d - np.uint64(base) if base else d).view(np.int64) for d, _ in lists]
+        offs = [
+            dense[t][0] if t in dense else _span_offsets(d, base) for t, (d, _) in lists.items()
+        ]
         if want_and:
             cnt = np.zeros(span, dtype=np.min_scalar_type(len(lists)))
             for o in offs:
@@ -380,13 +413,50 @@ class Searcher:
         cand = slots.astype(np.uint64) + np.uint64(base)
 
         def matches():
-            for o, (_, f) in zip(offs, lists):
+            for t, o, (_, f) in zip(lists, offs, lists.values()):
+                if t in dense:
+                    continue
                 if want_and:
                     sel = hit[o]
                     o, f = o[sel], f[sel]
                 yield o, f
 
         return cand, slots, matches()
+
+    def _dense_contribs(self, terms: list[tuple], lists: dict) -> dict:
+        """``term -> (span offsets, BM25 contributions)`` for the
+        ``decode(terms)`` lists dense in the doclens span on their own
+        (``DENSE_SPAN_RATIO``): every posting's ``_contrib_daat`` value, dl=0
+        postings zeroed. Found in, or added to, the decoded-list LRU's
+        budget, keyed by the list (shard path, lexicon offset) and the stats
+        that score it (df, N, avgdl): ``set_global_stats`` with the same
+        stats keeps reusing the entries. A warm dense query then scores by
+        one scatter-add per term occurrence (``_score_topk``)."""
+        base, span = self.doclens.span()
+        cache = self._decoded_cache
+        out = {}
+        for t, entry, reader, df in {r[0]: r for r in terms}.values():
+            d, f = lists[t]
+            if (
+                not span
+                or DENSE_SPAN_RATIO * d.size < span
+                or int(d[0]) < base
+                or int(d[-1]) >= base + span
+            ):
+                continue
+            key = ("c", reader.path, int(entry["offset"]), df, self.N, self.avgdl)
+            got = cache.find(key) if cache is not None else None
+            self._counts["contrib_misses" if got is None else "contrib_hits"] += 1
+            if got is None:
+                o = _span_offsets(d, base)
+                dl = self.doclens.dense()[o]
+                c = self._contrib_daat(f, df, dl)
+                c[dl == 0] = 0.0
+                got = o, c
+                if cache is not None:
+                    cache.put(key, o, c)
+            out[t] = got
+        return out
 
     @staticmethod
     def _sorted_candidates(lists: list, want_and: bool):
@@ -440,10 +510,12 @@ class Searcher:
             self._counts["maxscore_bailed" if res is None else "maxscore_taken"] += 1
             if res is not None:
                 return res
-        cand, slots, matches = self.candidates(self.decode(terms), want_and)
+        lists = self.decode(terms)
+        dense = self._dense_contribs(terms, lists)
+        cand, slots, matches = self.candidates(lists, want_and, dense)
         if cand.size == 0:
             return []
-        return self._score_topk(cand, slots, terms, matches, topk, tie_semantics)
+        return self._score_topk(cand, slots, terms, matches, topk, tie_semantics, dense)
 
     def _bm25_topk_maxscore(self, terms: list[tuple], topk: int):
         """MaxScore candidate pruning over ``resolve_terms`` rows,

@@ -51,15 +51,19 @@ class DocLengths:
         self._n = np.array([s[1] for s in spans], dtype=np.int64)
         self._paths = [s[2] for s in spans]
         self._cache: dict[int, np.ndarray] = {}
+        self._dense: np.ndarray | None = None  # ``dense()``, once built
         # bound resident dl shards (LRU) — at 10^12 docs the full table can't
         # live in one process; 4096 shards x 100k rows x 4B ≈ 1.6 GB cap
         self.max_cached_shards = 4096
 
+    def _read_shard(self, si: int) -> np.ndarray:
+        t = pq.read_table(self._paths[si], columns=["dl"])
+        return t["dl"].combine_chunks().to_numpy(zero_copy_only=False).astype(np.uint32)
+
     def _shard_dl(self, si: int) -> np.ndarray:
         arr = self._cache.get(si)
         if arr is None:
-            t = pq.read_table(self._paths[si], columns=["dl"])
-            arr = t["dl"].combine_chunks().to_numpy(zero_copy_only=False).astype(np.uint32)
+            arr = self._read_shard(si)
             if len(self._cache) >= self.max_cached_shards:
                 self._cache.pop(next(iter(self._cache)))
             self._cache[si] = arr
@@ -71,9 +75,16 @@ class DocLengths:
     def get_many(self, docids: np.ndarray) -> np.ndarray:
         """Vectorized dl lookup for a sorted-or-not docid array, in one pass
         grouped by shard: a stable argsort (linear on sorted input) orders
-        the docids, and the span starts cut that order into shard groups."""
+        the docids, and the span starts cut that order into shard groups.
+        Once ``dense()`` is built, one direct index into it instead."""
         d = np.ascontiguousarray(docids, dtype=np.uint64)
         out = np.zeros(d.size, dtype=np.uint32)
+        if self._dense is not None:
+            # docids outside the span read dl = 0, as past a span's rows
+            base = np.uint64(self.span()[0])
+            ok = (d >= base) & (d - base < np.uint64(self._dense.size))
+            out[ok] = self._dense[(d[ok] - base).view(np.int64)]
+            return out
         order = np.argsort(d, kind="stable")
         ds = d[order]
         # shard s holds ds[cut[s]:cut[s + 1]]; ds[:cut[0]] lies below the
@@ -105,14 +116,21 @@ class DocLengths:
         at least 1/``DENSE_SPAN_RATIO`` of the span, so it is bounded like
         that path's span-sized hit array. Sized by the shards' docid SPAN,
         not ``N`` — on a deletion-compacted index N counts only alive docs
-        while the shards keep dl=0 placeholder rows for deleted slots."""
-        base, span = self.span()
-        out = np.zeros(span, dtype=np.uint32)
-        for si in range(len(self._paths)):
-            dl = self._shard_dl(si)
-            lo = int(self._lo[si]) - base
-            out[lo : lo + dl.size] = dl
-        return out
+        while the shards keep dl=0 placeholder rows for deleted slots.
+        Built once: it takes over the shards already loaded, and later
+        ``get_many`` calls read it, so each doc length is held once."""
+        if self._dense is None:
+            base, span = self.span()
+            out = np.zeros(span, dtype=np.uint32)
+            for si in range(len(self._paths)):
+                dl = self._cache.pop(si, None)
+                if dl is None:
+                    dl = self._read_shard(si)
+                lo = int(self._lo[si]) - base
+                out[lo : lo + dl.size] = dl
+            out.setflags(write=False)
+            self._dense = out
+        return self._dense
 
 
 def write_stats(doclen_dir: str, n: int, total_tokens: int) -> dict:

@@ -212,8 +212,11 @@ class PostingsShardWriter:
 
 class _DecodedLRU:
     """Byte-bounded LRU for decoded posting arrays (the engine's version of
-    the reference's decoded-block cache, ``HW2/profkit.py:30-47``). Values
-    are (docids, freqs) numpy pairs, marked read-only before caching so a
+    the reference's decoded-block cache, ``HW2/profkit.py:30-47``), one
+    budget for every numpy tuple a Searcher keeps: a term's decoded
+    ``(docids, freqs)`` (``get``, counted in ``hits``/``misses``) and a
+    dense list's ``(span offsets, BM25 contributions)`` (``find``, counted
+    by the Searcher). Arrays are marked read-only before caching so a
     mutating caller fails loudly instead of corrupting later hits."""
 
     def __init__(self, max_bytes: int):
@@ -221,28 +224,36 @@ class _DecodedLRU:
         self.bytes = 0
         self.hits = 0
         self.misses = 0
-        self._d: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._d: dict[tuple, tuple[np.ndarray, ...]] = {}
 
     def get(self, key: tuple):
-        got = self._d.get(key)
+        """A decoded list's arrays, or None; counted as a hit or a miss."""
+        got = self.find(key)
         if got is None:
             self.misses += 1
-            return None
-        self.hits += 1
-        self._d[key] = self._d.pop(key)  # refresh LRU position
+        else:
+            self.hits += 1
         return got
 
-    def put(self, key: tuple, docids: np.ndarray, freqs: np.ndarray):
-        sz = int(docids.nbytes + freqs.nbytes)
-        if sz > self.max_bytes:
-            return  # one giant list must not evict the whole cache
-        docids.setflags(write=False)
-        freqs.setflags(write=False)
+    def find(self, key: tuple):
+        """``get`` without the decoded-list counters."""
+        got = self._d.pop(key, None)
+        if got is not None:
+            self._d[key] = got  # refresh LRU position
+        return got
+
+    def put(self, key: tuple, *arrays: np.ndarray):
+        sz = sum(int(a.nbytes) for a in arrays)
+        if sz > self.max_bytes or key in self._d:
+            # one giant list must not evict the whole cache; a key two
+            # callers missed at once is held (and counted) once
+            return
+        for a in arrays:
+            a.setflags(write=False)
         while self.bytes + sz > self.max_bytes and self._d:
-            oldest = next(iter(self._d))
-            d, f = self._d.pop(oldest)
-            self.bytes -= int(d.nbytes + f.nbytes)
-        self._d[key] = (docids, freqs)
+            oldest = self._d.pop(next(iter(self._d)))
+            self.bytes -= sum(int(a.nbytes) for a in oldest)
+        self._d[key] = arrays
         self.bytes += sz
 
 
