@@ -231,28 +231,36 @@ def test_vectorized_equals_daat_loop(built, oracle):
 
 
 def test_maxscore_path_taken_and_exact(built, oracle, monkeypatch):
-    """The MaxScore branch is the one remaining pruning path: it must
-    answer (not bail to the exhaustive scan) on some conformance queries,
-    and every answer it gives is bit-identical to the oracle loop."""
+    """The MaxScore branch is the one remaining pruning path, under either
+    tie rule: it must answer (not bail to the exhaustive scan) on some
+    conformance queries, and every answer it gives is bit-identical to the
+    oracle loop: its heap, or its every match in (-score, docid) order cut
+    to k."""
     out, _ = built
-    s = Searcher(out)
     taken = []
     orig = Searcher._bm25_topk_maxscore
 
-    def spy(self, terms, topk):
-        res = orig(self, terms, topk)
+    def spy(self, *args):
+        res = orig(self, *args)
         if res is not None:
             taken.append((q, topk, res))
         return res
 
     monkeypatch.setattr(Searcher, "_bm25_topk_maxscore", spy)
-    for q in QUERIES:
-        for topk in (1, 3, 10, 50):
-            s.bm25_topk(q, topk=topk, mode="OR")
-    assert taken, "MaxScore never answered a conformance query"
-    for q, topk, res in taken:
-        want = _by_score(oracle.ranked_daat(q, topk=topk, mode="OR"))
-        assert res == want, (q, topk)
+    for tie in ("heap", "sorted"):
+        s = Searcher(out)
+        taken.clear()
+        for q in QUERIES:
+            for topk in (1, 3, 10, 50):
+                s.bm25_topk(q, topk=topk, mode="OR", tie_semantics=tie)
+        assert taken, f"MaxScore never answered a conformance query ({tie})"
+        assert s.stats()["maxscore_taken"] == len(taken)
+        for q, topk, res in taken:
+            if tie == "heap":
+                want = _by_score(oracle.ranked_daat(q, topk=topk, mode="OR"))
+            else:
+                want = _by_score(oracle.ranked_daat(q, topk=oracle.N, mode="OR"))[:topk]
+            assert res == want, (tie, q, topk)
 
 
 @pytest.fixture
@@ -346,6 +354,20 @@ def test_topk_none_returns_every_match_under_both_tie_rules(built, oracle):
             assert heap == s.bm25_topk(q, topk=None, mode=mode, tie_semantics="sorted")
             want = oracle.ranked_daat(q, topk=max(1, len(oracle.boolean(q, mode))), mode=mode)
             assert heap == _by_score(want), (q, mode)
+
+
+def test_topk_zero_returns_nothing_from_every_ranker(built):
+    """``topk=0`` keeps no candidate in every ranker (``topk_order``): a
+    stopword's BM25 top-0 under either tie rule, with MaxScore's mixed
+    query too, and the QL and RRF top-0."""
+    out, _ = built
+    s = Searcher(out)
+    for q in ("the", "the data", "uq22x1 the"):
+        for mode in ("OR", "AND"):
+            for tie in ("heap", "sorted"):
+                assert s.bm25_topk(q, topk=0, mode=mode, tie_semantics=tie) == [], (q, tie)
+        assert s.ql_topk(q, topk=0) == []
+        assert s.rrf_topk(q, topk=0) == []
 
 
 def test_searcher_stats_count_each_path(built, monkeypatch):

@@ -41,17 +41,28 @@ def tie_index(ray_session, tmp_path_factory):
 
 
 def test_vectorized_tie_set_matches_heap(tie_index):
+    """Under ``heap`` ties the served top-k keeps the reference heap's
+    docids; under ``sorted`` ties it is the oracle's every match in
+    (-score, docid) order cut to k. For most k here the 40 identical docs
+    tie exactly at the k-th score."""
     idx, texts = tie_index
     s = Searcher(idx)
     oracle = OracleIndex.build(list(enumerate(texts)))
+
+    def by_score(res):
+        return sorted(res, key=lambda x: (-x[1], x[0]))
+
     for q in ["data", "data data", "data common"]:
-        for topk in (5, 10, 39, 41):
-            fast = s.bm25_topk(q, topk=topk, mode="OR")
-            slow = sorted(
-                oracle.ranked_daat(q, topk=topk, mode="OR"), key=lambda x: (-x[1], x[0])
-            )
-            assert [d for d, _ in fast] == [d for d, _ in slow], (q, topk)
-            assert [x for _, x in fast] == [x for _, x in slow], (q, topk)
+        every = by_score(oracle.ranked_daat(q, topk=oracle.N, mode="OR"))
+        for topk in (1, 3, 5, 10, 39, 41):
+            for tie in ("heap", "sorted"):
+                fast = s.bm25_topk(q, topk=topk, mode="OR", tie_semantics=tie)
+                if tie == "heap":
+                    slow = by_score(oracle.ranked_daat(q, topk=topk, mode="OR"))
+                else:
+                    slow = every[:topk]
+                assert [d for d, _ in fast] == [d for d, _ in slow], (q, topk, tie)
+                assert [x for _, x in fast] == [x for _, x in slow], (q, topk, tie)
 
 
 # -- statically pruned (tiered) serving ---------------------------------------

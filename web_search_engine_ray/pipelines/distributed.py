@@ -18,10 +18,11 @@ Query protocol (exactness argument):
    globals into each actor (``Searcher.set_global_stats``);
 3. in AND mode an actor whose range lacks one of the globally-known terms
    returns nothing (no local doc can match all terms);
-4. the coordinator merges per-range top-k by ``(-score, docid)`` and cuts to
-   k — identical to the single-index ``bm25_topk(tie_semantics="sorted")``
-   because per-doc scores are bit-identical and the cut rule is the same
-   (proven in ``tests/test_distributed.py``).
+4. the coordinator merges per-range top-k with ``query.topk_order``, the
+   same (-score, docid) cut each range and the single-index
+   ``bm25_topk(tie_semantics="sorted")`` make — identical to the latter
+   because per-doc scores are bit-identical and the cut is the same
+   function (proven in ``tests/test_distributed.py``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,10 @@ import json
 import math
 import os
 
+import numpy as np
+
 from web_search_engine_ray.functions.tokenize import query_terms
+from web_search_engine_ray.pipelines.query import topk_order
 from web_search_engine_ray.sources.transcripts import corpus_files
 from web_search_engine_ray.state import manifest as mf
 
@@ -400,7 +404,8 @@ class RangeSearcher:
         # (most tombstones can't even score for this query) and doubles on
         # shortfall up to topk + len(dels), the worst case (each deleted doc
         # displaces at most one live hit) — so a huge uncompacted delete set
-        # no longer defeats the MaxScore cutoff on every query
+        # does not defeat the MaxScore cutoff, which ``sorted`` ties take
+        # like ``heap``, on every query
         dels = set(exclude)
         cap = topk + len(dels)
         fetch = min(cap, topk + min(len(dels), max(16, topk)))
@@ -472,8 +477,9 @@ class PartitionedSearcher:
             ]
         )
         merged = [x for r in results for x in r]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:topk]
+        ids = np.array([d for d, _ in merged], np.uint64)
+        scores = np.array([x for _, x in merged], np.float64)
+        return [merged[i] for i in topk_order(ids, scores, topk)]
 
     def shutdown(self) -> None:
         import ray

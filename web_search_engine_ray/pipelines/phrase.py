@@ -49,6 +49,7 @@ import pyarrow.parquet as pq
 
 from web_search_engine_ray.functions.codecs import vb_decode, vb_encode, vb_sizes
 from web_search_engine_ray.functions.tokenize import token_lists
+from web_search_engine_ray.pipelines.query import topk_order
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
 
 N_SHARDS = 8
@@ -643,7 +644,7 @@ def bm25_proximity_table(
     Exactness under bounded work at scale: the boost is bounded by ln 2, so
     only candidates with bm25 >= theta_k - ln 2 (theta_k = the k-th best raw
     BM25 score) can enter the rescored top-k; a serving path would rescore
-    just that candidate slice. At gate scale ``bm25_topk(topk=None)``
+    just that candidate slice. At gate scale ``bm25_scores``
     already yields every matching doc, so the full rescore is the same
     work. SQL twin: ``__ray_entry__`` joins the bm25 ``scored`` CTE to the
     min-window legs under the identical ln(1 + coalesce(exp(-w), 0))
@@ -684,8 +685,8 @@ def proximity_boosted_hits(
 ):
     """[(docid, raw boosted score)] — the shared rescore core of
     :func:`bm25_proximity_table` and the HTTP API's ``proximity_boost``
-    option. The base scores are every match of ``bm25_topk``'s sorted cut
-    (``topk=None``), the one BM25 scorer.
+    option. The base scores are ``Searcher.bm25_scores`` of every match,
+    the one BM25 scorer, and the cut is ``topk_order``.
 
     Identity contract: the boost joins the Searcher's docids (dense build
     ordinals, reference semantics) against the positional index's stored
@@ -700,11 +701,10 @@ def proximity_boosted_hits(
     boost is bounded by ln 2, so an exact bounded variant rescores only the
     AND set intersected with {bm25 >= theta_k - ln 2}; here the base pass
     already has every matching doc's score."""
-    base = searcher.bm25_topk(query, topk=None, mode=mode, tie_semantics="sorted")
-    if not base:
+    docs, comb = searcher.bm25_scores(query, mode)
+    if not docs.size:
         return []
-    docs = np.array([d for d, _ in base], np.int64)
-    comb = np.array([sc for _, sc in base], np.float64)
+    docs = docs.astype(np.int64)
     terms = token_lists(pa.array([query], pa.string())).to_list()[0] or []
     wdocs, wl = min_window_lengths(pos_index_dir, list(terms), n_shards)
     if wdocs.size:
@@ -713,8 +713,8 @@ def proximity_boosted_hits(
         ok = wdocs[pos] == docs
         # same expression shape as the SQL twin (ln(1+x), not log1p)
         comb[ok] += np.log(1.0 + np.exp(-wl[pos[ok]].astype(np.float64)))
-    order = np.lexsort((docs, -comb))[:topk]
-    return [(int(docs[i]), float(comb[i])) for i in order]
+    keep = topk_order(docs, comb, topk)
+    return list(zip(docs[keep].tolist(), comb[keep].tolist()))
 
 
 # -- ordered window (#od:k) -----------------------------------------------------

@@ -3,14 +3,20 @@
 API surface mirrors the reference's ``Searcher`` (``HW2/engine/searcher.py``):
 
 - ``bm25_topk(query, topk, mode)``   — the one BM25 scorer, used by every
-  ranked surface: postings are scored vectorized in the reference DAAT
-  loop's per-doc accumulation order (terms ascending-df,
-  ``HW2/engine/daat_ranker.py:47-141``) with its exact boundary-tie heap,
-  plus a score-exact MaxScore branch for rare+stopword OR queries;
-  ``topk=None`` returns every match in (-score, docid) order under either
-  tie rule (the reference TAAT ``search`` contract)
+  ranked surface: ``bm25_scores`` scores every match vectorized in the
+  reference DAAT loop's per-doc accumulation order (terms ascending-df,
+  ``HW2/engine/daat_ranker.py:47-141``), plus a score-exact MaxScore branch
+  for rare+stopword OR queries under either tie rule; ``topk=None`` returns
+  every match in (-score, docid) order (the reference TAAT ``search``
+  contract), ``topk=0`` none
+- ``topk_order(ids, scores, k, tie)`` — the one top-k cut under every
+  ranker here and in ``serving``, ``phrase``, ``similarity``, ``rag``,
+  ``distributed`` and ``serve``: θ-bounded (only candidates reaching the
+  k-th score are ranked), with the reference heap's boundary ties
+  (``tie="heap"``) or the (-score, id) sort's (``"sorted"``)
 - ``boolean(query, mode)``           — full-postings set intersection/union
 - ``ql_topk(query, topk)``           — Dirichlet query likelihood
+  (``ql_scores`` cut by ``topk_order``)
 - ``resolve_terms`` / ``decode`` / ``candidates`` — the one term resolver
   (each distinct term looked up once) and the one candidate builder under
   every ranker here and in ``serving``, ``phrase`` and ``transcripts_ops``
@@ -26,16 +32,16 @@ lengths (``DocLengths.dense``, built once per store) and reads the
 scores back at the candidates — no sort and no ``searchsorted``. Sparser
 lists, a docid outside the span, or an empty doclens store take the sorted
 union (``np.unique``) with ``searchsorted`` slots into it. Both give the
-same candidates and per-doc sums; BM25 feeds them to one
-accumulate-and-select (``_score_topk``), which computes each distinct
-term's contribution once. In ``bm25_topk`` a list dense in the span on its
-own takes its contribution from a cache (``_dense_contribs``): span offsets
-and every posting's BM25 value, in the decoded-list LRU's budget, keyed by
-the list and the df, N and avgdl that score it; scoring it is one
-scatter-add per query occurrence, over all its postings also for AND
-(scores are read at the candidates only, so each gets the same terms in
-the same order). Lists a caller builds never read or fill that cache.
-``stats()`` counts which path each query took.
+same candidates and per-doc sums; BM25 feeds them to one accumulate
+(``_score``), which computes each distinct term's contribution once. In
+``bm25_topk`` a list dense in the span on its own takes its contribution
+from a cache (``_dense_contribs``): span offsets and every posting's BM25
+value, in the decoded-list LRU's budget, keyed by the list and the df, N
+and avgdl that score it; scoring it is one scatter-add per query
+occurrence, over all its postings also for AND (scores are read at the
+candidates only, so each gets the same terms in the same order). Lists a
+caller builds never read or fill that cache. ``stats()`` counts which path
+each query took.
 
 The reference's cursor loops (TAAT ``search``, DAAT top-k, DAAT set ops)
 live only in the in-memory ``oracle.OracleIndex`` (``search`` /
@@ -89,35 +95,39 @@ def _span_offsets(docids: np.ndarray, base: int) -> np.ndarray:
     return (docids - np.uint64(base) if base else docids).view(np.int64)
 
 
-def _heap_topk_select(docids: np.ndarray, scores: np.ndarray, k: int | None) -> list[int]:
-    """Top-k selection with the reference's exact tie semantics.
+def topk_order(
+    ids: np.ndarray, scores: np.ndarray, k: int | None, tie: str = "sorted"
+) -> np.ndarray:
+    """Indexes of the top ``k`` of ``(ids, scores)`` in (-score, id) order:
+    the one top-k cut under every ranker. ``scores`` are float or signed
+    int; ``k=None`` keeps every candidate and ``k=0`` none.
 
-    The reference keeps a size-k min-heap of ``(score, docid)`` tuples over
-    docs in ascending-docid order and only replaces on strictly-greater score
-    (``daat_ranker.py:125-131``). For docs tied at the final threshold this
-    keeps a specific docid subset that a plain ``(-score, docid)`` sort does
-    NOT reproduce (the heap evicts smallest-docid ties first). Docs scoring
-    below the k-th largest score can neither enter nor influence the final
-    heap, so emulating the heap over only the ``score >= theta*`` subsequence
-    (ascending docid) yields the identical final set at O(m log k).
-    ``k=None`` keeps every candidate. Returns candidate indices ordered by
-    (-score, docid)."""
+    Only candidates that can reach θ, the k-th largest score, are ranked
+    (the θ-bounded cut of SAP, ICDE 2018): more than k of them exist only
+    when docs tie at θ, and ``tie`` picks which of those survive.
+    "sorted" keeps the smallest ids, SQL's ``ORDER BY score DESC, id
+    LIMIT k``. "heap" keeps those the reference's size-k min-heap keeps over
+    docs in ascending-id order, replacing only on a strictly greater score
+    (``daat_ranker.py:125-131``); it evicts the smallest-id ties first. Docs
+    below θ can neither enter nor perturb that heap, so running it over the
+    ``>= θ`` candidates alone keeps the same docs."""
     n = scores.size
-    if k is None or n <= k:
-        order = np.lexsort((docids, -scores))
-        return list(order)
+    if k is None or k >= n:
+        return np.lexsort((ids, -scores))
+    if k <= 0:
+        return np.empty(0, np.intp)
     theta = np.partition(scores, n - k)[n - k]
-    idx = np.flatnonzero(scores >= theta)  # ascending docid
-    top: list[tuple[float, int, int]] = []  # (score, docid, cand_index)
-    for i in idx:
-        sc = float(scores[i])
-        d = int(docids[i])
-        if len(top) < k:
-            heapq.heappush(top, (sc, d, int(i)))
-        elif sc > top[0][0]:
-            heapq.heapreplace(top, (sc, d, int(i)))
-    top.sort(key=lambda x: (-x[0], x[1]))
-    return [i for _, _, i in top]
+    idx = np.flatnonzero(scores >= theta)
+    if tie == "heap" and idx.size > k:
+        idx = idx[np.argsort(ids[idx], kind="stable")]
+        top: list[tuple] = []  # (score, id, index)
+        for item in zip(scores[idx].tolist(), ids[idx].tolist(), idx.tolist()):
+            if len(top) < k:
+                heapq.heappush(top, item)
+            elif item[0] > top[0][0]:
+                heapq.heapreplace(top, item)
+        idx = np.array([i for _, _, i in top], np.intp)
+    return idx[np.lexsort((ids[idx], -scores[idx]))[:k]]
 
 
 class Searcher:
@@ -249,7 +259,8 @@ class Searcher:
             return []
         # ascii-safe exclusive upper bound for the prefix range
         hi_key = prefix + "\x7f"
-        cands: list[tuple[int, str]] = []  # (-df, term)
+        terms: list[str] = []
+        dfs = [np.empty(0, np.int64)]
         # heavy terms live in dedicated salted shards PAST num_shards — a
         # prefix can complete to one, so scan those lexicons too
         for sid in range(self.num_shards + len(self.heavy)):
@@ -258,22 +269,14 @@ class Searcher:
                 continue
             lo = bisect.bisect_left(lex.terms, prefix)
             hi = bisect.bisect_left(lex.terms, hi_key, lo=lo)
-            if hi <= lo:
-                continue
-            dfs = lex.df[lo:hi]
-            if hi - lo > k:
-                # stable (df desc, term asc) cut: argpartition on df alone
-                # drops the lexicographically-first of df-tied terms at the
-                # k boundary, diverging from the SQL twin's row_number order
-                # (terms[lo:hi] is already sorted, so index order is term
-                # order)
-                keep = np.lexsort((np.arange(hi - lo), -dfs))[:k]
-            else:
-                keep = np.arange(hi - lo)
-            for i in keep:
-                cands.append((-int(dfs[i]), lex.terms[lo + int(i)]))
-        cands.sort()
-        return [(t, -nd) for nd, t in cands[:k]]
+            # (df desc, term) cut: terms[lo:hi] is sorted, so index order
+            # is term order, the SQL twin's row_number tie-break
+            keep = topk_order(np.arange(hi - lo), lex.df[lo:hi], k)
+            terms += [lex.terms[lo + i] for i in keep.tolist()]
+            dfs.append(lex.df[lo:hi][keep])
+        dfs = np.concatenate(dfs)
+        keep = topk_order(np.array(terms, dtype=str), dfs, k).tolist()
+        return [(terms[i], int(dfs[i])) for i in keep]
 
     # -- scoring helpers ------------------------------------------------
     def _idf(self, df: int) -> float:
@@ -324,7 +327,7 @@ class Searcher:
         ``cand`` order with ``at_cands``. ``dense`` maps terms of ``lists``
         to their ``_dense_contribs`` (``bm25_topk`` only): on the dense path
         their offsets come from it and ``matches`` skips them, as
-        ``_score_topk`` adds their contributions from ``dense``."""
+        ``_score`` adds their contributions from ``dense``."""
         dense = dense or {}
         got = self._dense_candidates(lists, want_and, dense)
         self._counts["dense_candidates" if got else "sorted_candidates"] += 1
@@ -343,27 +346,19 @@ class Searcher:
             return self.doclens.get_many(cand)
         return self.doclens.dense()
 
-    def _score_topk(
-        self,
-        cand,
-        slots,
-        terms,
-        matches,
-        topk: int | None,
-        tie_semantics: str = "heap",
-        dense: dict | None = None,
-    ):
-        """The one BM25 accumulate-and-select, under both top-k branches and
-        the statically pruned lists of ``serving.bm25_pruned_topk_table``:
-        ``cand``, ``slots`` and ``matches`` as ``candidates`` gives them
-        (``slots`` None when ``matches`` indexes ``cand``), with ``matches``
-        yielding per DISTINCT term in ``terms`` order; ``terms`` are
-        ``resolve_terms`` rows in ascending-df order. Scores accumulate by
-        slot (a span-sized array on the dense path) and are read at the
-        candidates at the end. Each distinct term's contribution is computed
-        once, or taken from ``dense`` (``candidates``' argument) on the dense
-        path, and added once per query occurrence, at that occurrence's
-        place in ``terms``. dl=0 docs score 0."""
+    def _score(self, cand, slots, terms, matches, dense: dict | None = None) -> np.ndarray:
+        """The one BM25 accumulate, under ``bm25_scores``, MaxScore and the
+        statically pruned lists of ``serving.bm25_pruned_topk_table``: the
+        score of each of ``cand``. ``cand``, ``slots`` and ``matches`` are as
+        ``candidates`` gives them (``slots`` None when ``matches`` indexes
+        ``cand``), with ``matches`` yielding per DISTINCT term in ``terms``
+        order; ``terms`` are ``resolve_terms`` rows in ascending-df order.
+        Scores accumulate by slot (a span-sized array on the dense path) and
+        are read at the candidates at the end. Each distinct term's
+        contribution is computed once, or taken from ``dense``
+        (``candidates``' argument) on the dense path, and added once per
+        query occurrence, at that occurrence's place in ``terms``. dl=0 docs
+        score 0."""
         dl_all = self.slot_dl(cand, slots)
         scores = np.zeros(dl_all.size, dtype=np.float64)
         contribs = dict(dense or {}) if slots is not None else {}
@@ -376,12 +371,7 @@ class Searcher:
                 contribs[t] = pos, contrib
             pos, contrib = contribs[t]
             scores[pos] += contrib
-        scores = self.at_cands(scores, slots)
-        if tie_semantics == "sorted":
-            keep = np.lexsort((cand, -scores))[:topk]
-        else:
-            keep = _heap_topk_select(cand, scores, topk)
-        return [(int(cand[i]), float(scores[i])) for i in keep]
+        return self.at_cands(scores, slots)
 
     def _dense_candidates(self, lists: dict, want_and: bool, dense: dict):
         """Candidates from a docid-indexed hit array over the doclens span,
@@ -431,7 +421,7 @@ class Searcher:
         budget, keyed by the list (shard path, lexicon offset) and the stats
         that score it (df, N, avgdl): ``set_global_stats`` with the same
         stats keeps reusing the entries. A warm dense query then scores by
-        one scatter-add per term occurrence (``_score_topk``)."""
+        one scatter-add per term occurrence (``_score``)."""
         base, span = self.doclens.span()
         cache = self._decoded_cache
         out = {}
@@ -479,45 +469,61 @@ class Searcher:
 
         return cand, None, matches()
 
-    # -- ranked: the one BM25 top-k path (serving) ----------------------
+    # -- ranked: the one BM25 scorer (serving) -----------------------------
     def bm25_topk(
         self, query: str, topk: int | None = 10, mode: str = "AND", tie_semantics: str = "heap"
     ):
         """Vectorized BM25 top-k with the reference DAAT loop's exact results
-        (docids, scores bit-for-bit; ``daat_ranker.py:47-141``): per-doc
-        accumulation runs over terms in ascending-df order, matching the
-        tied-cursor pop order of the reference loop (SURVEY.md §7.7), and
-        boundary ties keep the reference heap's docids. Tested equal to the
-        in-memory ``OracleIndex.ranked_daat``. OR-mode queries mixing rare
-        terms with stopwords route through a score-exact MaxScore path
-        (prune heavy-term-only candidates when their upper bound provably
-        cannot reach the top-k threshold; automatic fallback otherwise).
+        (docids, scores bit-for-bit; ``daat_ranker.py:47-141``): the
+        ``bm25_scores`` of every match, cut by ``topk_order``, so boundary
+        ties keep the reference heap's docids. Tested equal to the in-memory
+        ``OracleIndex.ranked_daat``. OR-mode queries mixing rare terms with
+        stopwords first try a score-exact MaxScore path (prune heavy-term-only
+        candidates when their upper bound provably cannot reach the top-k
+        threshold; automatic fallback otherwise), under either tie rule.
 
         ``tie_semantics``: "heap" (default) reproduces the reference's size-k
         min-heap boundary-tie membership exactly; "sorted" uses the
         normalized (-score, docid) cut — SQL-expressible (``ORDER BY score
-        DESC, docid LIMIT k``), used by the gate's SQL oracle queries. With
-        ``topk=None`` either rule returns every match (no MaxScore; a heap
-        with k >= matches keeps the sorted order), the reference TAAT
-        ``search`` result (``searcher.py:52-90``; its loop is
-        ``OracleIndex.search``)."""
-        terms = sorted(self.resolve_terms(query), key=lambda r: r[3])
-        if not terms or self.N == 0:
-            return []
+        DESC, docid LIMIT k``), used by the gate's SQL oracle queries and the
+        range actors. ``topk=None`` returns every match under either rule
+        (no MaxScore), the reference TAAT ``search`` result
+        (``searcher.py:52-90``; its loop is ``OracleIndex.search``);
+        ``topk=0`` returns none."""
+        terms = self._bm25_terms(query)
         want_and = mode.upper() == "AND" and len(terms) > 1
-        if not want_and and len(terms) > 1 and tie_semantics == "heap" and topk is not None:
-            res = self._bm25_topk_maxscore(terms, topk)
+        if not want_and and len(terms) > 1 and topk:
+            res = self._bm25_topk_maxscore(terms, topk, tie_semantics)
             self._counts["maxscore_bailed" if res is None else "maxscore_taken"] += 1
             if res is not None:
                 return res
+        cand, scores = self._bm25_scores(terms, want_and)
+        keep = topk_order(cand, scores, topk, tie_semantics)
+        return list(zip(cand[keep].tolist(), scores[keep].tolist()))
+
+    def bm25_scores(self, query: str, mode: str = "AND") -> tuple[np.ndarray, np.ndarray]:
+        """``(docids, scores)`` of every match, docids ascending: per-doc
+        accumulation runs over terms in ascending-df order, matching the
+        tied-cursor pop order of the reference loop (SURVEY.md §7.7)."""
+        terms = self._bm25_terms(query)
+        return self._bm25_scores(terms, mode.upper() == "AND" and len(terms) > 1)
+
+    def _bm25_terms(self, query: str) -> list[tuple]:
+        """``resolve_terms`` rows in ascending-df order (stable); none on an
+        empty index."""
+        return sorted(self.resolve_terms(query), key=lambda r: r[3]) if self.N else []
+
+    def _bm25_scores(self, terms: list[tuple], want_and: bool):
+        if not terms:
+            return np.empty(0, np.uint64), np.empty(0, np.float64)
         lists = self.decode(terms)
         dense = self._dense_contribs(terms, lists)
         cand, slots, matches = self.candidates(lists, want_and, dense)
         if cand.size == 0:
-            return []
-        return self._score_topk(cand, slots, terms, matches, topk, tie_semantics, dense)
+            return cand, np.empty(0, np.float64)
+        return cand, self._score(cand, slots, terms, matches, dense)
 
-    def _bm25_topk_maxscore(self, terms: list[tuple], topk: int):
+    def _bm25_topk_maxscore(self, terms: list[tuple], topk: int, tie_semantics: str):
         """MaxScore candidate pruning over ``resolve_terms`` rows,
         score-exact or bail.
 
@@ -528,10 +534,11 @@ class Searcher:
         stopword's list is never fully decoded). A doc matched ONLY by
         non-essential terms scores at most the sum of their upper bounds
         (``bm25(max blk tf, dl=1)``); when that bound is STRICTLY below the
-        candidate top-k threshold, such docs can neither enter nor perturb
-        the reference heap (same >=theta* argument as ``_heap_topk_select``),
-        so the candidate-only answer is exact. Returns ``None`` (caller falls
-        back to exhaustive scoring) whenever the bound doesn't separate.
+        candidates' top-k threshold θ, such docs can neither enter the top k
+        nor tie at θ, so the candidate-only answer is exact under either tie
+        rule (``topk_order``'s ``>= θ`` argument). Returns ``None`` (caller
+        falls back to exhaustive scoring) whenever the bound doesn't
+        separate.
         """
         dfs = [df for _, _, _, df in terms]
         cutoff = max(50 * topk, self.N // 20)
@@ -574,13 +581,17 @@ class Searcher:
                     pos = np.flatnonzero(tf)
                     yield pos, tf[pos]
 
-        res = self._score_topk(cand, None, terms, matches(), topk)
-        return res if ub_non < res[-1][1] else None
+        scores = self._score(cand, None, terms, matches())
+        keep = topk_order(cand, scores, topk, tie_semantics)
+        if not ub_non < scores[keep[-1]]:
+            return None
+        return list(zip(cand[keep].tolist(), scores[keep].tolist()))
 
     # -- ranked: query-likelihood (Dirichlet-smoothed LM) ----------------
-    def ql_topk(self, query: str, topk: int | None = 10, mu: float = 2000.0):
-        """Dirichlet-smoothed query-likelihood ranking (Zhai & Lafferty,
-        SIGIR 2001) — the second classic ranking family next to BM25:
+    def ql_scores(self, query: str, mu: float = 2000.0):
+        """``(docids, scores)`` of every candidate, docids ascending, under
+        Dirichlet-smoothed query likelihood (Zhai & Lafferty, SIGIR 2001),
+        the second classic ranking family next to BM25:
 
             score(q, d) = sum_t ln( (tf(t,d) + mu * cf(t)/T) / (dl(d) + mu) )
 
@@ -602,7 +613,7 @@ class Searcher:
         rows = self.resolve_terms(query)
         T = float(self.doclens.total_tokens)
         if not rows or T <= 0:
-            return []
+            return np.empty(0, np.uint64), np.empty(0, np.float64)
         lists = self.decode(rows)
         cand, slots, matches = self.candidates(lists)
         dl = self.slot_dl(cand, slots)
@@ -615,9 +626,13 @@ class Searcher:
         scores = np.zeros(cand.size, dtype=np.float64)
         for t, _, _, _ in rows:
             scores += logs[t]
-        order = np.lexsort((cand, -scores))
-        out = [(int(cand[i]), float(scores[i])) for i in order]
-        return out[:topk] if topk else out
+        return cand, scores
+
+    def ql_topk(self, query: str, topk: int | None = 10, mu: float = 2000.0):
+        """``ql_scores`` cut to ``topk`` by (-score, docid)."""
+        cand, scores = self.ql_scores(query, mu)
+        keep = topk_order(cand, scores, topk)
+        return list(zip(cand[keep].tolist(), scores[keep].tolist()))
 
     # -- ranked: reciprocal-rank fusion -----------------------------------
     def rrf_topk(self, query: str, topk: int = 10):
@@ -637,19 +652,14 @@ class Searcher:
         and the cut boundary the same deterministic rule as the twin's
         ROUND(...)-ordered row_number (adversarial-gate tie blocks)."""
         fused: dict[int, float] = {}
-        for raw in (
-            self.bm25_topk(query, topk=None, mode="OR", tie_semantics="sorted"),
-            self.ql_topk(query, topk=None),
-        ):
-            docs = np.array([d for d, _ in raw], np.int64)
-            sc = np.round(np.array([x for _, x in raw], np.float64), 6)
-            for rank, i in enumerate(np.lexsort((docs, -sc))[:RRF_DEPTH], start=1):
-                d = int(docs[i])
+        for docs, sc in (self.bm25_scores(query, "OR"), self.ql_scores(query)):
+            pool = docs[topk_order(docs, np.round(sc, 6), RRF_DEPTH)]
+            for rank, d in enumerate(pool.tolist(), start=1):
                 fused[d] = fused.get(d, 0.0) + 1.0 / (RRF_K + rank)
-        docs = np.array(sorted(fused), np.int64)
-        scores = np.array([fused[int(d)] for d in docs], np.float64)
-        order = np.lexsort((docs, -scores))[:topk]
-        return [(int(docs[i]), float(scores[i])) for i in order]
+        docs = np.fromiter(fused, np.int64, len(fused))
+        scores = np.fromiter(fused.values(), np.float64, len(fused))
+        keep = topk_order(docs, scores, topk)
+        return list(zip(docs[keep].tolist(), scores[keep].tolist()))
 
     # -- boolean ---------------------------------------------------------
     def boolean(self, query: str, mode: str = "AND") -> set[int]:

@@ -43,6 +43,7 @@ import pyarrow as pa
 
 from web_search_engine_ray.functions.tokenize import token_lists
 from web_search_engine_ray.pipelines.dedup import _token_hashes
+from web_search_engine_ray.pipelines.query import topk_order
 
 EMBED_DIM = 64
 CHUNK_UID_SHIFT = 20  # chunk_uid = docid << 20 | chunk_idx
@@ -191,7 +192,6 @@ def rag_topk(
     from web_search_engine_ray.pipelines.similarity import (
         _knn_partials_table,
         _merge_query_topk,
-        _topk_det,
     )
 
     with open(os.path.join(store_dir, "rag_store.json")) as f:
@@ -213,10 +213,9 @@ def rag_topk(
         S = np.asarray(ray.get(qref), dtype=np.float64) @ M.T
         out_q, out_v, out_s = [], [], []
         for qi in range(S.shape[0]):
-            k = min(topk, vid.size)
-            if not live[qi] or k == 0:
+            if not live[qi]:
                 continue
-            keep = _topk_det(S[qi], vid, k)
+            keep = topk_order(vid, np.round(S[qi], 6), topk)
             out_q.append(np.full(keep.size, qi, dtype=np.int64))
             out_v.append(vid[keep])
             out_s.append(S[qi][keep])
@@ -443,7 +442,6 @@ def rag_topk_ivf(
         _empty_knn_table,
         _knn_partials_table,
         _merge_query_topk,
-        _topk_det,
     )
     from web_search_engine_ray.functions.arrays import list_matrix
 
@@ -493,8 +491,7 @@ def rag_topk_ivf(
                 continue
             s = S[qi, idx]
             v = vid[idx]
-            k = min(topk, v.size)
-            keep = _topk_det(s, v, k)
+            keep = topk_order(v, np.round(s, 6), topk)
             out_q.append(np.full(keep.size, qi, dtype=np.int64))
             out_v.append(v[keep])
             out_s.append(s[keep])

@@ -13,7 +13,7 @@ import pyarrow as pa
 
 from web_search_engine_ray.pipelines.build import build_index, code_fingerprint
 # RRF_K / RRF_DEPTH are read here by the ``rrf_fusion`` SQL twin
-from web_search_engine_ray.pipelines.query import RRF_DEPTH, RRF_K, Searcher
+from web_search_engine_ray.pipelines.query import RRF_DEPTH, RRF_K, Searcher, topk_order
 from web_search_engine_ray.stages.exchange import arrow_refs
 
 # Fixed query set over the documents vocabulary (bench_search.py-style fixed
@@ -167,12 +167,9 @@ def rm3_expanded_table(
         for docid, _score in fb:
             counts.update(tokenize(store.get_text(int(docid))))
         qset = set(query_terms(q))
-        exp = [
-            t
-            for _, t in sorted(
-                ((-c, t) for t, c in counts.items() if t not in qset)
-            )[:fb_terms]
-        ]
+        new = np.array([t for t in counts if t not in qset], dtype=str)
+        n = np.array([counts[t] for t in new.tolist()], np.int64)
+        exp = new[topk_order(new, n, fb_terms)].tolist()  # (-count, term)
         expanded = q if not exp else q + " " + " ".join(exp)
         for docid, score in s.bm25_topk(
             expanded, topk=topk, mode="OR", tie_semantics="sorted"
@@ -474,8 +471,7 @@ def hybrid_rerank_table(
         # identically on both sides (fuzz gate, seed 1)
         cos = np.round(M[row_of[qid]] @ M[rows].T, round_to)
         docs = ids[rows]
-        order = np.lexsort((docs, -cos))[:k2]
-        for i in order:
+        for i in topk_order(docs, cos, k2):
             q_l.append(qid)
             d_l.append(int(docs[i]))
             c_l.append(float(cos[i]))
@@ -587,9 +583,9 @@ def bm25_facet_topk_table(
     """(query_id, source, docid, score) — the best ``topk`` BM25 hits per
     (query, facet) where the facet is the document's ``source`` attribute.
 
-    Engine path: score every OR match once (``bm25_topk`` with
-    ``topk=None``, sorted cut), gather ``source`` for the matched docids
-    only, then a vectorized per-facet cut by
+    Engine path: score every OR match once (``Searcher.bm25_scores``),
+    gather ``source`` for the matched docids only, then a vectorized
+    per-facet cut by
     (-score, docid) — SQL ``row_number() OVER (PARTITION BY query, source
     ORDER BY score DESC, docid)`` semantics, which the DuckDB twin replays.
 
@@ -603,14 +599,11 @@ def bm25_facet_topk_table(
     queries = queries if queries is not None else FIXED_QUERIES
     q_parts, d_parts, s_parts = [], [], []
     for qid, q in enumerate(queries):
-        res = s.bm25_topk(q, topk=None, mode="OR", tie_semantics="sorted")
-        if not res:
+        d, sc = s.bm25_scores(q, "OR")
+        if not d.size:
             continue
-        n = len(res)
-        d = np.fromiter((r[0] for r in res), np.int64, n)
-        sc = np.fromiter((r[1] for r in res), np.float64, n)
-        q_parts.append(np.full(n, qid, np.int64))
-        d_parts.append(d)
+        q_parts.append(np.full(d.size, qid, np.int64))
+        d_parts.append(d.astype(np.int64))
         s_parts.append(sc)
     if not q_parts:
         return pa.table(
@@ -862,7 +855,7 @@ def more_like_this_table(
         # tie exactly in math, epsilon-apart in float accumulation — both
         # sides rank the rounded score so ties fall to docid
         scores = np.round(dots / (norms[sdoc] * norms[cand]), round_to)
-        order = np.lexsort((cand, -scores))[:topk]
+        order = topk_order(cand, scores, topk)
         q_l.append(np.full(order.size, qid, np.int64))
         d_l.append(cand[order])
         s_l.append(scores[order])
@@ -910,14 +903,14 @@ def bm25_pruned_topk_table(
             continue
         lists = {}
         for t, (d, f) in s.decode(terms).items():
-            keep = np.lexsort((d, -f.astype(np.int64)))[:m]
-            keep.sort()  # restore docid order within the pruned list
+            keep = np.sort(topk_order(d, f.astype(np.int64), m))  # docid order
             lists[t] = d[keep], f[keep]
         cand, slots, matches = s.candidates(lists)
-        hits = s._score_topk(cand, slots, terms, matches, topk, "sorted")
-        q_l.append(np.full(len(hits), qid, np.int64))
-        d_l.append(np.array([d for d, _ in hits], np.int64))
-        s_l.append(np.round(np.array([x for _, x in hits], np.float64), round_to))
+        scores = s._score(cand, slots, terms, matches)
+        keep = topk_order(cand, scores, topk)
+        q_l.append(np.full(keep.size, qid, np.int64))
+        d_l.append(cand[keep].astype(np.int64))
+        s_l.append(np.round(scores[keep], round_to))
     return pa.table(
         {
             "query_id": pa.array(np.concatenate(q_l) if q_l else [], pa.int64()),
@@ -997,7 +990,7 @@ def vsm_topk_table(
         # rounded score makes both sides fall through to the docid tie-break
         # (adversarial-gate tie blocks)
         scores = np.round(dots / (math.sqrt(qnorm_sq) * norms[cand]), round_to)
-        order = np.lexsort((cand, -scores))[:topk]
+        order = topk_order(cand, scores, topk)
         q_l.append(np.full(order.size, qid, np.int64))
         d_l.append(cand[order])
         s_l.append(scores[order])
@@ -1025,22 +1018,21 @@ def bm25_source_boost_table(
     boost is a deterministic function of the attribute so the twin needs
     no side table: weight(source) = 1 + (len(source) % 3) * 0.25. Sources
     are gathered for CANDIDATES ONLY (:func:`_gather_doc_sources`, the
-    hybrid-rerank shape); one ``bm25_topk`` pass over every OR match
+    hybrid-rerank shape); ``Searcher.bm25_scores`` of every OR match
     supplies the base scores."""
     s = documents_searcher(sf_dir)
     queries = queries if queries is not None else FIXED_QUERIES
     q_l, d_l, s_l = [], [], []
     for qid, q in enumerate(queries):
-        base = s.bm25_topk(q, topk=None, mode="OR", tie_semantics="sorted")
-        if not base:
+        docs, sc = s.bm25_scores(q, "OR")
+        if not docs.size:
             continue
-        docs = np.array([d for d, _ in base], np.int64)
-        sc = np.array([x for _, x in base], np.float64)
+        docs = docs.astype(np.int64)
         ids, srcs = _gather_doc_sources(sf_dir, docs)
         pos = np.searchsorted(ids, docs)
         w = 1.0 + (np.char.str_len(srcs[pos].astype(str)) % 3) * 0.25
         sc = sc * w
-        order = np.lexsort((docs, -sc))[:topk]
+        order = topk_order(docs, sc, topk)
         q_l.append(np.full(order.size, qid, np.int64))
         d_l.append(docs[order])
         s_l.append(np.round(sc[order], round_to))

@@ -31,28 +31,11 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from web_search_engine_ray.functions.arrays import list_matrix
+from web_search_engine_ray.pipelines.query import topk_order
 
 
 def _norm_rows(M: np.ndarray) -> np.ndarray:
     return M / np.maximum(np.linalg.norm(M, axis=1, keepdims=True), 1e-12)
-
-
-def _topk_det(s: np.ndarray, vid: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the deterministic (-cos, vec_id) top-k cut: O(n)
-    argpartition to the score threshold, then a lexsort over the (small)
-    boundary-tie candidate set — exact-cosine ties at the k boundary resolve
-    to the smallest vec_id, matching the oracle's ORDER BY ROUND(cos, 6)
-    DESC, vec_id. The cut ranks the ROUNDED score: mathematically-tied
-    cosines (orthogonal/duplicate vectors) sit epsilon apart between the
-    engine's normalize-then-dot floats and SQL's raw-value sums, so only the
-    rounded rule makes the docid tie-break engage identically on both sides
-    (fuzz gate)."""
-    s = np.round(s, 6)
-    part = np.argpartition(-s, k - 1)[:k]
-    thresh = s[part].min()
-    cand = np.flatnonzero(s >= thresh)
-    order = np.lexsort((vid[cand], -s[cand]))[:k]
-    return cand[order]
 
 
 def _empty_knn_table() -> pa.Table:
@@ -78,17 +61,23 @@ def _knn_partials_table(out_q, out_v, out_s) -> pa.Table:
 
 
 def _merge_query_topk(partials, topk: int) -> pa.Table:
-    """Driver-side merge of per-batch top-k partials: per query, sort by
-    (cos desc, vec_id asc) — the deterministic tie contract every kNN
-    variant and the SQL oracle share — cut to ``topk``, round cos to 6."""
+    """Driver-side merge of per-batch top-k partials: per query, the
+    (cos desc, vec_id asc) cut to ``topk`` (``topk_order``) — the
+    deterministic tie contract every kNN variant and the SQL oracle share —
+    with cos rounded to 6.
+
+    Every cut ranks the cosine ROUNDED to 6, the oracle's ORDER BY
+    ROUND(cos, 6) DESC, vec_id: mathematically-tied cosines
+    (orthogonal/duplicate vectors) sit epsilon apart between the engine's
+    normalize-then-dot floats and SQL's raw-value sums, so only the rounded
+    rule makes the vec_id tie-break engage identically on both sides (fuzz
+    gate). The per-batch cuts and this final one use the same rule."""
     import pandas as pd
 
     out = []
-    # round BEFORE the sort (the _topk_det contract): the per-batch cuts
-    # already rank rounded scores, and the final cut must use the same rule
     partials = partials.assign(cos=partials["cos"].round(6))
     for qid, grp in partials.groupby("query_id"):
-        out.append(grp.sort_values(["cos", "vec_id"], ascending=[False, True]).head(topk))
+        out.append(grp.iloc[topk_order(grp["vec_id"].to_numpy(), grp["cos"].to_numpy(), topk)])
     if not out:
         return _empty_knn_table()
     merged = pd.concat(out).reset_index(drop=True)
@@ -146,10 +135,7 @@ def knn_cosine(sf_dir: str, n_queries: int = 3, topk: int = 10) -> pa.Table:
             mask = ids != q_ids[qi]
             s = sims[qi][mask]
             vid = ids[mask]
-            k = min(topk, s.size)
-            if k == 0:
-                continue
-            part = _topk_det(s, vid, k)
+            part = topk_order(vid, np.round(s, 6), topk)
             out_q.append(np.full(part.size, q_ids[qi], dtype=np.int64))
             out_v.append(vid[part])
             out_s.append(s[part])
@@ -191,8 +177,7 @@ def lsh_bucketed_knn(
                 continue
             s = qm[qi] @ V[mask].T
             vid = ids[mask]
-            k = min(topk, s.size)
-            part = _topk_det(s, vid, k)
+            part = topk_order(vid, np.round(s, 6), topk)
             out_q.append(np.full(part.size, q_ids[qi], dtype=np.int64))
             out_v.append(vid[part])
             out_s.append(s[part])
@@ -279,8 +264,7 @@ def ivf_knn(
                 continue
             s = qm[qi] @ V[mask].T
             vid = ids[mask]
-            k = min(topk, s.size)
-            part = _topk_det(s, vid, k)
+            part = topk_order(vid, np.round(s, 6), topk)
             out_q.append(np.full(part.size, q_ids[qi], dtype=np.int64))
             out_v.append(vid[part])
             out_s.append(s[part])
@@ -377,11 +361,10 @@ def pq_knn(
             if not mask.any():
                 continue
             vid = ids[mask]
-            short = min(topk * oversample, vid.size)
-            cand = _topk_det(adc[qi][mask], vid, short)  # ADC shortlist
-            s = qm[qi] @ V[mask][cand].T  # exact rerank, shortlist only
-            k = min(topk, s.size)
-            keep = _topk_det(s, vid[cand], k)
+            # ADC shortlist, then an exact rerank of the shortlist only
+            cand = topk_order(vid, np.round(adc[qi][mask], 6), topk * oversample)
+            s = qm[qi] @ V[mask][cand].T
+            keep = topk_order(vid[cand], np.round(s, 6), topk)
             out_q.append(np.full(keep.size, q_ids[qi], dtype=np.int64))
             out_v.append(vid[cand][keep])
             out_s.append(s[keep])

@@ -48,17 +48,40 @@ import polars as pl
 import pyarrow as pa
 
 from web_search_engine_ray.functions.tokenize import token_lists
+from web_search_engine_ray.stages import exchange
 from web_search_engine_ray.stages.exchange import hash_route
 
 _EPOCH_DIV = 1_000_000  # us -> s, the events-family epoch convention
 
 
 def _read(corpus: str | list[str], columns: list[str]):
+    """The corpus's ``columns`` as a Dataset. Zero-row files are left out
+    (footer reads): Ray Data reads one as an empty block with no columns,
+    which its executor logs as a "different schema". An all-empty corpus
+    reads its first file."""
+    import pyarrow.parquet as pq
     import ray.data
 
     from web_search_engine_ray.sources.transcripts import corpus_files
 
-    return ray.data.read_parquet(corpus_files(corpus), columns=columns)
+    files = corpus_files(corpus)
+    rows = [f for f in files if pq.read_metadata(f).num_rows]
+    return ray.data.read_parquet(rows or files[:1], columns=columns)
+
+
+def _aggregate(name: str, corpus, columns: list[str], partial, partial_schema, key, merge):
+    """``merge`` per ``key`` hash partition of the per-block ``partial``
+    aggregates of ``corpus``'s ``columns``: one read into block refs, one
+    exchange sized from it (``chain_parts``). An empty block (a read may
+    give it no columns at all) yields an empty ``partial_schema`` table."""
+
+    def part(t: pa.Table) -> pa.Table:
+        return partial(t) if t.num_rows else partial_schema.empty_table()
+
+    refs = exchange.arrow_refs(_read(corpus, columns))
+    n = exchange.chain_parts(refs)
+    out = exchange.exchange_map(exchange.map_refs(part, refs), hash_route(key, n), n, merge)
+    return exchange.to_dataset(name, out)
 
 
 def events_as_transcripts(sf_dir: str, n_parts: int = 16) -> str:
@@ -84,7 +107,6 @@ def events_as_transcripts(sf_dir: str, n_parts: int = 16) -> str:
     import ray.data
 
     from web_search_engine_ray.pipelines.serving import _cache_key
-    from web_search_engine_ray.stages.exchange import exchange_map
 
     path = os.path.join(sf_dir, "events.parquet")
     out = os.path.join(
@@ -146,16 +168,15 @@ def events_as_transcripts(sf_dir: str, n_parts: int = 16) -> str:
     ds = ray.data.read_parquet(
         path, columns=["event_id", "ts", "user_id", "event_type", "props"]
     )
-    exchange_map(ds, route, n_parts, build, with_index=True).count()
+    exchange.exchange_map(ds, route, n_parts, build, with_index=True).count()
     with open(marker, "w") as f:
         f.write("ok")
     return out
 
 
-def conversation_rollup_ds(corpus: str | list[str], n_parts: int = 32):
+def conversation_rollup_ds(corpus: str | list[str]):
     """(conv_id, n_turns, n_user, n_assistant, n_tool, n_tool_calls,
     total_chars, first_epoch, last_epoch) per conversation."""
-    from web_search_engine_ray.stages.exchange import exchange_map
 
     def partial(t: pa.Table) -> pa.Table:
         df = pl.from_arrow(t).with_columns(
@@ -172,9 +193,7 @@ def conversation_rollup_ds(corpus: str | list[str], n_parts: int = 32):
             first_epoch=pl.col("epoch").min(),
             last_epoch=pl.col("epoch").max(),
         )
-        return g.to_arrow()
-
-    route = hash_route("conv_id", n_parts)
+        return g.to_arrow().cast(schema)
 
     sums = ["n_turns", "n_user", "n_assistant", "n_tool", "n_tool_calls", "total_chars"]
     schema = pa.schema(
@@ -194,16 +213,18 @@ def conversation_rollup_ds(corpus: str | list[str], n_parts: int = 32):
         )
         return g.to_arrow().cast(schema)
 
-    ds = _read(corpus, ["conv_id", "role", "text", "tool", "ts"]).map_batches(
-        partial, batch_format="pyarrow"
+    return _aggregate(
+        "conversation_rollup", corpus, ["conv_id", "role", "text", "tool", "ts"],
+        partial, schema, "conv_id", merge,
     )
-    return exchange_map(ds, route, n_parts, merge)
 
 
-def role_stats_ds(corpus: str | list[str], n_parts: int = 4):
+def role_stats_ds(corpus: str | list[str]):
     """(role, n_turns, total_tokens, avg_tokens): corpus-wide per-role
     volume; avg rounded to 6 (the engine/SQL float contract)."""
-    from web_search_engine_ray.stages.exchange import exchange_map
+    partial_schema = pa.schema(
+        [("role", pa.string()), ("n_turns", pa.int64()), ("total_tokens", pa.int64())]
+    )
 
     def partial(t: pa.Table) -> pa.Table:
         toks = token_lists(t["text"])
@@ -217,9 +238,8 @@ def role_stats_ds(corpus: str | list[str], n_parts: int = 4):
             df.group_by("role")
             .agg(n_turns=pl.len().cast(pl.Int64), total_tokens=pl.col("n_tok").sum())
             .to_arrow()
+            .cast(partial_schema)
         )
-
-    route = hash_route("role", n_parts)
 
     def merge(t: pa.Table) -> pa.Table:
         g = (
@@ -238,14 +258,17 @@ def role_stats_ds(corpus: str | list[str], n_parts: int = 4):
             }
         )
 
-    ds = _read(corpus, ["role", "text"]).map_batches(partial, batch_format="pyarrow")
-    return exchange_map(ds, route, n_parts, merge)
+    return _aggregate(
+        "role_stats", corpus, ["role", "text"], partial, partial_schema, "role", merge
+    )
 
 
-def tool_usage_ds(corpus: str | list[str], n_parts: int = 8):
+def tool_usage_ds(corpus: str | list[str]):
     """(tool, n_calls, n_convs): call volume and distinct-conversation
     reach per tool (empty tool = non-tool turns, excluded)."""
-    from web_search_engine_ray.stages.exchange import exchange_map
+    partial_schema = pa.schema(
+        [("tool", pa.string()), ("conv_id", pa.string()), ("calls", pa.int64())]
+    )
 
     def partial(t: pa.Table) -> pa.Table:
         df = (
@@ -254,9 +277,7 @@ def tool_usage_ds(corpus: str | list[str], n_parts: int = 8):
             .group_by(["tool", "conv_id"])
             .agg(calls=pl.len().cast(pl.Int64))
         )
-        return df.to_arrow()
-
-    route = hash_route("tool", n_parts)
+        return df.to_arrow().cast(partial_schema)
 
     def merge(t: pa.Table) -> pa.Table:
         g = (
@@ -273,16 +294,15 @@ def tool_usage_ds(corpus: str | list[str], n_parts: int = 8):
             )
         )
 
-    ds = _read(corpus, ["conv_id", "tool"]).map_batches(partial, batch_format="pyarrow")
-    return exchange_map(ds, route, n_parts, merge)
+    return _aggregate(
+        "tool_usage", corpus, ["conv_id", "tool"], partial, partial_schema, "tool", merge
+    )
 
 
 def conversation_text_ds(corpus: str | list[str], n_parts: int = 32):
     """(conv_id, n_turns, conv_text): ordered reassembly, one "role: text"
     line per turn."""
-    from web_search_engine_ray.stages.exchange import exchange_map
-
-    return exchange_map(
+    return exchange.exchange_map(
         _read(corpus, _TURN_COLS), hash_route("conv_id", n_parts), n_parts,
         _assemble_conversations,
     )
@@ -322,19 +342,13 @@ def _conversation_text_refs(corpus: str | list[str], conv_text=None) -> tuple[li
     blocks are then returned (``exchange.chain_parts``). The reassembly's
     partition count caps the signature stage's parallelism, so it is the
     chain's count too."""
-    from web_search_engine_ray.stages.exchange import (
-        arrow_refs,
-        chain_parts,
-        exchange_map,
-    )
-
     if conv_text is not None:
-        refs = arrow_refs(conv_text)
-        return refs, chain_parts(refs)
-    turns = arrow_refs(_read(corpus, _TURN_COLS))
-    n = chain_parts(turns)
+        refs = exchange.arrow_refs(conv_text)
+        return refs, exchange.chain_parts(refs)
+    turns = exchange.arrow_refs(_read(corpus, _TURN_COLS))
+    n = exchange.chain_parts(turns)
     return (
-        exchange_map(turns, hash_route("conv_id", n), n, _assemble_conversations),
+        exchange.exchange_map(turns, hash_route("conv_id", n), n, _assemble_conversations),
         n,
     )
 
@@ -358,8 +372,6 @@ def conversation_episode_split_ds(
     the partition pass is a single vectorized polars window chain over
     integer-microsecond arithmetic — no floats, so the DuckDB LAG/SUM
     window twin (tests/test_transcripts_ops.py) matches exactly."""
-    from web_search_engine_ray.stages.exchange import exchange_map
-
     gap_us = int(round(gap_s * 1_000_000))
     out_schema = pa.schema(
         [
@@ -418,7 +430,7 @@ def conversation_episode_split_ds(
     ds = _read(corpus, ["conv_id", "turn_idx", "role", "text", "tool", "ts"]).map_batches(
         rows, batch_format="pyarrow"
     )
-    return exchange_map(ds, route, n_parts, split)
+    return exchange.exchange_map(ds, route, n_parts, split)
 
 
 def conversation_structure_stats_ds(corpus: str | list[str], n_parts: int = 32):
@@ -437,8 +449,6 @@ def conversation_structure_stats_ds(corpus: str | list[str], n_parts: int = 32):
     One conv-keyed hash exchange (a conversation can span files); the
     partition pass is vectorized polars windows. DuckDB twin via
     arg_min/arg_max + LAG in tests/test_transcripts_ops.py."""
-    from web_search_engine_ray.stages.exchange import exchange_map
-
     out_schema = pa.schema(
         [
             ("conv_id", pa.string()),
@@ -501,7 +511,7 @@ def conversation_structure_stats_ds(corpus: str | list[str], n_parts: int = 32):
     ds = _read(corpus, ["conv_id", "turn_idx", "role", "text"]).map_batches(
         rows, batch_format="pyarrow"
     )
-    return exchange_map(ds, route, n_parts, stats)
+    return exchange.exchange_map(ds, route, n_parts, stats)
 
 
 def pack_conversations_ds(
@@ -535,11 +545,9 @@ def pack_conversations_ds(
     import ray
     import ray.data
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
     if bin_tokens < 1:
         raise ValueError(f"need bin_tokens >= 1, got {bin_tokens}")
-    np_ = cluster_parts(max(n_parts, 16))
+    np_ = exchange.cluster_parts(max(n_parts, 16))
 
     def turn_partials(t: pa.Table) -> pa.Table:
         n = token_lists(t["text"]).list.len().fill_null(0)
@@ -568,7 +576,7 @@ def pack_conversations_ds(
 
     route = hash_route("conv_id", np_)
 
-    convs = exchange_map(
+    convs = exchange.exchange_map(
         _read(corpus, ["conv_id", "text"]).map_batches(
             turn_partials, batch_format="pyarrow"
         ),
@@ -668,7 +676,7 @@ def pack_conversations_ds(
             schema=out_schema,
         )
 
-    return exchange_map(convs, _rid, np_, assign)
+    return exchange.exchange_map(convs, _rid, np_, assign)
 
 
 def conversation_minhash_dups_ds(
@@ -692,13 +700,12 @@ def conversation_minhash_dups_ds(
     :func:`conversation_text_ds` Dataset so composed jobs reassemble the
     corpus ONCE instead of once per consumer."""
     from web_search_engine_ray.pipelines.dedup import _minhash_pairs
-    from web_search_engine_ray.stages.exchange import to_dataset
 
     texts, np_ = _conversation_text_refs(corpus, conv_text)
     pairs = _minhash_pairs(
         texts, "conv_id", "conv_text", ("conv_a", "conv_b"), np_, max_bucket
     )
-    return to_dataset("conversation_minhash_dups_ds", pairs)
+    return exchange.to_dataset("conversation_minhash_dups_ds", pairs)
 
 
 def conversation_jaccard_dups_ds(
@@ -725,7 +732,6 @@ def conversation_jaccard_dups_ds(
     the candidate stage and the semi-join's corpus side, and the driver
     waits once, on the verified partitions."""
     from web_search_engine_ray.pipelines.dedup import _minhash_pairs, _verified_pairs
-    from web_search_engine_ray.stages.exchange import to_dataset
 
     pair_cols = ("conv_a", "conv_b")
     texts, np_ = _conversation_text_refs(corpus, conv_text)
@@ -733,7 +739,7 @@ def conversation_jaccard_dups_ds(
     pairs = _verified_pairs(
         cand, texts, "conv_id", "conv_text", pair_cols, "jaccard", tau, np_
     )
-    return to_dataset("conversation_jaccard_dups_ds", pairs)
+    return exchange.to_dataset("conversation_jaccard_dups_ds", pairs)
 
 
 def sft_examples_ds(
@@ -752,8 +758,6 @@ def sft_examples_ds(
     only per-row work is the final substring copy, which is
     output-proportional (the context string must be materialized anyway).
     Contexts never ship through a shuffle — they are born in the output."""
-    from web_search_engine_ray.stages.exchange import exchange_map
-
     k = int(max_context_turns)
     if k < 1:
         raise ValueError("max_context_turns must be >= 1")
@@ -822,7 +826,7 @@ def sft_examples_ds(
     ds = _read(corpus, ["conv_id", "turn_idx", "role", "text"]).map_batches(
         rows, batch_format="pyarrow"
     )
-    return exchange_map(ds, route, n_parts, build)
+    return exchange.exchange_map(ds, route, n_parts, build)
 
 
 # Fixed queries over the transcript fixture vocabulary (stopwords + zipf
@@ -1039,8 +1043,6 @@ def conversation_dedup_ds(corpus: str | list[str], n_parts: int = 32):
     LLM training actually dedupes multi-turn data."""
     import hashlib
 
-    from web_search_engine_ray.stages.exchange import exchange_map
-
     def hash_rows(t: pa.Table) -> pa.Table:
         return pa.table(
             {
@@ -1070,4 +1072,4 @@ def conversation_dedup_ds(corpus: str | list[str], n_parts: int = 32):
     ds = conversation_text_ds(corpus, n_parts=n_parts).map_batches(
         hash_rows, batch_format="pyarrow"
     )
-    return exchange_map(ds, route, n_parts, merge)
+    return exchange.exchange_map(ds, route, n_parts, merge)

@@ -24,7 +24,7 @@ import time
 import pyarrow as pa
 from flask import Flask, jsonify, request
 
-from web_search_engine_ray.pipelines.query import Searcher
+from web_search_engine_ray.pipelines.query import Searcher, topk_order
 
 _FRONTEND_DIR = os.path.join(os.path.dirname(__file__), "frontend")
 
@@ -128,8 +128,8 @@ def create_app(
             docs, counts = phrase_match_counts(
                 pos_index_dir, list(terms), n_shards=pos_shards
             )
-            order = sorted(range(docs.size), key=lambda i: (-counts[i], docs[i]))
-            results = [(int(docs[i]), int(counts[i])) for i in order[:topk]]
+            keep = topk_order(docs, counts, topk)
+            results = list(zip(docs[keep].tolist(), counts[keep].tolist()))
         elif prox_boost:
             # BM25 + ln(1+exp(-MinDist)) rescoring (Tao & Zhai 2007) over
             # the positional index — tight phrases outrank scattered terms
