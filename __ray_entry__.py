@@ -530,7 +530,7 @@ def _rag_store_dir(sf_dir: str) -> str:
 
     path = os.path.join(sf_dir, "documents.parquet")
     window, stride = 64, 32
-    tag = f"rag:v1:{window}:{stride}:{EMBED_DIM}"
+    tag = f"rag:{window}:{stride}:{EMBED_DIM}"
     out = os.path.join("/tmp", "wse_ray_cache", f"rag_{_cache_key(path, tag)}")
     build_rag_store(sf_dir, out, window=window, stride=stride, dim=EMBED_DIM)
     return out

@@ -708,7 +708,7 @@ def test_distinct_pairs_one_row_per_pair_across_blocks(ray_session):
     """Duplicate (a, b) rows spread over several input blocks, one of them
     empty, come out once each with their payload, for int and string ids."""
     import pyarrow as pa
-    import ray.data
+    import ray
 
     from web_search_engine_ray.pipelines.dedup import _distinct_pairs
 
@@ -726,8 +726,8 @@ def test_distinct_pairs_one_row_per_pair_across_blocks(ray_session):
             block([2, 1, 7], [6, 5, 8], [3, 0, 1]),
             block([7], [8], [1]),
         ]
-        out = _distinct_pairs(ray.data.from_arrow(blocks), "a", "b", 4)
-        tab = pa.concat_tables(ray.get(out.to_arrow_refs()))
+        out = _distinct_pairs([ray.put(b) for b in blocks], "a", "b", 4)
+        tab = pa.concat_tables(ray.get(out))
         assert tab.schema == blocks[0].schema
         def rows(t):
             return sorted(zip(*(t[c].to_pylist() for c in ("a", "b", "h"))))

@@ -1,13 +1,15 @@
 """stages/exchange.py: partition completeness, empty partitions, callable vs
-column keys, coalescing, and partition-invariance of merged aggregates."""
+column keys, coalescing, and partition-invariance of merged aggregates. The
+exchange takes and returns block refs."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
 
-def _make_ds(n_rows=1000, n_blocks=7, seed=3):
-    import ray.data
+def _make_refs(n_rows=1000, n_blocks=7, seed=3) -> list:
+    """``n_blocks`` (k, v) int64 blocks in the object store."""
+    import ray
 
     rng = np.random.default_rng(seed)
     tables = []
@@ -21,20 +23,27 @@ def _make_ds(n_rows=1000, n_blocks=7, seed=3):
                 }
             )
         )
-    return ray.data.from_arrow(tables)
+    return [ray.put(t) for t in tables]
+
+
+def _rows(refs: list):
+    """The blocks ``refs`` as one pandas frame."""
+    import ray
+
+    return pa.concat_tables(ray.get(refs)).to_pandas()
 
 
 def test_exchange_partition_completeness(ray_session):
     from web_search_engine_ray.stages.exchange import exchange_map
 
-    ds = _make_ds()
-    src = ds.to_pandas()
+    refs = _make_refs()
+    src = _rows(refs)
 
     def fn(t: pa.Table) -> pa.Table:
         # identity: every row must arrive exactly once, keyed correctly
         return t
 
-    out = exchange_map(ds, lambda t: t["k"].to_numpy() % 4, 4, fn).to_pandas()
+    out = _rows(exchange_map(refs, lambda t: t["k"].to_numpy() % 4, 4, fn))
     assert len(out) == len(src)
     assert sorted(zip(out["k"], out["v"])) == sorted(zip(src["k"], src["v"]))
 
@@ -42,7 +51,7 @@ def test_exchange_partition_completeness(ray_session):
 def test_exchange_routes_by_key(ray_session):
     from web_search_engine_ray.stages.exchange import exchange_map
 
-    ds = _make_ds()
+    refs = _make_refs()
 
     def fn(t: pa.Table) -> pa.Table:
         ks = np.unique(t["k"].to_numpy() % 4) if t.num_rows else np.array([])
@@ -50,13 +59,13 @@ def test_exchange_routes_by_key(ray_session):
         assert ks.size <= 1, ks
         return pa.table({"n": pa.array([t.num_rows], pa.int64())})
 
-    out = exchange_map(ds, lambda t: t["k"].to_numpy() % 4, 4, fn).to_pandas()
+    out = _rows(exchange_map(refs, lambda t: t["k"].to_numpy() % 4, 4, fn))
     assert len(out) == 4  # one output block per partition, empties included
-    assert out["n"].sum() == len(ds.to_pandas())
+    assert out["n"].sum() == len(_rows(refs))
 
 
 def test_exchange_column_key_dropped(ray_session):
-    import ray.data
+    import ray
 
     from web_search_engine_ray.stages.exchange import exchange_map
 
@@ -66,13 +75,11 @@ def test_exchange_column_key_dropped(ray_session):
             "v": pa.array([10, 20, 30, 40], pa.int64()),
         }
     )
-    ds = ray.data.from_arrow(t)
-
     def fn(g: pa.Table) -> pa.Table:
         assert "p" not in g.column_names
         return g
 
-    out = exchange_map(ds, "p", 2, fn).to_pandas()
+    out = _rows(exchange_map([ray.put(t)], "p", 2, fn))
     assert sorted(out["v"]) == [10, 20, 30, 40]
 
 
@@ -107,42 +114,45 @@ def test_exchange_result_invariant_to_split_tasks(ray_session, monkeypatch):
     outs = []
     for mst in (1, 3, 100):
         monkeypatch.setattr(exchange, "MAX_SPLIT_TASKS", mst)
-        ds = _make_ds()
-        o = exchange_map(ds, lambda t: t["k"].to_numpy() % 4, 4, merge).to_pandas()
+        o = _rows(exchange_map(_make_refs(), lambda t: t["k"].to_numpy() % 4, 4, merge))
         outs.append(o.sort_values(["k"]).reset_index(drop=True))
     assert outs[0].equals(outs[1]) and outs[1].equals(outs[2])
 
 
 def test_exchange_rejects_empty_dataset(ray_session):
+    """One empty block is fine (``fn`` sees an empty table); zero blocks
+    are not, and neither is a Dataset: the exchange takes block refs only."""
+    import ray
     import ray.data
 
     from web_search_engine_ray.stages.exchange import exchange_map
 
-    empty = ray.data.from_arrow(pa.table({"k": pa.array([], pa.int64())}))
-    # one empty block is fine (fn sees an empty table) — zero blocks is not
-    out = exchange_map(
-        empty,
-        lambda t: t["k"].to_numpy() % 2,
-        2,
-        lambda g: pa.table({"n": pa.array([g.num_rows], pa.int64())}),
-    ).to_pandas()
-    assert sorted(out["n"]) == [0, 0]
+    def route(t):
+        return t["k"].to_numpy() % 2
+
+    def count(g):
+        return pa.table({"n": pa.array([g.num_rows], pa.int64())})
+
+    empty = pa.table({"k": pa.array([], pa.int64())})
+    assert sorted(_rows(exchange_map([ray.put(empty)], route, 2, count))["n"]) == [0, 0]
+    with pytest.raises(ValueError, match="at least one input block"):
+        exchange_map([], route, 2, count)
+    with pytest.raises(TypeError, match="list of block refs"):
+        exchange_map(ray.data.from_arrow(empty), route, 2, count)
 
 
-def test_exchange_pre_udf_empty_block_schema(ray_session, monkeypatch):
-    """An empty source block (e.g. an empty parquet file in a multi-file
-    corpus) never runs the map UDF, so it reaches the exchange with the
-    PRE-UDF schema. fn must still only ever see the post-UDF schema — even
-    for all-empty partitions whose only candidates include that stale
-    block."""
-    import ray.data
+def test_map_refs_empty_head_block_carries_udf_schema(ray_session, monkeypatch):
+    """An empty head block (e.g. an empty parquet file of a multi-file
+    corpus) runs the ``map_refs`` UDF like any other, so it reaches the
+    exchange with the UDF's schema, and ``fn`` only ever sees that schema —
+    also in partitions whose only input is the empty block's slice."""
+    import ray
 
     from web_search_engine_ray.stages import exchange
-    from web_search_engine_ray.stages.exchange import exchange_map
+    from web_search_engine_ray.stages.exchange import exchange_map, map_refs
 
-    pre = pa.table({"text": pa.array([], pa.string())})  # pre-UDF schema
+    pre = pa.table({"text": pa.array([], pa.string())})  # source schema
     data = pa.table({"text": pa.array(["a", "b", "c"], pa.string())})
-    ds = ray.data.from_arrow([pre, data])
 
     def udf(t: pa.Table) -> pa.Table:
         t = t.append_column(
@@ -152,21 +162,20 @@ def test_exchange_pre_udf_empty_block_schema(ray_session, monkeypatch):
             "val", pa.array(np.full(t.num_rows, 7), pa.int64())
         )
 
-    ds = ds.map_batches(udf, batch_format="pyarrow")
-
     def fn(g: pa.Table) -> pa.Table:
-        # reads a UDF-added column: KeyErrors pre-fix when g carries the
-        # pre-UDF schema (text only, no val)
+        # reads a UDF-added column: KeyErrors if g carries the source schema
         s = int(pa.compute.sum(g["val"]).as_py() or 0)
         return pa.table(
             {"n": pa.array([g.num_rows], pa.int64()),
              "s": pa.array([s], pa.int64())}
         )
 
+    blocks = map_refs(udf, [ray.put(pre), ray.put(data)])
+    assert all(t.column_names == ["text", "k", "val"] for t in ray.get(blocks))
     # 6 partitions but keys only hit {0, 1}: partitions 2-5 are all-empty,
-    # and the pre-UDF empty group routes its stale block to every partition
+    # and one splitter sees only the empty block
     monkeypatch.setattr(exchange, "MAX_SPLIT_TASKS", 100)
-    out = exchange_map(ds, "k", 6, fn).to_pandas()
+    out = _rows(exchange_map(blocks, "k", 6, fn))
     assert len(out) == 6
     assert out["n"].sum() == 3
     assert out["s"].sum() == 21
@@ -177,7 +186,7 @@ def test_exchange_property_random(ray_session, monkeypatch):
     counts, the exchange is a permutation of the input (no loss, no dupes)
     and per-key sums survive a group-merge exactly."""
     import polars as pl
-    import ray.data
+    import ray
 
     from web_search_engine_ray.stages import exchange
     from web_search_engine_ray.stages.exchange import exchange_map
@@ -200,7 +209,7 @@ def test_exchange_property_random(ray_session, monkeypatch):
             )
             for i in range(n_blocks)
         ]
-        ds = ray.data.from_arrow(tables)
+        refs = [ray.put(t) for t in tables]
 
         def merge(t: pa.Table) -> pa.Table:
             return (
@@ -208,12 +217,14 @@ def test_exchange_property_random(ray_session, monkeypatch):
             )
 
         monkeypatch.setattr(exchange, "MAX_SPLIT_TASKS", int(rng.integers(1, 6)))
-        out = exchange_map(
-            ds,
-            lambda t: t["k"].to_numpy(zero_copy_only=False) % n_parts,
-            n_parts,
-            merge,
-        ).to_pandas()
+        out = _rows(
+            exchange_map(
+                refs,
+                lambda t: t["k"].to_numpy(zero_copy_only=False) % n_parts,
+                n_parts,
+                merge,
+            )
+        )
         want = (
             pl.DataFrame({"k": keys, "v": vals})
             .group_by("k")
@@ -226,19 +237,15 @@ def test_exchange_property_random(ray_session, monkeypatch):
         assert got["v"].tolist() == want["v"].tolist(), trial
 
 
-def test_exchange_derives_partition_count(ray_session):
-    """A Dataset input trims ``n_parts`` to the largest power-of-two divisor
-    not far above twice its block count; a list of block refs and a
-    ``with_index`` sink run at exactly ``n_parts``. Trimmed or not, every
-    key lands whole in one partition, so a per-key merge gives the same
-    rows."""
+def test_exchange_chain_keeps_partition_count(ray_session):
+    """A chain runs every exchange at the one count it was sized to, with
+    empty partitions included, and ``with_index`` sinks too. A per-key merge
+    gives the same rows at any count: every key lands whole in one
+    partition."""
     import polars as pl
     import ray
 
-    from web_search_engine_ray.stages.exchange import arrow_refs, exchange_map
-
-    def route(t: pa.Table) -> np.ndarray:
-        return t["k"].to_numpy() % 64
+    from web_search_engine_ray.stages.exchange import exchange_map, hash_route
 
     def merge(t: pa.Table) -> pa.Table:
         return pl.from_arrow(t).group_by("k").agg(pl.col("v").sum()).to_arrow()
@@ -246,30 +253,18 @@ def test_exchange_derives_partition_count(ray_session):
     def indexed(t: pa.Table, pi: int) -> pa.Table:
         return merge(t)
 
-    src = pl.from_arrow(pa.concat_tables(ray.get(arrow_refs(_make_ds(210, 7)))))
-    want = sorted(src.group_by("k").agg(pl.col("v").sum()).rows())
-
-    def parts(out) -> list:
-        return ray.get(out if isinstance(out, list) else arrow_refs(out))
-
-    # (blocks, n_parts) -> partitions of a Dataset input
-    sizes = [(1, 8, 4), (2, 64, 4), (7, 64, 16), (3, 6, 6), (20, 64, 64)]
-    for n_blocks, n_parts, eff in sizes:
-        ds = _make_ds(30 * n_blocks, n_blocks)
-        out = exchange_map(ds, lambda t: t["k"].to_numpy() % n_parts, n_parts, merge)
-        assert len(parts(out)) == eff, (n_blocks, n_parts)
-    for out in (
-        exchange_map(_make_ds(210, 7), route, 64, merge),
-        exchange_map(arrow_refs(_make_ds(210, 7)), route, 64, merge),
-        exchange_map(_make_ds(210, 7), route, 64, indexed, with_index=True),
-    ):
-        got = parts(out)
-        keys = [k for t in got for k in t["k"].to_pylist()]
-        assert len(keys) == len(set(keys))  # no key split across partitions
-        assert sorted(pl.from_arrow(pa.concat_tables(got)).rows()) == want
-    two_refs = arrow_refs(_make_ds(200, 2))
-    assert len(parts(exchange_map(two_refs, route, 64, merge))) == 64
-    assert len(parts(exchange_map(_make_ds(200, 2), route, 64, indexed, True))) == 64
+    want = sorted(pl.from_pandas(_rows(_make_refs(210, 7))).group_by("k").agg(pl.col("v").sum()).rows())
+    for n in (1, 3, 64):
+        route = hash_route("k", n)
+        first = exchange_map(_make_refs(210, 7), route, n, merge)
+        second = exchange_map(first, route, n, merge)
+        sink = exchange_map(second, route, n, indexed, with_index=True)
+        for out in (first, second, sink):
+            assert len(out) == n
+            got = ray.get(out)
+            keys = [k for t in got for k in t["k"].to_pylist()]
+            assert len(keys) == len(set(keys))  # no key split across partitions
+            assert sorted(pl.from_arrow(pa.concat_tables(got)).rows()) == want
 
 
 def test_arrow_refs_and_exchange_run_the_plan_once(ray_session, tmp_path):
@@ -281,6 +276,8 @@ def test_arrow_refs_and_exchange_run_the_plan_once(ray_session, tmp_path):
     import uuid
 
     import ray
+
+    import ray.data
 
     from web_search_engine_ray.stages.exchange import arrow_refs, exchange_map
 
@@ -298,17 +295,17 @@ def test_arrow_refs_and_exchange_run_the_plan_once(ray_session, tmp_path):
             p.unlink()
         return n
 
-    refs = arrow_refs(_make_ds(700, 7).map_batches(mark, batch_format="pyarrow"))
+    def ds():
+        return ray.data.from_arrow(ray.get(_make_refs(700, 7)))
+
+    refs = arrow_refs(ds().map_batches(mark, batch_format="pyarrow"))
     assert sum(t.num_rows for t in ray.get(refs)) == 700
     assert rows_seen() == 700
 
     out = exchange_map(
-        _make_ds(700, 7).map_batches(mark, batch_format="pyarrow"),
-        "k",
-        10,
-        lambda t: t,
+        arrow_refs(ds().map_batches(mark, batch_format="pyarrow")), "k", 10, lambda t: t
     )
-    assert out.count() == 700
+    assert len(_rows(out)) == 700
     assert rows_seen() == 700
 
 

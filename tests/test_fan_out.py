@@ -1,8 +1,7 @@
 """The build's one task launcher, ``pipelines.build.fan_out``: results in
 input order, task errors re-raised with their type, and a heartbeat that
-names a stalled stage. The near-dup chain and every Dataset-form exchange
-wait on their final partitions through the same heartbeat
-(``stages.exchange.as_ready``)."""
+names a stalled stage. Every exchange chain waits on its final partitions
+through the same heartbeat (``stages.exchange.as_ready``)."""
 
 import logging
 import re
@@ -73,12 +72,13 @@ def test_near_dup_chain_stall_heartbeat_names_stage(ray_session, monkeypatch, ca
         assert re.match(r"conversation_jaccard_dups_ds: \d+/\d+ partitions done", m), m
 
 
-def test_dataset_exchange_stall_heartbeat_names_fn(ray_session, monkeypatch, caplog):
-    """A Dataset-form ``exchange_map`` waits for its partitions through
-    ``exchange.as_ready``: with a stall window far shorter than its
-    partition fn, it logs ``<fn>: k/n partitions done`` and nothing else."""
+def test_exchange_chain_stall_heartbeat_names_stage(ray_session, monkeypatch, caplog):
+    """A chain of exchanges waits for its partitions once, through
+    ``exchange.to_dataset``: with a stall window far shorter than its
+    partition fn, it logs ``<stage>: k/n partitions done`` and nothing
+    else."""
     import pyarrow as pa
-    import ray.data
+    import ray
 
     def slow_identity(t):
         import time
@@ -88,10 +88,11 @@ def test_dataset_exchange_stall_heartbeat_names_fn(ray_session, monkeypatch, cap
 
     caplog.set_level(logging.WARNING, logger=exchange.__name__)
     monkeypatch.setattr(exchange, "STALL_LOG_S", 0.2)
-    ds = ray.data.from_arrow(pa.table({"k": list(range(8))}))
+    refs = [ray.put(pa.table({"k": list(range(8))}))]
     route = lambda t: t["k"].to_numpy() % 2  # noqa: E731
-    assert exchange.exchange_map(ds, route, 2, slow_identity).count() == 8
+    out = exchange.exchange_map(refs, route, 2, slow_identity)
+    assert exchange.to_dataset("slow_chain", out).count() == 8
     msgs = [r.getMessage() for r in caplog.records if r.name == exchange.__name__]
     assert msgs
     for m in msgs:
-        assert re.match(r"slow_identity: \d+/2 partitions done", m), m
+        assert re.match(r"slow_chain: \d+/2 partitions done", m), m

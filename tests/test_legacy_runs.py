@@ -373,6 +373,35 @@ def test_conversation_aggregates_and_components_use_no_ray_data_shuffle(
         assert run().count() > 0, name
 
 
+def test_events_relational_analysis_corpus_use_no_ray_data_shuffle(ray_session, monkeypatch):
+    """The events, relational, analysis and corpus operators run on
+    ``exchange_map`` alone: each succeeds with Ray Data's shuffles raising
+    (top-k cuts run per partition, then on the driver)."""
+    from web_search_engine_ray.pipelines import analysis, corpus, events, relational
+
+    _refuse_ray_data_shuffles(monkeypatch)
+    runs = {
+        "window_agg_ds": lambda: events.window_agg_ds(SF),
+        "sessionize_ds": lambda: events.sessionize_ds(SF),
+        "asof_join_ds": lambda: events.asof_join_ds(SF),
+        "daily_active_users_ds": lambda: events.daily_active_users_ds(SF),
+        "retention_cohorts_ds": lambda: events.retention_cohorts_ds(SF),
+        "session_funnel_ds": lambda: events.session_funnel_ds(SF),
+        "pricing_summary_ds": lambda: relational.pricing_summary_ds(SF),
+        "shipping_priority_ds": lambda: relational.shipping_priority_ds(SF),
+        "local_supplier_volume_ds": lambda: relational.local_supplier_volume_ds(SF),
+        "label_doc_stats_ds": lambda: relational.label_doc_stats_ds(SF),
+        "collocations_ds": lambda: analysis.collocations_ds(SF, min_count=2),
+        "distinctive_terms_ds": lambda: analysis.distinctive_terms_ds(SF),
+        "term_burstiness_ds": lambda: analysis.term_burstiness_ds(SF, min_df=2),
+        "term_stats_ds": lambda: corpus.term_stats_ds(SF),
+        "top_terms_ds": lambda: corpus.top_terms_ds(SF),
+        "top_terms_per_source_ds": lambda: corpus.top_terms_per_source_ds(SF),
+    }
+    for name, run in runs.items():
+        assert run().count() > 0, name
+
+
 def _near_dup_chain_runs(nd_corpus: str) -> dict:
     from web_search_engine_ray.pipelines import dedup, transcripts_ops
 

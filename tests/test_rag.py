@@ -143,10 +143,9 @@ def test_ivf_layout_version_rebuilds_not_raises(store):
 
 
 def test_ivf_file_set_equals_cell_set(store):
-    """Regression: a Dataset-form exchange coalesces shards for small inputs,
-    so one shard can carry several cells — the writer must still emit one
-    cell-pure file per ACTUAL assigned cell, or probe-side reads (which
-    open only ``cell_<c>.parquet`` for probed ``c``) silently miss rows."""
+    """The writer emits one cell-pure file per ACTUAL assigned cell, or
+    probe-side reads (which open only ``cell_<c>.parquet`` for probed
+    ``c``) silently miss rows."""
     from web_search_engine_ray.pipelines.rag import build_rag_ivf
 
     out, _ = store

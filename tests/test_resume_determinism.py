@@ -146,6 +146,26 @@ def test_code_fingerprint_covers_every_listed_file(tmp_path, monkeypatch):
     assert fingerprint() == base
 
 
+def test_cache_key_follows_the_writers_modules(tmp_path):
+    """A derived artifact's cache key changes when a byte of the module
+    that writes it changes, so a warm cache never serves an old layout,
+    and stays put when nothing changed."""
+    import shutil
+
+    from web_search_engine_ray.pipelines import grep
+    from web_search_engine_ray.pipelines.serving import _cache_key
+
+    src = tmp_path / "documents.parquet"
+    src.write_bytes(b"not read, only stat'ed")
+    mod = tmp_path / "grep.py"
+    shutil.copyfile(grep.__file__, mod)
+    base = _cache_key(str(src), "tri8", str(mod))
+    assert base == _cache_key(str(src), "tri8", str(mod))
+    assert base != _cache_key(str(src), "tri8")
+    mod.write_bytes(mod.read_bytes() + b"\n")
+    assert _cache_key(str(src), "tri8", str(mod)) != base
+
+
 # appended to a copy of functions/tokenize.py: every posting gets tf = 1
 _TF1_PATCH = '''
 

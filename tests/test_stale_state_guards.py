@@ -79,7 +79,7 @@ def test_degenerate_blk_max_tf_falls_back(ray_session, tmp_path):
 
 
 def test_exchange_rejects_null_partition_values(ray_session):
-    import ray.data
+    import ray
 
     from web_search_engine_ray.stages.exchange import exchange_map
 
@@ -89,6 +89,5 @@ def test_exchange_rejects_null_partition_values(ray_session):
             "v": pa.array([1, 2, 3], pa.int64()),
         }
     )
-    ds = ray.data.from_arrow(t)
     with pytest.raises(Exception, match="nulls"):
-        exchange_map(ds, "p", 2, lambda g: g).to_pandas()
+        ray.get(exchange_map([ray.put(t)], "p", 2, lambda g: g))

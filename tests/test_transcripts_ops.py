@@ -2,6 +2,8 @@
 files — the transcript-native contract (conv_id, turn_idx, role, text,
 tool, ts)."""
 
+import os
+
 import duckdb
 import pandas as pd
 import pytest
@@ -121,6 +123,38 @@ def test_rollup_conv_spanning_files(ray_session, conv_corpus):
         for f in glob.glob(conv_corpus + "/*.parquet")
     )
     assert got.n_turns.sum() == total
+
+
+def test_events_as_transcripts_writes_no_zero_row_files(ray_session, tmp_path):
+    """The events view writes one file per NON-empty user partition (a
+    zero-row file would read as a column-less block), and exactly one
+    (empty, with the schema) when the events table is empty."""
+    import glob
+    import shutil
+
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from tests.test_legacy_runs import SF
+    from web_search_engine_ray.pipelines.transcripts_ops import events_as_transcripts
+
+    src = os.path.join(SF, "events.parquet")
+    users = pq.read_table(src, columns=["user_id"])["user_id"].to_numpy()
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    shutil.copyfile(src, sf / "events.parquet")
+    files = glob.glob(os.path.join(events_as_transcripts(str(sf)), "*.parquet"))
+    assert len(files) == np.unique(users % 16).size < 16
+    assert all(pq.read_metadata(f).num_rows for f in files)
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    pq.write_table(pq.read_schema(src).empty_table(), empty / "events.parquet")
+    files = glob.glob(os.path.join(events_as_transcripts(str(empty)), "*.parquet"))
+    assert len(files) == 1
+    assert pq.read_schema(files[0]).names == [
+        "conv_id", "turn_idx", "role", "text", "tool", "ts"
+    ]
 
 
 def test_conversation_aggregates_key_column_is_string(ray_session, conv_corpus):
@@ -478,16 +512,19 @@ FROM s
     pd.testing.assert_frame_equal(got, want)
 
 
-def test_pack_conversations_partition_invariance(ray_session, conv_corpus):
-    """Same assignment regardless of partition count (the sampled range
-    boundaries change, the global order does not)."""
+def test_pack_conversations_partition_invariance(ray_session, conv_corpus, monkeypatch):
+    """Same assignment regardless of the chain's partition count (the
+    sampled range boundaries change, the global order does not)."""
     from web_search_engine_ray.pipelines.transcripts_ops import (
         pack_conversations_ds,
     )
+    from web_search_engine_ray.stages import exchange
 
-    a = _canon(pack_conversations_ds(conv_corpus, bin_tokens=512, n_parts=4).to_pandas())
-    b = _canon(pack_conversations_ds(conv_corpus, bin_tokens=512, n_parts=64).to_pandas())
-    pd.testing.assert_frame_equal(a, b)
+    got = []
+    for n in (4, 64):
+        monkeypatch.setattr(exchange, "chain_parts", lambda refs, n=n: n)
+        got.append(_canon(pack_conversations_ds(conv_corpus, bin_tokens=512).to_pandas()))
+    pd.testing.assert_frame_equal(*got)
 
 
 def test_conversation_jaccard_dups_vs_naive(ray_session, neardup_corpus):

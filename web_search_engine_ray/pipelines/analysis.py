@@ -16,10 +16,23 @@ import os
 import numpy as np
 import polars as pl
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from web_search_engine_ray.functions.tokenize import token_lists
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
-from web_search_engine_ray.stages.exchange import arrow_refs, hash_route, pool_size
+from web_search_engine_ray.sources.documents import read_docs_refs
+from web_search_engine_ray.stages.exchange import (
+    aggregate,
+    arrow_refs,
+    by_key,
+    chain_parts,
+    exchange_map,
+    hash_route,
+    map_refs,
+    pool_size,
+    read_refs,
+    to_dataset,
+)
 
 STOPWORDS = ("the", "a", "and", "of", "to", "in", "is")
 
@@ -208,10 +221,6 @@ def lm_score_ds(sf_dir: str):
     oracle computes the identical quantity."""
     import ray
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    np_ = cluster_parts(32)
-
     def _merge(t: pa.Table) -> pa.Table:
         return (
             pl.from_arrow(t)
@@ -220,12 +229,10 @@ def lm_score_ds(sf_dir: str):
             .to_arrow()
         )
 
-    ds = _read_docs(sf_dir)
-    partials = ds.map_batches(_bigram_partials, batch_format="pyarrow")
-    merged = exchange_map(partials, hash_route("w1", np_), np_, _merge)
+    merged = aggregate(read_docs_refs(sf_dir), _bigram_partials, "w1", _merge)
     # collect the finished model COLUMNAR (arrow concat — no Python loop over
     # millions of bigram rows) and derive prefix counts / V in polars
-    model = pl.from_arrow(pa.concat_tables(ray.get(arrow_refs(merged))))
+    model = pl.from_arrow(pa.concat_tables(ray.get(merged)))
     V = float(model.filter(pl.col("kind") == 0).height)
     bi_df = (
         model.filter(pl.col("kind") == 1)
@@ -398,13 +405,13 @@ def collocations_ds(sf_dir: str, min_count: int = 5, k: int = 50):
     unigram rows for the same w1 land in the same partition by
     construction); a second exchange keyed on w2 attaches c_b. Nu/Nb are
     two scalar sums off the first exchange's (vocab-scale) output; the
-    min_count prune happens before anything re-shuffles. Final top-k is a
-    sort+limit over the pruned collocation relation."""
+    min_count prune happens before anything re-shuffles. Final top-k: each
+    partition cuts its own, the driver cuts their union."""
     import ray
+    import ray.data
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    np_ = cluster_parts(32)
+    refs = read_docs_refs(sf_dir)
+    np_ = chain_parts(refs)
 
     def partial(batch: pa.Table) -> pa.Table:
         toks = token_lists(batch["text"])
@@ -509,9 +516,8 @@ def collocations_ds(sf_dir: str, min_count: int = 5, k: int = 50):
             )
         )
 
-    counts = _read_docs(sf_dir).map_batches(partial, batch_format="pyarrow")
-    ex1 = exchange_map(counts, route1, np_, merge_attach_ca)
-    parts = [p for p in ray.get(arrow_refs(ex1)) if p.num_rows]
+    ex1 = exchange_map(map_refs(partial, refs), route1, np_, merge_attach_ca)
+    parts = [p for p in ray.get(ex1) if p.num_rows]
     # two scalar sums off the vocab-scale exchange output (columnar, no rows
     # to the driver beyond what the exchange already materialized)
     nu = float(
@@ -552,17 +558,24 @@ def collocations_ds(sf_dir: str, min_count: int = 5, k: int = 50):
         ca = big["c_a"].to_numpy().astype(np.float64)
         cb = big["c_b"].to_numpy().astype(np.float64)
         pmi = np.round(np.log((cab * nu * nu) / (nb * ca * cb)), 6)
-        return pa.table(
-            {
-                "w1": big["w1"].to_arrow().cast(pa.string()),
-                "w2": big["w2"].to_arrow().cast(pa.string()),
-                "c_ab": pa.array(big["c"].to_numpy().astype(np.int64), pa.int64()),
-                "pmi": pa.array(pmi, pa.float64()),
-            }
+        return top(
+            pa.table(
+                {
+                    "w1": big["w1"].to_arrow().cast(pa.string()),
+                    "w2": big["w2"].to_arrow().cast(pa.string()),
+                    "c_ab": pa.array(big["c"].to_numpy().astype(np.int64), pa.int64()),
+                    "pmi": pa.array(pmi, pa.float64()),
+                }
+            )
         )
 
+    def top(t: pa.Table) -> pa.Table:
+        """The first ``k`` rows by (pmi desc, w1, w2)."""
+        keys = [("pmi", "descending"), ("w1", "ascending"), ("w2", "ascending")]
+        return t.take(pc.sort_indices(t, sort_keys=keys)[:k])
+
     ex2 = exchange_map(ex1, route2, np_, attach_cb_and_score)
-    return ex2.sort(["pmi", "w1", "w2"], descending=[True, False, False]).limit(k)
+    return ray.data.from_arrow(top(pa.concat_tables(ray.get(ex2))))
 
 
 def distinctive_terms_ds(sf_dir: str, k: int = 10):
@@ -587,15 +600,12 @@ def distinctive_terms_ds(sf_dir: str, k: int = 10):
     doc has d=c=0 -> denom (c+d)=0): guarded to chi2=0 on both sides via
     the twin's identical CASE."""
     import ray
-    import ray.data
 
     from web_search_engine_ray.functions.tokenize import token_lists
-    from web_search_engine_ray.pipelines.corpus import _docs_path, term_stats_ds
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
+    from web_search_engine_ray.pipelines.corpus import _docs_path, term_stats_refs
 
-    np_ = cluster_parts(32)
     # vocabulary-scale df relation: computed distributed, broadcast once
-    stats = pa.concat_tables(ray.get(arrow_refs(term_stats_ds(sf_dir))))
+    stats = pa.concat_tables(ray.get(term_stats_refs(sf_dir)))
     df_ref = ray.put(stats.select(["term", "df"]))
     # per-source doc counts + N: dimension-sized, one tiny scan
     import pyarrow.parquet as pq_
@@ -624,8 +634,6 @@ def distinctive_terms_ds(sf_dir: str, k: int = 10):
             .len(name="a_p")
         )
         return d.select("source", "term", "a_p").to_arrow()
-
-    route = hash_route("source", np_)
 
     def merge(t: pa.Table) -> pa.Table:
         d = (
@@ -665,10 +673,8 @@ def distinctive_terms_ds(sf_dir: str, k: int = 10):
             )
         )
 
-    ds = ray.data.read_parquet(
-        _docs_path(sf_dir), columns=["source", "text"]
-    ).map_batches(partial, batch_format="pyarrow")
-    return exchange_map(ds, route, np_, merge)
+    refs = aggregate(read_refs(_docs_path(sf_dir), ["source", "text"]), partial, "source", merge)
+    return to_dataset("distinctive_terms_ds", refs)
 
 
 class LangIdConfusionStage:
@@ -701,24 +707,16 @@ def langid_confusion_ds(sf_dir: str, concurrency: int = 2):
     """(lang, lang_pred, n): the language-ID heuristic's confusion matrix
     against the table's ground-truth ``lang`` column — the eval every
     classifier stage ships with. Per-batch counts from the actor-pool
-    stage, one tiny hash exchange on the (lang, pred) pair."""
+    stage, one tiny hash exchange on lang."""
     import ray.data
 
-    from web_search_engine_ray.stages.exchange import exchange_map
-
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "lang", "text"]
-    ).map_batches(LangIdConfusionStage, batch_format="pyarrow", concurrency=pool_size(concurrency))
-
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t)
-            .select(k=pl.col("lang") + "|" + pl.col("lang_pred"))["k"]
-            .hash(seed=17)
-            .to_numpy()
-            % np.uint64(8)
-        ).astype(np.int64)
-
+    refs = arrow_refs(
+        ray.data.read_parquet(
+            os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "lang", "text"]
+        ).map_batches(
+            LangIdConfusionStage, batch_format="pyarrow", concurrency=pool_size(concurrency)
+        )
+    )
     def merge(t: pa.Table) -> pa.Table:
         g = (
             pl.from_arrow(t)
@@ -731,7 +729,7 @@ def langid_confusion_ds(sf_dir: str, concurrency: int = 2):
             )
         )
 
-    return exchange_map(ds, route, 8, merge)
+    return to_dataset("langid_confusion_ds", by_key(refs, "lang", merge))
 
 
 BURSTINESS_MIN_DF = 20
@@ -746,13 +744,7 @@ def term_burstiness_ds(sf_dir: str, min_df: int = BURSTINESS_MIN_DF, k: int = BU
     (burstiness desc, term) over terms with df >= min_df. Per-batch
     (term, tf, tf²) partials, one term exchange; mean/variance from EXACT
     integer sums, so both sides evaluate identical float expressions."""
-    import ray.data
-
-    from web_search_engine_ray.pipelines.corpus import _to_postings, _docs_path
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    np_ = cluster_parts(32)
-
+    from web_search_engine_ray.pipelines.corpus import _to_postings
     def partial(batch: pa.Table) -> pa.Table:
         p = pl.from_arrow(_to_postings(batch))
         g = p.group_by("term").agg(
@@ -761,8 +753,6 @@ def term_burstiness_ds(sf_dir: str, min_df: int = BURSTINESS_MIN_DF, k: int = BU
             s2=(pl.col("tf").cast(pl.Int64) * pl.col("tf").cast(pl.Int64)).sum(),
         )
         return g.to_arrow()
-
-    route = hash_route("term", np_)
 
     def merge(t: pa.Table) -> pa.Table:
         g = (
@@ -796,8 +786,7 @@ def term_burstiness_ds(sf_dir: str, min_df: int = BURSTINESS_MIN_DF, k: int = BU
             )
         )
 
-    ds = _read_docs(sf_dir).map_batches(partial, batch_format="pyarrow")
-    parts = exchange_map(ds, route, np_, merge)
+    parts = aggregate(read_docs_refs(sf_dir), partial, "term", merge)
 
     # per-partition head(k) is a SUPERSET of the global top-k (each term
     # lives in exactly one partition); one tiny final cut
@@ -810,7 +799,8 @@ def term_burstiness_ds(sf_dir: str, min_df: int = BURSTINESS_MIN_DF, k: int = BU
             .cast(t.schema)
         )
 
-    return exchange_map(parts, lambda t: np.zeros(t.num_rows, np.int64), 1, final_cut)
+    out = exchange_map(parts, lambda t: np.zeros(t.num_rows, np.int64), 1, final_cut)
+    return to_dataset("term_burstiness_ds", out)
 
 
 def zipf_slope_table(sf_dir: str, top_n: int = 200) -> pa.Table:
@@ -823,11 +813,9 @@ def zipf_slope_table(sf_dir: str, top_n: int = 200) -> pa.Table:
     float expressions both sides, ROUND(6)."""
     import ray
 
-    from web_search_engine_ray.pipelines.corpus import term_stats_ds
+    from web_search_engine_ray.pipelines.corpus import term_stats_refs
 
-    stats = pa.concat_tables(
-        [t for t in ray.get(arrow_refs(term_stats_ds(sf_dir))) if t.num_rows]
-    )
+    stats = pa.concat_tables(ray.get(term_stats_refs(sf_dir)))
     d = (
         pl.from_arrow(stats)
         .sort(["cf", "term"], descending=[True, False])

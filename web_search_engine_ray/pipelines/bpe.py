@@ -35,10 +35,9 @@ import polars as pl
 import pyarrow as pa
 
 from web_search_engine_ray.functions.tokenize import token_lists
-from web_search_engine_ray.pipelines.corpus import term_stats_ds
+from web_search_engine_ray.pipelines.corpus import term_stats_refs
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
-
-from web_search_engine_ray.stages.exchange import arrow_refs, pool_size
+from web_search_engine_ray.stages.exchange import map_refs, pool_size
 
 END = "</w>"  # end-of-word sentinel (distinct from any corpus token char)
 
@@ -60,8 +59,6 @@ def word_frequencies(sf_dir: str, max_words: int = 100_000) -> list[tuple[str, i
             "a driver-side collection and must stay bounded"
         )
 
-    ds = term_stats_ds(sf_dir)
-
     # one block per exchange partition -> per-block map IS the
     # partition-local cut, and it runs remotely: the driver receives at
     # most n_parts x max_words rows, never the full vocabulary
@@ -74,8 +71,7 @@ def word_frequencies(sf_dir: str, max_words: int = 100_000) -> list[tuple[str, i
             .cast(t.schema)
         )
 
-    ds = ds.map_batches(prune, batch_format="pyarrow")
-    parts = [p for p in ray.get(arrow_refs(ds)) if p.num_rows]
+    parts = [p for p in ray.get(map_refs(prune, term_stats_refs(sf_dir))) if p.num_rows]
     if not parts:
         return []
     df = (

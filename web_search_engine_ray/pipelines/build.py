@@ -160,16 +160,23 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()[:16]
 
 
-@functools.cache
-def code_fingerprint() -> str:
-    """Hash of the bytes of :data:`CODE_FILES`: the engine code that writes
-    the build's artifacts, folded into every resume key."""
+def files_fingerprint(paths) -> str:
+    """Hash of the bytes of source files ``paths``, each named by its path
+    relative to the package (absolute paths are accepted too)."""
     pkg = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     h = hashlib.sha256()
-    for rel in CODE_FILES:
-        with open(os.path.join(pkg, rel), "rb") as f:
-            h.update(rel.encode() + b"\0" + f.read() + b"\0")
+    for p in paths:
+        p = os.path.join(pkg, p)
+        with open(p, "rb") as f:
+            h.update(os.path.relpath(p, pkg).encode() + b"\0" + f.read() + b"\0")
     return h.hexdigest()[:16]
+
+
+@functools.cache
+def code_fingerprint() -> str:
+    """:func:`files_fingerprint` of :data:`CODE_FILES`: the engine code that
+    writes the build's artifacts, folded into every resume key."""
+    return files_fingerprint(CODE_FILES)
 
 
 def fan_out(stage: str, fn, items: list, *args) -> list:

@@ -201,9 +201,8 @@ def semdedup_ds(
     IS the scale knob. Returns survivors (vec_id, cluster)."""
     import ray
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
+    from web_search_engine_ray.stages.exchange import chain_parts, exchange_map, map_refs, to_dataset
 
-    np_ = cluster_parts(min(32, max(2, k)))
     emb = _emb_ds(sf_dir).materialize()
     C = kmeans_centroids(sf_dir, k=k, iters=iters, emb_ds=emb)
     cref = ray.put(C)
@@ -211,7 +210,7 @@ def semdedup_ds(
     def assign_fwd(batch: pa.Table) -> pa.Table:
         cents = ray.get(cref)
         X = list_matrix(batch["embedding"], dtype=np.float64)
-        a = np.argmin(_sq_dists(X, cents), axis=1)
+        a = np.argmin(_sq_dists(X, cents), axis=1) if len(X) else np.empty(0, np.int64)
         return pa.table(
             {
                 "vec_id": batch["vec_id"].cast(pa.int64()),
@@ -220,7 +219,8 @@ def semdedup_ds(
             }
         )
 
-    ds = emb.map_batches(assign_fwd, batch_format="pyarrow")
+    refs = arrow_refs(emb)
+    np_ = chain_parts(refs)
 
     def drop_dominated(t: pa.Table) -> pa.Table:
         ids = t["vec_id"].to_numpy()
@@ -252,12 +252,10 @@ def semdedup_ds(
             }
         )
 
-    return exchange_map(
-        ds,
-        lambda t: t["cluster"].to_numpy() % np_,
-        np_,
-        drop_dominated,
+    out = exchange_map(
+        map_refs(assign_fwd, refs), lambda t: t["cluster"].to_numpy() % np_, np_, drop_dominated
     )
+    return to_dataset("semdedup_ds", out)
 
 
 def pca_model(sf_dir: str, n_components: int = 8):

@@ -20,7 +20,8 @@ import pyarrow as pa
 
 from web_search_engine_ray.functions.tokenize import batch_postings, token_lists
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
-from web_search_engine_ray.stages.exchange import arrow_refs, hash_route
+from web_search_engine_ray.sources.documents import read_docs_refs
+from web_search_engine_ray.stages.exchange import aggregate, map_refs, read_refs, to_dataset
 
 
 def _docs_path(sf_dir: str) -> str:
@@ -61,15 +62,15 @@ def doc_lengths_ds(sf_dir: str):
 
 
 def term_stats_ds(sf_dir: str):
-    """(term, df, cf): document frequency + collection frequency per term.
+    """(term, df, cf): document frequency + collection frequency per term."""
+    return to_dataset("term_stats_ds", term_stats_refs(sf_dir))
 
-    Partial-aggregated inside map_batches (one row per term per batch), then a
-    small groupby-sum — the pre-aggregation pattern that keeps the shuffle
-    tiny at scale."""
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    np_ = cluster_parts(32)
+def term_stats_refs(sf_dir: str) -> list:
+    """Block refs of :func:`term_stats_ds`'s rows. Partial-aggregated per
+    block (one row per term per block), then a small hash-partitioned
+    groupby-sum — the pre-aggregation pattern that keeps the shuffle tiny
+    at scale (merged sums are partition-invariant)."""
 
     def partial(batch: pa.Table) -> pa.Table:
         p = _to_postings(batch)
@@ -90,12 +91,7 @@ def term_stats_ds(sf_dir: str):
             pa.schema([("term", pa.string()), ("df", pa.int64()), ("cf", pa.int64())])
         )
 
-    route = hash_route("term", np_)
-
-    ds = _read_docs(sf_dir).map_batches(partial, batch_format="pyarrow")
-    # partition hash exchange + local polars merge (routing is
-    # correctness-neutral; merged sums are partition-invariant)
-    return exchange_map(ds, route, np_, merge)
+    return aggregate(read_docs_refs(sf_dir), partial, "term", merge)
 
 
 def dl_from_postings_ds(sf_dir: str):
@@ -118,10 +114,17 @@ def dl_from_postings_ds(sf_dir: str):
 
 
 def top_terms_ds(sf_dir: str, k: int = 20):
-    """Top-k terms by collection frequency (ties broken by term):
-    sort + limit over the pre-aggregated term stats."""
-    ds = term_stats_ds(sf_dir)
-    return ds.sort(["cf", "term"], descending=[True, False]).limit(k)
+    """Top-k terms by collection frequency (ties broken by term): each
+    term-stats partition cuts its own top k, the driver cuts their union."""
+    import pyarrow.compute as pc
+    import ray
+    import ray.data
+
+    def top(t: pa.Table) -> pa.Table:
+        return t.take(pc.sort_indices(t, [("cf", "descending"), ("term", "ascending")])[:k])
+
+    parts = ray.get(map_refs(top, term_stats_refs(sf_dir)))
+    return ray.data.from_arrow(top(pa.concat_tables(parts)))
 
 
 def subset_first_n_ds(sf_dir: str, n: int = 100):
@@ -193,12 +196,6 @@ def top_terms_per_source_ds(sf_dir: str, k: int = 5):
     ``k x n_sources`` rows. Ties at the k boundary resolve to the
     lexicographically first term, matching the SQL twin's
     ``row_number() OVER (ORDER BY cf DESC, term)`` exactly."""
-    import ray.data
-
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    np_ = cluster_parts(32)
-
     def partial(batch: pa.Table) -> pa.Table:
         toks = token_lists(batch["text"])
         d = (
@@ -211,8 +208,6 @@ def top_terms_per_source_ds(sf_dir: str, k: int = 5):
             .len(name="cf_p")
         )
         return d.to_arrow()
-
-    route = hash_route("source", np_)
 
     def merge(t: pa.Table) -> pa.Table:
         d = (
@@ -237,10 +232,8 @@ def top_terms_per_source_ds(sf_dir: str, k: int = 5):
             )
         )
 
-    ds = ray.data.read_parquet(
-        _docs_path(sf_dir), columns=["source", "text"]
-    ).map_batches(partial, batch_format="pyarrow")
-    return exchange_map(ds, route, np_, merge)
+    refs = aggregate(read_refs(_docs_path(sf_dir), ["source", "text"]), partial, "source", merge)
+    return to_dataset("top_terms_per_source_ds", refs)
 
 
 def tfidf_topk_ds(sf_dir: str, k: int = 5):
@@ -255,7 +248,7 @@ def tfidf_topk_ds(sf_dir: str, k: int = 5):
     import pyarrow.parquet as pq
     import ray
 
-    stats = pa.concat_tables(ray.get(arrow_refs(term_stats_ds(sf_dir))))
+    stats = pa.concat_tables(ray.get(term_stats_refs(sf_dir)))
     n_docs = float(pq.ParquetFile(_docs_path(sf_dir)).metadata.num_rows)
     # ln(N/df) as ln(N) - ln(df) would diverge from DuckDB's ln(N/df) in the
     # last ulp — compute the quotient first, exactly as the SQL twin does

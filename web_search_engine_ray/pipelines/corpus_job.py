@@ -29,8 +29,15 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from web_search_engine_ray.sources.documents import read_docs
-from web_search_engine_ray.stages.exchange import arrow_refs, hash_route, route_probe
+from web_search_engine_ray.sources.documents import read_docs_refs
+from web_search_engine_ray.stages.exchange import (
+    arrow_refs,
+    exchange_map,
+    hash_route,
+    map_refs,
+    read_refs,
+    route_probe,
+)
 
 
 def _marker(stage_dir: str) -> str:
@@ -92,14 +99,13 @@ def _finish_stage(stage_dir: str, params: dict, n_rows: int, **extra) -> dict:
     return marker
 
 
-def _write_doc_parts(ds, stage_dir: str, n_parts: int) -> int:
-    """Sink a (doc_id/docid, text) Dataset as ``n_parts`` deterministic
+def _write_doc_parts(refs: list, stage_dir: str, n_parts: int) -> int:
+    """Sink (doc_id/docid, text) blocks as ``n_parts`` deterministic
     parquet files (docid-routed, sorted within each part, atomic tmp +
     rename). Returns total rows. Same layout contract as the curated-corpus
     sink, so any stage dir is a valid ``read_docs`` corpus."""
     import polars as pl
-
-    from web_search_engine_ray.stages.exchange import exchange_map
+    import ray
 
     os.makedirs(stage_dir, exist_ok=True)
 
@@ -125,14 +131,13 @@ def _write_doc_parts(ds, stage_dir: str, n_parts: int) -> int:
             n = t.num_rows
         return pa.table({"n": pa.array([int(n)], pa.int64())})
 
-    parts = exchange_map(
-        ds.map_batches(norm, batch_format="pyarrow"),
-        route,
-        n_parts,
-        write_part,
-        with_index=True,
-    )
-    return int(sum(b["n"].to_numpy().sum() for b in parts.iter_batches(batch_format="pyarrow")))
+    parts = exchange_map(map_refs(norm, refs), route, n_parts, write_part, with_index=True)
+    return _rows_written(ray.get(parts))
+
+
+def _rows_written(parts: list[pa.Table]) -> int:
+    """Total of a sink's per-partition ``n`` counts."""
+    return int(sum(t["n"].to_numpy().sum() for t in parts))
 
 
 def _neardup_drop_set(stage_dir: str, tau: float) -> np.ndarray:
@@ -231,9 +236,7 @@ def run_llm_corpus_job(
         m2 = _finish_stage(
             s2,
             p2,
-            _write_doc_parts(
-                read_docs(s1).map_batches(keep_fn, batch_format="pyarrow"), s2, n_parts
-            ),
+            _write_doc_parts(map_refs(keep_fn, read_docs_refs(s1)), s2, n_parts),
         )
     n2 = int(m2["n_rows"])
     stats["n_neardup_dropped"] = n1 - n2
@@ -255,9 +258,7 @@ def run_llm_corpus_job(
         m3 = _finish_stage(
             s3,
             p3,
-            _write_doc_parts(
-                red.map_batches(to_docs, batch_format="pyarrow"), s3, n_parts
-            ),
+            _write_doc_parts(map_refs(to_docs, arrow_refs(red)), s3, n_parts),
         )
     n3 = int(m3["n_rows"])
     stats["n_after_redact"] = n3
@@ -309,9 +310,7 @@ def run_llm_corpus_job(
         m4 = _finish_stage(
             s4,
             p4,
-            _write_doc_parts(
-                read_docs(s3).map_batches(clean_fn, batch_format="pyarrow"), s4, n_parts
-            ),
+            _write_doc_parts(map_refs(clean_fn, read_docs_refs(s3)), s4, n_parts),
         )
     n4 = int(m4["n_rows"])
     stats["n_contaminated_dropped"] = n3 - n4
@@ -355,7 +354,7 @@ def run_llm_corpus_job(
 
         # one corpus scan + md5 pass total: the three per-split sinks below
         # re-read object-store blocks, not parquet
-        ds = read_docs(s4).map_batches(with_split, batch_format="pyarrow").materialize()
+        refs = map_refs(with_split, read_docs_refs(s4))
         counts = {"train": 0, "val": 0, "test": 0}
         for sp in ("train", "val", "test"):
             sdir = os.path.join(final, sp)
@@ -365,9 +364,7 @@ def run_llm_corpus_job(
 
                 return t.filter(pc.equal(t["split"], _sp)).drop_columns(["split"])
 
-            counts[sp] = _write_doc_parts(
-                ds.map_batches(only, batch_format="pyarrow"), sdir, n_parts
-            )
+            counts[sp] = _write_doc_parts(map_refs(only, refs), sdir, n_parts)
         m5 = _finish_stage(final, p5, sum(counts.values()), splits=counts)
     stats["splits"] = {k: int(v) for k, v in m5["splits"].items()}
     stats["n_final"] = int(sum(stats["splits"].values()))
@@ -377,7 +374,7 @@ def run_llm_corpus_job(
 # --------------------------------------------- transcripts -> SFT dataset
 
 
-def _conv_drop_set(corpus, n_parts: int, tau: float = 0.8, hash_fn: str = "md5") -> set:
+def _conv_drop_set(corpus, tau: float = 0.8, hash_fn: str = "md5") -> set:
     """conv_ids to DROP: exact-dup losers (all but min conv_id per content
     hash) plus VERIFIED near-dup cluster losers — minhash LSH candidates are
     only edges after their true conversation-shingle jaccard clears ``tau``
@@ -397,9 +394,10 @@ def _conv_drop_set(corpus, n_parts: int, tau: float = 0.8, hash_fn: str = "md5")
     # "fast" = vectorized 64-bit, "md5" = the oracle-shared convention.
     import pyarrow as _pa
 
+    import ray
+
     from web_search_engine_ray.pipelines.dedup import text_hash_column
-    from web_search_engine_ray.pipelines.transcripts_ops import conversation_text_ds
-    from web_search_engine_ray.stages.exchange import exchange_map
+    from web_search_engine_ray.pipelines.transcripts_ops import _conversation_text_refs
 
     def hash_rows(t: _pa.Table) -> _pa.Table:
         return _pa.table(
@@ -418,18 +416,12 @@ def _conv_drop_set(corpus, n_parts: int, tau: float = 0.8, hash_fn: str = "md5")
         )
         return out.to_arrow().cast(_pa.schema([("conv_id", _pa.string())]))
 
-    # ONE reassembly for all three consumers (exact-hash pass, minhash
-    # bands, jaccard semi-join corpus side): materialized so the lazy
-    # pipeline doesn't re-read + re-sort the corpus per consumer.
-    from web_search_engine_ray.stages.exchange import cluster_parts
-
-    conv_text = conversation_text_ds(
-        corpus, n_parts=max(n_parts, cluster_parts(16))
-    ).materialize()
-
-    hashed = conv_text.map_batches(hash_rows, batch_format="pyarrow")
-    lost = exchange_map(hashed, hash_route("conv_hash", n_parts), n_parts, losers)
-    for b in lost.iter_batches(batch_format="pyarrow"):
+    # ONE reassembly (block refs) for all three consumers: exact-hash pass,
+    # minhash bands, jaccard semi-join corpus side
+    conv_text = _conversation_text_refs(corpus)
+    texts, n = conv_text
+    lost = exchange_map(map_refs(hash_rows, texts), hash_route("conv_hash", n), n, losers)
+    for b in ray.get(lost):
         drop.update(b["conv_id"].to_pylist())
 
     # near-dup: minhash candidates -> exact jaccard verify, ALL distributed
@@ -520,12 +512,9 @@ def run_sft_dataset_job(
     m1 = _stage_done(s1, p1)
     if m1 is None:
         import ray
-        import ray.data
-
-        from web_search_engine_ray.stages.exchange import exchange_map
 
         _begin_stage(s1, p1)
-        drop = _conv_drop_set(corpus, n_parts, hash_fn=hash_fn)
+        drop = _conv_drop_set(corpus, hash_fn=hash_fn)
         n_dup_dropped = len(drop)
         if drop_malformed:
             import pyarrow.compute as pc
@@ -534,7 +523,7 @@ def run_sft_dataset_job(
                 conversation_structure_stats_ds,
             )
 
-            bad = conversation_structure_stats_ds(corpus, n_parts=n_parts)
+            bad = conversation_structure_stats_ds(corpus)
             for b in bad.iter_batches(batch_format="pyarrow"):
                 keep_mask = pc.invert(b["is_wellformed"])
                 drop.update(
@@ -571,14 +560,9 @@ def run_sft_dataset_job(
                 n = t.num_rows
             return pa.table({"n": pa.array([int(n)], pa.int64())})
 
-        ds = ray.data.read_parquet(
-            corpus_files(corpus),
-            columns=["conv_id", "turn_idx", "role", "text"],
-        ).map_batches(keep_rows, batch_format="pyarrow")
-        parts = exchange_map(ds, route, n_parts, write_part, with_index=True)
-        n1 = int(
-            sum(b["n"].to_numpy().sum() for b in parts.iter_batches(batch_format="pyarrow"))
-        )
+        refs = read_refs(corpus_files(corpus), ["conv_id", "turn_idx", "role", "text"])
+        parts = exchange_map(map_refs(keep_rows, refs), route, n_parts, write_part, with_index=True)
+        n1 = _rows_written(ray.get(parts))
         m1 = _finish_stage(
             s1,
             p1,
@@ -607,7 +591,9 @@ def run_sft_dataset_job(
     m2 = _stage_done(final, p2)
     if m2 is None:
         _begin_stage(final, p2)
-        ex = sft_examples_ds(s1, n_parts=n_parts, max_context_turns=max_context_turns)
+        import ray
+
+        ex = sft_examples_ds(s1, max_context_turns=max_context_turns)
 
         def with_split(t: pa.Table) -> pa.Table:
             convs = t["conv_id"].to_pylist()
@@ -629,7 +615,7 @@ def run_sft_dataset_job(
             )
             return t.append_column("split", pa.array(split.tolist(), pa.string()))
 
-        ds = ex.map_batches(with_split, batch_format="pyarrow").materialize()
+        refs = map_refs(with_split, arrow_refs(ex))
         counts = {}
         for sp in ("train", "val", "test"):
             sdir = os.path.join(final, sp)
@@ -641,8 +627,6 @@ def run_sft_dataset_job(
                 return t.filter(pc.equal(t["split"], _sp)).drop_columns(["split"])
 
             import polars as _pl
-
-            from web_search_engine_ray.stages.exchange import exchange_map
 
             route = hash_route("conv_id", n_parts)
 
@@ -659,19 +643,8 @@ def run_sft_dataset_job(
                     n = t.num_rows
                 return pa.table({"n": pa.array([int(n)], pa.int64())})
 
-            parts = exchange_map(
-                ds.map_batches(only, batch_format="pyarrow"),
-                route,
-                n_parts,
-                write_part,
-                with_index=True,
-            )
-            counts[sp] = int(
-                sum(
-                    b["n"].to_numpy().sum()
-                    for b in parts.iter_batches(batch_format="pyarrow")
-                )
-            )
+            parts = exchange_map(map_refs(only, refs), route, n_parts, write_part, with_index=True)
+            counts[sp] = _rows_written(ray.get(parts))
         m2 = _finish_stage(final, p2, sum(counts.values()), splits=counts)
     stats["splits"] = {k: int(v) for k, v in m2["splits"].items()}
     stats["n_examples"] = int(sum(stats["splits"].values()))

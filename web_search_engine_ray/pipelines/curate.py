@@ -27,8 +27,15 @@ import numpy as np
 import pyarrow as pa
 
 from web_search_engine_ray.functions.tokenize import token_lists
-from web_search_engine_ray.sources.documents import read_docs as _read_docs
-from web_search_engine_ray.stages.exchange import hash_route, route_probe
+from web_search_engine_ray.sources.documents import read_docs_refs
+from web_search_engine_ray.stages.exchange import (
+    aggregate,
+    exchange_map,
+    hash_route,
+    map_refs,
+    route_probe,
+    to_dataset,
+)
 from web_search_engine_ray.pipelines.analysis import STOPWORDS, _stop_hits
 
 _TOK_BITS = 22
@@ -71,9 +78,9 @@ def _doc_signals(
     )
 
 
-def _signals_ds(
-    sf_dir: str, min_tokens: int, max_stop_ratio: float, hash_fn: str = "md5"
-):
+def _signals(min_tokens: int, max_stop_ratio: float, hash_fn: str = "md5"):
+    """The per-block :func:`_doc_signals` function (``hash_fn`` checked
+    here, on the driver)."""
     from web_search_engine_ray.pipelines.dedup import text_hash_column
 
     text_hash_column(pa.array([], pa.string()), hash_fn)  # validate eagerly
@@ -81,7 +88,7 @@ def _signals_ds(
     def signals(batch: pa.Table) -> pa.Table:
         return _doc_signals(batch, min_tokens, max_stop_ratio, hash_fn)
 
-    return _read_docs(sf_dir).map_batches(signals, batch_format="pyarrow")
+    return signals
 
 
 def curated_docs_ds(
@@ -96,18 +103,14 @@ def curated_docs_ds(
     vectorized."""
     import polars as pl
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    np_ = cluster_parts(32)
-
     def merge(t: pa.Table) -> pa.Table:
         d = pl.from_arrow(t).group_by("text_hash").agg(pl.col("p_ok").min())
         p = d["p_ok"].to_numpy().astype(np.int64)
         keep = (p & 1) == 1
         return pa.table({"docid": pa.array(p[keep] >> 1, pa.int64())})
 
-    sig = _signals_ds(sf_dir, min_tokens, max_stop_ratio, hash_fn)
-    return exchange_map(sig, hash_route("text_hash", np_), np_, merge)
+    signals = _signals(min_tokens, max_stop_ratio, hash_fn)
+    return to_dataset("curated_docs_ds", aggregate(read_docs_refs(sf_dir), signals, "text_hash", merge))
 
 
 def curation_stats_table(sf_dir: str, min_tokens: int = 5, max_stop_ratio: float = 0.6) -> pa.Table:
@@ -118,10 +121,7 @@ def curation_stats_table(sf_dir: str, min_tokens: int = 5, max_stop_ratio: float
     quality flag and token count through the int64 packing, and emits one
     partial-sum row — the driver only adds up 32 partial rows."""
     import polars as pl
-
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    np_ = cluster_parts(32)
+    import ray
 
     def partial(t: pa.Table) -> pa.Table:
         d = (
@@ -151,8 +151,8 @@ def curation_stats_table(sf_dir: str, min_tokens: int = 5, max_stop_ratio: float
             }
         )
 
-    sig = _signals_ds(sf_dir, min_tokens, max_stop_ratio)
-    parts = exchange_map(sig, hash_route("text_hash", np_), np_, partial).to_pandas()
+    refs = aggregate(read_docs_refs(sf_dir), _signals(min_tokens, max_stop_ratio), "text_hash", partial)
+    parts = pa.concat_tables(ray.get(refs)).to_pandas()
     return pa.table(
         {
             "n_input": pa.array([int(parts["n_input"].sum())], pa.int64()),
@@ -187,8 +187,7 @@ def write_curated_corpus(
     import json
 
     import pyarrow.parquet as pq
-
-    from web_search_engine_ray.stages.exchange import exchange_map
+    import ray
 
     os.makedirs(out_dir, exist_ok=True)
 
@@ -269,10 +268,10 @@ def write_curated_corpus(
              "resumed": pa.array([False], pa.bool_())}
         )
 
-    ds = _read_docs(sf_dir).map_batches(signals_with_text, batch_format="pyarrow")
-    report = exchange_map(
-        ds, hash_route("text_hash", n_parts), n_parts, write_part, with_index=True
-    ).to_pandas()
+    rows = map_refs(signals_with_text, read_docs_refs(sf_dir))
+    route = hash_route("text_hash", n_parts)
+    parts = exchange_map(rows, route, n_parts, write_part, with_index=True)
+    report = pa.concat_tables(ray.get(parts)).to_pandas()
     return {
         "out_dir": out_dir,
         "n_files": int(len(report)),

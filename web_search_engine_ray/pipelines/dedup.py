@@ -18,7 +18,7 @@ operator set — it has only exact ``(term, docid)`` collapse,
   union is a list concatenation, and each ``exchange_map`` hands its
   partitions' refs straight to the next, so a whole chain is submitted at
   once and no Ray Data executor or driver wait sits between its exchanges.
-  Each public wrapper reads its source once (``arrow_refs``) and waits once
+  Each public wrapper reads its source once (``read_docs_refs``) and waits once
   on its final partitions (``exchange.to_dataset``, which logs a stalled
   chain by name).
 - :func:`minhash_lsh_candidates_ds` / :func:`ngram_jaccard_dups` — the
@@ -34,7 +34,7 @@ operator set — it has only exact ``(term, docid)`` collapse,
   The token hash is the low 64 bits of md5 so the whole operator has an
   exact DuckDB twin (``md5_number_lower`` + ``bit_count(xor(..))``).
 - :func:`embedding_dups` — EXACT cosine near-dup pairs over ``embeddings``
-  via a block-pair task grid (each task compares two Dataset blocks; no
+  via a block-pair task grid (each task compares two blocks; no
   full-matrix broadcast). :func:`embedding_dups_lsh` is the approximate
   100 TB path: random-hyperplane buckets, within-bucket verify.
 
@@ -55,11 +55,13 @@ import pyarrow.compute as pc
 from web_search_engine_ray.functions.arrays import list_matrix
 from web_search_engine_ray.functions.tokenize import token_lists
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
+from web_search_engine_ray.sources.documents import read_docs_refs
 from web_search_engine_ray.stages.exchange import (
     arrow_refs,
     chain_parts,
     hash_route,
     map_refs,
+    read_refs,
     to_dataset,
 )
 
@@ -69,13 +71,6 @@ MINHASH_PERMS = 64
 LSH_ROWS = 2  # rows per band
 LSH_BANDS = 32
 SHINGLE_K = 3
-N_PARTS = 64  # MINIMUM coarse shuffle partitions for bucket/pair groupbys
-# (Dataset-form ops call cluster_parts(N_PARTS) at runtime: the count grows
-# with the cluster's CPU total so per-partition state stays bounded at
-# 100 TB, and exchange_map trims it back down for a Dataset of few blocks;
-# both directions rely on per-key merges being partition-count invariant).
-# The near-dup chains on block refs are sized once from their input instead
-# (exchange.chain_parts).
 
 
 def _col(t: pa.Table, name: str, dtype=np.int64) -> np.ndarray:
@@ -135,10 +130,9 @@ def exact_dedup_ds(sf_dir: str, hash_fn: str = "md5"):
     The shuffle is a partition hash exchange on the content hash (the key is
     already uniform — no skew) with a local polars min per partition; one
     (hash, docid) row per doc moves, never the text."""
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
+    from web_search_engine_ray.stages.exchange import aggregate
 
     text_hash_column(pa.array([], pa.string()), hash_fn)  # validate eagerly
-    np_ = cluster_parts(32)
     hash_type = pa.string() if hash_fn == "md5" else pa.uint64()
 
     def hash_batch(batch: pa.Table) -> pa.Table:
@@ -159,8 +153,8 @@ def exact_dedup_ds(sf_dir: str, hash_fn: str = "md5"):
             .cast(pa.schema([("text_hash", hash_type), ("docid", pa.int64())]))
         )
 
-    ds = _read_docs(sf_dir).map_batches(hash_batch, batch_format="pyarrow")
-    return exchange_map(ds, hash_route("text_hash", np_), np_, merge)
+    refs = aggregate(read_docs_refs(sf_dir), hash_batch, "text_hash", merge)
+    return to_dataset("exact_dedup_ds", refs)
 
 
 # ------------------------------------------------------------- hashing core
@@ -450,14 +444,12 @@ def _minhash_pairs(refs, id_col, text_col, pair_cols, n_parts, max_bucket=None):
     return _distinct_pairs(pairs, a_col, b_col, n_parts)
 
 
-def _distinct_pairs(ds, a_col, b_col, n_parts):
-    """One row per distinct (``a_col``, ``b_col``) pair, through one hash
-    exchange on ``a_col``; ``ds`` is a Dataset or block refs, and the result
-    is the same kind. Other columns ride along, and any one row of a pair is
+def _distinct_pairs(refs, a_col, b_col, n_parts):
+    """Block refs of one row per distinct (``a_col``, ``b_col``) pair of the
+    blocks ``refs``, through one hash exchange on ``a_col`` at the chain's
+    ``n_parts``. Other columns ride along, and any one row of a pair is
     kept — valid because every payload the callers carry (hamming, cos) is a
-    function of the pair. A Dataset input may run at fewer partitions
-    (``exchange_map`` trims ``n_parts`` to its block count); a refs input
-    runs at exactly ``n_parts``, the count its chain was sized to."""
+    function of the pair."""
     from web_search_engine_ray.stages.exchange import exchange_map
 
     def dedup_pairs(t: pa.Table) -> pa.Table:
@@ -468,7 +460,7 @@ def _distinct_pairs(ds, a_col, b_col, n_parts):
             .cast(t.schema)
         )
 
-    return exchange_map(ds, hash_route(a_col, n_parts), n_parts, dedup_pairs)
+    return exchange_map(refs, hash_route(a_col, n_parts), n_parts, dedup_pairs)
 
 
 def _verified_pairs(cand, corpus, id_col, text_col, pair_cols, metric, tau, n_parts):
@@ -663,7 +655,7 @@ def minhash_lsh_candidates_ds(sf_dir: str, max_bucket: int | None = None):
     """Candidate near-dup pairs (docid_a, docid_b) from banded minhash LSH
     (:func:`_minhash_pairs` over the documents), with an optional logged
     skew guard (``max_bucket``)."""
-    docs = arrow_refs(_read_docs(sf_dir))
+    docs = read_docs_refs(sf_dir)
     pairs = _minhash_pairs(
         docs, "doc_id", "text", ("docid_a", "docid_b"), chain_parts(docs),
         max_bucket,
@@ -680,7 +672,7 @@ def ngram_jaccard_dups(sf_dir: str, tau: float = 0.8, max_bucket: int | None = N
     equals the all-pairs answer the DuckDB oracle computes. The documents
     are read once; both stages consume the same blocks."""
     pair_cols = ("docid_a", "docid_b")
-    docs = arrow_refs(_read_docs(sf_dir))
+    docs = read_docs_refs(sf_dir)
     np_ = chain_parts(docs)
     cand = _minhash_pairs(docs, "doc_id", "text", pair_cols, np_, max_bucket)
     pairs = _verified_pairs(
@@ -871,17 +863,17 @@ def simhash_dups(sf_dir: str, max_hamming: int = 3, max_bucket: int | None = Non
             }
         )
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
+    from web_search_engine_ray.stages.exchange import exchange_map
 
-    np_ = cluster_parts(N_PARTS)
-    ds = _read_docs(sf_dir).map_batches(to_bands, batch_format="pyarrow")
+    refs = read_docs_refs(sf_dir)
+    np_ = chain_parts(refs)
     pairs = exchange_map(
-        ds,
+        map_refs(to_bands, refs),
         lambda t: (_col(t, "bkey") + _col(t, "band") * 65536) % np_,
         np_,
         band_pairs,
     )
-    return _distinct_pairs(pairs, "docid_a", "docid_b", np_)
+    return to_dataset("simhash_dups", _distinct_pairs(pairs, "docid_a", "docid_b", np_))
 
 
 # ---------------------------------------------------------------- embedding
@@ -908,9 +900,6 @@ def embedding_dups(sf_dir: str, tau: float = 0.45):
     O(B^2) tiles is the exact-answer cost — :func:`embedding_dups_lsh` is
     the approximate path that prunes tiles via hyperplane buckets."""
     import ray
-    import ray.data
-
-    emb_path = os.path.join(sf_dir, "embeddings.parquet")
 
     def normalize(batch: pa.Table) -> pa.Table:
         V = list_matrix(batch["embedding"])
@@ -925,8 +914,7 @@ def embedding_dups(sf_dir: str, tau: float = 0.45):
             }
         )
 
-    ds = ray.data.read_parquet(emb_path, columns=["vec_id", "embedding"])
-    refs = arrow_refs(ds.map_batches(normalize, batch_format="pyarrow"))
+    refs = map_refs(normalize, _emb_refs(sf_dir))
 
     @ray.remote
     def tile(ta: pa.Table, tb: pa.Table, same: bool) -> pa.Table:
@@ -989,21 +977,19 @@ def _lsh_bucket_matrix(batch: pa.Table, n_planes: int, n_reps: int):
     return _col(batch, "vec_id", np.int64), Vn, bucks
 
 
-def _emb_lsh_bucket_rows_ds(
-    sf_dir: str,
+def _emb_lsh_bucket_rows(
+    refs: list,
     n_planes: int,
     n_reps: int,
     prune_singletons: bool,
     f32: bool = True,
-):
-    """The (rep, bucket, vec_id, emb) rows that enter the bucket exchange —
+) -> list:
+    """Block refs of the (rep, bucket, vec_id, emb) rows that enter the
+    bucket exchange, from the (vec_id, embedding) blocks ``refs`` —
     factored out so :func:`emb_lsh_shuffle_bytes` can measure exactly what
     :func:`embedding_dups_lsh` ships. ``f32=False`` keeps the legacy f64
     transport for A/B byte measurement."""
     import ray
-    import ray.data
-
-    emb_path = os.path.join(sf_dir, "embeddings.parquet")
 
     multi_ref = None
     if prune_singletons:
@@ -1021,9 +1007,8 @@ def _emb_lsh_bucket_rows_ds(
             )
 
         counts = (
-            ray.data.read_parquet(emb_path, columns=["vec_id", "embedding"])
-            .map_batches(count_buckets, batch_format="pyarrow")
-            .to_pandas()  # <= n_reps * 2^n_planes rows per batch — tiny
+            pa.concat_tables(ray.get(map_refs(count_buckets, refs)))
+            .to_pandas()  # <= n_reps * 2^n_planes rows per block — tiny
             .groupby("key")["cnt"]
             .sum()
         )
@@ -1057,9 +1042,11 @@ def _emb_lsh_bucket_rows_ds(
             }
         )
 
-    return ray.data.read_parquet(
-        emb_path, columns=["vec_id", "embedding"]
-    ).map_batches(bucketize, batch_format="pyarrow")
+    return map_refs(bucketize, refs)
+
+
+def _emb_refs(sf_dir: str) -> list:
+    return read_refs(os.path.join(sf_dir, "embeddings.parquet"), ["vec_id", "embedding"])
 
 
 def emb_lsh_shuffle_bytes(
@@ -1071,13 +1058,10 @@ def emb_lsh_shuffle_bytes(
 ) -> int:
     """Bytes entering the bucket exchange under a transport config — the
     A/B number BASELINE.md records (f64 no-prune vs f32 pruned)."""
-    ds = _emb_lsh_bucket_rows_ds(sf_dir, n_planes, n_reps, prune_singletons, f32)
-    return int(
-        ds.map_batches(
-            lambda t: pa.table({"b": pa.array([t.nbytes], pa.int64())}),
-            batch_format="pyarrow",
-        ).sum("b")
-    )
+    import ray
+
+    rows = _emb_lsh_bucket_rows(_emb_refs(sf_dir), n_planes, n_reps, prune_singletons, f32)
+    return int(sum(ray.get(map_refs(lambda t: t.nbytes, rows))))
 
 
 def embedding_dups_lsh(
@@ -1131,17 +1115,17 @@ def embedding_dups_lsh(
             }
         )
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
+    from web_search_engine_ray.stages.exchange import exchange_map
 
-    np_ = cluster_parts(N_PARTS)
-    ds = _emb_lsh_bucket_rows_ds(sf_dir, n_planes, n_reps, prune_singletons)
+    refs = _emb_refs(sf_dir)
+    np_ = chain_parts(refs)
     pairs = exchange_map(
-        ds,
+        _emb_lsh_bucket_rows(refs, n_planes, n_reps, prune_singletons),
         lambda t: (_col(t, "bucket") + _col(t, "rep") * 131) % np_,
         np_,
         bucket_pairs,
     )
-    return _distinct_pairs(pairs, "vec_id_a", "vec_id_b", np_)
+    return to_dataset("embedding_dups_lsh", _distinct_pairs(pairs, "vec_id_a", "vec_id_b", np_))
 
 
 def holdout_contamination_ds(
@@ -1270,13 +1254,14 @@ def dup_spans_ds(sf_dir: str, k: int = 4, hash_fn: str = "md5"):
     partition. Per-doc k-gram counts ride the same exchanges as pos=0
     marker rows, so nothing ever lands on the driver.
     """
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
+    from web_search_engine_ray.stages.exchange import exchange_map
 
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if hash_fn not in ("md5", "fast"):
         raise ValueError(f"unknown hash_fn {hash_fn!r} (use 'md5' or 'fast')")
-    np_ = cluster_parts(N_PARTS)
+    refs = read_docs_refs(sf_dir)
+    np_ = chain_parts(refs)
     kk = k  # capture as local for the closures
 
     def emit(batch: pa.Table) -> pa.Table:
@@ -1383,9 +1368,8 @@ def dup_spans_ds(sf_dir: str, k: int = 4, hash_fn: str = "md5"):
             }
         )
 
-    ds = _read_docs(sf_dir).map_batches(emit, batch_format="pyarrow")
-    dups = exchange_map(ds, route_h, np_, find_dups)
-    return exchange_map(dups, route_doc, np_, agg)
+    dups = exchange_map(map_refs(emit, refs), route_h, np_, find_dups)
+    return to_dataset("dup_spans_ds", exchange_map(dups, route_doc, np_, agg))
 
 
 def dup_span_clean_ds(sf_dir: str, k: int = 4, hash_fn: str = "md5"):
@@ -1407,13 +1391,14 @@ def dup_span_clean_ds(sf_dir: str, k: int = 4, hash_fn: str = "md5"):
     one lexsort — no extra pass); exchange 2 routes loser positions AND the
     corpus text by docid — the text movement is inherent (the output IS a
     corpus rewrite, same freight as the curation sink writes)."""
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
+    from web_search_engine_ray.stages.exchange import exchange_map
 
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if hash_fn not in ("md5", "fast"):
         raise ValueError(f"unknown hash_fn {hash_fn!r} (use 'md5' or 'fast')")
-    np_ = cluster_parts(N_PARTS)
+    refs = read_docs_refs(sf_dir)
+    np_ = chain_parts(refs)
     kk = k
 
     def emit(batch: pa.Table) -> pa.Table:
@@ -1548,10 +1533,9 @@ def dup_span_clean_ds(sf_dir: str, k: int = 4, hash_fn: str = "md5"):
             )
         )
 
-    grams = _read_docs(sf_dir).map_batches(emit, batch_format="pyarrow")
-    lose_ds = exchange_map(grams, route_h, np_, losers)
-    corpus = _read_docs(sf_dir).map_batches(doc_rows, batch_format="pyarrow")
-    return exchange_map(corpus.union(lose_ds), route_doc, np_, clean)
+    lose = exchange_map(map_refs(emit, refs), route_h, np_, losers)
+    out = exchange_map(map_refs(doc_rows, refs) + lose, route_doc, np_, clean)
+    return to_dataset("dup_span_clean_ds", out)
 
 
 # --------------------------------------------- incremental (snapshot) dedup
@@ -1621,12 +1605,12 @@ def build_dedup_filter(
             }
         )
 
-    ds = _read_docs(sf_dir).map_batches(positions, batch_format="pyarrow")
-    out = exchange_map(ds, route, n_parts, pack, with_index=True)
+    docs = map_refs(positions, read_docs_refs(sf_dir))
+    out = exchange_map(docs, route, n_parts, pack, with_index=True)
     rows = sorted(
         (
             (int(t["part"][i].as_py()), t["bytes"][i].as_py())
-            for t in ray.get(arrow_refs(out))
+            for t in ray.get(out)
             for i in range(t.num_rows)
         ),
     )
@@ -1836,7 +1820,7 @@ def containment_dups(sf_dir: str, tau: float = 0.8, max_bucket: int | None = Non
     (:func:`_containment_candidates`) + the same distributed shingle
     verify as the Jaccard join (:func:`_verified_pairs`) with the
     containment denominator, over one read of the documents."""
-    docs = arrow_refs(_read_docs(sf_dir))
+    docs = read_docs_refs(sf_dir)
     np_ = chain_parts(docs)
     pairs = _verified_pairs(
         _containment_candidates(docs, tau, np_, max_bucket=max_bucket),

@@ -39,7 +39,8 @@ import pyarrow as pa
 
 from web_search_engine_ray.functions.tokenize import token_lists
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
-from web_search_engine_ray.stages.exchange import arrow_refs
+from web_search_engine_ray.sources.documents import read_docs_refs
+from web_search_engine_ray.stages.exchange import aggregate
 
 DSIR_BUCKETS = 4096
 TARGET_MAX_DOCID = 100  # target slice: doc_id < this (driver-gate default)
@@ -82,10 +83,6 @@ def dsir_weights_ds(
     are absent. Higher score = more target-like."""
     import ray
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    np_ = cluster_parts(32)
-
     def partial(batch: pa.Table) -> pa.Table:
         toks = token_lists(batch["text"]).to_list()
         ids = batch["doc_id"].cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -109,30 +106,13 @@ def dsir_weights_ds(
             }
         )
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            t["f"].combine_chunks().to_numpy(zero_copy_only=False) % np_
-        ).astype(np.int64)
-
     def merge(t: pa.Table) -> pa.Table:
         return (
             pl.from_arrow(t).group_by(["grp", "f"]).agg(pl.col("c").sum()).to_arrow()
         )
 
-    partials = _read_docs(sf_dir).map_batches(partial, batch_format="pyarrow")
-    model = pl.from_arrow(
-        pa.concat_tables(
-            [
-                p
-                for p in ray.get(
-                    arrow_refs(
-                        exchange_map(partials, route, np_, merge)
-                    )
-                )
-                if p.num_rows
-            ]
-        )
-    )
+    merged = aggregate(read_docs_refs(sf_dir), partial, "f", merge)
+    model = pl.from_arrow(pa.concat_tables([p for p in ray.get(merged) if p.num_rows]))
     ct = np.zeros(n_buckets, np.int64)
     cr = np.zeros(n_buckets, np.int64)
     tgt = model.filter(pl.col("grp") == 0)

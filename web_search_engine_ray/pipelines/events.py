@@ -20,16 +20,28 @@ import numpy as np
 import polars as pl
 import pyarrow as pa
 
-from web_search_engine_ray.stages.exchange import arrow_refs, hash_route
+from web_search_engine_ray.stages.exchange import (
+    aggregate,
+    by_key,
+    chain_parts,
+    exchange_map,
+    hash_route,
+    map_refs,
+    read_refs,
+    to_dataset,
+)
 
 WINDOW_S = 3600
 SESSION_GAP_S = 1800
 
 
-def _read_events(sf_dir: str, columns):
-    import ray.data
+def _read_events(sf_dir: str, columns) -> list:
+    return read_refs(os.path.join(sf_dir, "events.parquet"), columns)
 
-    return ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=columns)
+
+def _by_user(name: str, sf_dir: str, columns, fn):
+    """``fn`` per ``user_id`` hash partition of the events' ``columns``."""
+    return to_dataset(name, by_key(_read_events(sf_dir, columns), "user_id", fn))
 
 
 def _np(col: pa.ChunkedArray | pa.Array, dtype=np.int64) -> np.ndarray:
@@ -102,20 +114,10 @@ def window_agg_ds(sf_dir: str, window_s: int = WINDOW_S):
         epoch = _epoch_us(batch) // 1_000_000
         return _window_partial(batch, (epoch // window_s) * window_s)
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    N = cluster_parts(32)
-    ds = _read_events(sf_dir, ["event_id", "event_type", "ts", "value"]).map_batches(
-        partial, batch_format="pyarrow"
-    )
     # route partials by window (all partials of one (type, window) share the
     # window, so a window-keyed partition sees every partial it must merge)
-    return exchange_map(
-        ds,
-        lambda t: (_np(t["window_start"]) // window_s) % N,
-        N,
-        _window_merge,
-    )
+    refs = _read_events(sf_dir, ["event_type", "ts", "value"])
+    return to_dataset("window_agg_ds", aggregate(refs, partial, "window_start", _window_merge))
 
 
 def sessionize_ds(sf_dir: str, gap_s: int = SESSION_GAP_S):
@@ -172,11 +174,7 @@ def sessionize_ds(sf_dir: str, gap_s: int = SESSION_GAP_S):
             }
         )
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    N = cluster_parts(32)
-    ds = _read_events(sf_dir, ["event_id", "user_id", "ts"])
-    return exchange_map(ds, lambda t: _np(t["user_id"]) % N, N, sessions_part)
+    return _by_user("sessionize_ds", sf_dir, ["event_id", "user_id", "ts"], sessions_part)
 
 
 HOP_S = 900
@@ -206,17 +204,9 @@ def hopping_window_ds(sf_dir: str, window_s: int = WINDOW_S, hop_s: int = HOP_S)
         rep = batch.select(["event_type", "value"]).take(pa.array(idx))
         return _window_partial(rep, starts)
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    N = cluster_parts(32)
-    ds = _read_events(sf_dir, ["event_id", "event_type", "ts", "value"]).map_batches(
-        partial, batch_format="pyarrow"
-    )
-    return exchange_map(
-        ds,
-        lambda t: (_np(t["window_start"]) // hop_s) % N,
-        N,
-        _window_merge,
+    refs = _read_events(sf_dir, ["event_type", "ts", "value"])
+    return to_dataset(
+        "hopping_window_ds", aggregate(refs, partial, "window_start", _window_merge)
     )
 
 
@@ -286,8 +276,6 @@ def asof_join_ds(
     choice arbitrary in both engines."""
     import pyarrow.compute as pc
 
-    from web_search_engine_ray.stages.exchange import exchange_map
-
     def keep_types(batch: pa.Table) -> pa.Table:
         mask = pc.is_in(
             batch["event_type"],
@@ -328,10 +316,10 @@ def asof_join_ds(
             }
         )
 
-    N = 32
-    ds = _read_events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
-    ds = ds.map_batches(keep_types, batch_format="pyarrow")
-    return exchange_map(ds, lambda t: _np(t["user_id"]) % N, N, join_part)
+    refs = _read_events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
+    n = chain_parts(refs)
+    route = hash_route("user_id", n)
+    return to_dataset("asof_join_ds", exchange_map(map_refs(keep_types, refs), route, n, join_part))
 
 
 def session_range_join_ds(sf_dir: str, gap_s: int = SESSION_GAP_S):
@@ -382,11 +370,7 @@ def session_range_join_ds(sf_dir: str, gap_s: int = SESSION_GAP_S):
             }
         )
 
-    from web_search_engine_ray.stages.exchange import exchange_map
-
-    N = 32
-    ds = _read_events(sf_dir, ["event_id", "user_id", "ts"])
-    return exchange_map(ds, lambda t: _np(t["user_id"]) % N, N, join_part)
+    return _by_user("session_range_join_ds", sf_dir, ["event_id", "user_id", "ts"], join_part)
 
 
 def json_props_agg_ds(sf_dir: str):
@@ -399,11 +383,6 @@ def json_props_agg_ds(sf_dir: str):
     lack the field drop on both sides (the twin's ``IS NOT NULL``);
     ``avg_k`` divides once on identical integers, ROUND(6)."""
     import polars as pl
-    import ray.data
-
-    from web_search_engine_ray.stages.exchange import exchange_map
-
-    N = 8
 
     def partial(t: pa.Table) -> pa.Table:
         d = (
@@ -424,8 +403,6 @@ def json_props_agg_ds(sf_dir: str):
             )
         )
         return d.to_arrow()
-
-    route = hash_route("event_type", N)
 
     def merge(t: pa.Table) -> pa.Table:
         g = (
@@ -458,10 +435,8 @@ def json_props_agg_ds(sf_dir: str):
             )
         )
 
-    ds = _read_events(sf_dir, ["event_type", "props"])
-    return exchange_map(
-        ds.map_batches(partial, batch_format="pyarrow"), route, N, merge,
-    )
+    refs = _read_events(sf_dir, ["event_type", "props"])
+    return to_dataset("json_props_agg_ds", aggregate(refs, partial, "event_type", merge))
 
 
 def topn_per_user_ds(sf_dir: str, n: int = 3):
@@ -471,11 +446,6 @@ def topn_per_user_ds(sf_dir: str, n: int = 3):
     sources): one hash exchange on user_id, then the whole partition ranks
     in one vectorized lexsort pass — never a per-user loop or a global
     sort."""
-    import ray.data
-
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    P = cluster_parts(32)
 
     def part(t: pa.Table) -> pa.Table:
         user = _np(t["user_id"])
@@ -499,8 +469,7 @@ def topn_per_user_ds(sf_dir: str, n: int = 3):
             }
         )
 
-    ds = _read_events(sf_dir, ["event_id", "user_id", "value"])
-    return exchange_map(ds, lambda t: _np(t["user_id"]) % P, P, part)
+    return _by_user("topn_per_user_ds", sf_dir, ["event_id", "user_id", "value"], part)
 
 
 def running_sum_ds(sf_dir: str, round_to: int = 6):
@@ -511,11 +480,6 @@ def running_sum_ds(sf_dir: str, round_to: int = 6):
     the ``_segmented_abs`` trick). Output is corpus-scale and stays a
     Dataset. Float note: a cumsum accumulates left-to-right exactly like
     SQL's running SUM OVER, same association; ROUND({round_to})."""
-    import ray.data
-
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    P = cluster_parts(32)
 
     def part(t: pa.Table) -> pa.Table:
         user = _np(t["user_id"])
@@ -539,8 +503,7 @@ def running_sum_ds(sf_dir: str, round_to: int = 6):
             }
         )
 
-    ds = _read_events(sf_dir, ["event_id", "user_id", "ts", "value"])
-    return exchange_map(ds, lambda t: _np(t["user_id"]) % P, P, part)
+    return _by_user("running_sum_ds", sf_dir, ["event_id", "user_id", "ts", "value"], part)
 
 
 def value_histogram_ds(sf_dir: str, lo: float = 0.0, hi: float = 100.0, bins: int = 20):
@@ -549,7 +512,6 @@ def value_histogram_ds(sf_dir: str, lo: float = 0.0, hi: float = 100.0, bins: in
     ``least(greatest(floor((v - lo)/w), 0), bins-1)`` clamp exactly (every
     value lands in a bucket; out-of-range clamps to the edge buckets)."""
     import ray
-    import ray.data
 
     w = (hi - lo) / bins
 
@@ -564,11 +526,8 @@ def value_histogram_ds(sf_dir: str, lo: float = 0.0, hi: float = 100.0, bins: in
             }
         )
 
-    ds = _read_events(sf_dir, ["value"]).map_batches(partial, batch_format="pyarrow")
     total = np.zeros(bins, np.int64)
-    import ray as _ray
-
-    for t in _ray.get(arrow_refs(ds)):
+    for t in ray.get(map_refs(partial, _read_events(sf_dir, ["value"]))):
         if t.num_rows:
             total[t["bucket"].to_numpy(zero_copy_only=False)] += t[
                 "n_p"
@@ -594,11 +553,6 @@ def value_quantiles_per_type_ds(sf_dir: str, qs: tuple[float, ...] = (0.5, 0.9, 
     import math
 
     import polars as pl
-    import ray.data
-
-    from web_search_engine_ray.stages.exchange import exchange_map
-
-    N = 8
 
     def partial(t: pa.Table) -> pa.Table:
         d = (
@@ -611,8 +565,6 @@ def value_quantiles_per_type_ds(sf_dir: str, qs: tuple[float, ...] = (0.5, 0.9, 
                 [("event_type", pa.string()), ("value", pa.float64()), ("c", pa.uint32())]
             )
         )
-
-    route = hash_route("event_type", N)
 
     def merge(t: pa.Table) -> pa.Table:
         d = (
@@ -647,9 +599,9 @@ def value_quantiles_per_type_ds(sf_dir: str, qs: tuple[float, ...] = (0.5, 0.9, 
             }
         )
 
-    ds = _read_events(sf_dir, ["event_type", "value"])
-    return exchange_map(
-        ds.map_batches(partial, batch_format="pyarrow"), route, N, merge,
+    refs = _read_events(sf_dir, ["event_type", "value"])
+    return to_dataset(
+        "value_quantiles_per_type_ds", aggregate(refs, partial, "event_type", merge)
     )
 
 
@@ -659,15 +611,11 @@ def daily_active_users_ds(sf_dir: str):
     sketch entry covers the approximate path): per-batch local distinct
     (day, type, user) triples CUT FIRST (the distinct-combiner — a user
     active 1000x in one batch ships once), then one hash exchange on
-    (day, type) where the partition-wide distinct is one composite-key
+    event_type where the partition-wide distinct is one composite-key
     np.unique. ``day`` is epoch_us // 86_400_000_000 (int), matching the
     twin's integer division exactly."""
     import polars as pl
-    import ray.data
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    P = cluster_parts(32)
     US_DAY = 86_400_000_000
 
     def partial(t: pa.Table) -> pa.Table:
@@ -694,15 +642,6 @@ def daily_active_users_ds(sf_dir: str):
             )
         )
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t)
-            .select(k=pl.col("day").cast(pl.Utf8) + "|" + pl.col("event_type"))["k"]
-            .hash(seed=13)
-            .to_numpy()
-            % np.uint64(P)
-        ).astype(np.int64)
-
     def merge(t: pa.Table) -> pa.Table:
         g = (
             pl.from_arrow(t)
@@ -723,10 +662,8 @@ def daily_active_users_ds(sf_dir: str):
             )
         )
 
-    ds = _read_events(sf_dir, ["ts", "event_type", "user_id"])
-    return exchange_map(
-        ds.map_batches(partial, batch_format="pyarrow"), route, P, merge,
-    )
+    refs = _read_events(sf_dir, ["ts", "event_type", "user_id"])
+    return to_dataset("daily_active_users_ds", aggregate(refs, partial, "event_type", merge))
 
 
 ANOMALY_Z = 2.0
@@ -744,11 +681,6 @@ def window_anomalies_ds(sf_dir: str, window_s: int = WINDOW_S, z: float = ANOMAL
     partials (the ``window_agg_ds`` machinery); the per-type stats relation
     is windows x types — output-scale — reduced by one tiny exchange."""
     import polars as pl
-    import ray.data
-
-    from web_search_engine_ray.stages.exchange import exchange_map
-
-    N = 8
 
     def partial(batch: pa.Table) -> pa.Table:
         epoch = _epoch_us(batch) // 1_000_000
@@ -774,8 +706,6 @@ def window_anomalies_ds(sf_dir: str, window_s: int = WINDOW_S, z: float = ANOMAL
                 ]
             )
         )
-
-    route = hash_route("event_type", N)
 
     def flag(t: pa.Table) -> pa.Table:
         g = (
@@ -812,8 +742,8 @@ def window_anomalies_ds(sf_dir: str, window_s: int = WINDOW_S, z: float = ANOMAL
             }
         )
 
-    ds = _read_events(sf_dir, ["ts", "event_type"])
-    return exchange_map(ds.map_batches(partial, batch_format="pyarrow"), route, N, flag)
+    refs = _read_events(sf_dir, ["ts", "event_type"])
+    return to_dataset("window_anomalies_ds", aggregate(refs, partial, "event_type", flag))
 
 
 def retention_cohorts_ds(sf_dir: str):
@@ -826,11 +756,7 @@ def retention_cohorts_ds(sf_dir: str):
     tiny (cohort, offset) exchange — counts need no DISTINCT because each
     user emits each offset once."""
     import polars as pl
-    import ray.data
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    P = cluster_parts(32)
     US_DAY = 86_400_000_000
 
     def per_user(t: pa.Table) -> pa.Table:
@@ -869,7 +795,7 @@ def retention_cohorts_ds(sf_dir: str):
                 * 31
                 + t["day_offset"].combine_chunks().to_numpy(zero_copy_only=False)
             )
-            % P
+            % n
         ).astype(np.int64)
 
     def merge(t: pa.Table) -> pa.Table:
@@ -888,9 +814,10 @@ def retention_cohorts_ds(sf_dir: str):
             )
         )
 
-    ds = _read_events(sf_dir, ["user_id", "ts"])
-    users = exchange_map(ds, lambda t: _np(t["user_id"]) % P, P, per_user)
-    return exchange_map(users, route, P, merge)
+    refs = _read_events(sf_dir, ["user_id", "ts"])
+    n = chain_parts(refs)
+    users = exchange_map(refs, hash_route("user_id", n), n, per_user)
+    return to_dataset("retention_cohorts_ds", exchange_map(users, route, n, merge))
 
 
 FUNNEL_STAGES = ("signup", "view", "purchase")
@@ -910,11 +837,7 @@ def session_funnel_ds(
     SEGMENTED first-occurrence-after-threshold pass (bincount offsets +
     one searchsorted over the stage's masked rank array — no per-session
     loop). Ties break by event_id, the twin's rank order."""
-    import ray.data
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    P = cluster_parts(32)
     n_stages = len(stages)
 
     def funnel_part(t: pa.Table) -> pa.Table:
@@ -983,7 +906,7 @@ def session_funnel_ds(
 
     def route(t: pa.Table) -> np.ndarray:
         return (
-            t["stage"].combine_chunks().to_numpy(zero_copy_only=False) % 4
+            t["stage"].combine_chunks().to_numpy(zero_copy_only=False) % n
         ).astype(np.int64)
 
     def merge(t: pa.Table) -> pa.Table:
@@ -998,9 +921,10 @@ def session_funnel_ds(
             pa.schema([("stage", pa.int64()), ("n_sessions", pa.int64())])
         )
 
-    ds = _read_events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
-    partials = exchange_map(ds, lambda t: _np(t["user_id"]) % P, P, funnel_part)
-    return exchange_map(partials, route, 4, merge)
+    refs = _read_events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
+    n = chain_parts(refs)
+    partials = exchange_map(refs, hash_route("user_id", n), n, funnel_part)
+    return to_dataset("session_funnel_ds", exchange_map(partials, route, n, merge))
 
 
 def conversion_lags_ds(sf_dir: str, from_type: str = "signup", to_type: str = "purchase"):
@@ -1011,11 +935,6 @@ def conversion_lags_ds(sf_dir: str, from_type: str = "signup", to_type: str = "p
     (user, ts, event_id), ``np.minimum.reduceat`` per segment for the
     from-events, then the same over to-events masked to > the user's
     from-time). Integer microsecond arithmetic end to end."""
-    import ray.data
-
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    P = cluster_parts(32)
 
     def part(t: pa.Table) -> pa.Table:
         user = _np(t["user_id"])
@@ -1051,8 +970,7 @@ def conversion_lags_ds(sf_dir: str, from_type: str = "signup", to_type: str = "p
             }
         )
 
-    ds = _read_events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
-    return exchange_map(ds, lambda t: _np(t["user_id"]) % P, P, part)
+    return _by_user("conversion_lags_ds", sf_dir, ["event_id", "user_id", "ts", "event_type"], part)
 
 
 def hourly_profile_ds(sf_dir: str):
@@ -1061,11 +979,6 @@ def hourly_profile_ds(sf_dir: str):
     through one tiny (type, hour) exchange; avg divides once on identical
     integers, the relational money rule."""
     import polars as pl
-    import ray.data
-
-    from web_search_engine_ray.stages.exchange import exchange_map
-
-    N = 8
 
     def partial(t: pa.Table) -> pa.Table:
         hour = ((_epoch_us(t) // 1_000_000) % 86_400) // 3_600
@@ -1085,8 +998,6 @@ def hourly_profile_ds(sf_dir: str):
         )
         return d.to_arrow()
 
-    route = hash_route("event_type", N)
-
     def merge(t: pa.Table) -> pa.Table:
         g = (
             pl.from_arrow(t)
@@ -1104,7 +1015,5 @@ def hourly_profile_ds(sf_dir: str):
             }
         )
 
-    ds = _read_events(sf_dir, ["ts", "event_type", "value"])
-    return exchange_map(
-        ds.map_batches(partial, batch_format="pyarrow"), route, N, merge,
-    )
+    refs = _read_events(sf_dir, ["ts", "event_type", "value"])
+    return to_dataset("hourly_profile_ds", aggregate(refs, partial, "event_type", merge))

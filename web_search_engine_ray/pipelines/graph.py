@@ -39,7 +39,6 @@ import pyarrow as pa
 from web_search_engine_ray.stages import exchange
 from web_search_engine_ray.stages.exchange import (
     arrow_refs,
-    cluster_parts,
     exchange_map,
     map_refs,
     to_dataset,
@@ -344,12 +343,11 @@ def _event_type_edges(sf_dir: str):
     lexsort/shift (the ``sessionize_ds`` discipline). Shared by the
     PageRank and HITS tables so both twin against identical edges."""
     import ray
-    import ray.data
 
     from web_search_engine_ray.pipelines.events import _epoch_us, _np, _read_events
 
-    # node set: distinct event_type (tiny per-batch partials -> driver set)
-    ds = _read_events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
+    # node set: distinct event_type (tiny per-block partials -> driver set)
+    refs = _read_events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
 
     def types_partial(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -357,9 +355,7 @@ def _event_type_edges(sf_dir: str):
         return pa.table({"t": pc.unique(t["event_type"].combine_chunks())})
 
     types: set[str] = set()
-    for t in ray.get(
-        arrow_refs(ds.map_batches(types_partial, batch_format="pyarrow"))
-    ):
+    for t in ray.get(map_refs(types_partial, refs)):
         types.update(t["t"].to_pylist())
     nodes = sorted(types)
     n = len(nodes)
@@ -367,7 +363,7 @@ def _event_type_edges(sf_dir: str):
         return [], None
     nodes_arr = np.array(nodes)
 
-    P = cluster_parts(32)
+    np_ = exchange.chain_parts(refs)
 
     def edges_part(t: pa.Table) -> pa.Table:
         user = _np(t["user_id"])
@@ -389,7 +385,7 @@ def _event_type_edges(sf_dir: str):
             }
         )
 
-    partial_edges = exchange_map(ds, lambda t: _np(t["user_id"]) % P, P, edges_part)
+    partial_edges = exchange_map(refs, lambda t: _np(t["user_id"]) % np_, np_, edges_part)
 
     # aggregate per-partition partials to ONE row per (src, dst): PageRank
     # and HITS are linear in w so partials were fine, but anything that
@@ -418,12 +414,12 @@ def _event_type_edges(sf_dir: str):
                 t["src"].combine_chunks().to_numpy(zero_copy_only=False) * n
                 + t["dst"].combine_chunks().to_numpy(zero_copy_only=False)
             )
-            % 4
+            % np_
         ).astype(np.int64),
-        4,
+        np_,
         agg_edges,
     )
-    return nodes, edges
+    return nodes, to_dataset("event_type_edges", edges)
 
 
 def event_type_pagerank_table(

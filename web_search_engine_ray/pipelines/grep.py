@@ -38,7 +38,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from web_search_engine_ray.stages.exchange import arrow_refs
+from web_search_engine_ray.stages.exchange import arrow_refs, map_refs
 
 N_SHARDS = 8
 STOP_DF_FRAC = 0.5  # trigram matching > half the corpus prunes ~nothing
@@ -162,9 +162,8 @@ def build_trigram_index(sf_dir: str, out_dir: str, n_shards: int = N_SHARDS) -> 
     import json
 
     import ray
-    import ray.data
 
-    from web_search_engine_ray.stages.exchange import exchange_map
+    from web_search_engine_ray.stages.exchange import exchange_map, map_refs, read_refs
 
     os.makedirs(out_dir, exist_ok=True)
 
@@ -209,11 +208,9 @@ def build_trigram_index(sf_dir: str, out_dir: str, n_shards: int = N_SHARDS) -> 
             }
         )
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    ).map_batches(extract, batch_format="pyarrow")
-    stats = exchange_map(docs, route, n_shards, write_shard, with_index=True)
-    n_trigrams = int(stats.to_pandas()["n_trigrams"].sum())
+    docs = map_refs(extract, read_refs(os.path.join(sf_dir, "documents.parquet"), ["doc_id", "text"]))
+    stats = ray.get(exchange_map(docs, route, n_shards, write_shard, with_index=True))
+    n_trigrams = sum(t["n_trigrams"][0].as_py() for t in stats)
     n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
     with open(os.path.join(out_dir, "stats.json"), "w") as f:
         json.dump({"n_docs": n_docs, "n_shards": n_shards}, f)
@@ -222,11 +219,11 @@ def build_trigram_index(sf_dir: str, out_dir: str, n_shards: int = N_SHARDS) -> 
 
 def _cached_trigram_index(sf_dir: str, n_shards: int = N_SHARDS) -> str:
     from web_search_engine_ray.pipelines.serving import _cache_key
+    from web_search_engine_ray.stages import exchange
 
     path = os.path.join(sf_dir, "documents.parquet")
-    out = os.path.join(
-        "/tmp", "wse_ray_cache", f"tri_{_cache_key(path, f'tri{n_shards}:v1')}"
-    )
+    key = _cache_key(path, f"tri{n_shards}", __file__, exchange.__file__)
+    out = os.path.join("/tmp", "wse_ray_cache", f"tri_{key}")
     # stats.json is written LAST, so its presence marks a complete build —
     # checking shards alone would trust an interrupted one forever
     if not (
@@ -300,15 +297,17 @@ def _verify_scan(sf_dir: str, cand: np.ndarray | None, matcher) -> pa.Table:
         flt = pc.field("doc_id").isin(pa.array(cand, pa.int64()))
 
     def verify(t: pa.Table) -> pa.Table:
+        if not t.num_rows:  # a read block the filter emptied has no columns
+            return pa.table({"docid": pa.array([], pa.int64())})
         m = matcher(pc.utf8_lower(t["text"].combine_chunks()))
         return pa.table({"docid": t.filter(m)["doc_id"].cast(pa.int64())})
 
-    ds = ray.data.read_parquet(
+    docs = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"),
         columns=["doc_id", "text"],
         filter=flt,
-    ).map_batches(verify, batch_format="pyarrow")
-    parts = [t for t in ray.get(arrow_refs(ds)) if t.num_rows]
+    )
+    parts = [t for t in ray.get(map_refs(verify, arrow_refs(docs))) if t.num_rows]
     if not parts:
         return pa.table({"docid": pa.array([], pa.int64())})
     out = pa.concat_tables(parts)

@@ -169,9 +169,9 @@ def _write_doclens_from_runs(
     """dl = per-doc tf sum, one dense range-sharded parquet per docid range
     (the DocLengths store contract: docids dense within a span)."""
     import polars as pl
-    import ray.data
+    import ray
 
-    from web_search_engine_ray.stages.exchange import exchange_map
+    from web_search_engine_ray.stages.exchange import exchange_map, map_refs, read_refs
 
     n_ranges = max(1, -(-n_docs // range_rows))
 
@@ -217,19 +217,12 @@ def _write_doclens_from_runs(
         os.replace(path + ".tmp", path)
         return pa.table({"n": pa.array([size], pa.int64())})
 
-    ds = ray.data.read_parquet(run_files, columns=["docid", "tf"])
-    ds = ds.map_batches(partial, batch_format="pyarrow")
-    total = exchange_map(
-        ds,
-        lambda t: (
-            t["docid"].combine_chunks().to_numpy(zero_copy_only=False).astype(np.int64)
-            // range_rows
-        ),
-        n_ranges,
-        write_range,
-        with_index=True,
-    ).to_pandas()
-    assert int(total["n"].sum()) == n_docs
+    def route(t: pa.Table) -> np.ndarray:
+        return t["docid"].combine_chunks().to_numpy(zero_copy_only=False).astype(np.int64) // range_rows
+
+    partials = map_refs(partial, read_refs(run_files, ["docid", "tf"]))
+    parts = ray.get(exchange_map(partials, route, n_ranges, write_range, with_index=True))
+    assert sum(t["n"][0].as_py() for t in parts) == n_docs
 
 
 def build_index_from_runs(

@@ -32,15 +32,10 @@ def source_mix_ds(sf_dir: str, budget_chars: int = 5000):
     """(docid, source, cum_chars): the per-source priority-prefix whose
     cumulative n_chars <= budget_chars. ``cum_chars`` is the running total
     INCLUDING the row itself (ties in priority break by docid)."""
-    import ray
-    import ray.data
-
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
+    from web_search_engine_ray.stages.exchange import aggregate, read_refs, to_dataset
 
     if budget_chars < 0:
         raise ValueError(f"budget_chars must be >= 0, got {budget_chars}")
-
-    np_ = cluster_parts(16)
 
     def prio_batch(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -63,11 +58,6 @@ def source_mix_ds(sf_dir: str, budget_chars: int = 5000):
             }
         )
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "source", "n_chars"],
-    ).map_batches(prio_batch, batch_format="pyarrow")
-
     out_schema = pa.schema(
         [("docid", pa.int64()), ("source", pa.string()), ("cum_chars", pa.int64())]
     )
@@ -86,13 +76,5 @@ def source_mix_ds(sf_dir: str, budget_chars: int = 5000):
         )
         return out.to_arrow().cast(out_schema)  # polars emits large_string
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t.select(["source"]))["source"]
-            .hash()
-            .to_numpy()
-            .astype(np.uint64)
-            % np_
-        ).astype(np.int64)
-
-    return exchange_map(ds, route, np_, take_prefix)
+    docs = read_refs(os.path.join(sf_dir, "documents.parquet"), ["doc_id", "source", "n_chars"])
+    return to_dataset("source_mix_ds", aggregate(docs, prio_batch, "source", take_prefix))

@@ -34,6 +34,7 @@ import pyarrow as pa
 
 from web_search_engine_ray.functions.tokenize import token_lists
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
+from web_search_engine_ray.sources.documents import read_docs_refs
 
 CHUNK_TOKENS = 2048
 
@@ -44,17 +45,14 @@ def pack_chunks_ds(
     """(docid, n_tokens, start_tok, chunk_id, chunk_off): global exclusive
     token offsets in docid order, chunked every ``chunk_tokens``."""
     import ray
-    import ray.data
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
+    from web_search_engine_ray.stages.exchange import chain_parts, exchange_map, map_refs, to_dataset
 
     if chunk_tokens < 1 or range_rows < 1:
         raise ValueError(
             f"need chunk_tokens >= 1 and range_rows >= 1, "
             f"got {chunk_tokens}, {range_rows}"
         )
-
-    np_ = cluster_parts(16)
 
     def tok_counts(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -74,23 +72,20 @@ def pack_chunks_ds(
         )
 
     # tokenize ONCE; the result is the op's tiny working set (16 B/doc)
-    counts = _read_docs(sf_dir).map_batches(
-        tok_counts, batch_format="pyarrow"
-    ).materialize()
+    docs = read_docs_refs(sf_dir)
+    np_ = chain_parts(docs)
+    counts = map_refs(tok_counts, docs)
 
     def range_partial(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch.select(["range_id", "n_tok"]))
         return df.group_by("range_id").agg(pl.col("n_tok").sum()).to_arrow()
 
-    partials = (
-        counts.map_batches(range_partial, batch_format="pyarrow").to_pandas()
-    )  # one row per (range, batch) — tiny
+    # one row per (range, block) — tiny
+    partials = pa.concat_tables(ray.get(map_refs(range_partial, counts))).to_pandas()
     totals = partials.groupby("range_id")["n_tok"].sum().sort_index()
     offsets = totals.cumsum().shift(fill_value=0)  # exclusive prefix
     off_by_range = dict(zip(offsets.index.astype(int), offsets.astype(int)))
-    import ray as _ray
-
-    oref = _ray.put(off_by_range)
+    oref = ray.put(off_by_range)
 
     def assign(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -103,7 +98,7 @@ def pack_chunks_ds(
                     "chunk_off": pa.array([], pa.int64()),
                 }
             )
-        offs = _ray.get(oref)
+        offs = ray.get(oref)
         df = pl.from_arrow(t).sort(["range_id", "docid"])
         rid = df["range_id"].to_numpy()
         ntok = df["n_tok"].to_numpy()
@@ -126,12 +121,8 @@ def pack_chunks_ds(
             }
         )
 
-    return exchange_map(
-        counts,
-        lambda t: t["range_id"].to_numpy() % np_,
-        np_,
-        assign,
-    )
+    out = exchange_map(counts, lambda t: t["range_id"].to_numpy() % np_, np_, assign)
+    return to_dataset("pack_chunks_ds", out)
 
 
 def chunk_docs_ds(sf_dir: str, window: int = 64, stride: int = 32):

@@ -51,6 +51,7 @@ from web_search_engine_ray.functions.codecs import vb_decode, vb_encode, vb_size
 from web_search_engine_ray.functions.tokenize import token_lists
 from web_search_engine_ray.pipelines.query import topk_order
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
+from web_search_engine_ray.sources.documents import read_docs_refs
 
 N_SHARDS = 8
 _POS_BITS = np.uint64(32)  # composite key = doc_rank << 32 | pos
@@ -144,39 +145,40 @@ def positional_postings_ds(sf_dir: str):
     (readers still accept legacy plain list<int32> indexes on disk). A
     single document would need >2^31 tokens to overflow the position space
     (guarded)."""
+    return _read_docs(sf_dir).map_batches(_doc_positions, batch_format="pyarrow")
 
-    def f(batch: pa.Table) -> pa.Table:
-        toks = token_lists(batch["text"])
-        ids = batch["doc_id"].cast(pa.int64())
-        lens = toks.list.len().fill_null(0)
-        if len(lens) and int(lens.max()) >= (1 << 31):
-            raise ValueError("document token count exceeds int32 position space")
-        df = (
-            pl.DataFrame({"docid": pl.from_arrow(ids), "ws": toks})
-            .explode("ws")
-            .drop_nulls("ws")
-            .with_columns(
-                p=(pl.int_range(pl.len()).over("docid") + 1).cast(pl.Int32)
-            )
-        )
-        g = (
-            df.group_by(["ws", "docid"])
-            .agg(positions=pl.col("p").sort())
-            .rename({"ws": "term"})
-            .sort(["term", "docid"])
-        )
-        out = g.to_arrow().cast(
-            pa.schema(
-                [
-                    ("term", pa.string()),
-                    ("docid", pa.int64()),
-                    ("positions", pa.list_(pa.int32())),
-                ]
-            )
-        )
-        return _encode_positions_batch(out)
 
-    return _read_docs(sf_dir).map_batches(f, batch_format="pyarrow")
+def _doc_positions(batch: pa.Table) -> pa.Table:
+    """A block of (doc_id, text) -> its (term, docid, tf, positions_vb) rows."""
+    toks = token_lists(batch["text"])
+    ids = batch["doc_id"].cast(pa.int64())
+    lens = toks.list.len().fill_null(0)
+    if len(lens) and int(lens.max()) >= (1 << 31):
+        raise ValueError("document token count exceeds int32 position space")
+    df = (
+        pl.DataFrame({"docid": pl.from_arrow(ids), "ws": toks})
+        .explode("ws")
+        .drop_nulls("ws")
+        .with_columns(
+            p=(pl.int_range(pl.len()).over("docid") + 1).cast(pl.Int32)
+        )
+    )
+    g = (
+        df.group_by(["ws", "docid"])
+        .agg(positions=pl.col("p").sort())
+        .rename({"ws": "term"})
+        .sort(["term", "docid"])
+    )
+    out = g.to_arrow().cast(
+        pa.schema(
+            [
+                ("term", pa.string()),
+                ("docid", pa.int64()),
+                ("positions", pa.list_(pa.int32())),
+            ]
+        )
+    )
+    return _encode_positions_batch(out)
 
 
 def _binary_blob(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
@@ -306,7 +308,9 @@ def build_positional_index(
     the retired plain list<int32> writer, which readers still accept on
     disk). Atomic per-shard writes (tmp + rename); ``n_rows`` in the
     returned stats counts POSTINGS (term, doc pairs)."""
-    from web_search_engine_ray.stages.exchange import exchange_map
+    import ray
+
+    from web_search_engine_ray.stages.exchange import exchange_map, map_refs
 
     os.makedirs(out_dir, exist_ok=True)
 
@@ -327,13 +331,12 @@ def build_positional_index(
             }
         )
 
-    ds = positional_postings_ds(sf_dir)
-    stats = exchange_map(ds, route, n_shards, write_shard, with_index=True)
-    rows = stats.to_pandas()
+    postings = map_refs(_doc_positions, read_docs_refs(sf_dir))
+    stats = ray.get(exchange_map(postings, route, n_shards, write_shard, with_index=True))
     return {
         "out_dir": out_dir,
         "n_shards": n_shards,
-        "n_rows": int(rows["n_rows"].sum()),
+        "n_rows": sum(t["n_rows"][0].as_py() for t in stats),
     }
 
 
@@ -341,11 +344,11 @@ def _cached_positional_index(sf_dir: str, n_shards: int = N_SHARDS) -> str:
     """Build-or-reuse, keyed by source file identity (mirrors
     ``serving.documents_index``)."""
     from web_search_engine_ray.pipelines.serving import _cache_key
+    from web_search_engine_ray.stages import exchange
 
     path = os.path.join(sf_dir, "documents.parquet")
-    out = os.path.join(
-        "/tmp", "wse_ray_cache", f"pos_{_cache_key(path, f'pos{n_shards}:v4:{POS_CODEC}')}"
-    )
+    key = _cache_key(path, f"pos{n_shards}:{POS_CODEC}", __file__, exchange.__file__)
+    out = os.path.join("/tmp", "wse_ray_cache", f"pos_{key}")
     if not all(
         os.path.exists(os.path.join(out, f"shard_{i:05d}.parquet"))
         for i in range(n_shards)

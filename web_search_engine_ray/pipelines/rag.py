@@ -264,9 +264,9 @@ def build_rag_ivf(store_dir: str, n_cells: int = IVF_CELLS) -> dict:
     older engine's layout version triggers a rebuild, not an error."""
     import pyarrow.parquet as pq
     import ray
-    import ray.data
 
     from web_search_engine_ray.pipelines.similarity import _norm_rows
+    from web_search_engine_ray.stages.exchange import exchange_map, map_refs, read_refs
     from web_search_engine_ray.functions.arrays import list_matrix
 
     chunks_path = os.path.join(store_dir, "chunks.parquet")
@@ -340,12 +340,10 @@ def build_rag_ivf(store_dir: str, n_cells: int = IVF_CELLS) -> dict:
                 C[c] = S[int(rng.integers(0, S.shape[0]))]
         C = _norm_rows(C)
     C = C.astype(np.float32)
-    import ray as _ray
-
-    cref = _ray.put(C)
+    cref = ray.put(C)
 
     def assign_cells(t: pa.Table) -> pa.Table:
-        cents = _ray.get(cref)
+        cents = ray.get(cref)
         V = list_matrix(t["embedding"], dtype=np.float32)
         cell = (V.astype(np.float64) @ cents.T.astype(np.float64)).argmax(
             axis=1
@@ -358,9 +356,7 @@ def build_rag_ivf(store_dir: str, n_cells: int = IVF_CELLS) -> dict:
             }
         )
 
-    assigned = ray.data.read_parquet(
-        chunks_path, columns=["chunk_uid", "embedding"]
-    ).map_batches(assign_cells, batch_format="pyarrow")
+    assigned = map_refs(assign_cells, read_refs(chunks_path, ["chunk_uid", "embedding"]))
 
     # one file per cell: the probe-side read prunes at the FILE level, the
     # on-disk analogue of a partition-pruned read on a real object store
@@ -372,34 +368,19 @@ def build_rag_ivf(store_dir: str, n_cells: int = IVF_CELLS) -> dict:
     def route(t: pa.Table) -> np.ndarray:
         return t["cell"].combine_chunks().to_numpy(zero_copy_only=False)
 
-    from web_search_engine_ray.stages.exchange import exchange_map
-
-    def write_cell(t: pa.Table) -> pa.Table:
-        # One exchange shard may carry SEVERAL cells (a Dataset-form
-        # exchange trims its partition count for small inputs and re-mods
-        # the routing), so split by the cell column and write
-        # one file per ACTUAL cell — the file set must equal the assigned
-        # cell set or probe-side reads silently miss rows.
+    def write_cell(t: pa.Table, cell: int) -> pa.Table:
+        # partition i holds exactly cell i's chunks; an empty cell writes
+        # no file, so the file set equals the assigned cell set
         if t.num_rows == 0:
             return pa.table({"cell": pa.array([], pa.int64()),
                              "n": pa.array([], pa.int64())})
         os.makedirs(tmp, exist_ok=True)
-        cell_np = t["cell"].combine_chunks().to_numpy(zero_copy_only=False)
-        cells_out, ns_out = [], []
-        for cell in np.unique(cell_np):
-            sub = t.filter(pa.array(cell_np == cell))
-            pq.write_table(
-                sub.sort_by("chunk_uid"),
-                os.path.join(tmp, f"cell_{int(cell):05d}.parquet"),
-            )
-            cells_out.append(int(cell))
-            ns_out.append(sub.num_rows)
-        return pa.table(
-            {"cell": pa.array(cells_out, pa.int64()),
-             "n": pa.array(ns_out, pa.int64())}
-        )
+        pq.write_table(t.sort_by("chunk_uid"), os.path.join(tmp, f"cell_{cell:05d}.parquet"))
+        return pa.table({"cell": pa.array([cell], pa.int64()),
+                         "n": pa.array([t.num_rows], pa.int64())})
 
-    counts = exchange_map(assigned, route, n_cells, write_cell).to_pandas()
+    parts = exchange_map(assigned, route, n_cells, write_cell, with_index=True)
+    counts = pa.concat_tables(ray.get(parts)).to_pandas()
     np.save(os.path.join(ivf_dir, "centroids.npy"), C)
     # a fresh build replaces the whole cell set: cells left by an earlier
     # build that crashed before its marker would otherwise be probed

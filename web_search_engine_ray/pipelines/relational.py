@@ -5,14 +5,15 @@ join, and these pipelines pin the two join strategies every other operator
 composes from):
 
 - :func:`pricing_summary_ds` (TPC-H Q1 shape): filtered scan ->
-  per-batch partial aggregation -> tiny hash exchange on the group key.
+  per-batch partial aggregation -> tiny hash exchange on returnflag.
   The shuffle carries ONE row per (batch, group) — never line items.
 - :func:`shipping_priority_ds` (TPC-H Q3 shape): BROADCAST join for the
   small side (filtered customer keys via ``ray.put``, tested with
   ``np.isin`` inside the scan — no shuffle), then an EXCHANGE hash join on
   ``orderkey`` for the two big sides (orders + pre-aggregated lineitem
   revenue ride the same partition route, joined locally per partition),
-  then a result-scale top-k sort.
+  then a result-scale top-k cut: per partition, then over the partitions'
+  survivors on the driver.
 
 Money arithmetic is exact: prices/discounts/taxes are 2-decimal values, so
 both engine and SQL convert to integer cents (``rint(x * 100)``) and sum
@@ -27,7 +28,14 @@ import polars as pl
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from web_search_engine_ray.stages.exchange import arrow_refs
+from web_search_engine_ray.stages.exchange import (
+    aggregate,
+    arrow_refs,
+    chain_parts,
+    exchange_map,
+    map_refs,
+    to_dataset,
+)
 
 Q1_CUTOFF = "1999-09-01"
 Q3_DATE = "1998-03-15"
@@ -46,6 +54,14 @@ def _path(sf_dir: str, table: str) -> str:
     return os.path.join(sf_dir, f"{table}.parquet")
 
 
+def _read(sf_dir: str, table: str, columns: list[str], filter=None) -> list:
+    """Block refs of ``table``'s ``columns``, read once (row-group
+    ``filter`` pushed down)."""
+    import ray.data
+
+    return arrow_refs(ray.data.read_parquet(_path(sf_dir, table), columns=columns, filter=filter))
+
+
 def _ts(s: str):
     from datetime import datetime
 
@@ -57,13 +73,6 @@ def pricing_summary_ds(sf_dir: str, cutoff: str = Q1_CUTOFF):
     sum_charge, avg_qty, avg_price, avg_disc, count_order) — the Q1
     pricing-summary aggregate over lineitem rows shipped on or before
     ``cutoff``."""
-    import ray
-    import ray.data
-
-    from web_search_engine_ray.stages.exchange import exchange_map
-
-    n_parts = 8
-
     def partial(t: pa.Table) -> pa.Table:
         qty_c = np.rint(
             t["l_quantity"].to_numpy(zero_copy_only=False) * 100
@@ -100,12 +109,6 @@ def pricing_summary_ds(sf_dir: str, cutoff: str = Q1_CUTOFF):
             )
             .to_arrow()
         )
-
-    def route(t: pa.Table) -> np.ndarray:
-        key = pl.from_arrow(t).select(
-            k=pl.col("returnflag") + "|" + pl.col("linestatus")
-        )["k"]
-        return (key.hash(seed=7).to_numpy() % np.uint64(n_parts)).astype(np.int64)
 
     def merge(t: pa.Table) -> pa.Table:
         g = (
@@ -144,24 +147,13 @@ def pricing_summary_ds(sf_dir: str, cutoff: str = Q1_CUTOFF):
             }
         )
 
-    ds = ray.data.read_parquet(
-        _path(sf_dir, "lineitem"),
-        columns=[
-            "l_returnflag",
-            "l_linestatus",
-            "l_quantity",
-            "l_extendedprice",
-            "l_discount",
-            "l_tax",
-        ],
+    refs = _read(
+        sf_dir,
+        "lineitem",
+        ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_tax"],
         filter=(pc.field("l_shipdate") <= pa.scalar(_ts(cutoff))),
     )
-    return exchange_map(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        route,
-        n_parts,
-        merge,
-    )
+    return to_dataset("pricing_summary_ds", aggregate(refs, partial, "returnflag", merge))
 
 
 def shipping_priority_ds(
@@ -174,21 +166,17 @@ def shipping_priority_ds(
     import ray
     import ray.data
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    np_ = cluster_parts(32)
     d = _ts(date)
 
-    cust = ray.data.read_parquet(
-        _path(sf_dir, "customer"),
-        columns=["c_custkey", "c_mktsegment"],
+    cust = _read(
+        sf_dir, "customer", ["c_custkey", "c_mktsegment"],
         filter=(pc.field("c_mktsegment") == segment),
     )
     keys = np.sort(
         np.concatenate(
             [
                 t["c_custkey"].to_numpy(zero_copy_only=False)
-                for t in ray.get(arrow_refs(cust))
+                for t in ray.get(cust)
                 if t.num_rows
             ]
             or [np.empty(0, np.int64)]
@@ -245,16 +233,15 @@ def shipping_priority_ds(
             }
         )
 
-    orders = ray.data.read_parquet(
-        _path(sf_dir, "orders"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"],
+    orders = _read(
+        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"],
         filter=(pc.field("o_orderdate") < pa.scalar(d)),
-    ).map_batches(order_rows, batch_format="pyarrow")
-    lines = ray.data.read_parquet(
-        _path(sf_dir, "lineitem"),
-        columns=["l_orderkey", "l_extendedprice", "l_discount"],
+    )
+    lines = _read(
+        sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"],
         filter=(pc.field("l_shipdate") > pa.scalar(d)),
-    ).map_batches(line_rows, batch_format="pyarrow")
+    )
+    np_ = chain_parts(orders + lines)
 
     def route(t: pa.Table) -> np.ndarray:
         return (
@@ -270,33 +257,26 @@ def shipping_priority_ds(
             .agg(pl.col("rev_c").sum())
         )
         j = o.join(l, on="orderkey", how="inner")
-        return pa.table(
-            {
-                "orderkey": pa.array(j["orderkey"].to_numpy(), pa.int64()),
-                "rev_c": pa.array(j["rev_c"].to_numpy(), pa.int64()),
-                "order_epoch": pa.array(j["epoch"].to_numpy(), pa.int64()),
-                "priority": j["priority"].to_arrow().cast(pa.string()),
-            }
+        return top(
+            pa.table(
+                {
+                    "orderkey": pa.array(j["orderkey"].to_numpy(), pa.int64()),
+                    "rev_c": pa.array(j["rev_c"].to_numpy(), pa.int64()),
+                    "order_epoch": pa.array(j["epoch"].to_numpy(), pa.int64()),
+                    "priority": j["priority"].to_arrow().cast(pa.string()),
+                }
+            )
         )
 
-    joined = exchange_map(orders.union(lines), route, np_, join)
-    top = joined.sort(
-        ["rev_c", "order_epoch", "orderkey"], descending=[True, False, False]
-    ).limit(k)
+    def top(t: pa.Table) -> pa.Table:
+        """The first ``k`` rows by (revenue desc, order_epoch, orderkey)."""
+        keys = [("rev_c", "descending"), ("order_epoch", "ascending"), ("orderkey", "ascending")]
+        return t.take(pc.sort_indices(t, sort_keys=keys)[:k])
 
-    def finish(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "orderkey": t["orderkey"],
-                "revenue": pa.array(
-                    t["rev_c"].to_numpy(zero_copy_only=False) / 10000.0, pa.float64()
-                ),
-                "order_epoch": t["order_epoch"],
-                "priority": t["priority"],
-            }
-        )
-
-    return top.map_batches(finish, batch_format="pyarrow")
+    rows = map_refs(order_rows, orders) + map_refs(line_rows, lines)
+    t = top(pa.concat_tables(ray.get(exchange_map(rows, route, np_, join))))
+    revenue = pa.array(t["rev_c"].to_numpy(zero_copy_only=False) / 10000.0, pa.float64())
+    return ray.data.from_arrow(t.set_column(1, "revenue", revenue))
 
 
 def local_supplier_volume_ds(
@@ -325,7 +305,7 @@ def local_supplier_volume_ds(
       (supplier nation attached in the scan via the broadcast, non-region
       suppliers dropped there), joined per partition, kept where
       cust_nation == supp_nation, partially aggregated per nation.
-    - final tiny exchange on nation merges the <= 25-row partials.
+    - the driver merges the <= 25-row partials per nation.
 
     Money is exact integer cents (``rint(x*100)``), summed int64, divided
     back once — identical to the SQL twin's arithmetic.
@@ -333,10 +313,7 @@ def local_supplier_volume_ds(
     import ray
     import ray.data
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
     d_lo, d_hi = _ts(lo), _ts(hi)
-    np_ = cluster_parts(32)
 
     # -- dims, driver-side (tiny by construction) -----------------------
     nation = pl.read_parquet(_path(sf_dir, "nation"))
@@ -352,12 +329,11 @@ def local_supplier_volume_ds(
     }
 
     # -- broadcast: region suppliers, sorted by suppkey ------------------
-    sup = ray.data.read_parquet(
-        _path(sf_dir, "supplier"),
-        columns=["s_suppkey", "s_nationkey"],
+    sup = _read(
+        sf_dir, "supplier", ["s_suppkey", "s_nationkey"],
         filter=pc.field("s_nationkey").isin(pa.array(region_nats, pa.int32())),
     )
-    sup_parts = [t for t in ray.get(arrow_refs(sup)) if t.num_rows]
+    sup_parts = [t for t in ray.get(sup) if t.num_rows]
     if sup_parts:
         sup_t = pa.concat_tables(sup_parts)
         sk = sup_t["s_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -390,17 +366,17 @@ def local_supplier_volume_ds(
             }
         )
 
-    cust = ray.data.read_parquet(
-        _path(sf_dir, "customer"),
-        columns=["c_custkey", "c_nationkey"],
+    cust = _read(
+        sf_dir, "customer", ["c_custkey", "c_nationkey"],
         filter=pc.field("c_nationkey").isin(pa.array(region_nats, pa.int32())),
-    ).map_batches(cust_rows, batch_format="pyarrow")
-    orders = ray.data.read_parquet(
-        _path(sf_dir, "orders"),
-        columns=["o_orderkey", "o_custkey"],
+    )
+    orders = _read(
+        sf_dir, "orders", ["o_orderkey", "o_custkey"],
         filter=(pc.field("o_orderdate") >= pa.scalar(d_lo))
         & (pc.field("o_orderdate") < pa.scalar(d_hi)),
-    ).map_batches(order_rows, batch_format="pyarrow")
+    )
+    lines = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"])
+    np_ = chain_parts(cust + orders + lines)
 
     def route_key(t: pa.Table) -> np.ndarray:
         return (
@@ -419,7 +395,8 @@ def local_supplier_volume_ds(
             }
         )
 
-    ord_nat = exchange_map(cust.union(orders), route_key, np_, join_cust)
+    rows = map_refs(cust_rows, cust) + map_refs(order_rows, orders)
+    ord_nat = exchange_map(rows, route_key, np_, join_cust)
 
     # -- exchange #2: (orderkey, cust_nat) x lineitem on orderkey ---------
     def on_rows(t: pa.Table) -> pa.Table:
@@ -460,11 +437,6 @@ def local_supplier_volume_ds(
             }
         )
 
-    lines = ray.data.read_parquet(
-        _path(sf_dir, "lineitem"),
-        columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
-    ).map_batches(line_rows, batch_format="pyarrow")
-
     def join_line(t: pa.Table) -> pa.Table:
         tt = pl.from_arrow(t)
         o = tt.filter(pl.col("kind") == 0).select("key", "nat")
@@ -478,37 +450,22 @@ def local_supplier_volume_ds(
             }
         )
 
-    partials = exchange_map(
-        ord_nat.map_batches(on_rows, batch_format="pyarrow").union(lines),
-        route_key,
-        np_,
-        join_line,
+    rows = map_refs(on_rows, ord_nat) + map_refs(line_rows, lines)
+    partials = exchange_map(rows, route_key, np_, join_line)
+
+    # -- merge the <= 25-row partials per nation on the driver ------------
+    g = pl.from_arrow(pa.concat_tables(ray.get(partials))).group_by("nat").agg(
+        pl.col("rev_c").sum()
     )
-
-    # -- final tiny exchange: merge <= 25-row partials per nation ---------
-    def route_nat(t: pa.Table) -> np.ndarray:
-        return (
-            t["nat"].combine_chunks().to_numpy(zero_copy_only=False) % 4
-        ).astype(np.int64)
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = pl.from_arrow(t).group_by("nat").agg(pl.col("rev_c").sum())
-        nats = g["nat"].to_numpy().astype(np.int64)
-        return pa.table(
-            {
-                "nation": pa.array(
-                    [nat_names[int(n)] for n in nats], pa.string()
-                ),
-                "revenue": pa.array(
-                    g["rev_c"].to_numpy().astype(np.float64) / 10000.0,
-                    pa.float64(),
-                ),
-            }
-        )
-
-    return exchange_map(partials, route_nat, 4, merge).sort(
-        "revenue", descending=True
+    t = pa.table(
+        {
+            "nation": pa.array([nat_names[int(n)] for n in g["nat"].to_list()], pa.string()),
+            "revenue": pa.array(
+                g["rev_c"].to_numpy().astype(np.float64) / 10000.0, pa.float64()
+            ),
+        }
     )
+    return ray.data.from_arrow(t.take(pc.sort_indices(t, [("revenue", "descending")])))
 
 
 def revenue_change_ds(
@@ -571,15 +528,7 @@ def label_doc_stats_ds(sf_dir: str):
     BOTH tables are corpus-scale, so neither side broadcasts — a
     kind-tagged hash exchange on docid joins them per partition, and only
     dimension-sized (label, n, sum_tokens) partials leave it."""
-    import os
-
-    import ray
-    import ray.data
-
     from web_search_engine_ray.functions.tokenize import token_lists
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    np_ = cluster_parts(32)
 
     def emb_rows(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -602,12 +551,9 @@ def label_doc_stats_ds(sf_dir: str):
             }
         )
 
-    emb = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "label"]
-    ).map_batches(emb_rows, batch_format="pyarrow")
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    ).map_batches(doc_rows, batch_format="pyarrow")
+    emb = _read(sf_dir, "embeddings", ["vec_id", "label"])
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
+    np_ = chain_parts(emb + docs)
 
     def join(t: pa.Table) -> pa.Table:
         tt = pl.from_arrow(t)
@@ -622,7 +568,7 @@ def label_doc_stats_ds(sf_dir: str):
         )
 
     partials = exchange_map(
-        emb.union(docs),
+        map_refs(emb_rows, emb) + map_refs(doc_rows, docs),
         lambda t: (
             t["docid"].combine_chunks().to_numpy(zero_copy_only=False) % np_
         ).astype(np.int64),
@@ -649,11 +595,12 @@ def label_doc_stats_ds(sf_dir: str):
             }
         )
 
-    return exchange_map(
+    out = exchange_map(
         partials,
         lambda t: (
-            t["label"].combine_chunks().to_numpy(zero_copy_only=False) % 4
+            t["label"].combine_chunks().to_numpy(zero_copy_only=False) % np_
         ).astype(np.int64),
-        4,
+        np_,
         merge,
     )
+    return to_dataset("label_doc_stats_ds", out)

@@ -27,12 +27,7 @@ def source_report_ds(
     composition; mean_tokens rounded to 6 decimals."""
     import os
 
-    import ray
-    import ray.data
-
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    np_ = cluster_parts(8)
+    from web_search_engine_ray.stages.exchange import aggregate, read_refs, to_dataset
 
     def partial(batch: pa.Table) -> pa.Table:
         toks = token_lists(batch["text"])
@@ -56,11 +51,6 @@ def source_report_ds(
             )
             .to_arrow()
         )
-
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "source"],
-    ).map_batches(partial, batch_format="pyarrow")
 
     out_schema = pa.schema(
         [
@@ -94,13 +84,5 @@ def source_report_ds(
         )
         return out.to_arrow().cast(out_schema)  # polars emits large_string
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            pl.from_arrow(t.select(["source"]))["source"]
-            .hash()
-            .to_numpy()
-            .astype(np.uint64)
-            % np_
-        ).astype(np.int64)
-
-    return exchange_map(ds, route, np_, merge)
+    docs = read_refs(os.path.join(sf_dir, "documents.parquet"), ["doc_id", "text", "source"])
+    return to_dataset("source_report_ds", aggregate(docs, partial, "source", merge))

@@ -11,7 +11,11 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from web_search_engine_ray.pipelines.build import build_index, code_fingerprint
+from web_search_engine_ray.pipelines.build import (
+    build_index,
+    code_fingerprint,
+    files_fingerprint,
+)
 # RRF_K / RRF_DEPTH are read here by the ``rrf_fusion`` SQL twin
 from web_search_engine_ray.pipelines.query import RRF_DEPTH, RRF_K, Searcher, topk_order
 from web_search_engine_ray.stages.exchange import arrow_refs
@@ -34,13 +38,18 @@ FIXED_QUERIES = [
 _searchers: dict[str, Searcher] = {}
 
 
-def _cache_key(path: str, tag: str) -> str:
+def _cache_key(path: str, tag: str, *modules: str) -> str:
     """Cache key for a derived artifact of one source file: path + size +
-    mtime + a variant tag + the build's code fingerprint. ONE recipe — a
-    second inline copy could drift and serve a stale cache."""
+    mtime + a variant tag + the build's code fingerprint + the
+    :func:`~web_search_engine_ray.pipelines.build.files_fingerprint` of
+    ``modules``, the source files of the code that writes the artifact (a
+    caller passes its own ``__file__``), so an edit there rebuilds instead
+    of serving the old layout. ONE recipe — a second inline copy could
+    drift and serve a stale cache."""
     st = os.stat(path)
+    code = code_fingerprint() + (f":{files_fingerprint(modules)}" if modules else "")
     return hashlib.sha256(
-        f"{path}:{st.st_size}:{st.st_mtime_ns}:{tag}:{code_fingerprint()}".encode()
+        f"{path}:{st.st_size}:{st.st_mtime_ns}:{tag}:{code}".encode()
     ).hexdigest()[:16]
 
 
@@ -48,7 +57,7 @@ def documents_index(sf_dir: str) -> str:
     """Build (or reuse) the inverted index for a documents table. Keyed by
     path + file identity; resumable on disk, so repeat calls are cheap."""
     path = os.path.join(sf_dir, "documents.parquet")
-    out = os.path.join("/tmp", "wse_ray_cache", f"docs_{_cache_key(path, 'v1')}")
+    out = os.path.join("/tmp", "wse_ray_cache", f"docs_{_cache_key(path, 'docs')}")
     build_index(
         path,
         out,
@@ -247,7 +256,7 @@ def bm25_partitioned_table(
     doc-range-partitioned actor pool (``pipelines/distributed.py``) — the
     driver checks it against the SAME SQL oracle, proving the distributed
     path end-to-end."""
-    out = _partitioned_docs_index(sf_dir, n_ranges, f"part{n_ranges}:v1")
+    out = _partitioned_docs_index(sf_dir, n_ranges, f"part{n_ranges}")
     return _query_partitioned(out, queries, topk, mode, round_to)
 
 
@@ -304,7 +313,7 @@ def bm25_after_delete_table(
     )
 
     out = _partitioned_docs_index(
-        sf_dir, n_ranges, f"part{n_ranges}:del{DELETE_MODULUS}-{DELETE_RESIDUE}:v1"
+        sf_dir, n_ranges, f"part{n_ranges}:del{DELETE_MODULUS}-{DELETE_RESIDUE}"
     )
     n_rows = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
     want = list(range(DELETE_RESIDUE, n_rows, DELETE_MODULUS))
@@ -765,10 +774,10 @@ def _tfidf_norms(sf_dir: str) -> np.ndarray:
     from web_search_engine_ray.pipelines.corpus import (
         _docs_path,
         _to_postings,
-        term_stats_ds,
+        term_stats_refs,
     )
 
-    stats = pa.concat_tables(ray.get(arrow_refs(term_stats_ds(sf_dir))))
+    stats = pa.concat_tables(ray.get(term_stats_refs(sf_dir)))
     n_docs = pq.ParquetFile(_docs_path(sf_dir)).metadata.num_rows
     import polars as pl
 

@@ -31,8 +31,9 @@ import pyarrow as pa
 
 from web_search_engine_ray.functions.tokenize import token_lists
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
+from web_search_engine_ray.sources.documents import read_docs_refs
 from web_search_engine_ray.pipelines.dedup import _token_hashes
-from web_search_engine_ray.stages.exchange import arrow_refs
+from web_search_engine_ray.stages.exchange import aggregate, map_refs
 
 HLL_P = 12  # 4096 registers, ~1.6% standard error
 
@@ -316,10 +317,6 @@ def dl_quantiles_ds(sf_dir: str, qs: tuple[float, ...] = (0.5, 0.9, 0.99)) -> pa
     import polars as pl
     import ray
 
-    from web_search_engine_ray.stages.exchange import cluster_parts, exchange_map
-
-    np_ = cluster_parts(32)
-
     def partial(batch: pa.Table) -> pa.Table:
         toks = token_lists(batch["text"])
         dl = toks.list.len().fill_null(0).to_numpy().astype(np.int64)
@@ -331,22 +328,12 @@ def dl_quantiles_ds(sf_dir: str, qs: tuple[float, ...] = (0.5, 0.9, 0.99)) -> pa
             }
         )
 
-    def route(t: pa.Table) -> np.ndarray:
-        return (
-            t["dl"].combine_chunks().to_numpy(zero_copy_only=False) % np_
-        ).astype(np.int64)
-
     def merge(t: pa.Table) -> pa.Table:
         return pl.from_arrow(t).group_by("dl").agg(pl.col("c").sum()).to_arrow()
 
-    partials = _read_docs(sf_dir).map_batches(partial, batch_format="pyarrow")
-    merged = exchange_map(partials, route, np_, merge)
+    merged = aggregate(read_docs_refs(sf_dir), partial, "dl", merge)
     hist = (
-        pl.from_arrow(
-            pa.concat_tables(
-                [p for p in ray.get(arrow_refs(merged)) if p.num_rows]
-            )
-        )
+        pl.from_arrow(pa.concat_tables([p for p in ray.get(merged) if p.num_rows]))
         .sort("dl")
     )
     vals = hist["dl"].to_numpy()
@@ -411,7 +398,7 @@ def value_quantile_sketch_ds(
     error <= (max_batch_n + N)/(k*N) of normalized rank; pinned against exact
     numpy quantiles in ``tests/test_sketch.py``. Deterministic (no coins), so
     repeated runs over the same blocks agree bit-for-bit."""
-    import polars as pl
+    import ray
 
     from web_search_engine_ray.pipelines.events import _read_events
 
@@ -421,12 +408,8 @@ def value_quantile_sketch_ds(
         cv, cw = _compress_weighted(vals, np.ones(vals.size, dtype=np.int64), k)
         return pa.table({"v": pa.array(cv, pa.float64()), "w": pa.array(cw, pa.int64())})
 
-    parts = (
-        _read_events(sf_dir, ["value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-    )
-    if parts.empty:  # all-empty partials can arrive column-less from Ray
+    parts = pa.concat_tables(ray.get(map_refs(partial, _read_events(sf_dir, ["value"])))).to_pandas()
+    if parts.empty:
         return pa.table(
             {"q": pa.array([], pa.float64()), "value_est": pa.array([], pa.float64())}
         )
@@ -465,6 +448,8 @@ def value_quantile_bound_table(
     tools/adversarial_gate.py's planted tie blocks). The SQL twin
     contributes the exact ``n`` and expects every bound to hold — a sketch
     regression or a count divergence both hash-mismatch in the gate."""
+    import ray
+
     from web_search_engine_ray.pipelines.events import _read_events
 
     est = value_quantile_sketch_ds(sf_dir, qs, k)
@@ -485,9 +470,7 @@ def value_quantile_bound_table(
             }
         )
 
-    parts = _read_events(sf_dir, ["value"]).map_batches(
-        counts, batch_format="pyarrow"
-    ).to_pandas()
+    parts = pa.concat_tables(ray.get(map_refs(counts, _read_events(sf_dir, ["value"])))).to_pandas()
     if parts.empty:
         return pa.table(
             {

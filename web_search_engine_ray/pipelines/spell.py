@@ -53,7 +53,8 @@ def spell_suggest_ds(sf_dir: str, probes: list[str] | None = None) -> pa.Table:
     """(probe, suggestion, df): best distance-<=1 vocab term per probe."""
     import ray
 
-    from web_search_engine_ray.pipelines.corpus import term_stats_ds
+    from web_search_engine_ray.pipelines.corpus import term_stats_refs
+    from web_search_engine_ray.stages.exchange import map_refs
 
     probes = probes if probes is not None else PROBES
     inv: dict[str, list[str]] = {}
@@ -85,7 +86,7 @@ def spell_suggest_ds(sf_dir: str, probes: list[str] | None = None) -> pa.Table:
             }
         )
 
-    parts = term_stats_ds(sf_dir).map_batches(partial, batch_format="pyarrow").to_pandas()
+    parts = pa.concat_tables(ray.get(map_refs(partial, term_stats_refs(sf_dir)))).to_pandas()
     out_p, out_s, out_d = [], [], []
     if not parts.empty:
         for probe, grp in parts.groupby("probe"):
@@ -390,9 +391,8 @@ def fuzzy_candidate_terms_ds(sf_dir: str, queries: list[str]):
     for ED<=1 but not sufficient ('ab'/'ba' share a deletion at distance
     2), so survivors get an exact ``_lev1`` verify — candidates per query
     are a handful, the scan never leaves vectorized land."""
-    import ray.data
-
-    from web_search_engine_ray.pipelines.corpus import term_stats_ds
+    from web_search_engine_ray.pipelines.corpus import term_stats_refs
+    from web_search_engine_ray.stages.exchange import map_refs, to_dataset
 
     qv = []
     for qid, w in enumerate(queries):
@@ -430,7 +430,7 @@ def fuzzy_candidate_terms_ds(sf_dir: str, queries: list[str]):
             pa.schema([("query_id", pa.int64()), ("term", pa.string())])
         )
 
-    return term_stats_ds(sf_dir).map_batches(scan, batch_format="pyarrow")
+    return to_dataset("fuzzy_candidate_terms_ds", map_refs(scan, term_stats_refs(sf_dir)))
 
 
 def fuzzy_search_table(
@@ -447,8 +447,6 @@ def fuzzy_search_table(
 
     queries = queries if queries is not None else FUZZY_QUERIES
     s = documents_searcher(sf_dir)
-    # empty blocks ride through with a degenerate schema (Ray skips the
-    # UDF on them): keep only real rows
     parts = [
         t
         for t in ray.get(arrow_refs(fuzzy_candidate_terms_ds(sf_dir, queries)))

@@ -54,34 +54,12 @@ from web_search_engine_ray.stages.exchange import hash_route
 _EPOCH_DIV = 1_000_000  # us -> s, the events-family epoch convention
 
 
-def _read(corpus: str | list[str], columns: list[str]):
-    """The corpus's ``columns`` as a Dataset. Zero-row files are left out
-    (footer reads): Ray Data reads one as an empty block with no columns,
-    which its executor logs as a "different schema". An all-empty corpus
-    reads its first file."""
-    import pyarrow.parquet as pq
-    import ray.data
-
+def _read(corpus: str | list[str], columns: list[str]) -> list:
+    """The corpus's ``columns`` as block refs (``exchange.read_refs``:
+    zero-row files left out)."""
     from web_search_engine_ray.sources.transcripts import corpus_files
 
-    files = corpus_files(corpus)
-    rows = [f for f in files if pq.read_metadata(f).num_rows]
-    return ray.data.read_parquet(rows or files[:1], columns=columns)
-
-
-def _aggregate(name: str, corpus, columns: list[str], partial, partial_schema, key, merge):
-    """``merge`` per ``key`` hash partition of the per-block ``partial``
-    aggregates of ``corpus``'s ``columns``: one read into block refs, one
-    exchange sized from it (``chain_parts``). An empty block (a read may
-    give it no columns at all) yields an empty ``partial_schema`` table."""
-
-    def part(t: pa.Table) -> pa.Table:
-        return partial(t) if t.num_rows else partial_schema.empty_table()
-
-    refs = exchange.arrow_refs(_read(corpus, columns))
-    n = exchange.chain_parts(refs)
-    out = exchange.exchange_map(exchange.map_refs(part, refs), hash_route(key, n), n, merge)
-    return exchange.to_dataset(name, out)
+    return exchange.read_refs(corpus_files(corpus), columns)
 
 
 def events_as_transcripts(sf_dir: str, n_parts: int = 16) -> str:
@@ -104,14 +82,13 @@ def events_as_transcripts(sf_dir: str, n_parts: int = 16) -> str:
     import os
 
     import pyarrow.parquet as pq
-    import ray.data
+    import ray
 
     from web_search_engine_ray.pipelines.serving import _cache_key
 
     path = os.path.join(sf_dir, "events.parquet")
-    out = os.path.join(
-        "/tmp", "wse_ray_cache", f"evconv_{_cache_key(path, f'evconv{n_parts}:v1')}"
-    )
+    key = _cache_key(path, f"evconv{n_parts}", __file__, exchange.__file__)
+    out = os.path.join("/tmp", "wse_ray_cache", f"evconv_{key}")
     marker = os.path.join(out, ".complete")
     if os.path.exists(marker):
         return out
@@ -134,8 +111,14 @@ def events_as_transcripts(sf_dir: str, n_parts: int = 16) -> str:
             % n_parts
         ).astype(np.int64)
 
+    # an empty partition writes no file, unless the whole table is empty:
+    # then partition 0 writes one, so readers still find the schema
+    no_events = pq.read_metadata(path).num_rows == 0
+
     def build(t: pa.Table, pi: int) -> pa.Table:
         part_path = os.path.join(out, f"evconv_{pi:05d}.parquet")
+        if t.num_rows == 0 and not (no_events and pi == 0):
+            return pa.table({"part": pa.array([], pa.int64())})
         if t.num_rows == 0:
             pq.write_table(schema.empty_table(), part_path + ".tmp")
         else:
@@ -165,10 +148,8 @@ def events_as_transcripts(sf_dir: str, n_parts: int = 16) -> str:
         os.replace(part_path + ".tmp", part_path)
         return pa.table({"part": pa.array([pi], pa.int64())})
 
-    ds = ray.data.read_parquet(
-        path, columns=["event_id", "ts", "user_id", "event_type", "props"]
-    )
-    exchange.exchange_map(ds, route, n_parts, build, with_index=True).count()
+    refs = exchange.read_refs(path, ["event_id", "ts", "user_id", "event_type", "props"])
+    ray.get(exchange.exchange_map(refs, route, n_parts, build, with_index=True))
     with open(marker, "w") as f:
         f.write("ok")
     return out
@@ -213,9 +194,9 @@ def conversation_rollup_ds(corpus: str | list[str]):
         )
         return g.to_arrow().cast(schema)
 
-    return _aggregate(
-        "conversation_rollup", corpus, ["conv_id", "role", "text", "tool", "ts"],
-        partial, schema, "conv_id", merge,
+    refs = _read(corpus, ["conv_id", "role", "text", "tool", "ts"])
+    return exchange.to_dataset(
+        "conversation_rollup", exchange.aggregate(refs, partial, "conv_id", merge)
     )
 
 
@@ -258,9 +239,8 @@ def role_stats_ds(corpus: str | list[str]):
             }
         )
 
-    return _aggregate(
-        "role_stats", corpus, ["role", "text"], partial, partial_schema, "role", merge
-    )
+    refs = exchange.aggregate(_read(corpus, ["role", "text"]), partial, "role", merge)
+    return exchange.to_dataset("role_stats", refs)
 
 
 def tool_usage_ds(corpus: str | list[str]):
@@ -294,18 +274,14 @@ def tool_usage_ds(corpus: str | list[str]):
             )
         )
 
-    return _aggregate(
-        "tool_usage", corpus, ["conv_id", "tool"], partial, partial_schema, "tool", merge
-    )
+    refs = exchange.aggregate(_read(corpus, ["conv_id", "tool"]), partial, "tool", merge)
+    return exchange.to_dataset("tool_usage", refs)
 
 
-def conversation_text_ds(corpus: str | list[str], n_parts: int = 32):
+def conversation_text_ds(corpus: str | list[str]):
     """(conv_id, n_turns, conv_text): ordered reassembly, one "role: text"
     line per turn."""
-    return exchange.exchange_map(
-        _read(corpus, _TURN_COLS), hash_route("conv_id", n_parts), n_parts,
-        _assemble_conversations,
-    )
+    return exchange.to_dataset("conversation_text_ds", _conversation_text_refs(corpus)[0])
 
 
 _TURN_COLS = ["conv_id", "turn_idx", "role", "text"]
@@ -334,18 +310,12 @@ def _assemble_conversations(t: pa.Table) -> pa.Table:
     )
 
 
-def _conversation_text_refs(corpus: str | list[str], conv_text=None) -> tuple[list, int]:
+def _conversation_text_refs(corpus: str | list[str]) -> tuple[list, int]:
     """Block refs of :func:`conversation_text_ds`'s rows and the partition
-    count of the near-dup chain that consumes them (twice, without running
-    the reassembly twice). The chain is sized once, from its head: the turns
-    read, or a caller's already-built ``conv_text`` Dataset, whose own
-    blocks are then returned (``exchange.chain_parts``). The reassembly's
-    partition count caps the signature stage's parallelism, so it is the
-    chain's count too."""
-    if conv_text is not None:
-        refs = exchange.arrow_refs(conv_text)
-        return refs, exchange.chain_parts(refs)
-    turns = exchange.arrow_refs(_read(corpus, _TURN_COLS))
+    count of the chain that consumes them, sized once from the turns read
+    (``exchange.chain_parts``). The reassembly's partition count caps the
+    signature stage's parallelism, so it is the chain's count too."""
+    turns = _read(corpus, _TURN_COLS)
     n = exchange.chain_parts(turns)
     return (
         exchange.exchange_map(turns, hash_route("conv_id", n), n, _assemble_conversations),
@@ -353,9 +323,7 @@ def _conversation_text_refs(corpus: str | list[str], conv_text=None) -> tuple[li
     )
 
 
-def conversation_episode_split_ds(
-    corpus: str | list[str], gap_s: float = 1800.0, n_parts: int = 32
-):
+def conversation_episode_split_ds(corpus: str | list[str], gap_s: float = 1800.0):
     """Per-turn relation with EPISODE assignment: a conversation splits
     wherever the gap between consecutive turns exceeds ``gap_s`` seconds —
     the session-segmentation rule for long-running agent transcripts (one
@@ -386,11 +354,6 @@ def conversation_episode_split_ds(
             ("ts", pa.timestamp("us")),
         ]
     )
-
-    def rows(t: pa.Table) -> pa.Table:
-        return t.select(["conv_id", "turn_idx", "role", "text", "tool", "ts"])
-
-    route = hash_route("conv_id", n_parts)
 
     def split(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -427,13 +390,13 @@ def conversation_episode_split_ds(
         )
         return df.to_arrow().cast(out_schema)
 
-    ds = _read(corpus, ["conv_id", "turn_idx", "role", "text", "tool", "ts"]).map_batches(
-        rows, batch_format="pyarrow"
+    refs = _read(corpus, ["conv_id", "turn_idx", "role", "text", "tool", "ts"])
+    return exchange.to_dataset(
+        "conversation_episode_split_ds", exchange.by_key(refs, "conv_id", split)
     )
-    return exchange.exchange_map(ds, route, n_parts, split)
 
 
-def conversation_structure_stats_ds(corpus: str | list[str], n_parts: int = 32):
+def conversation_structure_stats_ds(corpus: str | list[str]):
     """Per-conversation STRUCTURE validation — the malformed-transcript
     gate an SFT pipeline runs before example construction:
 
@@ -461,11 +424,6 @@ def conversation_structure_stats_ds(corpus: str | list[str], n_parts: int = 32):
             ("is_wellformed", pa.bool_()),
         ]
     )
-
-    def rows(t: pa.Table) -> pa.Table:
-        return t.select(["conv_id", "turn_idx", "role", "text"])
-
-    route = hash_route("conv_id", n_parts)
 
     def stats(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -508,15 +466,11 @@ def conversation_structure_stats_ds(corpus: str | list[str], n_parts: int = 32):
         )
         return df.to_arrow().cast(out_schema)
 
-    ds = _read(corpus, ["conv_id", "turn_idx", "role", "text"]).map_batches(
-        rows, batch_format="pyarrow"
-    )
-    return exchange.exchange_map(ds, route, n_parts, stats)
+    refs = exchange.by_key(_read(corpus, _TURN_COLS), "conv_id", stats)
+    return exchange.to_dataset("conversation_structure_stats_ds", refs)
 
 
-def pack_conversations_ds(
-    corpus: str | list[str], bin_tokens: int = 8192, n_parts: int = 32
-):
+def pack_conversations_ds(corpus: str | list[str], bin_tokens: int = 8192):
     """(conv_id, n_tokens, start_tok, bin_id, bin_off): conversation-granular
     sequence packing — conversations are concatenated in global conv_id
     order and every conversation belongs to the ``bin_tokens``-sized
@@ -543,11 +497,11 @@ def pack_conversations_ds(
     ``role_stats_ds``). Oracle: one SQL window sum ORDER BY conv_id —
     integer arithmetic, no drift (tests/test_transcripts_ops.py)."""
     import ray
-    import ray.data
 
     if bin_tokens < 1:
         raise ValueError(f"need bin_tokens >= 1, got {bin_tokens}")
-    np_ = exchange.cluster_parts(max(n_parts, 16))
+    refs = _read(corpus, ["conv_id", "text"])
+    np_ = exchange.chain_parts(refs)
 
     def turn_partials(t: pa.Table) -> pa.Table:
         n = token_lists(t["text"]).list.len().fill_null(0)
@@ -574,16 +528,7 @@ def pack_conversations_ds(
         )
         return df.to_arrow().cast(schema)
 
-    route = hash_route("conv_id", np_)
-
-    convs = exchange.exchange_map(
-        _read(corpus, ["conv_id", "text"]).map_batches(
-            turn_partials, batch_format="pyarrow"
-        ),
-        route,
-        np_,
-        merge_conv,
-    ).materialize()
+    convs = exchange.aggregate(refs, turn_partials, "conv_id", merge_conv)
 
     # --- sampled string boundaries for order-preserving ranges
     def sample_keys(t: pa.Table) -> pa.Table:
@@ -596,23 +541,17 @@ def pack_conversations_ds(
         return pa.table({"key": pa.array(pick.tolist(), pa.string())})
 
     sample = sorted(
-        s
-        for b in convs.map_batches(sample_keys, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow"
-        )
-        for s in b["key"].to_pylist()
+        s for b in ray.get(exchange.map_refs(sample_keys, convs)) for s in b["key"].to_pylist()
     )
-    nr = int(np_)
     if sample:
-        bidx = np.linspace(0, len(sample) - 1, nr + 1).astype(np.int64)[1:-1]
+        bidx = np.linspace(0, len(sample) - 1, np_ + 1).astype(np.int64)[1:-1]
         boundaries = sorted(set(sample[i] for i in bidx))
     else:
         boundaries = []
     barr = np.asarray(boundaries, dtype=object)
 
     def _rid(t: pa.Table) -> np.ndarray:
-        """range_id from conv_id on the fly (monotone in conv_id) — no
-        intermediate column, so empty skipped-UDF blocks can't lose it."""
+        """range_id from conv_id on the fly (monotone in conv_id)."""
         ids = np.asarray(t["conv_id"].to_pylist(), dtype=object)
         if not barr.size:
             return np.zeros(ids.size, dtype=np.int64)
@@ -633,7 +572,7 @@ def pack_conversations_ds(
             .cast(pa.schema([("range_id", pa.int64()), ("n_tok", pa.int64())]))
         )
 
-    partials = convs.map_batches(range_partial, batch_format="pyarrow").to_pandas()
+    partials = pa.concat_tables(ray.get(exchange.map_refs(range_partial, convs))).to_pandas()
     totals = partials.groupby("range_id")["n_tok"].sum().sort_index()
     offsets = totals.cumsum().shift(fill_value=0)
     off_by_range = dict(zip(offsets.index.astype(int), offsets.astype(int)))
@@ -676,7 +615,7 @@ def pack_conversations_ds(
             schema=out_schema,
         )
 
-    return exchange.exchange_map(convs, _rid, np_, assign)
+    return exchange.to_dataset("pack_conversations_ds", exchange.exchange_map(convs, _rid, np_, assign))
 
 
 def conversation_minhash_dups_ds(
@@ -696,12 +635,12 @@ def conversation_minhash_dups_ds(
     construction (LSH) — rows-only in the driver gate; the planted-near-dup
     recall contract lives in tests/test_transcripts_ops.py.
 
-    ``conv_text``: optionally pass an already-built (ideally materialized)
-    :func:`conversation_text_ds` Dataset so composed jobs reassemble the
-    corpus ONCE instead of once per consumer."""
+    ``conv_text``: optionally pass an already-built reassembly (the
+    ``(refs, n_parts)`` of ``_conversation_text_refs``) so composed jobs
+    reassemble the corpus ONCE instead of once per consumer."""
     from web_search_engine_ray.pipelines.dedup import _minhash_pairs
 
-    texts, np_ = _conversation_text_refs(corpus, conv_text)
+    texts, np_ = conv_text or _conversation_text_refs(corpus)
     pairs = _minhash_pairs(
         texts, "conv_id", "conv_text", ("conv_a", "conv_b"), np_, max_bucket
     )
@@ -720,7 +659,7 @@ def conversation_jaccard_dups_ds(
     kernel (``dedup._verified_pairs``): a semi-join exchange on the conv_id
     ships each requested conversation's shingle set to its pairs' verify
     partitions, and a verify exchange counts the intersections. Candidate
-    pairs never leave Dataset land.
+    pairs never reach the driver.
 
     The driver sees only the VERIFIED pair relation — true-dup-scale, not
     candidate-scale (the 2M-turn stress produced 5.35M candidates but
@@ -734,7 +673,7 @@ def conversation_jaccard_dups_ds(
     from web_search_engine_ray.pipelines.dedup import _minhash_pairs, _verified_pairs
 
     pair_cols = ("conv_a", "conv_b")
-    texts, np_ = _conversation_text_refs(corpus, conv_text)
+    texts, np_ = conv_text or _conversation_text_refs(corpus)
     cand = _minhash_pairs(texts, "conv_id", "conv_text", pair_cols, np_, max_bucket)
     pairs = _verified_pairs(
         cand, texts, "conv_id", "conv_text", pair_cols, "jaccard", tau, np_
@@ -742,9 +681,7 @@ def conversation_jaccard_dups_ds(
     return exchange.to_dataset("conversation_jaccard_dups_ds", pairs)
 
 
-def sft_examples_ds(
-    corpus: str | list[str], n_parts: int = 32, max_context_turns: int = 64
-):
+def sft_examples_ds(corpus: str | list[str], max_context_turns: int = 64):
     """(conv_id, turn_idx, n_context_turns, context, target): one training
     example per ASSISTANT turn — ``target`` is that turn's text, ``context``
     is the preceding ``max_context_turns`` turns rendered as "role: text"
@@ -761,11 +698,6 @@ def sft_examples_ds(
     k = int(max_context_turns)
     if k < 1:
         raise ValueError("max_context_turns must be >= 1")
-
-    def rows(t: pa.Table) -> pa.Table:
-        return t.select(["conv_id", "turn_idx", "role", "text"])
-
-    route = hash_route("conv_id", n_parts)
 
     def build(t: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -823,10 +755,8 @@ def sft_examples_ds(
             }
         )
 
-    ds = _read(corpus, ["conv_id", "turn_idx", "role", "text"]).map_batches(
-        rows, batch_format="pyarrow"
-    )
-    return exchange.exchange_map(ds, route, n_parts, build)
+    refs = exchange.by_key(_read(corpus, _TURN_COLS), "conv_id", build)
+    return exchange.to_dataset("sft_examples_ds", refs)
 
 
 # Fixed queries over the transcript fixture vocabulary (stopwords + zipf
@@ -1035,7 +965,7 @@ def neardup_fixture_corpus(n_convs: int = 200, max_turns: int = 6) -> str:
     return d
 
 
-def conversation_dedup_ds(corpus: str | list[str], n_parts: int = 32):
+def conversation_dedup_ds(corpus: str | list[str]):
     """(conv_hash, conv_id): conversation-level exact dedup — md5 of the
     reassembled ordered conversation text, min conv_id survivor per group.
     Composition of :func:`conversation_text_ds` with the engine's
@@ -1057,8 +987,6 @@ def conversation_dedup_ds(corpus: str | list[str], n_parts: int = 32):
             }
         )
 
-    route = hash_route("conv_hash", n_parts)
-
     def merge(t: pa.Table) -> pa.Table:
         return (
             pl.from_arrow(t)
@@ -1069,7 +997,7 @@ def conversation_dedup_ds(corpus: str | list[str], n_parts: int = 32):
             .cast(pa.schema([("conv_hash", pa.string()), ("conv_id", pa.string())]))
         )
 
-    ds = conversation_text_ds(corpus, n_parts=n_parts).map_batches(
-        hash_rows, batch_format="pyarrow"
-    )
-    return exchange.exchange_map(ds, route, n_parts, merge)
+    texts, n = _conversation_text_refs(corpus)
+    hashed = exchange.map_refs(hash_rows, texts)
+    out = exchange.exchange_map(hashed, hash_route("conv_hash", n), n, merge)
+    return exchange.to_dataset("conversation_dedup_ds", out)

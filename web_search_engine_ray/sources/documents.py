@@ -38,23 +38,46 @@ def docs_files(corpus) -> list[str]:
     return files
 
 
-def read_docs(corpus):
+def _id_column(files: list[str]) -> str:
+    """The corpus's id column: ``doc_id`` (source tables) or ``docid``
+    (stage outputs)."""
     import pyarrow.parquet as pq
-    import ray.data
 
-    files = docs_files(corpus)
     names = set(pq.read_schema(files[0]).names)
     if "doc_id" in names:
-        return ray.data.read_parquet(files, columns=["doc_id", "text"])
+        return "doc_id"
     if "docid" not in names:
         raise ValueError(
             f"{files[0]} has neither a 'doc_id' nor a 'docid' column "
             f"(columns: {sorted(names)})"
         )
+    return "docid"
+
+
+def _as_doc_id(t):
     # stage outputs name the id column 'docid': rename zero-copy
-    ds = ray.data.read_parquet(files, columns=["docid", "text"])
+    return t.select(["docid", "text"]).rename_columns(["doc_id", "text"])
 
-    def rn(t):
-        return t.select(["docid", "text"]).rename_columns(["doc_id", "text"])
 
-    return ds.map_batches(rn, batch_format="pyarrow")
+def read_docs(corpus):
+    """The corpus's (doc_id, text) as a Dataset. Zero-row files are left
+    out, as in :func:`read_docs_refs`."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    files = docs_files(corpus)
+    col = _id_column(files)
+    files = [f for f in files if pq.read_metadata(f).num_rows] or files[:1]
+    ds = ray.data.read_parquet(files, columns=[col, "text"])
+    return ds if col == "doc_id" else ds.map_batches(_as_doc_id, batch_format="pyarrow")
+
+
+def read_docs_refs(corpus) -> list:
+    """The corpus's (doc_id, text) as block refs, read once
+    (``exchange.read_refs``: zero-row files left out)."""
+    from web_search_engine_ray.stages.exchange import map_refs, read_refs
+
+    files = docs_files(corpus)
+    col = _id_column(files)
+    refs = read_refs(files, [col, "text"])
+    return refs if col == "doc_id" else map_refs(_as_doc_id, refs)
