@@ -215,3 +215,30 @@ def test_centroid_classify_matches_oracle(ray_session, oracle_eq):
 
 
     oracle_eq(got, want)
+
+
+def test_block_partials_log_no_schema_mismatch(ray_session, tmp_path, capfd):
+    """k-means, PCA and centroid classify run their per-block partials as
+    plain tasks over one read of the table. A Ray Data map would skip its
+    UDF on the read's empty blocks (a 6-row file reads as several blocks,
+    some empty) and log "different schema"; here every block, empty or
+    not, goes through the partial, so nothing is logged. Ray Data's
+    loggers write to stderr and do not propagate to the root logger, so
+    the check reads stderr."""
+    from web_search_engine_ray.pipelines.clustering import (
+        centroid_classify_table,
+        pca_project_ds,
+    )
+
+    d = str(tmp_path / "six")
+    _write_embs(d, [[0, 0], [0.2, 0], [0, 0.2], [5, 5], [5.2, 5], [5, 5.2]])
+    t = pq.read_table(os.path.join(d, "embeddings.parquet"))
+    pq.write_table(
+        t.append_column("label", pa.array([0, 0, 0, 1, 1, 0], pa.int32())),
+        os.path.join(d, "embeddings.parquet"),
+    )
+    capfd.readouterr()
+    assert len(kmeans_ds(d, k=2, iters=2).to_pandas()) == 6
+    assert len(pca_project_ds(d, n_components=2).to_pandas()) == 6
+    assert centroid_classify_table(d).to_pandas()["n"].tolist() == [4, 2]
+    assert "different schema" not in capfd.readouterr().err

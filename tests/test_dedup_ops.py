@@ -73,10 +73,13 @@ def _naive_signature(tokens) -> np.ndarray:
     return sig
 
 
-def test_batch_signatures_match_naive_reference():
-    """The chunked, tiled kernel equals the per-doc definition bit for bit:
-    one batch over the chunk cap (and one doc over it on its own), docs
-    with fewer than 3 tokens, empty and null texts, repeated whole texts."""
+def test_text_signatures_match_naive_reference():
+    """The column kernel (shingles of the whole block, permuted hashes over
+    its distinct shingles, one min-reduce per permutation) equals the
+    per-doc definition bit for bit: one doc over 32k shingles on its own,
+    docs with fewer than 3 tokens, empty and null texts, repeated whole
+    texts, an HTML-entity text, a non-ASCII text, a chunked column and a
+    sliced Arrow input whose offsets do not start at 0."""
     import pyarrow as pa
 
     from web_search_engine_ray.functions.tokenize import token_lists
@@ -88,23 +91,46 @@ def test_batch_signatures_match_naive_reference():
         return " ".join(rng.choice(vocab, n))
 
     texts = [text(int(n)) for n in rng.integers(3, 200, 600)]
-    texts += [text(dedup._MINHASH_CHUNK_SHINGLES + 500), "", "one", "two words", texts[0]]
+    texts += [text(33_268), "", "one", "two words", None, texts[0]]
+    texts += ["fish &amp; chips &lt;b&gt; and peas", "café naïve Ünïcode straße 東京 ok"]
     texts += texts[:40]  # repeated whole texts
     toks = token_lists(pa.array(texts, pa.string())).to_list()
-    assert sum(max(0, len(t) - 2) for t in toks) > 2 * dedup._MINHASH_CHUNK_SHINGLES
+    assert len(toks[600]) - 2 > 32_768
+    assert "amp" not in toks[606] and toks[606][:3] == ["fish", "chips", "b"]
     want = np.stack([_naive_signature(t) for t in toks])
-    assert (want[601:604] == np.iinfo(np.uint64).max).all()  # "", 1-2 tokens
-    np.testing.assert_array_equal(dedup._batch_signatures(toks + [None]), np.vstack(
-        [want, np.full((1, dedup.MINHASH_PERMS), np.iinfo(np.uint64).max, np.uint64)]
-    ))
-    # the distinct-text path (no nulls) and the direct path (nulls)
+    assert (want[601:605] == np.iinfo(np.uint64).max).all()  # "", 1-2 tokens, null
+    arr = pa.array(texts, pa.string())
+    np.testing.assert_array_equal(dedup._text_signatures(arr), want)
     np.testing.assert_array_equal(
-        dedup._text_signatures(pa.chunked_array([pa.array(texts, pa.string())])), want
+        dedup._text_signatures(pa.chunked_array([arr[:300], arr[300:]])), want
     )
-    with_null = pa.chunked_array([pa.array(texts + [None], pa.string())])
-    got = dedup._text_signatures(with_null)
-    np.testing.assert_array_equal(got[:-1], want)
-    assert (got[-1] == np.iinfo(np.uint64).max).all()
+    sliced = arr[250:620]
+    assert sliced.offset == 250
+    np.testing.assert_array_equal(dedup._text_signatures(sliced), want[250:620])
+
+
+def test_doc_shingle_sets_match_per_doc_shingle_hashes():
+    """``_doc_shingle_sets`` (the sets the verify's ``join_shingles``, the
+    containment prefixes and the contamination scan are built from) equals
+    ``_shingle_hashes`` per doc: sorted, distinct, in row order, on the
+    large-string column a polars frame hands over, at k = 3 and k = 8."""
+    import polars as pl
+    import pyarrow as pa
+
+    from web_search_engine_ray.functions.tokenize import token_lists
+
+    texts = ["a b c a b c a b c d", "", None, "x y", "the cat sat on the mat",
+             "tom &amp; jerry &amp; tom &amp; jerry again and again and again",
+             "one two three four five six seven eight nine"]
+    col = pl.DataFrame({"text": texts})["text"].to_arrow()
+    for k in (3, 8):
+        want = [dedup._shingle_hashes(t or [], k=k) for t in token_lists(col).to_list()]
+        doc, sh = dedup._doc_shingle_sets(col, k)
+        np.testing.assert_array_equal(sh, np.concatenate(want))
+        np.testing.assert_array_equal(
+            doc, np.repeat(np.arange(len(texts)), [w.size for w in want])
+        )
+    assert dedup._doc_shingle_sets(col, 3)[1].size < dedup._doc_shingles(col, 3)[1].size
 
 
 def test_popcount64():
@@ -127,16 +153,16 @@ def _scalar_simhash(tokens):
 
 
 def test_simhash_batch_matches_scalar():
-    docs = [
-        ["the", "cat", "sat"],
-        [],
-        ["spark", "spark", "join", "merge"],
-        ["a"],
-        ["x" * 30, "y", "z", "y"],
-    ]
-    got = _simhash_batch(docs)
-    want = [_scalar_simhash(t) for t in docs]
-    assert [int(v) for v in got] == want
+    import pyarrow as pa
+
+    from web_search_engine_ray.functions.tokenize import token_lists
+
+    texts = ["the cat sat", "", "spark spark join merge", "a", "x" * 30 + " y z y",
+             None, "fish &amp; chips"]
+    col = pa.array(texts, pa.string())
+    want = [_scalar_simhash(t or []) for t in token_lists(col).to_list()]
+    assert [int(v) for v in _simhash_batch(col)] == want
+    assert [int(v) for v in _simhash_batch(col[2:])] == want[2:]
 
 
 def test_token_hash_is_md5_lower64():

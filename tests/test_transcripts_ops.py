@@ -616,16 +616,20 @@ def test_role_filtered_probe_cap(ray_session, conv_corpus):
         )
 
 
-def test_minhash_unique_text_gather_bit_identical():
-    """The dictionary-encode fast path of the shared band stage
-    (``dedup._text_signatures``: sign unique texts, gather) is
-    bit-identical to signing every row directly."""
+def test_minhash_repeated_texts_match_naive_reference():
+    """The shared band stage signs a block's repeated conversation texts
+    through one distinct-shingle pass (``dedup._text_signatures``); every
+    row, repeated or not, equals the per-text minhash definition: per
+    permutation, the min of ``splitmix(s ^ seed)`` over the text's
+    distinct shingles."""
     import numpy as np
     import pyarrow as pa
 
     from web_search_engine_ray.functions.tokenize import token_lists
     from web_search_engine_ray.pipelines.dedup import (
-        _batch_signatures,
+        MINHASH_PERMS,
+        _shingle_hashes,
+        _splitmix,
         _text_signatures,
     )
 
@@ -635,7 +639,62 @@ def test_minhash_unique_text_gather_bit_identical():
         "user: hello world alpha beta gamma delta",  # exact repeat
         "user: hello world alpha beta gamma delta",
         "assistant: something else entirely here now too",
+        "assistant: the quick brown fox jumps over dogs",
     ]
-    col = pa.chunked_array([pa.array(texts, pa.string())])
-    direct = _batch_signatures(token_lists(col).to_list())
-    assert np.array_equal(direct, _text_signatures(col))
+    seeds = _splitmix(np.arange(1, MINHASH_PERMS + 1, dtype=np.uint64))
+    want = np.stack([
+        np.min(_splitmix(_shingle_hashes(t)[:, None] ^ seeds[None, :]), axis=0)
+        for t in token_lists(pa.array(texts)).to_list()
+    ])
+    got = _text_signatures(pa.chunked_array([pa.array(texts, pa.string())]))
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[0], got[2]) and np.array_equal(got[1], got[5])
+
+
+JACCARD_AT_CPUS = r"""
+import json, os, sys, tempfile
+corpus, ncpu = sys.argv[1], int(sys.argv[2])
+os.environ.setdefault("POLARS_MAX_THREADS", "1")
+os.environ["RAY_TMPDIR"] = tempfile.mkdtemp(prefix="ray_sub_")
+import ray
+ray.init(address="local", num_cpus=ncpu, include_dashboard=False)
+sys.path.insert(0, os.getcwd())
+from web_search_engine_ray.pipelines.transcripts_ops import conversation_jaccard_dups_ds
+from web_search_engine_ray.stages.exchange import chain_parts, read_refs
+ds = conversation_jaccard_dups_ds(corpus, tau=0.5)
+rows = sorted(
+    [a, b, j] for t in ds.iter_batches(batch_format="pyarrow")
+    for a, b, j in zip(t["conv_a"].to_pylist(), t["conv_b"].to_pylist(), t["jaccard"].to_pylist())
+)
+print(json.dumps({"parts": chain_parts(read_refs(corpus)), "rows": rows}))
+ray.shutdown()
+"""
+
+
+def test_conversation_jaccard_same_pairs_at_any_cpu_count(neardup_corpus):
+    """The verified near-dup chain is sized by ``chain_parts`` (2 x CPUs on
+    a small input), so a 1-CPU and a 4-CPU node route its shingles and
+    pairs through different partitions; the ``(conv_a, conv_b, jaccard)``
+    set must not change. Fresh processes, one Ray node each."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    d, _ = neardup_corpus
+
+    def run(ncpu):
+        proc = subprocess.run(
+            [sys.executable, "-c", JACCARD_AT_CPUS, d, str(ncpu)],
+            capture_output=True,
+            text=True,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    one, four = run(1), run(4)
+    assert (one["parts"], four["parts"]) == (2, 8)
+    assert len(one["rows"]) >= 7  # 5 planted near-dups + 2 exact clones
+    assert one["rows"] == four["rows"]

@@ -5,10 +5,12 @@ embedding space, then sample/balance/inspect per cluster — the SemDeDup /
 DoReMi-style workflows). Reference has no counterpart; the operator follows
 the engine's broadcast + partial-aggregation pattern:
 
+- The embeddings are read once into block refs (``exchange.read_refs``)
+  and every per-block pass is an ``exchange.map_refs`` task over them.
 - Centroids are driver-held, tiny (k x d float64), and broadcast per
-  iteration via ``ray.put``; each ``map_batches`` task computes squared
-  distances with one matmul-free vectorized pass and emits only a (k x d)
-  partial sum + k counts — KBs per batch regardless of input size.
+  iteration via ``ray.put``; each block task computes squared
+  distances with one matmul-free vectorized pass and returns only a (k x d)
+  partial sum + k counts — KBs per block regardless of input size.
 - The driver reduces the partials (k x d — trivially small), recomputes the
   means, and ROUNDS each centroid coordinate to 6 decimals. The rounding is
   the determinism contract: float64 partial sums associate differently
@@ -31,7 +33,7 @@ import numpy as np
 import pyarrow as pa
 
 from web_search_engine_ray.functions.arrays import list_matrix
-from web_search_engine_ray.stages.exchange import arrow_refs
+from web_search_engine_ray.stages.exchange import map_refs, read_refs, to_dataset
 
 KMEANS_K = 8
 KMEANS_ITERS = 2
@@ -48,88 +50,65 @@ def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
-def _emb_ds(sf_dir: str):
-    import ray.data
-
+def _emb_refs(sf_dir: str, columns=("vec_id", "embedding")) -> list:
+    """Block refs of the embeddings table's ``columns``, read once."""
     from web_search_engine_ray.pipelines.similarity import _emb_path
 
-    return ray.data.read_parquet(_emb_path(sf_dir), columns=["vec_id", "embedding"])
+    return read_refs(_emb_path(sf_dir), list(columns))
+
+
+def _emb_matrix(t: pa.Table, d: int) -> np.ndarray:
+    """(rows, d) float64 embeddings of a block; an empty block gives (0, d)."""
+    return list_matrix(t["embedding"], dtype=np.float64).reshape(-1, d)
 
 
 def kmeans_centroids(
     sf_dir: str,
     k: int = KMEANS_K,
     iters: int = KMEANS_ITERS,
-    emb_ds=None,
+    emb: list | None = None,
 ) -> np.ndarray:
     """Train the (k, d) float64 centroid matrix: deterministic seeding
     (centroids = the embeddings of ``vec_id < k``) + ``iters`` Lloyd
     rounds, centroids rounded to 6 decimals after each update.
 
-    ``emb_ds`` lets the caller pass a MATERIALIZED (vec_id, embedding)
-    Dataset so the per-iteration pass runs over object-store blocks instead
-    of re-reading + re-decoding parquet every round (Lloyd's is iterative —
-    the cache-once-iterate-many pattern; the object store spills if the
-    corpus outgrows aggregate memory, so the streaming discipline holds).
-    Without it, each iteration is an independent pruned parquet scan."""
+    ``emb`` is the (vec_id, embedding) block refs (:func:`_emb_refs`); a
+    caller that also assigns passes its own, so the table is read and
+    decoded once and every round runs over object-store blocks (Lloyd's is
+    iterative: cache once, iterate many). Without it, the table is read
+    once here."""
+    import pyarrow.parquet as pq
     import ray
-    import ray.data
 
     from web_search_engine_ray.pipelines.similarity import _emb_path
 
     if k < 1 or iters < 0:
         raise ValueError(f"need k >= 1 and iters >= 0, got k={k} iters={iters}")
 
-    import pyarrow.compute as pc
-
-    path = _emb_path(sf_dir)
-
-    seeds = ray.data.read_parquet(
-        path,
-        columns=["vec_id", "embedding"],
-        filter=(pc.field("vec_id") < k),
-    ).take_all()  # k rows by construction — a driver-side read of the SEEDS only
-    if len(seeds) < k:
-        raise ValueError(f"corpus has only {len(seeds)} seed rows, need k={k}")
-    seeds.sort(key=lambda r: r["vec_id"])  # k rows: driver sort, no shuffle
-    C = np.array([r["embedding"] for r in seeds], dtype=np.float64)
-
-    def read_embs():
-        return emb_ds if emb_ds is not None else ray.data.read_parquet(
-            path, columns=["vec_id", "embedding"]
-        )
+    # k rows by construction: a driver-side read of the SEEDS only
+    seeds = pq.read_table(
+        _emb_path(sf_dir), columns=["vec_id", "embedding"], filters=[("vec_id", "<", k)]
+    ).sort_by("vec_id")
+    if seeds.num_rows < k:
+        raise ValueError(f"corpus has only {seeds.num_rows} seed rows, need k={k}")
+    C = list_matrix(seeds["embedding"], dtype=np.float64)
+    if emb is None:
+        emb = _emb_refs(sf_dir)
 
     for _ in range(iters):
         cref = ray.put(C)
 
-        def partial(batch: pa.Table) -> pa.Table:
+        def partial(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
             cents = ray.get(cref)
-            X = list_matrix(batch["embedding"], dtype=np.float64)
-            d2 = _sq_dists(X, cents)
-            assign = np.argmin(d2, axis=1)  # first (lowest cid) wins ties
+            X = _emb_matrix(t, cents.shape[1])
+            assign = np.argmin(_sq_dists(X, cents), axis=1)  # lowest cid wins ties
             sums = np.zeros_like(cents)
             np.add.at(sums, assign, X)
-            counts = np.bincount(assign, minlength=cents.shape[0])
-            return pa.table(
-                {
-                    "cid": pa.array(
-                        np.arange(cents.shape[0], dtype=np.int64), pa.int64()
-                    ),
-                    "vsum": pa.array(list(sums), pa.list_(pa.float64())),
-                    "n": pa.array(counts.astype(np.int64), pa.int64()),
-                }
-            )
+            return sums, np.bincount(assign, minlength=cents.shape[0])
 
-        parts = ray.get(
-            arrow_refs(read_embs().map_batches(partial, batch_format="pyarrow"))
-        )
-        sums = np.zeros_like(C)
-        counts = np.zeros(C.shape[0], dtype=np.int64)
-        for p in parts:
-            if p.num_rows == 0:
-                continue
-            sums[p["cid"].to_numpy()] += list_matrix(p["vsum"], dtype=np.float64)
-            counts[p["cid"].to_numpy()] += p["n"].to_numpy()
+        parts = ray.get(map_refs(partial, emb))
+        sums = np.sum([p[0] for p in parts], axis=0)
+        counts = np.sum([p[1] for p in parts], axis=0)
         nonempty = counts > 0
         C = C.copy()
         C[nonempty] = np.round(
@@ -145,23 +124,19 @@ def kmeans_ds(
     iters: int = KMEANS_ITERS,
 ):
     """(vec_id, cluster, dist): train via :func:`kmeans_centroids`, then a
-    final streaming assignment pass. ``dist`` is the euclidean distance to
-    the assigned centroid, rounded to 6 decimals. The embedding Dataset is
-    materialized once and shared by the training iterations AND the final
-    assignment (one parquet decode total, not iters+1)."""
+    final assignment pass. ``dist`` is the euclidean distance to the
+    assigned centroid, rounded to 6 decimals. The embeddings are read once
+    and shared by the training iterations AND the final assignment (one
+    parquet decode total, not iters+1)."""
     import ray
 
-    emb = _emb_ds(sf_dir).materialize()
-
-    def read_embs():
-        return emb
-
-    C = kmeans_centroids(sf_dir, k=k, iters=iters, emb_ds=emb)
+    emb = _emb_refs(sf_dir)
+    C = kmeans_centroids(sf_dir, k=k, iters=iters, emb=emb)
     cref = ray.put(C)
 
     def assign_batch(batch: pa.Table) -> pa.Table:
         cents = ray.get(cref)
-        X = list_matrix(batch["embedding"], dtype=np.float64)
+        X = _emb_matrix(batch, cents.shape[1])
         d2 = _sq_dists(X, cents)
         a = np.argmin(d2, axis=1)
         dist = np.sqrt(d2[np.arange(len(a)), a])
@@ -173,7 +148,7 @@ def kmeans_ds(
             }
         )
 
-    return read_embs().map_batches(assign_batch, batch_format="pyarrow")
+    return to_dataset("kmeans_ds", map_refs(assign_batch, emb))
 
 
 SEMDEDUP_TAU = 0.45
@@ -193,24 +168,24 @@ def semdedup_ds(
     u < v in the same cluster has cosine(u, v) >= tau.
 
     Shape: centroids from :func:`kmeans_centroids` (broadcast, tiny); one
-    ``map_batches`` assigns and forwards (vec_id, cluster, embedding); one
-    hash exchange on cluster id co-locates each cluster; the partition fn
+    ``map_refs`` task per block assigns and forwards (vec_id, cluster,
+    embedding); one hash exchange on cluster id co-locates each cluster;
+    the partition fn
     runs one normalized matmul per cluster and keeps the non-dominated
     rows. At 100 TB, k grows with the corpus (SemDeDup uses ~10k clusters
     for LAION-scale) so per-cluster blocks stay bounded — the exchange key
     IS the scale knob. Returns survivors (vec_id, cluster)."""
     import ray
 
-    from web_search_engine_ray.stages.exchange import chain_parts, exchange_map, map_refs, to_dataset
+    from web_search_engine_ray.stages.exchange import chain_parts, exchange_map
 
-    emb = _emb_ds(sf_dir).materialize()
-    C = kmeans_centroids(sf_dir, k=k, iters=iters, emb_ds=emb)
+    refs = _emb_refs(sf_dir)
+    C = kmeans_centroids(sf_dir, k=k, iters=iters, emb=refs)
     cref = ray.put(C)
 
     def assign_fwd(batch: pa.Table) -> pa.Table:
         cents = ray.get(cref)
-        X = list_matrix(batch["embedding"], dtype=np.float64)
-        a = np.argmin(_sq_dists(X, cents), axis=1) if len(X) else np.empty(0, np.int64)
+        a = np.argmin(_sq_dists(_emb_matrix(batch, cents.shape[1]), cents), axis=1)
         return pa.table(
             {
                 "vec_id": batch["vec_id"].cast(pa.int64()),
@@ -219,7 +194,6 @@ def semdedup_ds(
             }
         )
 
-    refs = arrow_refs(emb)
     np_ = chain_parts(refs)
 
     def drop_dominated(t: pa.Table) -> pa.Table:
@@ -261,50 +235,30 @@ def semdedup_ds(
 def pca_model(sf_dir: str, n_components: int = 8):
     """Fit PCA on the embedding column: mean vector + top-``n_components``
     eigenvectors of the covariance, via the same partial-aggregation shape
-    as k-means — each batch emits (sum x, sum x xᵀ, n), the driver reduces
+    as k-means — each block returns (sum x, sum x xᵀ, n), the driver reduces
     (d x d — tiny at embedding dims) and runs one ``eigh``. Sign convention:
     each component's largest-|coordinate| entry is made positive, so the
     model is deterministic despite eigenvector sign ambiguity.
 
     Returns (mean (d,), components (n_components, d), explained_var
     (n_components,)). At 100 TB this is one streaming pass moving d²+d
-    floats per batch; the driver never sees a vector."""
+    floats per block; the driver never sees a vector."""
     import ray
-    import ray.data
 
-    from web_search_engine_ray.pipelines.similarity import _emb_dim, _emb_path
+    from web_search_engine_ray.pipelines.similarity import _emb_dim
 
     d = _emb_dim(sf_dir)
     if not 1 <= n_components <= d:
         raise ValueError(f"need 1 <= n_components <= {d}, got {n_components}")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        X = list_matrix(batch["embedding"], dtype=np.float64)
-        return pa.table(
-            {
-                "sx": pa.array([X.sum(axis=0)], pa.list_(pa.float64())),
-                "sxx": pa.array([(X.T @ X).ravel()], pa.list_(pa.float64())),
-                "n": pa.array([X.shape[0]], pa.int64()),
-            }
-        )
+    def partial(t: pa.Table) -> tuple[np.ndarray, np.ndarray, int]:
+        X = _emb_matrix(t, d)
+        return X.sum(axis=0), X.T @ X, X.shape[0]
 
-    parts = ray.get(
-        arrow_refs(
-            ray.data.read_parquet(_emb_path(sf_dir), columns=["embedding"])
-            .map_batches(partial, batch_format="pyarrow")
-        )
-    )
-    sx = np.zeros(d)
-    sxx = np.zeros((d, d))
-    n = 0
-    for p in parts:
-        if p.num_rows == 0:
-            continue
-        sx += list_matrix(p["sx"], dtype=np.float64).sum(axis=0)
-        sxx += (
-            list_matrix(p["sxx"], dtype=np.float64).sum(axis=0).reshape(d, d)
-        )
-        n += int(p["n"].to_numpy().sum())
+    parts = ray.get(map_refs(partial, _emb_refs(sf_dir, ["embedding"])))
+    sx = np.sum([p[0] for p in parts], axis=0)
+    sxx = np.sum([p[1] for p in parts], axis=0)
+    n = sum(p[2] for p in parts)
     if n < 2:
         raise ValueError(f"need >= 2 vectors to fit PCA, got {n}")
     mean = sx / n
@@ -324,25 +278,19 @@ def pca_project_ds(sf_dir: str, n_components: int = 8):
     downstream sorts/joins/hash-compares treat them like any other
     relation."""
     import ray
-    import ray.data
-
-    from web_search_engine_ray.pipelines.similarity import _emb_path
 
     mean, comps, _ = pca_model(sf_dir, n_components)
     mref = ray.put((mean, comps))
 
     def project(batch: pa.Table) -> pa.Table:
         m, C = ray.get(mref)
-        X = list_matrix(batch["embedding"], dtype=np.float64)
-        P = (X - m) @ C.T
+        P = (_emb_matrix(batch, m.size) - m) @ C.T
         cols = {"vec_id": batch["vec_id"].cast(pa.int64())}
         for j in range(P.shape[1]):
             cols[f"pc{j}"] = pa.array(np.round(P[:, j], 9), pa.float64())
         return pa.table(cols)
 
-    return ray.data.read_parquet(
-        _emb_path(sf_dir), columns=["vec_id", "embedding"]
-    ).map_batches(project, batch_format="pyarrow")
+    return to_dataset("pca_project_ds", map_refs(project, _emb_refs(sf_dir)))
 
 
 def kmeans_inertia(sf_dir: str, k: int = KMEANS_K, iters: int = KMEANS_ITERS) -> float:
@@ -359,7 +307,7 @@ def kmeans_inertia(sf_dir: str, k: int = KMEANS_K, iters: int = KMEANS_ITERS) ->
 def centroid_classify_table(sf_dir: str, round_to: int = 6) -> pa.Table:
     """(label, n, n_correct, accuracy): nearest-centroid classification
     self-eval over the embeddings table — fit one centroid per ground-truth
-    ``label`` (per-batch vector-sum partials, the kmeans discipline), then
+    ``label`` (per-block vector-sum partials, the kmeans discipline), then
     assign every vector to its nearest centroid and score per-label
     accuracy. The centroid and the squared distance are both ROUNDED to
     {round_to} decimals BEFORE the argmin on each side (the kmeans
@@ -367,89 +315,45 @@ def centroid_classify_table(sf_dir: str, round_to: int = 6) -> pa.Table:
     near-tie; assignment ties break to the smallest label on both sides."""
     import ray
 
-    from web_search_engine_ray.functions.arrays import list_matrix
-    from web_search_engine_ray.pipelines.similarity import _emb_path
+    from web_search_engine_ray.pipelines.similarity import _emb_dim
 
-    import ray.data
+    d = _emb_dim(sf_dir)
+    refs = _emb_refs(sf_dir, ["vec_id", "label", "embedding"])
 
-    ds = ray.data.read_parquet(
-        _emb_path(sf_dir), columns=["vec_id", "label", "embedding"]
-    ).materialize()
+    def labels_of(t: pa.Table) -> np.ndarray:
+        return t["label"].to_numpy(zero_copy_only=False).astype(np.int64)
 
-    def sum_partial(batch: pa.Table) -> pa.Table:
-        X = list_matrix(batch["embedding"], dtype=np.float64)
-        lab = batch["label"].to_numpy(zero_copy_only=False).astype(np.int64)
-        u = np.unique(lab)
-        sums = np.zeros((u.size, X.shape[1]), np.float64)
-        np.add.at(sums, np.searchsorted(u, lab), X)
-        counts = np.bincount(np.searchsorted(u, lab), minlength=u.size)
-        return pa.table(
-            {
-                "label": pa.array(u, pa.int64()),
-                "vsum": pa.array(list(sums), pa.list_(pa.float64())),
-                "n": pa.array(counts.astype(np.int64), pa.int64()),
-            }
-        )
+    def sum_partial(t: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        u, li = np.unique(labels_of(t), return_inverse=True)
+        sums = np.zeros((u.size, d), np.float64)
+        np.add.at(sums, li, _emb_matrix(t, d))
+        return u, sums, np.bincount(li, minlength=u.size)
 
-    parts = ray.get(
-        arrow_refs(ds.map_batches(sum_partial, batch_format="pyarrow"))
-    )
-    labels = sorted(
-        {int(v) for p in parts if p.num_rows for v in p["label"].to_pylist()}
-    )
-    if not labels:
-        return pa.table(
-            {
-                "label": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "n_correct": pa.array([], pa.int64()),
-                "accuracy": pa.array([], pa.float64()),
-            }
-        )
-    lab_arr = np.array(labels, np.int64)
-    # probe dim from a NON-empty part: empty blocks can carry the pre-UDF
-    # schema (no vsum column at all)
-    dim = len(next(p for p in parts if p.num_rows)["vsum"][0])
-    sums = np.zeros((lab_arr.size, dim), np.float64)
+    parts = ray.get(map_refs(sum_partial, refs))
+    lab_arr = np.unique(np.concatenate([u for u, _, _ in parts]))
+    sums = np.zeros((lab_arr.size, d), np.float64)
     counts = np.zeros(lab_arr.size, np.int64)
-    for p in parts:
-        if p.num_rows:
-            idx = np.searchsorted(lab_arr, p["label"].to_numpy())
-            sums[idx] += list_matrix(p["vsum"], dtype=np.float64)
-            counts[idx] += p["n"].to_numpy()
+    for u, s_, c in parts:
+        idx = np.searchsorted(lab_arr, u)
+        sums[idx] += s_
+        counts[idx] += c
     C = np.round(sums / counts[:, None], round_to)
     cref = ray.put(C)
 
-    def assign_partial(batch: pa.Table) -> pa.Table:
+    def assign_partial(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         cents = ray.get(cref)
-        X = list_matrix(batch["embedding"], dtype=np.float64)
-        lab = batch["label"].to_numpy(zero_copy_only=False).astype(np.int64)
-        d2 = np.round(_sq_dists(X, cents), round_to)
+        d2 = np.round(_sq_dists(_emb_matrix(t, d), cents), round_to)
         pred_idx = np.argmin(d2, axis=1)  # first (lowest label) wins ties
-        true_idx = np.searchsorted(lab_arr, lab)
-        u = np.unique(true_idx)
-        n = np.zeros(u.size, np.int64)
-        ok = np.zeros(u.size, np.int64)
-        np.add.at(n, np.searchsorted(u, true_idx), 1)
-        np.add.at(
-            ok, np.searchsorted(u, true_idx), (pred_idx == true_idx).astype(np.int64)
-        )
-        return pa.table(
-            {
-                "li": pa.array(u, pa.int64()),
-                "n": pa.array(n, pa.int64()),
-                "ok": pa.array(ok, pa.int64()),
-            }
+        true_idx = np.searchsorted(lab_arr, labels_of(t))
+        return (
+            np.bincount(true_idx, minlength=lab_arr.size),
+            np.bincount(true_idx[pred_idx == true_idx], minlength=lab_arr.size),
         )
 
-    n_tot = np.zeros(lab_arr.size, np.int64)
-    ok_tot = np.zeros(lab_arr.size, np.int64)
-    for p in ray.get(
-        arrow_refs(ds.map_batches(assign_partial, batch_format="pyarrow"))
-    ):
-        if p.num_rows:
-            n_tot[p["li"].to_numpy()] += p["n"].to_numpy()
-            ok_tot[p["li"].to_numpy()] += p["ok"].to_numpy()
+    # no vectors, no centroid to assign to
+    per_block = ray.get(map_refs(assign_partial, refs)) if lab_arr.size else []
+    n_tot = sum((n for n, _ in per_block), np.zeros(lab_arr.size, np.int64))
+    ok_tot = sum((ok for _, ok in per_block), np.zeros(lab_arr.size, np.int64))
     return pa.table(
         {
             "label": pa.array(lab_arr, pa.int64()),

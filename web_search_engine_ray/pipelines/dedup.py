@@ -12,8 +12,7 @@ operator set — it has only exact ``(term, docid)`` collapse,
   ``_minhash_pairs`` (shingle -> minhash signature -> banded LSH buckets ->
   candidate pairs), ``_distinct_pairs`` (the one pair-distinct exchange,
   shared by every pair generator here) and ``_verified_pairs`` (exact
-  3-gram Jaccard or containment verify). All hashing is deterministic
-  (md5-derived token hashes + splitmix64 mixing). The kernel runs on block
+  3-gram Jaccard or containment verify). The kernel runs on block
   refs, not Datasets: per-block maps are ``exchange.map_refs`` tasks, a
   union is a list concatenation, and each ``exchange_map`` hands its
   partitions' refs straight to the next, so a whole chain is submitted at
@@ -39,6 +38,18 @@ operator set — it has only exact ``(term, docid)`` collapse,
   100 TB path: random-hyperplane buckets, within-bucket verify.
 
 Pair outputs are (docid_a < docid_b) int64 pairs, deterministic.
+
+Hashing is deterministic and column-at-a-time. A token hashes to the low
+64 bits of its md5; a k-shingle to a position-weighted sum of its token
+hashes, mixed by one splitmix64 pass (:func:`_shingle_hashes` is the
+one-document definition). One kernel, :func:`_doc_shingles`, computes the
+``(row, hash)`` of every shingle occurrence of a text column: it tokenizes
+once, flattens the token lists, md5-hashes only the dictionary-encoded
+vocabulary (a few thousand distinct tokens per block, against ~100k token
+positions) and forms the sums over the flat array, keeping the windows
+that lie inside one row. Minhash signatures, the verify's per-document
+shingle sets, containment prefixes, contamination grams and the fast
+dup-span path all run on it; simhash shares its vocabulary hashing.
 """
 
 from __future__ import annotations
@@ -205,8 +216,9 @@ def _token_hashes(tokens: list[str]) -> np.ndarray:
 
 
 def _shingle_hashes(tokens: list[str], k: int = SHINGLE_K) -> np.ndarray:
-    """Deterministic u64 hash per distinct k-token shingle, vectorized:
-    position-weighted combine of the token hashes, then one splitmix pass."""
+    """Sorted distinct u64 hashes of one token list's k-token shingles: the
+    scalar definition :func:`_doc_shingles` computes for a whole column
+    (position-weighted combine of the token hashes, then one splitmix)."""
     if len(tokens) < k:
         return np.empty(0, dtype=np.uint64)
     th = _token_hashes(tokens)
@@ -216,75 +228,49 @@ def _shingle_hashes(tokens: list[str], k: int = SHINGLE_K) -> np.ndarray:
     return np.unique(_splitmix(acc))
 
 
-def _positional_shingle_hashes(tokens: list[str], k: int) -> np.ndarray:
-    """Like :func:`_shingle_hashes` but one hash PER POSITION (no distinct
-    collapse) — duplicated-span detection needs every occurrence."""
-    if len(tokens) < k:
-        return np.empty(0, dtype=np.uint64)
-    th = _token_hashes(tokens)
-    acc = np.zeros(len(tokens) - k + 1, dtype=np.uint64)
+def _flat_token_hashes(col: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """``(hashes, lens)``: the :func:`_token_hashes` value of every token of
+    the text column ``col``, flattened in row order, and each row's token
+    count (0 for a null or token-less row). Only the vocabulary is hashed:
+    the flat tokens are dictionary-encoded once and the distinct tokens'
+    hashes gathered back to their positions."""
+    lists = token_lists(col).to_arrow()
+    lens = pc.list_value_length(lists).fill_null(0).to_numpy().astype(np.int64)
+    enc = pc.dictionary_encode(pc.list_flatten(lists))
+    vocab = _token_hashes(enc.dictionary.to_pylist())
+    return vocab[enc.indices.to_numpy()], lens
+
+
+def _doc_shingles(col: pa.Array | pa.ChunkedArray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(doc, hash)`` of every k-shingle occurrence of the text column
+    ``col``: the row index and the shingle hash, in row then position
+    order. Per row this is the positional form of :func:`_shingle_hashes`,
+    bit for bit, but computed over the whole column at once: the
+    position-weighted sums run over the flat token hashes, and only the
+    windows whose k tokens lie in one row are kept."""
+    th, lens = _flat_token_hashes(col)
+    m = th.size - k + 1
+    if m <= 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint64)
+    acc = np.zeros(m, dtype=np.uint64)
     for j in range(k):
-        acc += th[j : len(tokens) - k + 1 + j] * np.uint64(0x100000001B3) ** np.uint64(j)
-    return _splitmix(acc)
+        acc += th[j : m + j] * np.uint64(0x100000001B3) ** np.uint64(j)
+    doc = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
+    keep = doc[:m] == doc[k - 1 :]
+    return doc[:m][keep], _splitmix(acc[keep])
 
 
-_MINHASH_CHUNK_SHINGLES = 32_768  # caps a chunk's (shingles x perms) matrix at 16 MB
-_MINHASH_TILE_ROWS = 256  # splitmix tile: 256 x 64 perms x 8 B = 128 KB, cache-sized
-
-
-def _splitmix_rows(uniq: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """(uniq.size, seeds.size) row-major ``_splitmix(uniq[i] ^ seeds[p])``,
-    bit-identical to the vectorized form but computed in place over
-    cache-sized row tiles, so the only full-size array is the result."""
-    h = np.empty((uniq.size, seeds.size), dtype=np.uint64)
-    tmp = np.empty((_MINHASH_TILE_ROWS, seeds.size), dtype=np.uint64)
-    for r in range(0, uniq.size, _MINHASH_TILE_ROWS):
-        z = h[r : r + _MINHASH_TILE_ROWS]
-        t = tmp[: z.shape[0]]
-        np.bitwise_xor(uniq[r : r + _MINHASH_TILE_ROWS, None], seeds, out=z)
-        z += _SM_A
-        for shift, mul in ((_SM_S30, _SM_B), (_SM_S27, _SM_C)):
-            np.right_shift(z, shift, out=t)
-            z ^= t
-            z *= mul
-        np.right_shift(z, _SM_S31, out=t)
-        z ^= t
-    return h
-
-
-def _batch_signatures(toks: list[list[str] | None], nperm: int = MINHASH_PERMS) -> np.ndarray:
-    """(n_docs, nperm) minhash matrix for a whole batch, vectorized.
-
-    The permuted hashes are computed over the batch's UNIQUE shingle values
-    only (templated corpora repeat shingles massively across docs — the
-    splitmix work would otherwise be paid once per occurrence) as a
-    (unique shingles x nperm) row-major matrix (:func:`_splitmix_rows`),
-    then its rows are gathered per occurrence and reduced per doc with
-    ``np.minimum.reduceat(axis=0)``. Docs are processed in ~32k-shingle
-    chunks, so a task's transient memory (two 16 MB matrices) does not grow
-    with its block size."""
-    sh_per_doc = [_shingle_hashes(t or []) for t in toks]
-    lens = np.array([s.size for s in sh_per_doc], dtype=np.int64)
-    sigs = np.full((len(toks), nperm), np.iinfo(np.uint64).max, dtype=np.uint64)
-    nz = np.flatnonzero(lens)
-    if nz.size == 0:
-        return sigs
-    seeds = _splitmix(np.arange(1, nperm + 1, dtype=np.uint64))
-    lo = 0
-    while lo < nz.size:
-        hi = lo + 1
-        total = lens[nz[lo]]
-        while hi < nz.size and total + lens[nz[hi]] <= _MINHASH_CHUNK_SHINGLES:
-            total += lens[nz[hi]]
-            hi += 1
-        sel = nz[lo:hi]
-        allsh = np.concatenate([sh_per_doc[i] for i in sel])
-        uniq, inv = np.unique(allsh, return_inverse=True)
-        starts = np.zeros(sel.size, dtype=np.int64)
-        np.cumsum(lens[sel][:-1], out=starts[1:])
-        sigs[sel] = np.minimum.reduceat(_splitmix_rows(uniq, seeds)[inv], starts, axis=0)
-        lo = hi
-    return sigs
+def _doc_shingle_sets(col: pa.Array | pa.ChunkedArray, k: int = SHINGLE_K) -> tuple[np.ndarray, np.ndarray]:
+    """``(doc, hash)`` of each row's DISTINCT k-shingles, sorted by
+    ``(doc, hash)``: row ``i``'s hashes are ``_shingle_hashes`` of its
+    tokens. One lexsort of :func:`_doc_shingles` and an adjacent-duplicate
+    drop."""
+    doc, sh = _doc_shingles(col, k)
+    order = np.lexsort((sh, doc))
+    doc, sh = doc[order], sh[order]
+    keep = np.ones(doc.size, dtype=bool)
+    keep[1:] = (doc[1:] != doc[:-1]) | (sh[1:] != sh[:-1])
+    return doc[keep], sh[keep]
 
 
 def _band_hashes(sigs: np.ndarray) -> np.ndarray:
@@ -381,21 +367,30 @@ def _id_column(t: pa.Table, col: str) -> pa.ChunkedArray:
     return c.cast(pa.int64() if pa.types.is_integer(c.type) else pa.string())
 
 
-def _text_signatures(col: pa.ChunkedArray) -> np.ndarray:
-    """(n, MINHASH_PERMS) signatures of a text column, each distinct text
-    signed once and gathered (min over a multiset == min over its set, so
-    the gathered signatures are bit-identical). Wins on templated corpora
-    with repeated whole texts; ~free otherwise (one string sort per batch).
-    Turn-level dictionary encoding was investigated and rejected — see
-    BASELINE.md round-5 notes (the per-chunk unique-shingle pass in
-    _batch_signatures already captures cross-text shingle repetition)."""
-    col = col.combine_chunks()
-    if col.null_count == 0 and len(col):
-        uniq, inv = np.unique(col.to_numpy(zero_copy_only=False), return_inverse=True)
-        if uniq.size < len(col):
-            utoks = token_lists(pa.array(uniq, pa.string())).to_list()
-            return _batch_signatures(utoks)[inv]
-    return _batch_signatures(token_lists(col).to_list())
+def _text_signatures(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """(n, MINHASH_PERMS) minhash signatures of a text column: for each
+    permutation p, the min over a row's shingles s of
+    ``_splitmix(s ^ seed_p)``; all-max for a row with no shingle.
+
+    The shingles of the whole column come from :func:`_doc_shingles`. The
+    permuted hashes are computed over the column's distinct shingle values
+    only (templated corpora and repeated texts repeat shingles massively),
+    gathered back to occurrences and min-reduced per row, one permutation
+    at a time, so memory stays O(occurrences). A row's min over its
+    shingle multiset equals the min over its set, so the signatures are
+    those of the per-row definition, bit for bit."""
+    sigs = np.full((len(col), MINHASH_PERMS), np.iinfo(np.uint64).max, dtype=np.uint64)
+    doc, sh = _doc_shingles(col, SHINGLE_K)
+    if sh.size == 0:
+        return sigs
+    uniq, inv = np.unique(sh, return_inverse=True)
+    starts = np.flatnonzero(np.r_[True, doc[1:] != doc[:-1]])
+    seeds = _splitmix(np.arange(1, MINHASH_PERMS + 1, dtype=np.uint64))
+    per_perm = np.empty((MINHASH_PERMS, starts.size), dtype=np.uint64)
+    for p in range(MINHASH_PERMS):
+        per_perm[p] = np.minimum.reduceat(_splitmix(uniq ^ seeds[p])[inv], starts)
+    sigs[doc[starts]] = per_perm.T
+    return sigs
 
 
 def _minhash_pairs(refs, id_col, text_col, pair_cols, n_parts, max_bucket=None):
@@ -476,7 +471,8 @@ def _verified_pairs(cand, corpus, id_col, text_col, pair_cols, metric, tau, n_pa
        verify partition ``p = hash(a) % n_parts`` — and the corpus rows
        (``p = -1``). The partition fn inner-joins distinct requests against
        its corpus slice on the id (exact, no hash-collision exposure),
-       shingles each requested doc ONCE (``_shingle_hashes``) and fans its
+       shingles each requested doc ONCE (``_doc_shingle_sets``, one pass
+       over all of them) and fans its
        set out per partition with a vectorized offset gather: a doc in m
        pairs of one partition ships its set once. Non-candidate docs are
        never tokenized.
@@ -530,16 +526,10 @@ def _verified_pairs(cand, corpus, id_col, text_col, pair_cols, metric, tau, n_pa
             .sort(["id", "p"])
         )
         docs = need.unique(subset="id", maintain_order=True)
-        sh_per_doc = [
-            _shingle_hashes(tl or [])
-            for tl in token_lists(docs["text"].to_arrow()).to_list()
-        ]
-        doc_lens = np.array([r.size for r in sh_per_doc], dtype=np.int64)
+        doc, doc_values = _doc_shingle_sets(docs["text"].to_arrow())
+        doc_lens = np.bincount(doc, minlength=docs.height)
         doc_offs = np.zeros(doc_lens.size + 1, dtype=np.int64)
         np.cumsum(doc_lens, out=doc_offs[1:])
-        doc_values = (
-            np.concatenate(sh_per_doc) if sh_per_doc else np.empty(0, dtype=np.uint64)
-        )
         # need row -> its docs row: docs holds need's ids in the same
         # (sorted) order, once each
         idx = np.searchsorted(docs["id"].to_numpy(), need["id"].to_numpy())
@@ -617,7 +607,7 @@ def _verified_pairs(cand, corpus, id_col, text_col, pair_cols, metric, tau, n_pa
             sa = vals[offs[ra] : offs[ra + 1]] if ra >= 0 else vals[:0]
             sb = vals[offs[rb] : offs[rb + 1]] if rb >= 0 else vals[:0]
             if sa.size and sb.size:
-                # both sorted unique (_shingle_hashes is np.unique output):
+                # both sorted unique (_doc_shingle_sets output):
                 # membership count beats intersect1d's concat+sort
                 p_ = np.searchsorted(sa, sb)
                 p_[p_ == sa.size] = sa.size - 1
@@ -693,43 +683,24 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
     return _POP8[x.view(np.uint8)].reshape(x.size, 8).sum(axis=1).astype(np.int64)
 
 
-_SIMHASH_CHUNK_TOKENS = 262_144  # bounds the transient bit matrix at ~64 MB
-
-
-def _simhash_batch(toks: list[list[str] | None]) -> np.ndarray:
-    """(n_docs,) uint64 simhash per doc, vectorized across the batch:
-    concatenate token hashes, expand to a (tokens, 64) bit matrix, per-doc
-    bit sums via ``np.add.reduceat``, majority vote per bit. Duplicate
-    tokens vote once per occurrence; empty docs hash to 0. Docs are
-    processed in chunks of ~256k tokens so the transient int32 bit matrix
-    stays ~64 MB regardless of batch size (32 concurrent tasks x unbounded
-    batches would otherwise stack multi-GB allocations)."""
-    th = [_token_hashes(t or []) for t in toks]
-    lens = np.array([x.size for x in th], dtype=np.int64)
-    out = np.zeros(len(toks), dtype=np.uint64)
+def _simhash_batch(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """(n,) uint64 simhash per row of the text column ``col``: bit b is set
+    iff more than half of the row's tokens have bit b set in their
+    :func:`_token_hashes` value. Duplicate tokens vote once per occurrence;
+    a row with no token hashes to 0. The token hashes come from
+    :func:`_flat_token_hashes` (only the vocabulary is hashed), and the
+    votes are counted per row with ``np.add.reduceat``, one bit at a time,
+    so memory stays O(tokens)."""
+    th, lens = _flat_token_hashes(col)
+    out = np.zeros(lens.size, dtype=np.uint64)
     nz = np.flatnonzero(lens)
     if nz.size == 0:
         return out
-    lo = 0
-    while lo < nz.size:
-        hi = lo + 1
-        tok_total = lens[nz[lo]]
-        while hi < nz.size and tok_total + lens[nz[hi]] <= _SIMHASH_CHUNK_TOKENS:
-            tok_total += lens[nz[hi]]
-            hi += 1
-        sel = nz[lo:hi]
-        allh = np.concatenate([th[i] for i in sel])
-        bits = ((allh[:, None] >> _BIT_SHIFTS[None, :]) & np.uint64(1)).astype(
-            np.int32
-        )
-        starts = np.zeros(sel.size, dtype=np.int64)
-        np.cumsum(lens[sel][:-1], out=starts[1:])
-        ones = np.add.reduceat(bits, starts, axis=0)  # (chunk_docs, 64)
-        votes = 2 * ones - lens[sel][:, None]
-        out[sel] = ((votes > 0).astype(np.uint64) << _BIT_SHIFTS[None, :]).sum(
-            axis=1, dtype=np.uint64
-        )
-        lo = hi
+    starts = (np.cumsum(lens) - lens)[nz]
+    one = np.uint64(1)
+    for bit in _BIT_SHIFTS:
+        ones = np.add.reduceat(((th >> bit) & one).view(np.int64), starts)
+        out[nz] |= (2 * ones > lens[nz]).astype(np.uint64) << bit
     return out
 
 
@@ -737,8 +708,7 @@ def simhash_ds(sf_dir: str):
     """(docid, simhash) per document (int64 bit-cast of the u64 hash)."""
 
     def f(batch: pa.Table) -> pa.Table:
-        toks = token_lists(batch["text"]).to_list()
-        sh = _simhash_batch(toks)
+        sh = _simhash_batch(batch["text"])
         return pa.table(
             {
                 "docid": batch["doc_id"].cast(pa.int64()),
@@ -760,9 +730,8 @@ def simhash_dups(sf_dir: str, max_hamming: int = 3, max_bucket: int | None = Non
     materialization of the hash relation."""
 
     def to_bands(batch: pa.Table) -> pa.Table:
-        toks = token_lists(batch["text"]).to_list()
         ids = _col(batch, "doc_id", np.int64)
-        sh = _simhash_batch(toks)
+        sh = _simhash_batch(batch["text"])
         n = ids.size
         bands = np.tile(np.arange(4, dtype=np.int32), n)
         keys = np.empty(4 * n, dtype=np.int64)
@@ -1168,10 +1137,8 @@ def holdout_contamination_ds(
     )
 
     def gram_rows(batch: pa.Table) -> pa.Table:
-        toks = token_lists(batch["text"]).to_list()
-        hs = [_shingle_hashes(t or [], k=n) for t in toks]
-        flat = np.unique(np.concatenate(hs)) if hs else np.empty(0, np.uint64)
-        return pa.table({"g": pa.array(flat, pa.uint64())})
+        _, hs = _doc_shingles(batch["text"], n)
+        return pa.table({"g": pa.array(np.unique(hs), pa.uint64())})
 
     parts = ray.get(arrow_refs(hold.map_batches(gram_rows, batch_format="pyarrow")))
     hold_grams = np.unique(
@@ -1184,20 +1151,14 @@ def holdout_contamination_ds(
 
     def scan(batch: pa.Table) -> pa.Table:
         grams = ray.get(gref)
-        toks = token_lists(batch["text"]).to_list()
         ids = _col(batch, "doc_id", np.int64)
-        hs = [_shingle_hashes(t or [], k=n) for t in toks]
-        counts = np.fromiter((h.size for h in hs), dtype=np.int64, count=len(hs))
-        flat = (
-            np.concatenate(hs) if hs else np.empty(0, np.uint64)
-        )  # one searchsorted per BATCH, not per doc
-        n_hits = np.zeros(len(hs), dtype=np.int64)
+        doc, flat = _doc_shingle_sets(batch["text"], n)  # one searchsorted per BATCH
+        n_hits = np.zeros(ids.size, dtype=np.int64)
         if flat.size and grams.size:
             pos = np.searchsorted(grams, flat)
             pos[pos == grams.size] = 0
             hit = grams[pos] == flat
-            doc_idx = np.repeat(np.arange(len(hs)), counts)
-            n_hits = np.bincount(doc_idx[hit], minlength=len(hs)).astype(np.int64)
+            n_hits = np.bincount(doc[hit], minlength=ids.size).astype(np.int64)
         mask = n_hits > 0
         return pa.table(
             {
@@ -1222,6 +1183,34 @@ def holdout_contamination_ds(
 # ------------------------------------------------- duplicated k-gram spans
 
 
+def _kgram_rows(col: pa.Array | pa.ChunkedArray, k: int, hash_fn: str):
+    """``(row, pos, h)`` of every k-gram position of the text column
+    ``col``: its row index, its 1-based position in the row and its hash,
+    in row then position order. ``hash_fn="fast"`` is :func:`_doc_shingles`;
+    ``"md5"`` the low 64 bits of md5 over the space-joined tokens (DuckDB's
+    ``md5_number_lower`` of the gram string), one digest per position."""
+    if hash_fn == "fast":
+        row, h = _doc_shingles(col, k)
+    else:
+        toks = [tl or [] for tl in token_lists(col).to_list()]
+        n = np.array([max(0, len(tl) - k + 1) for tl in toks], dtype=np.int64)
+        row = np.repeat(np.arange(n.size, dtype=np.int64), n)
+        h = np.fromiter(
+            (
+                int.from_bytes(
+                    hashlib.md5(" ".join(tl[i : i + k]).encode()).digest()[8:16], "little"
+                )
+                for tl in toks
+                for i in range(len(tl) - k + 1)
+            ),
+            dtype=np.uint64,
+            count=row.size,
+        )
+    counts = np.bincount(row, minlength=len(col))
+    pos = np.arange(1, row.size + 1, dtype=np.int64) - (np.cumsum(counts) - counts)[row]
+    return row, pos, h
+
+
 def dup_spans_ds(sf_dir: str, k: int = 4, hash_fn: str = "md5"):
     """(docid, n_kgrams, n_dup_kgrams, n_spans, max_span_tokens): exact
     duplicated-substring detection over token k-grams — the span-level
@@ -1243,8 +1232,8 @@ def dup_spans_ds(sf_dir: str, k: int = 4, hash_fn: str = "md5"):
     ``md5_number_lower``, so the SQL twin compares the *same* 64-bit value
     — a hash collision cannot make the two sides diverge.
     ``hash_fn="fast"``: the vectorized position-weighted token-hash combine
-    (:func:`_shingle_hashes`) — no per-position md5 loop; the production
-    path at corpus scale.
+    (:func:`_doc_shingles`, one pass per block) — no per-position md5
+    loop; the production path at corpus scale.
 
     Scale shape: stage 1 emits one (h, docid, pos) row per token position —
     the same O(corpus tokens) relation the postings build moves. Exchange 1
@@ -1265,52 +1254,19 @@ def dup_spans_ds(sf_dir: str, k: int = 4, hash_fn: str = "md5"):
     kk = k  # capture as local for the closures
 
     def emit(batch: pa.Table) -> pa.Table:
-        toks = token_lists(batch["text"]).to_list()
+        row, p, h = _kgram_rows(batch["text"], kk, hash_fn)
         ids = _col(batch, "doc_id", np.int64)
-        h_parts, d_parts, p_parts = [], [], []
-        base_d, base_n = [], []
-        for did, tl in zip(ids, toks):
-            tl = tl or []
-            n = len(tl) - kk + 1
-            if n <= 0:
-                continue
-            base_d.append(did)
-            base_n.append(n)
-            if hash_fn == "fast":
-                hs = _positional_shingle_hashes(tl, k=kk)
-            else:
-                hs = np.fromiter(
-                    (
-                        int.from_bytes(
-                            hashlib.md5(" ".join(tl[i : i + kk]).encode()).digest()[
-                                8:16
-                            ],
-                            "little",
-                        )
-                        for i in range(n)
-                    ),
-                    dtype=np.uint64,
-                    count=n,
-                )
-            h_parts.append(hs)
-            d_parts.append(np.full(n, did, np.int64))
-            p_parts.append(np.arange(1, n + 1, dtype=np.int64))
-        nb = len(base_d)
-        h = np.concatenate(h_parts) if h_parts else np.empty(0, np.uint64)
-        d = np.concatenate(d_parts) if d_parts else np.empty(0, np.int64)
-        p = np.concatenate(p_parts) if p_parts else np.empty(0, np.int64)
-        bd = np.asarray(base_d, np.int64)
+        nk = np.bincount(row, minlength=ids.size)
+        bd, bn = ids[nk > 0], nk[nk > 0]
         # base marker rows (pos=0) carry the per-doc k-gram count in nk and
         # route by a docid-derived hash purely for balance; they pass
         # exchange 1 untouched (the dup filter only sees pos > 0 rows)
         return pa.table(
             {
                 "h": pa.array(np.concatenate([h, _splitmix(bd.astype(np.uint64))])),
-                "docid": pa.array(np.concatenate([d, bd])),
-                "pos": pa.array(np.concatenate([p, np.zeros(nb, np.int64)])),
-                "nk": pa.array(
-                    np.concatenate([np.zeros(p.size, np.int64), np.asarray(base_n, np.int64)])
-                ),
+                "docid": pa.array(np.concatenate([ids[row], bd])),
+                "pos": pa.array(np.concatenate([p, np.zeros(bd.size, np.int64)])),
+                "nk": pa.array(np.concatenate([np.zeros(p.size, np.int64), bn])),
             }
         )
 
@@ -1402,44 +1358,12 @@ def dup_span_clean_ds(sf_dir: str, k: int = 4, hash_fn: str = "md5"):
     kk = k
 
     def emit(batch: pa.Table) -> pa.Table:
-        toks = token_lists(batch["text"]).to_list()
-        ids = _col(batch, "doc_id", np.int64)
-        h_parts, d_parts, p_parts = [], [], []
-        for did, tl in zip(ids, toks):
-            tl = tl or []
-            n = len(tl) - kk + 1
-            if n <= 0:
-                continue
-            if hash_fn == "fast":
-                hs = _positional_shingle_hashes(tl, k=kk)
-            else:
-                hs = np.fromiter(
-                    (
-                        int.from_bytes(
-                            hashlib.md5(" ".join(tl[i : i + kk]).encode()).digest()[
-                                8:16
-                            ],
-                            "little",
-                        )
-                        for i in range(n)
-                    ),
-                    dtype=np.uint64,
-                    count=n,
-                )
-            h_parts.append(hs)
-            d_parts.append(np.full(n, did, np.int64))
-            p_parts.append(np.arange(1, n + 1, dtype=np.int64))
+        row, pos, h = _kgram_rows(batch["text"], kk, hash_fn)
         return pa.table(
             {
-                "h": pa.array(
-                    np.concatenate(h_parts) if h_parts else np.empty(0, np.uint64)
-                ),
-                "docid": pa.array(
-                    np.concatenate(d_parts) if d_parts else np.empty(0, np.int64)
-                ),
-                "pos": pa.array(
-                    np.concatenate(p_parts) if p_parts else np.empty(0, np.int64)
-                ),
+                "h": pa.array(h, pa.uint64()),
+                "docid": pa.array(_col(batch, "doc_id", np.int64)[row], pa.int64()),
+                "pos": pa.array(pos, pa.int64()),
             }
         )
 
@@ -1687,17 +1611,11 @@ def _containment_candidates(
     from web_search_engine_ray.stages.exchange import exchange_map
 
     def shingle_rows(t: pa.Table) -> pa.Table:
-        toks = token_lists(t["text"]).to_list()
-        ids = _col(t, "doc_id")
-        sh = [_shingle_hashes(tl or []) for tl in toks]
-        lens = np.array([r.size for r in sh], np.int64)
+        doc, sh = _doc_shingle_sets(t["text"])
         return pa.table(
             {
-                "sh": pa.array(
-                    np.concatenate(sh) if sh else np.empty(0, np.uint64),
-                    pa.uint64(),
-                ),
-                "docid": pa.array(np.repeat(ids, lens), pa.int64()),
+                "sh": pa.array(sh, pa.uint64()),
+                "docid": pa.array(_col(t, "doc_id")[doc], pa.int64()),
             }
         )
 
