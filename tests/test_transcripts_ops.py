@@ -652,10 +652,9 @@ def test_minhash_repeated_texts_match_naive_reference():
 
 
 JACCARD_AT_CPUS = r"""
-import json, os, sys, tempfile
+import json, os, sys
 corpus, ncpu = sys.argv[1], int(sys.argv[2])
 os.environ.setdefault("POLARS_MAX_THREADS", "1")
-os.environ["RAY_TMPDIR"] = tempfile.mkdtemp(prefix="ray_sub_")
 import ray
 ray.init(address="local", num_cpus=ncpu, include_dashboard=False)
 sys.path.insert(0, os.getcwd())
@@ -678,19 +677,29 @@ def test_conversation_jaccard_same_pairs_at_any_cpu_count(neardup_corpus):
     set must not change. Fresh processes, one Ray node each."""
     import json
     import os
+    import shutil
     import subprocess
     import sys
+    import tempfile
 
     d, _ = neardup_corpus
 
     def run(ncpu):
-        proc = subprocess.run(
-            [sys.executable, "-c", JACCARD_AT_CPUS, d, str(ncpu)],
-            capture_output=True,
-            text=True,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            timeout=300,
-        )
+        env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+        # own Ray root, as in test_parallelism_invariance: the child must
+        # not flip the live session's session_latest link
+        env["RAY_TMPDIR"] = tempfile.mkdtemp(prefix="ray_sub_")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", JACCARD_AT_CPUS, d, str(ncpu)],
+                capture_output=True,
+                text=True,
+                cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                env=env,
+                timeout=300,
+            )
+        finally:
+            shutil.rmtree(env["RAY_TMPDIR"], ignore_errors=True)
         assert proc.returncode == 0, proc.stderr[-2000:]
         return json.loads(proc.stdout.strip().splitlines()[-1])
 

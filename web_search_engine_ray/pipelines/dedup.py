@@ -50,6 +50,8 @@ positions) and forms the sums over the flat array, keeping the windows
 that lie inside one row. Minhash signatures, the verify's per-document
 shingle sets, containment prefixes, contamination grams and the fast
 dup-span path all run on it; simhash shares its vocabulary hashing.
+Signatures permute the block's distinct shingles one permutation at a
+time and min-reduce each row's occurrences (:func:`_text_signatures`).
 """
 
 from __future__ import annotations
@@ -385,11 +387,10 @@ def _text_signatures(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
         return sigs
     uniq, inv = np.unique(sh, return_inverse=True)
     starts = np.flatnonzero(np.r_[True, doc[1:] != doc[:-1]])
+    rows = doc[starts]
     seeds = _splitmix(np.arange(1, MINHASH_PERMS + 1, dtype=np.uint64))
-    per_perm = np.empty((MINHASH_PERMS, starts.size), dtype=np.uint64)
     for p in range(MINHASH_PERMS):
-        per_perm[p] = np.minimum.reduceat(_splitmix(uniq ^ seeds[p])[inv], starts)
-    sigs[doc[starts]] = per_perm.T
+        sigs[rows, p] = np.minimum.reduceat(_splitmix(uniq ^ seeds[p])[inv], starts)
     return sigs
 
 
