@@ -756,12 +756,12 @@ def _q_values() -> str:
 def entry() -> Any:
     """Flagship pipeline at sf0.001: build the inverted index (runs -> salted
     shuffle merge -> blocked varbyte shards) over the documents corpus, then
-    serve the fixed BM25 query set through a searcher actor pool."""
+    serve the fixed BM25 query set through ``run_queries``' plain tasks."""
     from web_search_engine_ray.pipelines.query import run_queries
     from web_search_engine_ray.pipelines.serving import FIXED_QUERIES, documents_index
 
     idx = documents_index("/root/testdata/sf0.001")
-    return run_queries(idx, FIXED_QUERIES, topk=TOPK, mode="OR", concurrency=2)
+    return run_queries(idx, FIXED_QUERIES, topk=TOPK, mode="OR")
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

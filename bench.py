@@ -180,15 +180,14 @@ def run_bench() -> dict:
     timings["bm25_query_avg_ms"] = round(float(lat_ms.mean()), 3)
     timings["bm25_query_p95_ms"] = round(float(np.percentile(lat_ms, 95)), 3)
 
-    # actor-pool throughput: the same 200 queries through a SearcherActor pool
+    # batch throughput: the same 200 queries through run_queries' tasks
     from web_search_engine_ray.pipelines.query import run_queries
 
-    run_queries(idx_dir, queries[:8], concurrency=2).count()  # warm actors
     t0 = time.perf_counter()
-    run_queries(idx_dir, queries, topk=10, mode="OR", concurrency=max(2, NCPU // 4)).count()
-    pool_s = time.perf_counter() - t0
-    timings["bm25_actor_pool_200"] = round(pool_s, 3)
-    timings["bm25_actor_pool_qps"] = round(len(queries) / pool_s, 1)
+    run_queries(idx_dir, queries, topk=10, mode="OR").count()
+    run_s = time.perf_counter() - t0
+    timings["bm25_run_queries_200"] = round(run_s, 3)
+    timings["bm25_run_queries_qps"] = round(len(queries) / run_s, 1)
 
     if skip_aux:
         # scaling legs measure the headline build + query path only — the
@@ -286,7 +285,7 @@ def run_bench() -> dict:
     from web_search_engine_ray.pipelines import bpe
 
     t0 = time.perf_counter()
-    bpe.bpe_encode_stats_ds(SF_DIR, n_merges=64, concurrency=8).count()
+    bpe.bpe_encode_stats_ds(SF_DIR, n_merges=64).count()
     timings["bpe_encode_sf"] = round(time.perf_counter() - t0, 3)
     from web_search_engine_ray.pipelines import analysis as _analysis
     from web_search_engine_ray.pipelines import dsir as _dsir

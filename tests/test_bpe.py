@@ -140,7 +140,7 @@ def test_encode_stats_ds(ray_session, bpe_dir):
     )
 
     got = (
-        bpe_encode_stats_ds(bpe_dir, n_merges=10, concurrency=2)
+        bpe_encode_stats_ds(bpe_dir, n_merges=10)
         .to_pandas()
         .sort_values("docid")
         .reset_index(drop=True)

@@ -328,36 +328,3 @@ def test_chain_parts_sizes_from_cluster_and_input(ray_session, monkeypatch):
     assert n * block >= 3 * t.nbytes  # every partition within one block
     assert (n - 1) * block < 3 * (t.nbytes + block)  # not more than needed
 
-
-def test_pool_size_caps_to_cluster(ray_session):
-    """A fixed actor-pool concurrency >= cluster CPUs starves the upstream
-    task operators and deadlocks the stream (observed live: the full gate at
-    num_cpus=2 hung in bpe_encode_stats with concurrency=4). pool_size caps
-    the request to CPUs-1 and never raises it."""
-    import ray
-
-    from web_search_engine_ray.stages.exchange import pool_size
-
-    cpus = int(ray.cluster_resources()["CPU"])
-    assert pool_size(cpus + 2) == max(1, cpus - 1)
-    assert pool_size(1) == 1
-    assert pool_size(max(1, cpus - 1)) == max(1, cpus - 1)
-
-
-def test_pool_size_one_cpu_raises_naming_stage(ray_session, monkeypatch):
-    """At 1 CPU even a single fixed-pool actor takes the only slot and the
-    stream hangs silently; pool_size must fail loudly and name the stage
-    that asked. At 4 CPUs the cap is unchanged."""
-    import ray
-
-    from web_search_engine_ray.stages.exchange import pool_size
-
-    def some_stage(n):
-        return pool_size(n)
-
-    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
-    for n in (1, 4):
-        with pytest.raises(RuntimeError, match="some_stage: .*at least 2 CPUs"):
-            some_stage(n)
-    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 4.0})
-    assert [pool_size(n) for n in (1, 2, 3, 4, 8)] == [1, 2, 3, 3, 3]

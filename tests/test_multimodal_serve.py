@@ -1,4 +1,4 @@
-"""Multimodal actor-stage plumbing + HTTP serving surface tests."""
+"""Multimodal stage plumbing + HTTP serving surface tests."""
 
 import json
 
@@ -31,26 +31,26 @@ def test_codec_coverage():
 
 def test_stages_direct():
     t = mm.make_media_table(12)
-    dec = mm.DecodeStage()(t)
+    dec = mm.decode_batch(t)
     assert dec.column_names == ["media_id", "height", "width", "channels", "pixels"]
     assert dec.num_rows == 12
-    rs = mm.ResizeStage(8, 8)(dec)
+    rs = mm.resize_batch(dec, 8, 8)
     assert set(rs["height"].to_pylist()) == {8}
-    ft = mm.FeatureStage()(rs)
+    ft = mm.feature_batch(rs)
     feats = ft["feature"].to_pylist()
-    assert all(len(f) == 3 + 3 + mm.FeatureStage.BINS for f in feats)
-    fs = mm.FrameSampleStage(stride=2)(t)
+    assert all(len(f) == 3 + 3 + mm.FEATURE_BINS for f in feats)
+    fs = mm.sample_frames(t, stride=2)
     assert fs.num_rows > 0
     assert all(i % 2 == 0 for i in fs["frame_idx"].to_pylist())
 
 
 def test_media_pipeline_over_ray(ray_session):
     t = mm.make_media_table(24)
-    out = mm.media_features(t, concurrency=2).to_pandas()
+    out = mm.media_features(t).to_pandas()
     assert len(out) == 24
     assert sorted(out["media_id"]) == list(range(24))
     # deterministic across runs
-    out2 = mm.media_features(t, concurrency=2).to_pandas()
+    out2 = mm.media_features(t).to_pandas()
     a = sorted(map(tuple, zip(out["media_id"], map(tuple, out["feature"]))))
     b = sorted(map(tuple, zip(out2["media_id"], map(tuple, out2["feature"]))))
     assert a == b

@@ -5,17 +5,15 @@ must produce byte-identical index shards and identical query results."""
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 
 SCRIPT = r"""
-import sys, os, glob, hashlib, json, tempfile
+import sys, os, glob, hashlib, json
 corpus, out, ncpu = sys.argv[1], sys.argv[2], int(sys.argv[3])
 os.environ.setdefault("POLARS_MAX_THREADS", "1")
-# own Ray root: sharing /tmp/ray with the live pytest session flips the
-# session_latest symlink under it and has coincided with task_manager.cc
-# Check-failed crashes in the MAIN driver (see BASELINE.md flake note)
-os.environ["RAY_TMPDIR"] = tempfile.mkdtemp(prefix="ray_sub_")
 import ray
 ray.init(address="local", num_cpus=ncpu, include_dashboard=False)
 sys.path.insert(0, os.getcwd())
@@ -35,13 +33,23 @@ ray.shutdown()
 
 
 def _run(corpus: str, out: str, ncpu: int) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, corpus, out, str(ncpu)],
-        capture_output=True,
-        text=True,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        timeout=300,
-    )
+    env = dict(os.environ)
+    # own Ray root, removed afterwards: sharing /tmp/ray with the live
+    # pytest session flips the session_latest symlink under it and has
+    # coincided with task_manager.cc Check-failed crashes in the MAIN
+    # driver (see BASELINE.md flake note)
+    env["RAY_TMPDIR"] = tempfile.mkdtemp(prefix="ray_sub_")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", SCRIPT, corpus, out, str(ncpu)],
+            capture_output=True,
+            text=True,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            env=env,
+            timeout=300,
+        )
+    finally:
+        shutil.rmtree(env["RAY_TMPDIR"], ignore_errors=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout.strip().splitlines()[-1])
 

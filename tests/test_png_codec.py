@@ -1,5 +1,5 @@
 """Pure-Python PNG codec: roundtrips across color types and all five
-scanline filters, profile-gate errors, and the multimodal DecodeStage
+scanline filters, profile-gate errors, and the multimodal decode_batch stage
 consuming a real PNG payload."""
 
 import struct
@@ -47,12 +47,12 @@ def test_profile_gates():
 
 def test_decode_stage_handles_png():
     from web_search_engine_ray.pipelines.multimodal import (
-        DecodeStage,
+        decode_batch,
         make_media_table,
     )
 
     t = make_media_table(n=8)
-    out = DecodeStage()(t)
+    out = decode_batch(t)
     assert out.num_rows == t.num_rows
     # row 1 is the PNG row: its decoded pixels must equal the deterministic
     # source pixels (same splitmix stream the FAKE rows use)

@@ -42,12 +42,12 @@ def test_audio_stages_direct():
     from web_search_engine_ray.pipelines import multimodal as mm
 
     t = mm.make_audio_table(8)
-    dec = mm.AudioDecodeStage()(t)
+    dec = mm.decode_audio_batch(t)
     assert dec.column_names == ["media_id", "rate", "channels", "n_samples", "pcm"]
-    feats = mm.AudioFeatureStage()(dec)
+    feats = mm.audio_feature_batch(dec)
     assert feats.num_rows == 8
     v = feats["feature"][0].as_py()
-    assert len(v) == 2 + 2 + mm.AudioFeatureStage.BINS
+    assert len(v) == 2 + 2 + mm.FEATURE_BINS
     assert abs(sum(v[4:]) - 1.0) < 1e-5  # bands normalized (rounded to 6dp)
 
 
@@ -55,7 +55,7 @@ def test_audio_compressed_gated():
     from web_search_engine_ray.pipelines import multimodal as mm
 
     with pytest.raises((NotImplementedError, ValueError)):
-        mm.AudioDecodeStage()(
+        mm.decode_audio_batch(
             __import__("pyarrow").table(
                 {
                     "media_id": [0],

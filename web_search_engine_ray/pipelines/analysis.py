@@ -23,13 +23,10 @@ from web_search_engine_ray.sources.documents import read_docs as _read_docs
 from web_search_engine_ray.sources.documents import read_docs_refs
 from web_search_engine_ray.stages.exchange import (
     aggregate,
-    arrow_refs,
-    by_key,
     chain_parts,
     exchange_map,
     hash_route,
     map_refs,
-    pool_size,
     read_refs,
     to_dataset,
 )
@@ -123,37 +120,27 @@ def quality_ds(sf_dir: str, min_tokens: int = 5, max_stop_ratio: float = 0.6):
     return _read_docs(sf_dir).map_batches(f, batch_format="pyarrow")
 
 
-class LangIdStage:
-    """Actor-pool language-ID stage: stopword-hit voting per language.
-
-    Stateful-stage shape on purpose (tables built once in ``__init__``, reused
-    per batch) — the pattern a real fasttext/CLD model would use. Votes are
-    vectorized (one ``is_in`` list expression per language, argmax across the
-    4-row hit matrix; ties keep the alphabetically-first language, zero hits
-    -> "unknown")."""
-
-    def __init__(self):
-        self.langs = sorted(LANG_STOPWORDS)
-        self.tables = [sorted(LANG_STOPWORDS[k]) for k in self.langs]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        toks = token_lists(batch["text"])
-        hits = np.stack([_stop_hits(toks, t) for t in self.tables])  # (4, n)
-        best = hits.argmax(axis=0)  # first max wins = sorted-order tie rule
-        names = np.array(self.langs + ["unknown"])
-        best = np.where(hits.max(axis=0) > 0, best, len(self.langs))
-        return pa.table(
-            {
-                "docid": batch["doc_id"].cast(pa.int64()),
-                "lang_pred": pa.array(names[best], pa.string()),
-            }
-        )
-
-
-def langid_ds(sf_dir: str, concurrency: int = 2):
-    return _read_docs(sf_dir).map_batches(
-        LangIdStage, batch_format="pyarrow", concurrency=pool_size(concurrency)
+def langid_batch(batch: pa.Table) -> pa.Table:
+    """(docid, lang_pred): stopword-hit voting per language. Votes are
+    vectorized (one ``is_in`` list expression per language, argmax across
+    the 4-row hit matrix; ties keep the alphabetically-first language, zero
+    hits -> "unknown")."""
+    langs = sorted(LANG_STOPWORDS)
+    toks = token_lists(batch["text"])
+    hits = np.stack([_stop_hits(toks, sorted(LANG_STOPWORDS[k])) for k in langs])  # (4, n)
+    best = hits.argmax(axis=0)  # first max wins = sorted-order tie rule
+    names = np.array(langs + ["unknown"])
+    best = np.where(hits.max(axis=0) > 0, best, len(langs))
+    return pa.table(
+        {
+            "docid": batch["doc_id"].cast(pa.int64()),
+            "lang_pred": pa.array(names[best], pa.string()),
+        }
     )
+
+
+def langid_ds(sf_dir: str):
+    return _read_docs(sf_dir).map_batches(langid_batch, batch_format="pyarrow")
 
 
 def _bigram_partials(batch: pa.Table) -> pa.Table:
@@ -677,20 +664,18 @@ def distinctive_terms_ds(sf_dir: str, k: int = 10):
     return to_dataset("distinctive_terms_ds", refs)
 
 
-class LangIdConfusionStage:
-    """Actor-pool stage: the langid votes joined to the table's ground-truth
-    ``lang`` column, reduced to per-batch (lang, lang_pred) counts."""
+def langid_confusion_ds(sf_dir: str):
+    """(lang, lang_pred, n): the language-ID heuristic's confusion matrix
+    against the table's ground-truth ``lang`` column — the eval every
+    classifier stage ships with. Per-block (lang, lang_pred) counts of the
+    langid votes, one tiny hash exchange on lang."""
 
-    def __init__(self):
-        self._stage = LangIdStage()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        preds = self._stage(batch)["lang_pred"]
+    def partial(batch: pa.Table) -> pa.Table:
         d = (
             pl.DataFrame(
                 {
                     "lang": pl.from_arrow(batch["lang"].combine_chunks()),
-                    "lang_pred": pl.from_arrow(preds),
+                    "lang_pred": pl.from_arrow(langid_batch(batch)["lang_pred"]),
                 }
             )
             .group_by(["lang", "lang_pred"])
@@ -702,21 +687,6 @@ class LangIdConfusionStage:
             )
         )
 
-
-def langid_confusion_ds(sf_dir: str, concurrency: int = 2):
-    """(lang, lang_pred, n): the language-ID heuristic's confusion matrix
-    against the table's ground-truth ``lang`` column — the eval every
-    classifier stage ships with. Per-batch counts from the actor-pool
-    stage, one tiny hash exchange on lang."""
-    import ray.data
-
-    refs = arrow_refs(
-        ray.data.read_parquet(
-            os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "lang", "text"]
-        ).map_batches(
-            LangIdConfusionStage, batch_format="pyarrow", concurrency=pool_size(concurrency)
-        )
-    )
     def merge(t: pa.Table) -> pa.Table:
         g = (
             pl.from_arrow(t)
@@ -729,7 +699,8 @@ def langid_confusion_ds(sf_dir: str, concurrency: int = 2):
             )
         )
 
-    return to_dataset("langid_confusion_ds", by_key(refs, "lang", merge))
+    refs = read_refs(os.path.join(sf_dir, "documents.parquet"), ["doc_id", "lang", "text"])
+    return to_dataset("langid_confusion_ds", aggregate(refs, partial, "lang", merge))
 
 
 BURSTINESS_MIN_DF = 20

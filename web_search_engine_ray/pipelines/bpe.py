@@ -18,10 +18,10 @@ layers the standard BPE construction on top:
   so driver memory is O(max_words) regardless of corpus size. This is the
   same corpus-scale-partials / small-driver-solve shape as the k-means and
   PCA ops (``clustering.py``).
-- **Encoding (corpus-scale, distributed)**: an actor-pool ``map_batches``
-  stage; the merge table is broadcast once via ``ray.put`` and each actor
-  memoizes word -> pieces across batches (Zipf makes the cache hit rate
-  ~99% — encoding cost is per *distinct* word, per actor).
+- **Encoding (corpus-scale, distributed)**: a plain-task ``map_batches``
+  stage; the merge list ships once and each block encodes each of its
+  distinct words once (Zipf keeps that far below the token count —
+  encoding cost is per *distinct* word, per block).
 
 Determinism: merge selection breaks count ties on the lexicographically
 smallest pair, so training is independent of dict iteration order and of
@@ -37,7 +37,7 @@ import pyarrow as pa
 from web_search_engine_ray.functions.tokenize import token_lists
 from web_search_engine_ray.pipelines.corpus import term_stats_refs
 from web_search_engine_ray.sources.documents import read_docs as _read_docs
-from web_search_engine_ray.stages.exchange import map_refs, pool_size
+from web_search_engine_ray.stages.exchange import map_refs
 
 END = "</w>"  # end-of-word sentinel (distinct from any corpus token char)
 
@@ -169,70 +169,51 @@ def encode_word(word: str, ranks: dict[tuple[str, str], int]) -> list[str]:
     return w
 
 
-class _BpeEncoder:
-    """Actor-pool stage: merge table fetched once per actor, word -> pieces
-    memoized across batches (per-distinct-word cost, Zipf-friendly)."""
-
-    def __init__(self, merges_ref):
-        import ray
-
-        merges = ray.get(merges_ref) if not isinstance(merges_ref, list) else merges_ref
-        self.ranks = {tuple(p): i for i, p in enumerate(merges)}
-        self.cache: dict[str, int] = {}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        toks = token_lists(batch["text"])
-        ids = batch["doc_id"].cast(pa.int64())
-        n_tok = toks.list.len().fill_null(0).to_numpy().astype(np.int64)
-        # per-distinct-word encode, then a vectorized join back onto the
-        # exploded token stream
-        idx = np.arange(len(n_tok), dtype=np.int64)
-        ex = (
-            pl.DataFrame({"i": idx, "w": toks})
-            .explode("w")
-            .drop_nulls("w")
-        )
-        uniq = ex["w"].unique().to_list()
-        cache = self.cache
-        for w in uniq:
-            if w not in cache:
-                cache[w] = len(encode_word(w, self.ranks))
-        piece_map = pl.DataFrame(
-            {"w": list(uniq), "np_": [cache[w] for w in uniq]},
-            schema={"w": pl.String, "np_": pl.Int64},  # empty batch: keep join key typed
-        )
-        per_doc = (
-            ex.join(piece_map, on="w", how="left")
-            .group_by("i")
-            .agg(pl.col("np_").sum().alias("n_pieces"))
-        )
-        n_pieces = np.zeros(len(n_tok), dtype=np.int64)
-        if per_doc.height:
-            n_pieces[per_doc["i"].to_numpy()] = per_doc["n_pieces"].to_numpy()
-        return pa.table(
-            {
-                "docid": ids,
-                "n_tokens": pa.array(n_tok, pa.int64()),
-                "n_pieces": pa.array(n_pieces, pa.int64()),
-            }
-        )
+def _bpe_encode(batch: pa.Table, merges: list) -> pa.Table:
+    """(docid, n_tokens, n_pieces) of one block: each distinct word of the
+    block encoded once (per-distinct-word cost, Zipf-friendly), then a
+    vectorized join back onto the exploded token stream."""
+    ranks = {tuple(p): i for i, p in enumerate(merges)}
+    toks = token_lists(batch["text"])
+    ids = batch["doc_id"].cast(pa.int64())
+    n_tok = toks.list.len().fill_null(0).to_numpy().astype(np.int64)
+    idx = np.arange(len(n_tok), dtype=np.int64)
+    ex = (
+        pl.DataFrame({"i": idx, "w": toks})
+        .explode("w")
+        .drop_nulls("w")
+    )
+    uniq = ex["w"].unique().to_list()
+    piece_map = pl.DataFrame(
+        {"w": uniq, "np_": [len(encode_word(w, ranks)) for w in uniq]},
+        schema={"w": pl.String, "np_": pl.Int64},  # empty batch: keep join key typed
+    )
+    per_doc = (
+        ex.join(piece_map, on="w", how="left")
+        .group_by("i")
+        .agg(pl.col("np_").sum().alias("n_pieces"))
+    )
+    n_pieces = np.zeros(len(n_tok), dtype=np.int64)
+    if per_doc.height:
+        n_pieces[per_doc["i"].to_numpy()] = per_doc["n_pieces"].to_numpy()
+    return pa.table(
+        {
+            "docid": ids,
+            "n_tokens": pa.array(n_tok, pa.int64()),
+            "n_pieces": pa.array(n_pieces, pa.int64()),
+        }
+    )
 
 
-def bpe_encode_stats_ds(
-    sf_dir: str, n_merges: int = 64, max_words: int = 100_000, concurrency: int = 4
-):
+def bpe_encode_stats_ds(sf_dir: str, n_merges: int = 64, max_words: int = 100_000):
     """(docid, n_tokens, n_pieces): corpus re-encoded with a BPE vocabulary
     trained on itself. Two corpus passes (word counts, encode) + a
-    vocab-scale driver solve in between; the merge table ships once per
-    encode actor as a constructor argument (a 100k-merge table is ~2 MB —
-    actor-creation freight, not per-batch; a ray.put ref would also work
-    but makes actor restarts depend on the ref staying alive)."""
+    vocab-scale driver solve in between; the merge list rides with the
+    encode function (``fn_args``: Ray Data ships it to the object store
+    once, not per block) and each block builds its own ranks dict."""
     merges = train_bpe(sf_dir, n_merges=n_merges, max_words=max_words)
     return _read_docs(sf_dir).map_batches(
-        _BpeEncoder,
-        fn_constructor_args=(merges,),
-        batch_format="pyarrow",
-        concurrency=pool_size(concurrency),
+        _bpe_encode, fn_args=(merges,), batch_format="pyarrow"
     )
 
 

@@ -1,19 +1,18 @@
 """Multimodal columns: opaque binary payloads + typed metadata, processed by
-actor-pool ``map_batches`` stages.
+plain Ray tasks, one per ``MEDIA_BATCH_SIZE``-row slice.
 
 A 100 TB training-data pipeline carries images/audio/video as ``binary``
-columns. The Ray-side plumbing here is REAL and tested — schema, actor-pool
-stage shape, per-stage ``batch_size`` sizing, output layout — and so is the
-PNG path: ``DecodeStage`` decodes real baseline PNGs through the pure-Python
+columns. The Ray-side plumbing here is REAL and tested — schema, per-slice
+stage functions, per-task row bound, output layout — and so is the
+PNG path: ``decode_batch`` decodes real baseline PNGs through the pure-Python
 codec in ``functions/png.py`` (stdlib zlib; all five scanline filters), plus
 the deterministic in-repo ``FAKE`` format. JPEG/video codecs remain honestly
 gated: PIL is used when importable, otherwise a clear
 ``NotImplementedError`` names the gap (this container ships no image libs).
 
-Sizing note: with wide binary rows keep ``batch_size`` small (decoded pixels
-are ~H*W*C bytes/row; batch_size * concurrency * row_bytes must fit in worker
-heap) and let blocks stay coarse via ``DataContext.target_max_block_size`` —
-see the module constants.
+Sizing note: with wide binary rows keep the slice small (decoded pixels
+are ~H*W*C bytes/row; one task holds ``MEDIA_BATCH_SIZE * row_bytes``, and
+as many tasks run at once as the node has CPUs) — see the module constants.
 
 Fake payload format (deterministic, seeded — FIXTURES.md spirit):
 ``b"FAKE" + u16 height + u16 width + u8 channels + pixel bytes`` for images;
@@ -28,7 +27,7 @@ import struct
 import numpy as np
 import pyarrow as pa
 
-from web_search_engine_ray.stages.exchange import arrow_refs, pool_size
+from web_search_engine_ray.stages.exchange import arrow_refs, map_refs, to_dataset
 
 try:  # pragma: no cover - not installed here
     from PIL import Image  # noqa: F401
@@ -37,8 +36,10 @@ try:  # pragma: no cover - not installed here
 except ImportError:
     HAVE_PIL = False
 
-# recommended map_batches sizing for decoded-image stages
+# rows per media task: bounds each task's decoded-pixel memory
 MEDIA_BATCH_SIZE = 16
+# luminance-histogram bins (images) and spectrum bands (audio) per feature
+FEATURE_BINS = 8
 
 MEDIA_SCHEMA = pa.schema(
     [
@@ -138,141 +139,118 @@ def decode_fake_video(buf: bytes) -> list[np.ndarray]:
     return frames
 
 
-class DecodeStage:
-    """Actor-pool stage: payload binary -> decoded dims + flat pixel column.
+def decode_batch(batch: pa.Table) -> pa.Table:
+    """Payload binary -> decoded dims + flat pixel column (a video keeps
+    its first frame)."""
+    ids, heights, widths, chans, pixels = [], [], [], [], []
+    for mid, kind, payload in zip(
+        batch["media_id"].to_pylist(),
+        batch["kind"].to_pylist(),
+        batch["payload"].to_pylist(),
+    ):
+        if kind == "video":
+            frames = decode_fake_video(payload)
+            if not frames:
+                raise ValueError(
+                    f"zero-frame video payload (media_id={mid})"
+                )
+            arr = frames[0]  # first frame
+        else:
+            arr = decode_fake_image(payload)
+        ids.append(mid)
+        heights.append(arr.shape[0])
+        widths.append(arr.shape[1])
+        chans.append(arr.shape[2])
+        pixels.append(arr.tobytes())
+    return pa.table(
+        {
+            "media_id": pa.array(ids, pa.int64()),
+            "height": pa.array(heights, pa.int32()),
+            "width": pa.array(widths, pa.int32()),
+            "channels": pa.array(chans, pa.int32()),
+            "pixels": pa.array(pixels, pa.binary()),
+        }
+    )
 
-    Stateful-stage shape: a real deployment loads codec contexts / GPU
-    decoders once here in ``__init__``."""
 
-    def __init__(self):
-        self.decode_image = decode_fake_image
-        self.decode_video = decode_fake_video
+def resize_batch(batch: pa.Table, out_h: int = 8, out_w: int = 8) -> pa.Table:
+    """Nearest-neighbour resize on decoded pixel buffers (pure numpy, real)."""
+    out_pix = []
+    for h, w, c, buf in zip(
+        batch["height"].to_pylist(),
+        batch["width"].to_pylist(),
+        batch["channels"].to_pylist(),
+        batch["pixels"].to_pylist(),
+    ):
+        arr = np.frombuffer(buf, dtype=np.uint8).reshape(h, w, c)
+        yi = (np.arange(out_h) * h // out_h).astype(np.int64)
+        xi = (np.arange(out_w) * w // out_w).astype(np.int64)
+        out_pix.append(arr[yi][:, xi].tobytes())
+    return pa.table(
+        {
+            "media_id": batch["media_id"],
+            "height": pa.array([out_h] * batch.num_rows, pa.int32()),
+            "width": pa.array([out_w] * batch.num_rows, pa.int32()),
+            "channels": batch["channels"],
+            "pixels": pa.array(out_pix, pa.binary()),
+        }
+    )
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, heights, widths, chans, pixels = [], [], [], [], []
-        for mid, kind, payload in zip(
-            batch["media_id"].to_pylist(),
-            batch["kind"].to_pylist(),
-            batch["payload"].to_pylist(),
-        ):
-            if kind == "video":
-                frames = self.decode_video(payload)
-                if not frames:
-                    raise ValueError(
-                        f"zero-frame video payload (media_id={mid})"
-                    )
-                arr = frames[0]  # first frame
-            else:
-                arr = self.decode_image(payload)
+
+def feature_batch(batch: pa.Table) -> pa.Table:
+    """Per-channel mean/std + luminance histogram -> fixed-length feature
+    vector (list<float>) per item (pure numpy, real)."""
+    feats = []
+    for h, w, c, buf in zip(
+        batch["height"].to_pylist(),
+        batch["width"].to_pylist(),
+        batch["channels"].to_pylist(),
+        batch["pixels"].to_pylist(),
+    ):
+        arr = np.frombuffer(buf, dtype=np.uint8).reshape(h, w, c).astype(np.float64)
+        mean = arr.mean(axis=(0, 1))
+        std = arr.std(axis=(0, 1))
+        lum = arr.mean(axis=2)
+        hist, _ = np.histogram(lum, bins=FEATURE_BINS, range=(0, 255))
+        hist = hist / max(1, lum.size)
+        feats.append(np.concatenate([mean, std, hist]).round(6).tolist())
+    return pa.table(
+        {
+            "media_id": batch["media_id"],
+            "feature": pa.array(feats, pa.list_(pa.float64())),
+        }
+    )
+
+
+def sample_frames(batch: pa.Table, stride: int = 2) -> pa.Table:
+    """Video payload -> every ``stride``-th frame as its own row."""
+    ids, fidx, heights, widths, chans, pixels = [], [], [], [], [], []
+    for mid, kind, payload in zip(
+        batch["media_id"].to_pylist(),
+        batch["kind"].to_pylist(),
+        batch["payload"].to_pylist(),
+    ):
+        if kind != "video":
+            continue
+        for j, arr in enumerate(decode_fake_video(payload)):
+            if j % stride:
+                continue
             ids.append(mid)
+            fidx.append(j)
             heights.append(arr.shape[0])
             widths.append(arr.shape[1])
             chans.append(arr.shape[2])
             pixels.append(arr.tobytes())
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "height": pa.array(heights, pa.int32()),
-                "width": pa.array(widths, pa.int32()),
-                "channels": pa.array(chans, pa.int32()),
-                "pixels": pa.array(pixels, pa.binary()),
-            }
-        )
-
-
-class ResizeStage:
-    """Nearest-neighbour resize on decoded pixel buffers (pure numpy, real)."""
-
-    def __init__(self, out_h: int = 8, out_w: int = 8):
-        self.out_h, self.out_w = out_h, out_w
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_pix = []
-        for h, w, c, buf in zip(
-            batch["height"].to_pylist(),
-            batch["width"].to_pylist(),
-            batch["channels"].to_pylist(),
-            batch["pixels"].to_pylist(),
-        ):
-            arr = np.frombuffer(buf, dtype=np.uint8).reshape(h, w, c)
-            yi = (np.arange(self.out_h) * h // self.out_h).astype(np.int64)
-            xi = (np.arange(self.out_w) * w // self.out_w).astype(np.int64)
-            out_pix.append(arr[yi][:, xi].tobytes())
-        return pa.table(
-            {
-                "media_id": batch["media_id"],
-                "height": pa.array([self.out_h] * batch.num_rows, pa.int32()),
-                "width": pa.array([self.out_w] * batch.num_rows, pa.int32()),
-                "channels": batch["channels"],
-                "pixels": pa.array(out_pix, pa.binary()),
-            }
-        )
-
-
-class FeatureStage:
-    """Per-channel mean/std + luminance histogram -> fixed-length feature
-    vector (list<float>) per item (pure numpy, real)."""
-
-    BINS = 8
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        feats = []
-        for h, w, c, buf in zip(
-            batch["height"].to_pylist(),
-            batch["width"].to_pylist(),
-            batch["channels"].to_pylist(),
-            batch["pixels"].to_pylist(),
-        ):
-            arr = np.frombuffer(buf, dtype=np.uint8).reshape(h, w, c).astype(np.float64)
-            mean = arr.mean(axis=(0, 1))
-            std = arr.std(axis=(0, 1))
-            lum = arr.mean(axis=2)
-            hist, _ = np.histogram(lum, bins=self.BINS, range=(0, 255))
-            hist = hist / max(1, lum.size)
-            feats.append(np.concatenate([mean, std, hist]).round(6).tolist())
-        return pa.table(
-            {
-                "media_id": batch["media_id"],
-                "feature": pa.array(feats, pa.list_(pa.float64())),
-            }
-        )
-
-
-class FrameSampleStage:
-    """Video payload -> every ``stride``-th frame as its own row."""
-
-    def __init__(self, stride: int = 2):
-        self.stride = stride
-        self.decode_video = decode_fake_video
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, fidx, heights, widths, chans, pixels = [], [], [], [], [], []
-        for mid, kind, payload in zip(
-            batch["media_id"].to_pylist(),
-            batch["kind"].to_pylist(),
-            batch["payload"].to_pylist(),
-        ):
-            if kind != "video":
-                continue
-            for j, arr in enumerate(self.decode_video(payload)):
-                if j % self.stride:
-                    continue
-                ids.append(mid)
-                fidx.append(j)
-                heights.append(arr.shape[0])
-                widths.append(arr.shape[1])
-                chans.append(arr.shape[2])
-                pixels.append(arr.tobytes())
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "frame_idx": pa.array(fidx, pa.int32()),
-                "height": pa.array(heights, pa.int32()),
-                "width": pa.array(widths, pa.int32()),
-                "channels": pa.array(chans, pa.int32()),
-                "pixels": pa.array(pixels, pa.binary()),
-            }
-        )
+    return pa.table(
+        {
+            "media_id": pa.array(ids, pa.int64()),
+            "frame_idx": pa.array(fidx, pa.int32()),
+            "height": pa.array(heights, pa.int32()),
+            "width": pa.array(widths, pa.int32()),
+            "channels": pa.array(chans, pa.int32()),
+            "pixels": pa.array(pixels, pa.binary()),
+        }
+    )
 
 
 def fake_audio(seed: int, n_samples: int, rate: int = 8000, n_ch: int = 1) -> bytes:
@@ -301,124 +279,115 @@ def make_audio_table(n: int = 16, seed: int = 7) -> pa.Table:
     )
 
 
-class AudioDecodeStage:
-    """Actor-pool stage: WAV payload -> (rate, channels, flat PCM16 samples).
+def decode_audio_batch(batch: pa.Table) -> pa.Table:
+    """WAV payload -> (rate, channels, flat PCM16 samples).
 
     The WAV path is REAL (pure-Python RIFF/PCM codec in ``functions/wav.py``);
     compressed formats (mp3/ogg/flac) stay honestly gated: soundfile when
     importable, else a clear ``NotImplementedError``."""
+    from web_search_engine_ray.functions.wav import decode_wav
 
-    def __init__(self):
-        from web_search_engine_ray.functions.wav import decode_wav
+    ids, rates, chans, n_s, pcm = [], [], [], [], []
+    for mid, payload in zip(
+        batch["media_id"].to_pylist(), batch["payload"].to_pylist()
+    ):
+        if payload[:4] != b"RIFF":
+            try:
+                import soundfile
+            except ImportError:
+                raise NotImplementedError(
+                    "compressed audio codecs unavailable; WAV/PCM decodes "
+                    "natively (install soundfile for mp3/ogg/flac)"
+                ) from None
+            import io  # pragma: no cover - soundfile absent here
 
-        self.decode = decode_wav
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, rates, chans, n_s, pcm = [], [], [], [], []
-        for mid, payload in zip(
-            batch["media_id"].to_pylist(), batch["payload"].to_pylist()
-        ):
-            if payload[:4] != b"RIFF":
-                try:
-                    import soundfile
-                except ImportError:
-                    raise NotImplementedError(
-                        "compressed audio codecs unavailable; WAV/PCM decodes "
-                        "natively (install soundfile for mp3/ogg/flac)"
-                    ) from None
-                import io  # pragma: no cover - soundfile absent here
-
-                data, rate = soundfile.read(io.BytesIO(payload), dtype="int16")
-                samples = np.atleast_2d(data.T).T
-            else:
-                samples, rate = self.decode(payload)
-            ids.append(mid)
-            rates.append(rate)
-            chans.append(samples.shape[1])
-            n_s.append(samples.shape[0])
-            pcm.append(np.ascontiguousarray(samples, dtype=np.int16).tobytes())
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "rate": pa.array(rates, pa.int32()),
-                "channels": pa.array(chans, pa.int32()),
-                "n_samples": pa.array(n_s, pa.int64()),
-                "pcm": pa.array(pcm, pa.binary()),
-            }
-        )
+            data, rate = soundfile.read(io.BytesIO(payload), dtype="int16")
+            samples = np.atleast_2d(data.T).T
+        else:
+            samples, rate = decode_wav(payload)
+        ids.append(mid)
+        rates.append(rate)
+        chans.append(samples.shape[1])
+        n_s.append(samples.shape[0])
+        pcm.append(np.ascontiguousarray(samples, dtype=np.int16).tobytes())
+    return pa.table(
+        {
+            "media_id": pa.array(ids, pa.int64()),
+            "rate": pa.array(rates, pa.int32()),
+            "channels": pa.array(chans, pa.int32()),
+            "n_samples": pa.array(n_s, pa.int64()),
+            "pcm": pa.array(pcm, pa.binary()),
+        }
+    )
 
 
-class AudioFeatureStage:
+def audio_feature_batch(batch: pa.Table) -> pa.Table:
     """PCM16 -> fixed-length feature vector per clip: per-channel RMS energy
-    + zero-crossing rate + an ``BINS``-bin FFT magnitude spectrum of the
-    mono mix (pure numpy, real DSP)."""
-
-    BINS = 8
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        feats = []
-        for ch, n, buf in zip(
-            batch["channels"].to_pylist(),
-            batch["n_samples"].to_pylist(),
-            batch["pcm"].to_pylist(),
-        ):
-            a = np.frombuffer(buf, dtype=np.int16).reshape(n, ch).astype(np.float64)
-            a /= 32768.0
-            rms = np.sqrt((a**2).mean(axis=0))
-            zcr = (np.abs(np.diff(np.signbit(a, ), axis=0)).mean(axis=0)).astype(
-                np.float64
-            )
-            mono = a.mean(axis=1)
-            spec = np.abs(np.fft.rfft(mono))
-            chunks = np.array_split(spec, self.BINS)
-            bands = np.array([c.mean() if c.size else 0.0 for c in chunks])
-            total = bands.sum()
-            bands = bands / total if total > 0 else bands
-            # fixed width: pad per-channel stats to 2 channels
-            rms2 = np.zeros(2)
-            rms2[: min(2, rms.size)] = rms[:2]
-            zcr2 = np.zeros(2)
-            zcr2[: min(2, zcr.size)] = zcr[:2]
-            feats.append(np.concatenate([rms2, zcr2, bands]).round(6).tolist())
-        return pa.table(
-            {
-                "media_id": batch["media_id"],
-                "feature": pa.array(feats, pa.list_(pa.float64())),
-            }
+    + zero-crossing rate + an ``FEATURE_BINS``-band FFT magnitude spectrum
+    of the mono mix (pure numpy, real DSP)."""
+    feats = []
+    for ch, n, buf in zip(
+        batch["channels"].to_pylist(),
+        batch["n_samples"].to_pylist(),
+        batch["pcm"].to_pylist(),
+    ):
+        a = np.frombuffer(buf, dtype=np.int16).reshape(n, ch).astype(np.float64)
+        a /= 32768.0
+        rms = np.sqrt((a**2).mean(axis=0))
+        zcr = (np.abs(np.diff(np.signbit(a, ), axis=0)).mean(axis=0)).astype(
+            np.float64
         )
+        mono = a.mean(axis=1)
+        spec = np.abs(np.fft.rfft(mono))
+        chunks = np.array_split(spec, FEATURE_BINS)
+        bands = np.array([c.mean() if c.size else 0.0 for c in chunks])
+        total = bands.sum()
+        bands = bands / total if total > 0 else bands
+        # fixed width: pad per-channel stats to 2 channels
+        rms2 = np.zeros(2)
+        rms2[: min(2, rms.size)] = rms[:2]
+        zcr2 = np.zeros(2)
+        zcr2[: min(2, zcr.size)] = zcr[:2]
+        feats.append(np.concatenate([rms2, zcr2, bands]).round(6).tolist())
+    return pa.table(
+        {
+            "media_id": batch["media_id"],
+            "feature": pa.array(feats, pa.list_(pa.float64())),
+        }
+    )
 
 
-def audio_features(audio_table: pa.Table, concurrency: int = 2):
+def _media_tasks(stage: str, table: pa.Table, fn):
+    """``fn`` over ``table`` as one plain Ray task per ``MEDIA_BATCH_SIZE``
+    rows; an empty table still runs one task, so the Dataset carries
+    ``fn``'s schema."""
+    import ray
+
+    slices = [
+        ray.put(table.slice(i, MEDIA_BATCH_SIZE))
+        for i in range(0, max(table.num_rows, 1), MEDIA_BATCH_SIZE)
+    ]
+    return to_dataset(stage, map_refs(fn, slices))
+
+
+def _image_features(batch: pa.Table) -> pa.Table:
+    return feature_batch(resize_batch(decode_batch(batch)))
+
+
+def _audio_features(batch: pa.Table) -> pa.Table:
+    return audio_feature_batch(decode_audio_batch(batch))
+
+
+def audio_features(audio_table: pa.Table):
     """decode -> features over an in-memory audio table (same stage wiring a
     parquet-backed audio corpus would use)."""
-    import ray.data
-
-    ds = ray.data.from_arrow(audio_table)
-    ds = ds.map_batches(
-        AudioDecodeStage, batch_format="pyarrow", batch_size=MEDIA_BATCH_SIZE,
-        concurrency=pool_size(concurrency),
-    )
-    return ds.map_batches(
-        AudioFeatureStage, batch_format="pyarrow", batch_size=MEDIA_BATCH_SIZE,
-        concurrency=pool_size(concurrency),
-    )
+    return _media_tasks("audio_features", audio_table, _audio_features)
 
 
-def media_features(media_table: pa.Table, concurrency: int = 2):
+def media_features(media_table: pa.Table):
     """decode -> resize -> features over an in-memory media table; the stage
     wiring a parquet-backed media corpus would use unchanged."""
-    import ray.data
-
-    ds = ray.data.from_arrow(media_table)
-    ds = ds.map_batches(
-        DecodeStage, batch_format="pyarrow", batch_size=MEDIA_BATCH_SIZE, concurrency=pool_size(concurrency)
-    )
-    ds = ds.map_batches(
-        ResizeStage, batch_format="pyarrow", batch_size=MEDIA_BATCH_SIZE, concurrency=pool_size(concurrency)
-    )
-    return ds.map_batches(
-        FeatureStage, batch_format="pyarrow", batch_size=MEDIA_BATCH_SIZE, concurrency=pool_size(concurrency)
-    )
+    return _media_tasks("media_features", media_table, _image_features)
 
 
 def media_gate_table(sf_dir: str) -> pa.Table:
@@ -470,16 +439,9 @@ def media_gate_table(sf_dir: str) -> pa.Table:
 
 def _collect(ds) -> pa.Table:
     """Small-result collect (the media gate corpora are <100 rows)."""
-    import pyarrow as pa_
+    import ray
 
-    tbls = arrow_refs(ds)
-    import ray as _ray
-
-    parts = [t for t in _ray.get(tbls) if t.num_rows]
-    return pa_.concat_tables(parts) if parts else pa_.table(
-        {"media_id": pa_.array([], pa_.int64()),
-         "feature": pa_.array([], pa_.list_(pa_.float64()))}
-    )
+    return pa.concat_tables(ray.get(arrow_refs(ds)))
 
 
 def _offset_ids(t: pa.Table, off: int) -> pa.Table:

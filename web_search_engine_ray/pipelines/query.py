@@ -1,4 +1,4 @@
-"""Query engine: shard-backed Searcher + BM25 top-k / QL / boolean + actor pool.
+"""Query engine: shard-backed Searcher + BM25 top-k / QL / boolean + batch runs.
 
 API surface mirrors the reference's ``Searcher`` (``HW2/engine/searcher.py``):
 
@@ -56,10 +56,12 @@ never scored; duplicate query terms contribute once per occurrence; AND mode
 requires presence in every (known-term) stream.
 
 State layout: each Searcher lazily loads lexicon shards, opens postings shard
-files, and range-loads doc-length shards — once per process/actor, reused
+files, and range-loads doc-length shards — once per Searcher, reused
 across queries (the reference loads its single lexicon/doc_lengths pickles
 once per Searcher, ``searcher.py:18-39``; ours shard so a 10^12-doc index
-serves from a pool of actors each holding O(1/num_actors) of the state).
+serves from ``distributed.PartitionedSearcher``'s range actors, each
+holding one range's share of the state). ``run_queries`` scores a query
+list in plain tasks, one Searcher per task.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from web_search_engine_ray.state.docstats import DocLengths
 from web_search_engine_ray.state.lexicon import LexiconShard, term_shard
 from web_search_engine_ray.state.listio import PostingsShardReader
 
-from web_search_engine_ray.stages.exchange import pool_size
+from web_search_engine_ray.stages.exchange import to_dataset
 
 K1 = 1.2
 B = 0.75
@@ -672,58 +674,43 @@ class Searcher:
         return set(cand.tolist())
 
 
-class SearcherActor:
-    """Actor-pool stage: score a Dataset of queries against a built index.
-
-    Pass as a CLASS to ``map_batches(SearcherActor, fn_constructor_args=
-    (index_dir,), concurrency=N)`` — index state loads once per actor
-    (``__init__``), every batch reuses it (SURVEY.md §2.3 T2)."""
-
-    def __init__(self, index_dir: str, topk: int = 10, mode: str = "OR"):
-        self.searcher = Searcher(index_dir)
-        self.topk = topk
-        self.mode = mode
-
-    def __call__(self, batch):
-        import pyarrow as pa
-
-        qids, queries = batch["query_id"].to_pylist(), batch["query"].to_pylist()
-        out_qid, out_rank, out_docid, out_score = [], [], [], []
-        for qid, q in zip(qids, queries):
-            for rank, (docid, score) in enumerate(
-                self.searcher.bm25_topk(q, self.topk, self.mode), 1
-            ):
-                out_qid.append(qid)
-                out_rank.append(rank)
-                out_docid.append(docid)
-                out_score.append(score)
-        return pa.table(
-            {
-                "query_id": pa.array(out_qid),
-                "rank": pa.array(out_rank, pa.int32()),
-                "docid": pa.array(out_docid, pa.uint64()),
-                "score": pa.array(out_score, pa.float64()),
-            }
-        )
-
-
-def run_queries(
-    index_dir: str,
-    queries: list[str],
-    topk: int = 10,
-    mode: str = "OR",
-    concurrency: int = 2,
+def _score_chunk(
+    index_dir: str, first_qid: int, queries: list[str], topk: int, mode: str
 ):
-    """Score a list of queries with a SearcherActor pool; returns a Dataset
-    of (query_id, rank, docid, score)."""
-    import ray.data
+    """(query_id, rank, docid, score) of ``queries`` (ids from
+    ``first_qid``) against one Searcher, loaded once for the chunk."""
+    import pyarrow as pa
 
-    items = [{"query_id": i, "query": q} for i, q in enumerate(queries)]
-    ds = ray.data.from_items(items, override_num_blocks=max(1, min(len(items), 64)))
-    return ds.map_batches(
-        SearcherActor,
-        fn_constructor_args=(index_dir, topk, mode),
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=pool_size(concurrency),
+    searcher = Searcher(index_dir)
+    out_qid, out_rank, out_docid, out_score = [], [], [], []
+    for qid, q in enumerate(queries, first_qid):
+        for rank, (docid, score) in enumerate(searcher.bm25_topk(q, topk, mode), 1):
+            out_qid.append(qid)
+            out_rank.append(rank)
+            out_docid.append(docid)
+            out_score.append(score)
+    return pa.table(
+        {
+            "query_id": pa.array(out_qid, pa.int64()),
+            "rank": pa.array(out_rank, pa.int32()),
+            "docid": pa.array(out_docid, pa.uint64()),
+            "score": pa.array(out_score, pa.float64()),
+        }
     )
+
+
+def run_queries(index_dir: str, queries: list[str], topk: int = 10, mode: str = "OR"):
+    """Score a list of queries; returns a Dataset of (query_id, rank,
+    docid, score). One plain Ray task per contiguous chunk of queries, as
+    many chunks as the cluster has CPUs (at most one per query); each task
+    loads the index once for its chunk (SURVEY.md §2.3 T2)."""
+    import ray
+
+    n = max(1, min(len(queries), int(ray.cluster_resources().get("CPU", 1))))
+    bounds = [len(queries) * i // n for i in range(n + 1)]
+    task = ray.remote(_score_chunk)
+    refs = [
+        task.remote(index_dir, lo, queries[lo:hi], topk, mode)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    return to_dataset("run_queries", refs)

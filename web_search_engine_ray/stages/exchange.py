@@ -59,8 +59,8 @@ def arrow_refs(ds) -> list:
     Dataset, ``to_arrow_refs`` executes the plan, then executes it again
     under ``limit(1)`` to read the schema and cancels that second run's
     tasks once one row is out. A cancelled map task can keep its CPU until
-    Ray shuts down, and a later fixed actor pool then waits forever for
-    the slot. Materializing first keeps the schema with the blocks."""
+    Ray shuts down, which starves every later task of that slot (at 1 CPU,
+    all of them). Materializing first keeps the schema with the blocks."""
     return ds.materialize().to_arrow_refs()
 
 
@@ -271,39 +271,3 @@ def chain_parts(refs: list) -> int:
     cpus = int(ray.cluster_resources().get("CPU", 0))
     return max(2 * cpus, -(-head_bytes // target), 1)
 
-
-def pool_size(requested: int) -> int:
-    """Cap a FIXED actor-pool size to the cluster's CPU count minus one.
-
-    A ``map_batches(Cls, concurrency=N)`` pool whose N >= cluster CPUs takes
-    every slot, and the upstream task operators (``ReadParquet`` etc.) can
-    never schedule — the stream deadlocks, silently, with the pool actors
-    idle-waiting for input. Found live: the full gate at ``num_cpus=2``
-    hung forever inside ``bpe_encode_stats`` (concurrency=4). At real
-    cluster sizes the cap is a no-op; at tiny/test sizes it keeps one CPU
-    free for the feeding tasks. Callers pass their tuned N; the helper
-    never raises it. A 1-CPU cluster has no CPU to spare: even one pool
-    actor would take the only slot and hang the stream, so there it fails
-    with a RuntimeError naming the calling stage instead."""
-    try:
-        import ray
-
-        cpus = (
-            int(ray.cluster_resources().get("CPU", 0))
-            if ray.is_initialized()
-            else 0
-        )
-    except Exception:  # pragma: no cover - resource probe best-effort
-        cpus = 0
-    if cpus <= 0:
-        return max(1, requested)
-    if cpus == 1:
-        import sys
-
-        stage = sys._getframe(1).f_code.co_name
-        raise RuntimeError(
-            f"{stage}: a fixed actor pool needs at least 2 CPUs, the cluster "
-            "has 1 — the pool would take the only CPU and the tasks feeding "
-            "it could never run"
-        )
-    return max(1, min(requested, cpus - 1))
